@@ -81,6 +81,10 @@ def run_pipeline(
     `refine_observer`, when given, is called once per refinement pass with
     that pass's hypergraph and must return a per-op callback (or None);
     test instrumentation hooks in through it.
+
+    `time_limit` is in wall-clock seconds from the call: assignment gets
+    what coarsening left of it (at least 0.1 s), and refinement stops at
+    the first op that would start past it, keeping the placement valid.
     """
     start = time.monotonic()
     hm = compute_hop_matrix(t)
@@ -107,8 +111,10 @@ def run_pipeline(
     if res.placement is None:
         return PipelineResult(None, "infeasible" if res.status == "complete" else "budget")
 
+    deadline = None if time_limit is None else start + time_limit
+
     def time_left() -> bool:
-        return time_limit is None or (time.monotonic() - start) < time_limit
+        return deadline is None or time.monotonic() < deadline
 
     p = res.placement
     if time_left():
@@ -116,6 +122,7 @@ def run_pipeline(
             coarsest, p, t, hm, ops=ops, max_replicas=max_replicas,
             allow_zero_gain=allow_zero_gain,
             observer=refine_observer(coarsest) if refine_observer else None,
+            deadline=deadline,
         )
     for i in range(len(levels) - 1, -1, -1):
         p = project_to_finer(levels[i], p)
@@ -125,6 +132,7 @@ def run_pipeline(
                 fine_h, p, t, hm, ops=ops, max_replicas=max_replicas,
                 allow_zero_gain=allow_zero_gain,
                 observer=refine_observer(fine_h) if refine_observer else None,
+                deadline=deadline,
             )
     return PipelineResult(p, "ok", total_hop_distance(h, p, hm))
 

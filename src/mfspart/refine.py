@@ -8,10 +8,19 @@ gain), re-checks constraints at application time, and then refreshes the
 gains of every vertex whose stored value the operation could have changed:
 net-sharing neighbors for moves, replicates, and deletes, and their
 neighbors in turn for exchange pairings.
+
+An exchange gain is the two endpoints' move gains plus a shared-edge
+correction.  The correction is cached per vertex pair and dropped, on each
+commit, for every pair of members of an edge with a touched member, which
+is exactly the set of pairs whose correction can change.  Entries the loop
+popped but could not apply are parked and re-offered by the next commit,
+before its refresh, so that exchange rebuilds always find exact move
+entries to decompose against.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -270,10 +279,16 @@ class RefineState:
         self.del_heaps = [AddressableMaxHeap() for _ in range(self.kf)]
         self.ex_heap = AddressableMaxHeap()
         self.ex_partner: dict[int, int] = {}
+        # corr(v, u) of `_rebuild_exchange`, keyed pair_corr[v][u]
+        self.pair_corr: dict[int, dict[int, int]] = {}
+        # entries run_refine_loop popped and try_apply rejected, as
+        # (kind, v, dest, gain); re-offered on the next commit.  A parked
+        # exchange keeps its partner in ex_partner, which only a rebuild
+        # of v changes, and rebuilds run after the re-offer.
+        self.parked: list[tuple[str, int, int, int]] = []
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
-        self.last_rebuilt: tuple[set[int], set[int]] = (set(), set())
         self._neighbors: dict[int, tuple[int, ...]] = {}  # lazy, static
 
         # moves first: exchange entries read move gains from the bank
@@ -326,11 +341,6 @@ class RefineState:
             cached = tuple(sorted(out))
             self._neighbors[v] = cached
         return cached
-
-    def _exchange_candidates(self, v: int) -> list[int]:
-        orig = self.p.original
-        pv = orig[v]
-        return [u for u in self._neighbor_tuple(v) if orig[u] != pv]
 
     def _joint_exchange_gain(self, v: int, u: int) -> int:
         p = self.p
@@ -427,113 +437,45 @@ class RefineState:
         """Refresh the best-partner exchange entry of one vertex.
 
         When move entries are maintained, a pair gain decomposes into the
-        two move gains plus a correction over shared edges only; both move
-        entries are exact by the bank invariant, so this stays exact while
-        skipping the full joint evaluation.  Shared-edge corrections work
-        on per-FPGA drain-host counts, so they cost O(K) rather than a
-        scan of the whole (possibly huge) net.
+        two move gains plus a correction over shared edges only,
+        g = g_v(pu) + g_u(pv) + corr(v, u); both move entries are exact by
+        the bank invariant, so this stays exact while skipping the full
+        joint evaluation.  corr(v, u) is cached per vertex, so a cached
+        pair costs two move-heap lookups and one dict lookup; the shared
+        edge table of `_exchange_prep` is built only when some pair misses.
+        `try_apply` drops corr(a, b) for every pair a, b that share an
+        edge with a touched member, which is exactly when either input of
+        the correction (shared-edge drain counts and source hosts, both
+        endpoints' hosts) can change.
         """
         self.ex_heap.remove(v)
         self.ex_partner.pop(v, None)
         if "exchange" not in self.enabled or not self._is_boundary(v):
             return
-        p = self.p
-        h = self.h
-        dist = self.dist
-        inc = h.incidence[v]
-        pv = p.original[v]
+        orig = self.p.original
+        pv = orig[v]
         use_decomposition = "move" in self.enabled
+        if use_decomposition:
+            g_v_at = [heap.get(v) for heap in self.move_heaps]
+            g_u_of = self.move_heaps[pv].get
+        corr_v = self.pair_corr.setdefault(v, {})
+        prep = None
         best_g = None
         best_u = -1
-
-        # per shared edge: drain-host counts with v's own contribution
-        # removed when v drains it (host sets are subsets of the K FPGAs)
-        prep: dict[int, tuple] = {}
-        if use_decomposition:
-            vh = (pv, *p.replicas[v])
-            for e in inc:
-                edge = h.edges[e]
-                if edge.source == v:
-                    prep[e] = ("src_v", edge.weight, self.edge_drain_cnt[e], None)
-                else:
-                    cnt = dict(self.edge_drain_cnt[e])
-                    for f in vh:
-                        c = cnt.get(f, 0) - 1
-                        if c <= 0:
-                            cnt.pop(f, None)
-                        else:
-                            cnt[f] = c
-                    s = edge.source
-                    prep[e] = ("drain_v", edge.weight, cnt, (p.original[s], *p.replicas[s]))
-
-        # The pair correction has a closed form: writing the joint cost
-        # delta as a mixed second difference over per-FPGA memberships,
-        # every term cancels except where BOTH endpoints' host membership
-        # flips, i.e. at the two originals being swapped.
-        v_reps = p.replicas[v]
-        v_hosts_cur = (pv, *v_reps)
-        for u in self._exchange_candidates(v):
+        for u in self._neighbor_tuple(v):
+            pu = orig[u]
+            if pu == pv:
+                continue
             g = None
             if use_decomposition:
-                pu = p.original[u]
-                g_v = self.move_heaps[pu].get(v)
-                g_u = self.move_heaps[pv].get(u)
+                g_v = g_v_at[pu]
+                g_u = g_u_of(u)
                 if g_v is not None and g_u is not None:
-                    reps_u = p.replicas[u]
-                    u_hosts = (pu, *reps_u)
-                    v_hosts_new = (pu, *(v_reps - {pu})) if pu in v_reps else (pu, *v_reps)
-                    corr = 0
-                    for e in h.incidence[u]:
-                        rec = prep.get(e)
-                        if rec is None:
-                            continue
-                        kind, w, cnt, shosts = rec
-                        if kind == "src_v":
-                            # v sources e, u drains it: the source-side min
-                            # shift matters only at uncovered flip hosts
-                            term = 0
-                            if cnt.get(pu, 0) <= (1 if pu in u_hosts else 0):
-                                term += _min_hop(pu, v_hosts_new, dist) - _min_hop(
-                                    pu, v_hosts_cur, dist
-                                )
-                            if pv not in reps_u and cnt.get(pv, 0) <= (
-                                1 if pv in u_hosts else 0
-                            ):
-                                term -= _min_hop(pv, v_hosts_new, dist) - _min_hop(
-                                    pv, v_hosts_cur, dist
-                                )
-                            corr += w * term
-                        elif u == h.edges[e].source:
-                            # u sources e, v drains it (cnt excludes v)
-                            u_hosts_new = (
-                                (pv, *(reps_u - {pv}))
-                                if pv in reps_u
-                                else (pv, *reps_u)
-                            )
-                            term = 0
-                            if cnt.get(pv, 0) <= 0:
-                                term += _min_hop(pv, u_hosts_new, dist) - _min_hop(
-                                    pv, u_hosts, dist
-                                )
-                            if pu not in v_reps and cnt.get(pu, 0) <= 0:
-                                term -= _min_hop(pu, u_hosts_new, dist) - _min_hop(
-                                    pu, u_hosts, dist
-                                )
-                            corr += w * term
-                        else:
-                            # both drain e: the swapped originals keep the
-                            # host union intact wherever nobody else covers
-                            # them, cancelling the move gains' savings
-                            term = 0
-                            if pv not in reps_u and cnt.get(pv, 0) <= (
-                                1 if pv in u_hosts else 0
-                            ):
-                                term -= _min_hop(pv, shosts, dist)
-                            if pu not in v_reps and cnt.get(pu, 0) <= (
-                                1 if pu in u_hosts else 0
-                            ):
-                                term -= _min_hop(pu, shosts, dist)
-                            corr += w * term
+                    corr = corr_v.get(u)
+                    if corr is None:
+                        if prep is None:
+                            prep = self._exchange_prep(v)
+                        corr = corr_v[u] = self._pair_corr(v, u, prep)
                     g = g_v + g_u + corr
             if g is None:
                 g = self._joint_exchange_gain(v, u)
@@ -544,6 +486,101 @@ class RefineState:
             self.ex_heap.push(v, best_g)
             self.ex_partner[v] = best_u
 
+    def _exchange_prep(self, v: int) -> dict[int, tuple]:
+        """Per incident edge of v: drain-host counts with v's own
+        contribution removed when v drains it (host sets are subsets of
+        the K FPGAs), so that shared-edge corrections cost O(K) rather
+        than a scan of the whole (possibly huge) net."""
+        p = self.p
+        h = self.h
+        vh = (p.original[v], *p.replicas[v])
+        prep: dict[int, tuple] = {}
+        for e in h.incidence[v]:
+            edge = h.edges[e]
+            if edge.source == v:
+                prep[e] = ("src_v", edge.weight, self.edge_drain_cnt[e], None)
+            else:
+                cnt = dict(self.edge_drain_cnt[e])
+                for f in vh:
+                    c = cnt.get(f, 0) - 1
+                    if c <= 0:
+                        cnt.pop(f, None)
+                    else:
+                        cnt[f] = c
+                s = edge.source
+                prep[e] = ("drain_v", edge.weight, cnt, (p.original[s], *p.replicas[s]))
+        return prep
+
+    def _pair_corr(self, v: int, u: int, prep: dict[int, tuple]) -> int:
+        """Shared-edge correction of the exchange of v and u.
+
+        The correction has a closed form: writing the joint cost delta as
+        a mixed second difference over per-FPGA memberships, every term
+        cancels except where BOTH endpoints' host membership flips, i.e.
+        at the two originals being swapped.
+        """
+        p = self.p
+        h = self.h
+        dist = self.dist
+        pv, pu = p.original[v], p.original[u]
+        v_reps = p.replicas[v]
+        v_hosts_cur = (pv, *v_reps)
+        v_hosts_new = (pu, *(v_reps - {pu})) if pu in v_reps else (pu, *v_reps)
+        reps_u = p.replicas[u]
+        u_hosts = (pu, *reps_u)
+        corr = 0
+        for e in h.incidence[u]:
+            rec = prep.get(e)
+            if rec is None:
+                continue
+            kind, w, cnt, shosts = rec
+            if kind == "src_v":
+                # v sources e, u drains it: the source-side min
+                # shift matters only at uncovered flip hosts
+                term = 0
+                if cnt.get(pu, 0) <= (1 if pu in u_hosts else 0):
+                    term += _min_hop(pu, v_hosts_new, dist) - _min_hop(
+                        pu, v_hosts_cur, dist
+                    )
+                if pv not in reps_u and cnt.get(pv, 0) <= (
+                    1 if pv in u_hosts else 0
+                ):
+                    term -= _min_hop(pv, v_hosts_new, dist) - _min_hop(
+                        pv, v_hosts_cur, dist
+                    )
+                corr += w * term
+            elif u == h.edges[e].source:
+                # u sources e, v drains it (cnt excludes v)
+                u_hosts_new = (
+                    (pv, *(reps_u - {pv}))
+                    if pv in reps_u
+                    else (pv, *reps_u)
+                )
+                term = 0
+                if cnt.get(pv, 0) <= 0:
+                    term += _min_hop(pv, u_hosts_new, dist) - _min_hop(
+                        pv, u_hosts, dist
+                    )
+                if pu not in v_reps and cnt.get(pu, 0) <= 0:
+                    term -= _min_hop(pu, u_hosts_new, dist) - _min_hop(
+                        pu, u_hosts, dist
+                    )
+                corr += w * term
+            else:
+                # both drain e: the swapped originals keep the
+                # host union intact wherever nobody else covers
+                # them, cancelling the move gains' savings
+                term = 0
+                if pv not in reps_u and cnt.get(pv, 0) <= (
+                    1 if pv in u_hosts else 0
+                ):
+                    term -= _min_hop(pv, shosts, dist)
+                if pu not in v_reps and cnt.get(pu, 0) <= (
+                    1 if pu in u_hosts else 0
+                ):
+                    term -= _min_hop(pu, shosts, dist)
+                corr += w * term
+        return corr
 
     # -- selection and application ----------------------------------------
 
@@ -757,11 +794,42 @@ class RefineState:
         if gain == 0 and kind in ("move", "exchange") and self.allow_zero_gain:
             self.zero_gain_left -= 1
         self.applied.append(op)
+        # corr(a, b) reads the shared edges' drain counts and source hosts
+        # and both endpoints' hosts; each changes only where a shared edge
+        # has a touched member
+        pair_corr = self.pair_corr
+        for e in edge_ids:
+            members = h.edges[e].members
+            for a in members:
+                cache = pair_corr.get(a)
+                if cache:
+                    for b in members:
+                        cache.pop(b, None)
+        self._unpark()
         self._refresh_after(touched)
         return op
 
+    def _unpark(self) -> None:
+        """Re-offer parked entries before the refresh rebuilds exchange
+        gains, so those read exact move entries instead of falling back to
+        the joint evaluation.  Every re-offered entry whose gain the op
+        could have changed is one the refresh rebuilds, replacing it; the
+        rest are still exact."""
+        for kind, v, dest, gain in self.parked:
+            if kind == "exchange":
+                self.ex_heap.push(v, gain)
+            elif kind == "move":
+                self.move_heaps[dest].push(v, gain)
+            elif kind == "replicate":
+                self.rep_heaps[dest].push(v, gain)
+            else:
+                self.del_heaps[dest].push(v, gain)
+        self.parked = []
+
     def _refresh_after(self, touched: list[int]) -> None:
         if not self.incremental:
+            # the full variant is the from-scratch reference: no reuse
+            self.pair_corr.clear()
             for v in range(self.h.num_vertices):
                 self._rebuild_mrd(v)
             for v in range(self.h.num_vertices):
@@ -780,12 +848,9 @@ class RefineState:
         for v in sorted(a1):
             self._rebuild_mrd(v)
         p = self.p
-        h = self.h
-        rebuilt_ex: set[int] = set()
         for v in sorted(a2):
             if v in a1:
                 self._rebuild_exchange(v)
-                rebuilt_ex.add(v)
                 continue
             # a pair gain involving v went stale only if its stored partner
             # or some current exchange candidate lies in the one-hop set
@@ -799,8 +864,6 @@ class RefineState:
                         break
             if need:
                 self._rebuild_exchange(v)
-                rebuilt_ex.add(v)
-        self.last_rebuilt = (a1, rebuilt_ex)
 
 
 def refine_level(
@@ -816,9 +879,11 @@ def refine_level(
     incremental: bool = True,
     max_ops: int | None = None,
     observer: Callable[[Op, Placement, int], None] | None = None,
+    deadline: float | None = None,
 ) -> Placement:
     """Apply highest-gain operations until none is both acceptable and
-    feasible; THD never increases and every intermediate state is valid."""
+    feasible, or until `deadline` (a `time.monotonic()` value) passes;
+    THD never increases and every intermediate state is valid."""
     if not ops:
         return p.copy()
     state = RefineState(
@@ -832,7 +897,7 @@ def refine_level(
         zero_gain_limit=zero_gain_limit,
         incremental=incremental,
     )
-    run_refine_loop(state, max_ops=max_ops, observer=observer)
+    run_refine_loop(state, max_ops=max_ops, observer=observer, deadline=deadline)
     return state.p
 
 
@@ -840,42 +905,32 @@ def run_refine_loop(
     state: RefineState,
     max_ops: int | None = None,
     observer: Callable[[Op, Placement, int], None] | None = None,
+    deadline: float | None = None,
 ) -> int:
-    """Drive a RefineState to a fixed point; returns the op count applied."""
-    parked: list[tuple[str, int, int, int, int | None]] = []
+    """Drive a RefineState to a fixed point; returns the op count applied.
+
+    An entry that `try_apply` rejects is parked on the state rather than
+    dropped; the next commit re-offers every parked entry before its
+    refresh (see `RefineState._unpark`), so after each applied op the bank
+    holds what a fresh bank would.  With a `deadline` (a `time.monotonic()`
+    value) the loop stops at the first iteration that starts past it.
+    """
     applied = 0
     while max_ops is None or applied < max_ops:
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         best = state.peek_best()
         if best is None:
             break
-        kind, v, dest, gain = best
-        partner = state.ex_partner.get(v) if kind == "exchange" else None
+        kind, v, dest, _ = best
         state.pop_entry(kind, v, dest)
         op = state.try_apply(kind, v, dest)
         if op is None:
-            parked.append((kind, v, dest, gain, partner))
+            state.parked.append(best)
             continue
         applied += 1
         if observer is not None:
             observer(op, state.p, state.thd)
-        if parked:
-            a1, a2 = state.last_rebuilt if state.incremental else (None, None)
-            for k2, v2, d2, g2, u2 in parked:
-                if not state.incremental:
-                    continue  # full rebuild already restored everything
-                if k2 == "exchange":
-                    if v2 in a2:
-                        continue
-                    state.ex_heap.push(v2, g2)
-                    state.ex_partner[v2] = u2
-                elif v2 not in a1:
-                    if k2 == "move":
-                        state.move_heaps[d2].push(v2, g2)
-                    elif k2 == "replicate":
-                        state.rep_heaps[d2].push(v2, g2)
-                    else:
-                        state.del_heaps[d2].push(v2, g2)
-            parked = []
     return applied
 
 

@@ -52,6 +52,35 @@ def random_feasible_state(seed, n=24, m=48, k_fpgas=4, types=2, spare=0.6):
     return bundle.hypergraph, bundle.topology, res.placement
 
 
+def tight_state(seed, n=14, m=26, k=3):
+    """Generated instance with little spare capacity, plus a balanced
+    random placement with a few replicas; many ops do not fit."""
+    rng = random.Random(seed)
+    b = gen_instance(seed, n, m, k, 1, spare=0.15)
+    hm = compute_hop_matrix(b.topology)
+    orig = [v % k for v in range(n)]
+    rng.shuffle(orig)
+    reps = [set() for _ in range(n)]
+    for v in rng.sample(range(n), n // 4):
+        reps[v].add(rng.choice([f for f in range(k) if f != orig[v]]))
+    return b.hypergraph, b.topology, hm, Placement(orig, reps)
+
+
+def bank_snapshot(state):
+    """Every live bank entry as a sortable tuple, exchange partners included."""
+    return sorted(
+        (op.kind, op.v, op.dest, op.partner, op.partner_dest, op.gain)
+        for op in state.entries()
+    )
+
+
+def fresh_bank(state):
+    """The bank a new RefineState builds from scratch on the same placement."""
+    from mfspart.refine import RefineState
+
+    return bank_snapshot(RefineState(state.h, state.t, state.hm, state.p))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

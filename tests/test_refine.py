@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from mfspart.refine import (
 )
 from mfspart.topology import MfsTopology, compute_hop_matrix
 
-from conftest import fanout_story, path_topology
+from conftest import bank_snapshot, fanout_story, fresh_bank, path_topology, tight_state
 
 
 def _random_replicated_state(seed, n=10, m=18, k=4):
@@ -180,6 +181,48 @@ def test_bank_gains_exact_over_random_walks():
                 break
 
 
+def test_bank_equals_fresh_bank_over_random_walks():
+    # a stale cached pair correction can pick the wrong best partner while
+    # every stored gain still matches its own op, so compare whole banks
+    applied = rejected = 0
+    for seed in range(8):
+        h, t, hm, p = tight_state(seed)
+        state = RefineState(h, t, hm, p)
+        rng = random.Random(seed)
+        for step in range(20):
+            entries = list(state.entries())
+            rng.shuffle(entries)
+            for op in entries:
+                if state.try_apply(op.kind, op.v, op.dest) is not None:
+                    applied += 1
+                    assert bank_snapshot(state) == fresh_bank(state), (
+                        f"seed {seed} step {step} after {state.applied[-1]}"
+                    )
+                    break
+                rejected += 1
+            else:
+                break
+    assert applied >= 100 and rejected >= 100
+
+
+def test_loop_bank_equals_fresh_bank_after_each_op():
+    # rejected entries are parked and re-offered by the next commit, so the
+    # bank is complete again whenever the observer sees an applied op
+    seen = 0
+    for seed in range(6):
+        h, t, hm, p = tight_state(seed, n=20, m=36)
+        state = RefineState(h, t, hm, p)
+
+        def check(op, pl, thd):
+            nonlocal seen
+            seen += 1
+            assert not state.parked
+            assert bank_snapshot(state) == fresh_bank(state), f"seed {seed} after {op}"
+
+        run_refine_loop(state, observer=check)
+    assert seen >= 10
+
+
 def test_state_counters_match_metrics_after_walk():
     for seed in range(5):
         h, t, hm, p = _random_replicated_state(seed, n=12, m=22, k=3)
@@ -281,6 +324,52 @@ def test_refine_monotone_and_valid_throughout():
         refine_level(b.hypergraph, res.placement, b.topology, hm, observer=watch)
         assert all(a >= b2 for a, b2 in zip(thds, thds[1:]))
         assert all(states_valid)
+
+
+def test_refine_level_past_deadline_applies_nothing():
+    h, t, p = fanout_story(src_fpga=1)
+    hm = compute_hop_matrix(t)
+    seen = []
+    # without a deadline this level applies ops (see the fanout test above)
+    out = refine_level(h, p, t, hm, deadline=time.monotonic() - 1.0,
+                       observer=lambda op, pl, thd: seen.append(op))
+    assert seen == [] and out == p
+
+
+def test_refine_loop_checks_deadline_every_iteration(monkeypatch):
+    import mfspart.refine as refine
+
+    class Clock:  # one tick per reading
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    h, t, hm, p = tight_state(1, n=20, m=36)
+    unbounded = RefineState(h, t, hm, p)
+    run_refine_loop(unbounded)
+    assert len(unbounded.applied) > 3
+    state = RefineState(h, t, hm, p)
+    clock = Clock()
+    monkeypatch.setattr(refine, "time", clock)
+    run_refine_loop(state, deadline=3.5)
+    # readings 1-3 each start an iteration, reading 4 ends the loop
+    assert clock.now == 4.0
+    assert state.applied == unbounded.applied[: len(state.applied)]
+
+
+def test_run_pipeline_tiny_time_limit_returns_valid_placement():
+    from mfspart.cli import run_pipeline
+
+    b = gen_instance(31, 300, 360, 8, 2, spare=0.4)
+    res = run_pipeline(b.hypergraph, b.topology, n_seeds=1,
+                       assign_max_nodes=2000, time_limit=1e-6)
+    assert res.status == "ok" and res.placement is not None
+    assert validate(b.hypergraph, b.topology, res.placement) == []
+    assert res.thd == total_hop_distance(
+        b.hypergraph, res.placement, compute_hop_matrix(b.topology)
+    )
 
 
 def test_refine_ops_subset_respected():
