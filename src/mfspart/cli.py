@@ -84,7 +84,8 @@ def run_pipeline(
 
     `time_limit` is in wall-clock seconds from the call: assignment gets
     what coarsening left of it (at least 0.1 s), and refinement stops at
-    the first op that would start past it, keeping the placement valid.
+    the first bank-build step or op that would start past it, keeping the
+    placement valid.
     """
     start = time.monotonic()
     hm = compute_hop_matrix(t)

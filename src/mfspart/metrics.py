@@ -5,6 +5,12 @@ total hop distance, cut size, per-FPGA I/O usage, and the validator.  The
 cost of a net is the sum, over the FPGAs hosting its drains, of the hop
 distance from the nearest copy of the source; without replication this is
 exactly the classic source-to-drain-FPGA hop sum.
+
+Every per-net term comes from one kernel, `HopMatrix.nearest`, applied to
+the source's host set S.  With its rows (hop, server) and D the set of
+FPGAs hosting a drain, the net costs sum(hop[f] for f in D) units, its
+worst hop is max(hop[f] for f in D), and it imports on every f in D - S,
+each served (exported) by server[f].
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import Hypergraph, Placement, ResourceVector
+from .model import Hypergraph, Placement, ResourceVector, drain_fpgas
 from .topology import HopMatrix, MfsTopology, compute_hop_matrix
 
 
@@ -28,7 +34,8 @@ class Violation:
     detail: str = ""
 
     def __post_init__(self):
-        assert self.observed > self.limit, "violations must actually exceed the limit"
+        if self.observed <= self.limit:
+            raise ValueError("violations must actually exceed the limit")
 
 
 @dataclass
@@ -53,30 +60,17 @@ class MetricsReport:
         return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
-def _source_hosts(p: Placement, src: int) -> tuple[int, set[int]]:
-    return p.original[src], p.replicas[src]
+def _net_hops(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> list[int]:
+    """Per FPGA hosting a drain of net e, the hop distance from the nearest
+    copy of the source."""
+    hop, _ = hm.nearest(p.hosts(h.edges[e].source))
+    return [hop[f] for f in drain_fpgas(h, e, p)]
 
 
 def net_hop_distance(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> int:
     """Unweighted cost of net e: per drain FPGA, the hop distance from the
     nearest copy of the source."""
-    edge = h.edges[e]
-    so, sreps = _source_hosts(p, edge.source)
-    dist = hm.dist
-    total = 0
-    seen: set[int] = set()
-    for d in edge.drains:
-        for f in p.hosts(d):
-            if f in seen:
-                continue
-            seen.add(f)
-            best = dist[so][f]
-            for s in sreps:
-                ds = dist[s][f]
-                if ds < best:
-                    best = ds
-            total += best
-    return total
+    return sum(_net_hops(h, e, p, hm))
 
 
 def total_hop_distance(h: Hypergraph, p: Placement, hm: HopMatrix) -> int:
@@ -102,42 +96,29 @@ def cut_size(h: Hypergraph, p: Placement) -> int:
     return cut
 
 
-def net_io_contrib_hosts(edge, hosts_of, dist) -> dict[int, int]:
-    """Per-FPGA signal units a net adds under an arbitrary hosts accessor:
-    w_e per importing FPGA (hosts a drain, no local source copy) and w_e
-    per exporting FPGA (the nearest source copy serving at least one
-    importer; ties to the lowest id)."""
-    src_hosts = hosts_of(edge.source)
-    importers: set[int] = set()
-    for d in edge.drains:
-        for f in hosts_of(d):
-            if f not in src_hosts:
-                importers.add(f)
-    if not importers:
-        return {}
+def net_io_contrib_hosts(edge, src_hosts, drain_hosts, hm: HopMatrix) -> dict[int, int]:
+    """Per-FPGA signal units a net adds, given the FPGAs hosting its source
+    and its drains: w_e per importing FPGA (hosts a drain, no local source
+    copy) and w_e per exporting FPGA (the nearest source copy serving at
+    least one importer; ties to the lowest id)."""
+    _, server = hm.nearest(src_hosts)
     contrib: dict[int, int] = {}
-    exporters: set[int] = set()
-    src_sorted = sorted(src_hosts)
-    for f in importers:
-        contrib[f] = edge.weight
-        server = min(src_sorted, key=lambda s: (dist[s][f], s))
-        exporters.add(server)
-    for s in exporters:
-        contrib[s] = contrib.get(s, 0) + edge.weight
+    for f in drain_hosts:
+        if f not in src_hosts:
+            contrib[f] = edge.weight
+            # an exporter hosts the source, so it is never an importer
+            contrib[server[f]] = edge.weight
     return contrib
-
-
-def _net_io_contrib(
-    h: Hypergraph, e: int, p: Placement, hm: HopMatrix
-) -> dict[int, int]:
-    return net_io_contrib_hosts(h.edges[e], p.hosts, hm.dist)
 
 
 def io_usage_all(h: Hypergraph, p: Placement, hm: HopMatrix, k_fpgas: int) -> list[int]:
     """I/O signal units per FPGA, across all nets."""
     io = [0] * k_fpgas
     for e in h.edges:
-        for f, units in _net_io_contrib(h, e.id, p, hm).items():
+        contrib = net_io_contrib_hosts(
+            e, p.hosts(e.source), drain_fpgas(h, e.id, p), hm
+        )
+        for f, units in contrib.items():
             io[f] += units
     return io
 
@@ -206,23 +187,8 @@ def validate(
         if lim is not None and io[f] > lim:
             out.append(Violation("io", f, io[f], lim))
     if t.hop_max is not None:
-        dist = hm.dist
         for e in h.edges:
-            so, sreps = _source_hosts(p, e.source)
-            worst = 0
-            seen: set[int] = set()
-            for d in e.drains:
-                for f in p.hosts(d):
-                    if f in seen:
-                        continue
-                    seen.add(f)
-                    best = dist[so][f]
-                    for s in sreps:
-                        ds = dist[s][f]
-                        if ds < best:
-                            best = ds
-                    if best > worst:
-                        worst = best
+            worst = max(_net_hops(h, e.id, p, hm))
             if worst > t.hop_max:
                 out.append(Violation("hop", e.id, worst, t.hop_max))
     return out
@@ -233,27 +199,12 @@ def report(
 ) -> MetricsReport:
     if hm is None:
         hm = compute_hop_matrix(t)
-    dist = hm.dist
     thd = 0
     max_hop = 0
     for e in h.edges:
-        so, sreps = _source_hosts(p, e.source)
-        units = 0
-        seen: set[int] = set()
-        for d in e.drains:
-            for f in p.hosts(d):
-                if f in seen:
-                    continue
-                seen.add(f)
-                best = dist[so][f]
-                for s in sreps:
-                    ds = dist[s][f]
-                    if ds < best:
-                        best = ds
-                units += best
-                if best > max_hop:
-                    max_hop = best
-        thd += e.weight * units
+        hops = _net_hops(h, e.id, p, hm)
+        thd += e.weight * sum(hops)
+        max_hop = max(max_hop, *hops)
     return MetricsReport(
         total_hop_distance=thd,
         cut_size=cut_size(h, p),

@@ -212,7 +212,8 @@ class Placement:
         self.original[v] = f
 
     def add_replica(self, v: int, f: int) -> None:
-        assert f != self.original[v], "replica would coincide with original"
+        if f == self.original[v]:
+            raise ValueError("replica would coincide with original")
         self.replicas[v].add(f)
 
     def remove_replica(self, v: int, f: int) -> None:

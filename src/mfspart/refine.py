@@ -9,6 +9,13 @@ gains of every vertex whose stored value the operation could have changed:
 net-sharing neighbors for moves, replicates, and deletes, and their
 neighbors in turn for exchange pairings.
 
+A prospective operation is a map {vertex: frozenset of its new hosts}.
+The state keeps, per edge, the count of drain copies on each FPGA; an
+operation is evaluated by applying its host changes to copies of the
+affected edges' counts and reading the source's nearest-copy rows
+(`HopMatrix.nearest`) over them, which gives each edge's units, worst hop
+and I/O contribution.  On commit those same counts are installed.
+
 An exchange gain is the two endpoints' move gains plus a shared-edge
 correction.  The correction is cached per vertex pair and dropped, on each
 commit, for every pair of members of an edge with a touched member, which
@@ -22,10 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from ._heap import AddressableMaxHeap
-from .metrics import net_io_contrib_hosts, total_hop_distance
+from .metrics import net_hop_distance, net_io_contrib_hosts, total_hop_distance
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
 
@@ -46,111 +54,83 @@ class Op:
     gain: int = 0
 
 
-HostOverride = dict[int, tuple[int, frozenset]]
-
-
-def _edge_units(
-    h: Hypergraph, p: Placement, dist, e: int, ov: HostOverride | None
-) -> int:
-    """Cost units of edge e, optionally with some vertices' hosts overridden."""
-    edge = h.edges[e]
-    src = edge.source
-    if ov is not None and src in ov:
-        so, sreps = ov[src]
+def _hosts_after(p: Placement, kind: str, v: int, f: int) -> frozenset:
+    """Hosts of v after a move of its original to f (a replica already at
+    f is absorbed), a replicate onto f, or a delete of the replica on f."""
+    hosts = p.hosts(v)
+    if kind == "move":
+        hosts.discard(p.original[v])
+        hosts.add(f)
+    elif kind == "replicate":
+        hosts.add(f)
     else:
-        so, sreps = p.original[src], p.replicas[src]
-    total = 0
-    seen: set[int] = set()
-    srow = dist[so]
-    for d in edge.drains:
-        if ov is not None and d in ov:
-            do, dreps = ov[d]
-        else:
-            do, dreps = p.original[d], p.replicas[d]
-        if do not in seen:
-            seen.add(do)
-            best = srow[do]
-            for s in sreps:
-                x = dist[s][do]
-                if x < best:
-                    best = x
-            total += best
-        for f in dreps:
-            if f not in seen:
-                seen.add(f)
-                best = srow[f]
-                for s in sreps:
-                    x = dist[s][f]
-                    if x < best:
-                        best = x
-                total += best
-    return total
+        hosts.discard(f)
+    return frozenset(hosts)
 
 
-def _edge_worst_minhop(
-    h: Hypergraph, p: Placement, dist, e: int, ov: HostOverride | None
-) -> int:
-    """Largest per-drain-host min-hop of edge e (for the max-hop check)."""
-    edge = h.edges[e]
-    src = edge.source
-    if ov is not None and src in ov:
-        so, sreps = ov[src]
-    else:
-        so, sreps = p.original[src], p.replicas[src]
-    worst = 0
-    seen: set[int] = set()
-    srow = dist[so]
-    for d in edge.drains:
-        if ov is not None and d in ov:
-            do, dreps = ov[d]
-        else:
-            do, dreps = p.original[d], p.replicas[d]
-        for f in (do, *dreps):
-            if f in seen:
+def _drain_counts(h: Hypergraph, p: Placement, e: int) -> dict[int, int]:
+    """Per FPGA, the number of drain copies of net e it hosts."""
+    cnt: dict[int, int] = {}
+    for d in h.edges[e].drains:
+        for f in p.hosts(d):
+            cnt[f] = cnt.get(f, 0) + 1
+    return cnt
+
+
+def _units(hm: HopMatrix, src_hosts, drain_hosts) -> int:
+    hop, _ = hm.nearest(src_hosts)
+    return sum(hop[f] for f in drain_hosts)
+
+
+def _changed_nets(
+    h: Hypergraph,
+    p: Placement,
+    change: dict[int, frozenset],
+    drain_cnt: Callable[[int], dict[int, int]],
+) -> dict[int, tuple[set | frozenset, dict[int, int]]]:
+    """Source hosts and drain-host counts, after a prospective change
+    {vertex: new host set}, of every net with a changed member.
+    `drain_cnt(e)` gives the current counts; they are copied, not edited."""
+    after: dict[int, tuple[set | frozenset, dict[int, int]]] = {}
+    for v, new in change.items():
+        old = p.hosts(v)
+        for e in h.incidence[v]:
+            src = h.edges[e].source
+            if e not in after:
+                src_hosts = change[src] if src in change else p.hosts(src)
+                after[e] = (src_hosts, dict(drain_cnt(e)))
+            if src == v:
                 continue
-            seen.add(f)
-            best = srow[f]
-            for s in sreps:
-                x = dist[s][f]
-                if x < best:
-                    best = x
-            if best > worst:
-                worst = best
-    return worst
-
-
-def _min_hop(f: int, hosts: tuple[int, ...], dist) -> int:
-    best = dist[hosts[0]][f]
-    for s in hosts[1:]:
-        x = dist[s][f]
-        if x < best:
-            best = x
-    return best
-
-
-def _hosts_with_override(p: Placement, ov: HostOverride | None) -> Callable[[int], set]:
-    def hosts_of(v: int) -> set:
-        if ov is not None and v in ov:
-            o, reps = ov[v]
-            return {o} | set(reps)
-        return {p.original[v]} | p.replicas[v]
-
-    return hosts_of
-
-
-def _moved_hosts(p: Placement, v: int, f: int) -> tuple[int, frozenset]:
-    # the old original is left behind; a replica already at f is absorbed
-    return f, frozenset(p.replicas[v] - {f})
+            cnt = after[e][1]
+            for f in old:
+                c = cnt[f] - 1
+                if c:
+                    cnt[f] = c
+                else:
+                    del cnt[f]
+            for f in new:
+                cnt[f] = cnt.get(f, 0) + 1
+    return after
 
 
 def _gain_over(
-    h: Hypergraph, p: Placement, hm: HopMatrix, edge_ids, ov: HostOverride
+    h: Hypergraph,
+    p: Placement,
+    hm: HopMatrix,
+    change: dict[int, frozenset],
+    units: list[int] | None = None,
+    drain_cnt: Callable[[int], dict[int, int]] | None = None,
 ) -> int:
-    dist = hm.dist
+    """THD decrease of a prospective change {vertex: new host set}.  The
+    current per-net units and drain-host counts are a RefineState's when
+    given, else computed from the placement."""
+    if drain_cnt is None:
+        drain_cnt = partial(_drain_counts, h, p)
     g = 0
-    for e in edge_ids:
-        w = h.edges[e].weight
-        g += w * (_edge_units(h, p, dist, e, None) - _edge_units(h, p, dist, e, ov))
+    for e, (src_hosts, cnt) in _changed_nets(h, p, change, drain_cnt).items():
+        edge = h.edges[e]
+        before = units[e] if units is not None else net_hop_distance(h, e, p, hm)
+        g += edge.weight * (before - _units(hm, src_hosts, cnt))
     return g
 
 
@@ -158,7 +138,7 @@ def gain_move(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int
     """THD decrease from moving the original of v to FPGA f."""
     if f == p.original[v]:
         raise ValueError("move destination equals the current original")
-    return _gain_over(h, p, hm, h.incidence[v], {v: _moved_hosts(p, v, f)})
+    return _gain_over(h, p, hm, {v: _hosts_after(p, "move", v, f)})
 
 
 def gain_exchange(h: Hypergraph, p: Placement, hm: HopMatrix, u: int, v: int) -> int:
@@ -166,25 +146,22 @@ def gain_exchange(h: Hypergraph, p: Placement, hm: HopMatrix, u: int, v: int) ->
     pu, pv = p.original[u], p.original[v]
     if pu == pv:
         raise ValueError("exchange requires vertices on different FPGAs")
-    ov = {u: _moved_hosts(p, u, pv), v: _moved_hosts(p, v, pu)}
-    edge_ids = sorted(set(h.incidence[u]) | set(h.incidence[v]))
-    return _gain_over(h, p, hm, edge_ids, ov)
+    change = {u: _hosts_after(p, "move", u, pv), v: _hosts_after(p, "move", v, pu)}
+    return _gain_over(h, p, hm, change)
 
 
 def gain_replicate(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
     """THD decrease from adding a copy of v on FPGA f."""
     if f == p.original[v] or f in p.replicas[v]:
         raise ValueError("replicate destination already hosts the vertex")
-    ov = {v: (p.original[v], frozenset(p.replicas[v] | {f}))}
-    return _gain_over(h, p, hm, h.incidence[v], ov)
+    return _gain_over(h, p, hm, {v: _hosts_after(p, "replicate", v, f)})
 
 
 def gain_delete(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
     """THD decrease from removing the replica of v on FPGA f."""
     if f not in p.replicas[v]:
         raise ValueError("delete target is not a replica of the vertex")
-    ov = {v: (p.original[v], frozenset(p.replicas[v] - {f}))}
-    return _gain_over(h, p, hm, h.incidence[v], ov)
+    return _gain_over(h, p, hm, {v: _hosts_after(p, "delete", v, f)})
 
 
 def apply_op(p: Placement, op: Op) -> None:
@@ -192,7 +169,8 @@ def apply_op(p: Placement, op: Op) -> None:
     if op.kind == "move":
         p.set_original(op.v, op.dest)
     elif op.kind == "exchange":
-        assert op.partner is not None and op.partner_dest is not None
+        if op.partner is None or op.partner_dest is None:
+            raise ValueError("exchange op without a partner")
         p.set_original(op.v, op.dest)
         p.set_original(op.partner, op.partner_dest)
     elif op.kind == "replicate":
@@ -221,6 +199,7 @@ class RefineState:
         allow_zero_gain: bool = False,
         zero_gain_limit: int | None = None,
         incremental: bool = True,
+        deadline: float | None = None,
     ):
         self.h = h
         self.t = t
@@ -241,27 +220,20 @@ class RefineState:
 
         self.kf = t.k_fpgas
         self.krt = t.num_resource_types
-        self.dist = hm.rows()
         self.caps = [list(c.values) for c in t.capacities]
         self.io_limits = list(t.io_limits)
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
         self.weights = [v.weight.values for v in h.vertices]
 
-        self.edge_units = [
-            _edge_units(h, self.p, self.dist, e.id, None) for e in h.edges
-        ]
-        self.thd = sum(e.weight * self.edge_units[e.id] for e in h.edges)
         # per-edge counts of drain copies per FPGA, kept current so gain
         # rebuilds never rescan (possibly huge) drain lists
-        self.edge_drain_cnt: list[dict[int, int]] = []
-        for e in h.edges:
-            cnt: dict[int, int] = {}
-            for d in e.drains:
-                cnt[self.p.original[d]] = cnt.get(self.p.original[d], 0) + 1
-                for r in self.p.replicas[d]:
-                    cnt[r] = cnt.get(r, 0) + 1
-            self.edge_drain_cnt.append(cnt)
+        self.edge_drain_cnt = [_drain_counts(h, self.p, e.id) for e in h.edges]
+        self.edge_units = [
+            _units(hm, self.p.hosts(e.source), self.edge_drain_cnt[e.id])
+            for e in h.edges
+        ]
+        self.thd = sum(e.weight * self.edge_units[e.id] for e in h.edges)
         self.usage = [[0] * self.krt for _ in range(self.kf)]
         for v in range(h.num_vertices):
             wv = self.weights[v]
@@ -271,7 +243,10 @@ class RefineState:
                     row[i] += wv[i]
         self.io = [0] * self.kf
         for e in h.edges:
-            for f, amt in self._edge_io(e.id, None).items():
+            contrib = net_io_contrib_hosts(
+                e, self.p.hosts(e.source), self.edge_drain_cnt[e.id], hm
+            )
+            for f, amt in contrib.items():
                 self.io[f] += amt
 
         self.move_heaps = [AddressableMaxHeap() for _ in range(self.kf)]
@@ -291,18 +266,16 @@ class RefineState:
         self.replicates_applied = 0
         self._neighbors: dict[int, tuple[int, ...]] = {}  # lazy, static
 
-        # moves first: exchange entries read move gains from the bank
-        for v in range(h.num_vertices):
-            self._rebuild_mrd(v)
-        for v in range(h.num_vertices):
-            self._rebuild_exchange(v)
+        # moves first: exchange entries read move gains from the bank.
+        # Past `deadline` the build stops and the bank stays partial; the
+        # loop, which checks the same deadline, then applies nothing.
+        for rebuild in (self._rebuild_mrd, self._rebuild_exchange):
+            for v in range(h.num_vertices):
+                if _past(deadline):
+                    return
+                rebuild(v)
 
     # -- gain bookkeeping -------------------------------------------------
-
-    def _edge_io(self, e: int, ov: HostOverride | None) -> dict[int, int]:
-        return net_io_contrib_hosts(
-            self.h.edges[e], _hosts_with_override(self.p, ov), self.dist
-        )
 
     def _is_boundary(self, v: int) -> bool:
         if self.p.replicas[v]:
@@ -319,18 +292,6 @@ class RefineState:
                 return True
         return False
 
-    def _gain_cached(self, ov: HostOverride, edge_ids) -> int:
-        """Gain using the cached per-edge units as the 'before' side."""
-        g = 0
-        h = self.h
-        p = self.p
-        dist = self.dist
-        units = self.edge_units
-        for e in edge_ids:
-            w = h.edges[e].weight
-            g += w * (units[e] - _edge_units(h, p, dist, e, ov))
-        return g
-
     def _neighbor_tuple(self, v: int) -> tuple[int, ...]:
         cached = self._neighbors.get(v)
         if cached is None:
@@ -344,20 +305,23 @@ class RefineState:
 
     def _joint_exchange_gain(self, v: int, u: int) -> int:
         p = self.p
-        ov = {
-            v: _moved_hosts(p, v, p.original[u]),
-            u: _moved_hosts(p, u, p.original[v]),
+        change = {
+            v: _hosts_after(p, "move", v, p.original[u]),
+            u: _hosts_after(p, "move", u, p.original[v]),
         }
-        edge_ids = sorted(set(self.h.incidence[v]) | set(self.h.incidence[u]))
-        return self._gain_cached(ov, edge_ids)
+        return _gain_over(
+            self.h, p, self.hm, change, self.edge_units, self.edge_drain_cnt.__getitem__
+        )
 
     def _rebuild_mrd(self, v: int) -> None:
         """Refresh the move/replicate/delete entries of one vertex.
 
-        All candidate host sets share the same incident edges, so the
-        drain-host structure of each edge is collected once: for edges
-        sourced at v only the source side varies, and for edges draining
-        at v only v's own contribution beyond the other drains varies.
+        Every candidate changes only v's host set H, so the weighted cost
+        of v's incident edges is collected once into per-FPGA terms: an
+        edge sourced at v costs its weight times the nearest-copy row of H
+        over its drain hosts, and an edge draining at v costs what its
+        other drains cost plus, per f in H that no other drain covers, its
+        weight times the source's row at f.
         """
         p = self.p
         for f in range(self.kf):
@@ -367,71 +331,48 @@ class RefineState:
         if not self._is_boundary(v):
             return
         h = self.h
-        dist = self.dist
-        inc = h.incidence[v]
+        nearest = self.hm.nearest
         o = p.original[v]
         reps = p.replicas[v]
+        v_hosts = p.hosts(v)
 
-        v_hosts = (o, *reps)
         base_cost = 0  # current weighted units over I(v)
-        src_edges: list[tuple[int, list[int]]] = []  # (w, drain host list)
-        drain_edges: list[tuple[int, tuple[int, ...], set[int], int]] = []
-        for e in inc:
+        fixed = 0  # cost of the edges draining at v, without v's copies
+        src_w = [0] * self.kf  # weight of edges sourced at v draining on f
+        copy_cost = [0] * self.kf  # cost of a copy of v on f, as a drain
+        for e in h.incidence[v]:
             edge = h.edges[e]
-            base_cost += edge.weight * self.edge_units[e]
+            w = edge.weight
+            base_cost += w * self.edge_units[e]
             cnt = self.edge_drain_cnt[e]
             if edge.source == v:
-                src_edges.append((edge.weight, list(cnt)))
-            else:
-                s = edge.source
-                shosts = (p.original[s], *p.replicas[s])
-                # drain hosts contributed by the other drains only
-                others = {
-                    f for f, c in cnt.items() if c > (1 if f in v_hosts else 0)
-                }
-                if len(shosts) == 1:
-                    row = dist[shosts[0]]
-                    base = sum(row[f] for f in others)
+                for f in cnt:
+                    src_w[f] += w
+                continue
+            hop, _ = nearest(p.hosts(edge.source))
+            for f in range(self.kf):
+                if cnt.get(f, 0) > (1 if f in v_hosts else 0):
+                    fixed += w * hop[f]
                 else:
-                    base = sum(min(dist[s2][f] for s2 in shosts) for f in others)
-                drain_edges.append((edge.weight, shosts, others, base))
+                    copy_cost[f] += w * hop[f]
 
-        def new_cost(hosts: tuple[int, ...]) -> int:
-            total = 0
-            for w, dlist in src_edges:
-                if len(hosts) == 1:
-                    row = dist[hosts[0]]
-                    units = sum(row[f] for f in dlist)
-                else:
-                    units = sum(min(dist[s2][f] for s2 in hosts) for f in dlist)
-                total += w * units
-            for w, shosts, others, base in drain_edges:
-                extra = 0
-                for f in hosts:
-                    if f not in others:
-                        if len(shosts) == 1:
-                            extra += dist[shosts[0]][f]
-                        else:
-                            extra += min(dist[s2][f] for s2 in shosts)
-                total += w * (base + extra)
-            return total
+        def gain(hosts: set[int]) -> int:
+            hop, _ = nearest(hosts)
+            new_cost = fixed + sum(copy_cost[f] for f in hosts)
+            new_cost += sum(w * d for w, d in zip(src_w, hop))
+            return base_cost - new_cost
 
         if "move" in self.enabled:
             for f in range(self.kf):
-                if f == o:
-                    continue
-                hosts = (f, *(reps - {f}))
-                self.move_heaps[f].push(v, base_cost - new_cost(hosts))
+                if f != o:
+                    self.move_heaps[f].push(v, gain(reps | {f}))
         if "replicate" in self.enabled:
             for f in range(self.kf):
-                if f == o or f in reps:
-                    continue
-                hosts = (o, *reps, f)
-                self.rep_heaps[f].push(v, base_cost - new_cost(hosts))
+                if f not in v_hosts:
+                    self.rep_heaps[f].push(v, gain(v_hosts | {f}))
         if "delete" in self.enabled:
             for f in sorted(reps):
-                hosts = (o, *(reps - {f}))
-                self.del_heaps[f].push(v, base_cost - new_cost(hosts))
+                self.del_heaps[f].push(v, gain(v_hosts - {f}))
 
     def _rebuild_exchange(self, v: int) -> None:
         """Refresh the best-partner exchange entry of one vertex.
@@ -489,11 +430,12 @@ class RefineState:
     def _exchange_prep(self, v: int) -> dict[int, tuple]:
         """Per incident edge of v: drain-host counts with v's own
         contribution removed when v drains it (host sets are subsets of
-        the K FPGAs), so that shared-edge corrections cost O(K) rather
-        than a scan of the whole (possibly huge) net."""
+        the K FPGAs), and the source's nearest-copy row, so that
+        shared-edge corrections cost O(K) rather than a scan of the whole
+        (possibly huge) net."""
         p = self.p
         h = self.h
-        vh = (p.original[v], *p.replicas[v])
+        vh = p.hosts(v)
         prep: dict[int, tuple] = {}
         for e in h.incidence[v]:
             edge = h.edges[e]
@@ -507,8 +449,8 @@ class RefineState:
                         cnt.pop(f, None)
                     else:
                         cnt[f] = c
-                s = edge.source
-                prep[e] = ("drain_v", edge.weight, cnt, (p.original[s], *p.replicas[s]))
+                hop, _ = self.hm.nearest(p.hosts(edge.source))
+                prep[e] = ("drain_v", edge.weight, cnt, hop)
         return prep
 
     def _pair_corr(self, v: int, u: int, prep: dict[int, tuple]) -> int:
@@ -521,64 +463,46 @@ class RefineState:
         """
         p = self.p
         h = self.h
-        dist = self.dist
+        nearest = self.hm.nearest
         pv, pu = p.original[v], p.original[u]
         v_reps = p.replicas[v]
-        v_hosts_cur = (pv, *v_reps)
-        v_hosts_new = (pu, *(v_reps - {pu})) if pu in v_reps else (pu, *v_reps)
         reps_u = p.replicas[u]
-        u_hosts = (pu, *reps_u)
         corr = 0
         for e in h.incidence[u]:
             rec = prep.get(e)
             if rec is None:
                 continue
-            kind, w, cnt, shosts = rec
+            kind, w, cnt, shop = rec
             if kind == "src_v":
                 # v sources e, u drains it: the source-side min
                 # shift matters only at uncovered flip hosts
+                v_cur, _ = nearest(p.hosts(v))
+                v_new, _ = nearest(v_reps | {pu})
                 term = 0
-                if cnt.get(pu, 0) <= (1 if pu in u_hosts else 0):
-                    term += _min_hop(pu, v_hosts_new, dist) - _min_hop(
-                        pu, v_hosts_cur, dist
-                    )
-                if pv not in reps_u and cnt.get(pv, 0) <= (
-                    1 if pv in u_hosts else 0
-                ):
-                    term -= _min_hop(pv, v_hosts_new, dist) - _min_hop(
-                        pv, v_hosts_cur, dist
-                    )
+                if cnt.get(pu, 0) <= 1:
+                    term += v_new[pu] - v_cur[pu]
+                if pv not in reps_u and cnt.get(pv, 0) <= 0:
+                    term -= v_new[pv] - v_cur[pv]
                 corr += w * term
             elif u == h.edges[e].source:
                 # u sources e, v drains it (cnt excludes v)
-                u_hosts_new = (
-                    (pv, *(reps_u - {pv}))
-                    if pv in reps_u
-                    else (pv, *reps_u)
-                )
+                u_cur, _ = nearest(p.hosts(u))
+                u_new, _ = nearest(reps_u | {pv})
                 term = 0
                 if cnt.get(pv, 0) <= 0:
-                    term += _min_hop(pv, u_hosts_new, dist) - _min_hop(
-                        pv, u_hosts, dist
-                    )
+                    term += u_new[pv] - u_cur[pv]
                 if pu not in v_reps and cnt.get(pu, 0) <= 0:
-                    term -= _min_hop(pu, u_hosts_new, dist) - _min_hop(
-                        pu, u_hosts, dist
-                    )
+                    term -= u_new[pu] - u_cur[pu]
                 corr += w * term
             else:
                 # both drain e: the swapped originals keep the
                 # host union intact wherever nobody else covers
                 # them, cancelling the move gains' savings
                 term = 0
-                if pv not in reps_u and cnt.get(pv, 0) <= (
-                    1 if pv in u_hosts else 0
-                ):
-                    term -= _min_hop(pv, shosts, dist)
-                if pu not in v_reps and cnt.get(pu, 0) <= (
-                    1 if pu in u_hosts else 0
-                ):
-                    term -= _min_hop(pu, shosts, dist)
+                if pv not in reps_u and cnt.get(pv, 0) <= 0:
+                    term -= shop[pv]
+                if pu not in v_reps and cnt.get(pu, 0) <= 1:
+                    term -= shop[pu]
                 corr += w * term
         return corr
 
@@ -690,39 +614,33 @@ class RefineState:
             pv, pu = p.original[v], p.original[u]
             if pu != dest or pv == pu:
                 return None
-            ov: HostOverride = {
-                v: _moved_hosts(p, v, pu),
-                u: _moved_hosts(p, u, pv),
+            change = {
+                v: _hosts_after(p, "move", v, pu),
+                u: _hosts_after(p, "move", u, pv),
             }
-            touched = [v, u]
             op = Op("exchange", v, pu, u, pv)
         elif kind == "move":
             if dest == p.original[v]:
                 return None
-            ov = {v: _moved_hosts(p, v, dest)}
-            touched = [v]
+            change = {v: _hosts_after(p, kind, v, dest)}
             op = Op("move", v, dest)
         elif kind == "replicate":
             if dest == p.original[v] or dest in p.replicas[v]:
                 return None
-            ov = {v: (p.original[v], frozenset(p.replicas[v] | {dest}))}
-            touched = [v]
+            change = {v: _hosts_after(p, kind, v, dest)}
             op = Op("replicate", v, dest)
         elif kind == "delete":
             if dest not in p.replicas[v]:
                 return None
-            ov = {v: (p.original[v], frozenset(p.replicas[v] - {dest}))}
-            touched = [v]
+            change = {v: _hosts_after(p, kind, v, dest)}
             op = Op("delete", v, dest)
         else:
             raise ValueError(f"unknown op kind '{kind}'")
 
         # net per-FPGA resource deltas from the host-set changes
         deltas: dict[int, list[int]] = {}
-        for tv in touched:
+        for tv, new_hosts in change.items():
             old_hosts = p.hosts(tv)
-            no, nreps = ov[tv]
-            new_hosts = {no} | set(nreps)
             wv = self.weights[tv]
             for f in new_hosts - old_hosts:
                 row = deltas.setdefault(f, [0] * self.krt)
@@ -739,22 +657,25 @@ class RefineState:
                 if dv[i] > 0 and row[i] + dv[i] > cap[i]:
                     return None
 
-        edge_ids = sorted({e for tv in touched for e in h.incidence[tv]})
+        # every changed edge's units, worst hop and I/O from its new
+        # source hosts and drain counts, through the nearest-copy rows
+        after = _changed_nets(h, p, change, self.edge_drain_cnt.__getitem__)
         new_units: dict[int, int] = {}
         gain = 0
-        for e in edge_ids:
-            nu = _edge_units(h, p, self.dist, e, ov)
-            new_units[e] = nu
-            gain += h.edges[e].weight * (self.edge_units[e] - nu)
-            if self.hop_max is not None:
-                if _edge_worst_minhop(h, p, self.dist, e, ov) > self.hop_max:
-                    return None
-
         io_delta: dict[int, int] = {}
-        for e in edge_ids:
-            for f, amt in self._edge_io(e, None).items():
+        for e, (src_hosts, cnt) in after.items():
+            edge = h.edges[e]
+            hop, _ = self.hm.nearest(src_hosts)
+            if self.hop_max is not None and max(hop[f] for f in cnt) > self.hop_max:
+                return None
+            new_units[e] = nu = sum(hop[f] for f in cnt)
+            gain += edge.weight * (self.edge_units[e] - nu)
+            old_io = net_io_contrib_hosts(
+                edge, p.hosts(edge.source), self.edge_drain_cnt[e], self.hm
+            )
+            for f, amt in old_io.items():
                 io_delta[f] = io_delta.get(f, 0) - amt
-            for f, amt in self._edge_io(e, ov).items():
+            for f, amt in net_io_contrib_hosts(edge, src_hosts, cnt, self.hm).items():
                 io_delta[f] = io_delta.get(f, 0) + amt
         if self.io_limited:
             for f, d in io_delta.items():
@@ -764,28 +685,14 @@ class RefineState:
 
         # commit
         op = Op(op.kind, op.v, op.dest, op.partner, op.partner_dest, gain)
-        old_hosts = {tv: (p.original[tv], *p.replicas[tv]) for tv in touched}
         apply_op(p, op)
-        for tv in touched:
-            no, nreps = ov[tv]
-            for e in h.incidence[tv]:
-                if h.edges[e].source == tv:
-                    continue
-                cnt = self.edge_drain_cnt[e]
-                for f in old_hosts[tv]:
-                    c = cnt[f] - 1
-                    if c:
-                        cnt[f] = c
-                    else:
-                        del cnt[f]
-                for f in (no, *nreps):
-                    cnt[f] = cnt.get(f, 0) + 1
+        for e, (_, cnt) in after.items():
+            self.edge_drain_cnt[e] = cnt
+            self.edge_units[e] = new_units[e]
         for f, dv in deltas.items():
             row = self.usage[f]
             for i in range(self.krt):
                 row[i] += dv[i]
-        for e, nu in new_units.items():
-            self.edge_units[e] = nu
         for f, d in io_delta.items():
             self.io[f] += d
         self.thd -= gain
@@ -798,7 +705,7 @@ class RefineState:
         # and both endpoints' hosts; each changes only where a shared edge
         # has a touched member
         pair_corr = self.pair_corr
-        for e in edge_ids:
+        for e in after:
             members = h.edges[e].members
             for a in members:
                 cache = pair_corr.get(a)
@@ -806,7 +713,7 @@ class RefineState:
                     for b in members:
                         cache.pop(b, None)
         self._unpark()
-        self._refresh_after(touched)
+        self._refresh_after(list(change))
         return op
 
     def _unpark(self) -> None:
@@ -866,6 +773,10 @@ class RefineState:
                 self._rebuild_exchange(v)
 
 
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
 def refine_level(
     h: Hypergraph,
     p: Placement,
@@ -896,6 +807,7 @@ def refine_level(
         allow_zero_gain=allow_zero_gain,
         zero_gain_limit=zero_gain_limit,
         incremental=incremental,
+        deadline=deadline,
     )
     run_refine_loop(state, max_ops=max_ops, observer=observer, deadline=deadline)
     return state.p
@@ -917,7 +829,7 @@ def run_refine_loop(
     """
     applied = 0
     while max_ops is None or applied < max_ops:
-        if deadline is not None and time.monotonic() >= deadline:
+        if _past(deadline):
             break
         best = state.peek_best()
         if best is None:

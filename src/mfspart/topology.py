@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +20,32 @@ class HopMatrix:
     """All-pairs shortest-path link counts between FPGAs."""
 
     dist: tuple[tuple[int, ...], ...]
+    _nearest: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def nearest(self, hosts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Nearest-copy rows of a non-empty FPGA set: for every FPGA f, the
+        hop distance from the closest member of `hosts` to f, and that
+        member (ties to the lowest id).  Memoized per set, so the cache
+        holds one entry per distinct host set asked for.
+
+        This is the one place a "nearest source copy" is computed: the
+        hop distance, the worst hop and the I/O server of a net all read
+        the rows of its source's host set."""
+        key = frozenset(hosts)
+        rows = self._nearest.get(key)
+        if rows is None:
+            if not key:
+                raise ValueError("nearest copy of an empty host set")
+            order = sorted(key)
+            hop = list(self.dist[order[0]])
+            server = [order[0]] * len(hop)
+            for s in order[1:]:
+                for f, d in enumerate(self.dist[s]):
+                    if d < hop[f]:
+                        hop[f] = d
+                        server[f] = s
+            rows = self._nearest[key] = (tuple(hop), tuple(server))
+        return rows
 
     @property
     def k_fpgas(self) -> int:

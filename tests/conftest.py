@@ -66,6 +66,27 @@ def tight_state(seed, n=14, m=26, k=3):
     return b.hypergraph, b.topology, hm, Placement(orig, reps)
 
 
+def bounded_state(seed, n=20, m=36, k=5, io_slack=2):
+    """A refined placement on a path of k FPGAs, plus that path with I/O
+    limits `io_slack` above the placement's per-FPGA I/O and a hop bound at
+    its largest hop used, so that resource, I/O and hop limits all reject
+    some ops.  None when the unbounded pipeline finds no placement."""
+    from mfspart.cli import run_pipeline
+    from mfspart.metrics import report
+
+    b = gen_instance(seed, n, m, k, 1, spare=0.8, hub_fraction=0.2, hub_fanout=6)
+    links = [(f, f + 1) for f in range(k - 1)]
+    free = MfsTopology(b.topology.capacities, links)
+    res = run_pipeline(b.hypergraph, free, seed=seed, n_seeds=1, assign_max_nodes=2000)
+    if res.placement is None:
+        return None
+    hm = compute_hop_matrix(free)
+    rep = report(b.hypergraph, free, res.placement, hm)
+    limits = [io + io_slack for io in rep.fpga_io]
+    t = MfsTopology(free.capacities, links, limits, rep.max_hop_used)
+    return b.hypergraph, t, hm, res.placement
+
+
 def bank_snapshot(state):
     """Every live bank entry as a sortable tuple, exchange partners included."""
     return sorted(

@@ -15,7 +15,7 @@ from mfspart.metrics import (
 from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.topology import MfsTopology, compute_hop_matrix
 
-from conftest import fanout_story, path_topology
+from conftest import fanout_story, path_topology, ring_topology
 
 
 def test_net_hop_all_local():
@@ -75,6 +75,67 @@ def _random_state(seed, n=8, m=14, k=3):
         for v in range(n)
     ]
     return b.hypergraph, b.topology, hm, Placement(orig, reps)
+
+
+def _brute_max_hop(h, p, hm):
+    worst = 0
+    for e in h.edges:
+        hosts = {p.original[e.source]} | p.replicas[e.source]
+        for d in e.drains:
+            for f in {p.original[d]} | p.replicas[d]:
+                worst = max(worst, min(hm.dist[s][f] for s in hosts))
+    return worst
+
+
+def _brute_io(h, p, hm, k):
+    """Importers: drain-host FPGAs without a source copy.  Exporters: for
+    each importer, the source copy at the least hop distance, lowest id on
+    ties.  Each charges the net's weight once."""
+    io = [0] * k
+    for e in h.edges:
+        hosts = {p.original[e.source]} | p.replicas[e.source]
+        dset = set()
+        for d in e.drains:
+            dset |= {p.original[d]} | p.replicas[d]
+        importers = dset - hosts
+        exporters = {min(hosts, key=lambda s: (hm.dist[s][f], s)) for f in importers}
+        for f in importers | exporters:
+            io[f] += e.weight
+    return io
+
+
+def test_report_matches_brute_force_with_replicas():
+    replicated = 0
+    for seed in range(30):
+        h, t, hm, p = _random_state(seed, n=10, m=18, k=5)
+        replicated += p.replica_count()
+        rep = report(h, t, p, hm)
+        assert rep.total_hop_distance == _brute_thd(h, p, hm)
+        assert rep.max_hop_used == _brute_max_hop(h, p, hm)
+        assert rep.fpga_io == _brute_io(h, p, hm, t.k_fpgas)
+    assert replicated > 0
+
+
+def test_nearest_is_min_and_lowest_argmin():
+    rng = random.Random(11)
+    # on a ring, two copies often sit at the same distance from an FPGA
+    for t in (path_topology(1), ring_topology(4), ring_topology(7)):
+        k = t.k_fpgas
+        hm = compute_hop_matrix(t)
+        ties = 0
+        for _ in range(40):
+            hosts = set(rng.sample(range(k), rng.randint(1, k)))
+            hop, server = hm.nearest(hosts)
+            for f in range(k):
+                best = min(hm.dist[s][f] for s in hosts)
+                tied = [s for s in sorted(hosts) if hm.dist[s][f] == best]
+                ties += len(tied) > 1
+                assert hop[f] == best
+                assert server[f] == tied[0]
+            assert hm.nearest(frozenset(hosts)) is hm.nearest(sorted(hosts))
+        assert ties > 0 or k == 1
+    with pytest.raises(ValueError):
+        hm.nearest(set())
 
 
 def test_total_hop_matches_brute_force():

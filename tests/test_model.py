@@ -100,7 +100,7 @@ def test_hosts_never_empty_and_replica_rules():
     assert p.hosts(0) == {0, 2}
     p.remove_replica(0, 2)
     assert p.hosts(0) == {0}
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         p.add_replica(1, 1)
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -5,7 +6,7 @@ import pytest
 
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
-from mfspart.metrics import report, total_hop_distance, validate
+from mfspart.metrics import net_hop_distance, report, total_hop_distance, validate
 from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import best_single_replication, full_gain_recompute
 from mfspart.refine import (
@@ -23,7 +24,14 @@ from mfspart.refine import (
 )
 from mfspart.topology import MfsTopology, compute_hop_matrix
 
-from conftest import bank_snapshot, fanout_story, fresh_bank, path_topology, tight_state
+from conftest import (
+    bank_snapshot,
+    bounded_state,
+    fanout_story,
+    fresh_bank,
+    path_topology,
+    tight_state,
+)
 
 
 def _random_replicated_state(seed, n=10, m=18, k=4):
@@ -336,6 +344,38 @@ def test_refine_level_past_deadline_applies_nothing():
     assert seen == [] and out == p
 
 
+def test_past_deadline_leaves_bank_empty():
+    h, t, hm, p = tight_state(2, n=20, m=36)
+    assert list(RefineState(h, t, hm, p).entries())
+    state = RefineState(h, t, hm, p, deadline=time.monotonic() - 1.0)
+    assert list(state.entries()) == []
+    # the counters are still exact; only the bank build is skipped
+    assert state.thd == total_hop_distance(h, p, hm)
+    assert state.io == report(h, t, p, hm).fpga_io
+    assert refine_level(h, p, t, hm, deadline=time.monotonic() - 1.0) == p
+
+
+def test_bank_build_checks_deadline_every_vertex(monkeypatch):
+    import mfspart.refine as refine
+
+    class Clock:  # one tick per reading
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    h, t, hm, p = tight_state(2, n=20, m=36)
+    full = {op.v for op in RefineState(h, t, hm, p).entries() if op.kind != "exchange"}
+    clock = Clock()
+    monkeypatch.setattr(refine, "time", clock)
+    state = RefineState(h, t, hm, p, deadline=3.5)
+    # readings 1-3 each build one vertex's entries, reading 4 stops the build
+    assert clock.now == 4.0
+    assert {op.v for op in state.entries()} == full & {0, 1, 2}
+    assert not any(op.kind == "exchange" for op in state.entries())
+
+
 def test_refine_loop_checks_deadline_every_iteration(monkeypatch):
     import mfspart.refine as refine
 
@@ -564,6 +604,44 @@ def test_oracle_best_replication_fanout_story():
     h, t, p = fanout_story(src_fpga=1)
     hm = compute_hop_matrix(t)
     assert best_single_replication(h, p, hm, t) == (1, 2, 2)
+
+
+def _clone(state):
+    shared = {id(state.h): state.h, id(state.t): state.t, id(state.hm): state.hm}
+    return copy.deepcopy(state, shared)
+
+
+def test_try_apply_feasibility_exact_under_binding_bounds():
+    """try_apply rejects a bank entry exactly when validate rejects its
+    result, with resource, I/O and hop limits that all bind."""
+    kinds = set()
+    for seed in range(4):
+        h, t, hm, p = bounded_state(seed)
+        assert validate(h, t, p, hm) == []
+        state = RefineState(h, t, hm, p)
+        rng = random.Random(seed)
+        for _ in range(6):
+            feasible = []
+            for op in list(state.entries()):
+                trial = state.p.copy()
+                apply_op(trial, op)
+                bad = validate(h, t, trial, hm)
+                kinds.update(v.kind for v in bad)
+                if bad:
+                    assert state.try_apply(op.kind, op.v, op.dest) is None
+                else:
+                    assert _clone(state).try_apply(op.kind, op.v, op.dest) is not None
+                    feasible.append(op)
+            if not feasible:
+                break
+            op = rng.choice(feasible)
+            assert state.try_apply(op.kind, op.v, op.dest) is not None
+            assert state.io == report(h, t, state.p, hm).fpga_io
+            assert state.edge_units == [
+                net_hop_distance(h, e.id, state.p, hm) for e in h.edges
+            ]
+            assert state.thd == total_hop_distance(h, state.p, hm)
+    assert kinds == {"resource", "io", "hop"}
 
 
 def test_refine_respects_io_and_hop_limits():

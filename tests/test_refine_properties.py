@@ -3,13 +3,13 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfspart.metrics import total_hop_distance
-from mfspart.refine import RefineState
+from mfspart.metrics import report, total_hop_distance, validate
+from mfspart.refine import RefineState, apply_op
 
-from conftest import bank_snapshot, fresh_bank, tight_state
+from conftest import bank_snapshot, bounded_state, fresh_bank, tight_state
 
 
 @settings(max_examples=60, deadline=None)
@@ -33,3 +33,31 @@ def test_bank_equals_fresh_bank_after_every_applied_op(seed, size, picks):
             continue
         assert bank_snapshot(state) == fresh_bank(state)
         assert state.thd == total_hop_distance(h, state.p, hm)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=20),
+)
+def test_bounded_try_apply_matches_validate_and_fresh_bank(seed, picks):
+    """Under binding resource, I/O and hop limits: an entry is applied
+    exactly when its result validates, and every commit leaves the counters
+    and the bank as a fresh state would have them."""
+    state_args = bounded_state(seed)
+    assume(state_args is not None)
+    h, t, hm, p = state_args
+    state = RefineState(h, t, hm, p)
+    for pick in picks:
+        entries = list(state.entries())
+        if not entries:
+            break
+        op = entries[pick % len(entries)]
+        trial = state.p.copy()
+        apply_op(trial, op)
+        feasible = validate(h, t, trial, hm) == []
+        assert (state.try_apply(op.kind, op.v, op.dest) is not None) == feasible
+        if feasible:
+            assert state.io == report(h, t, state.p, hm).fpga_io
+            assert state.thd == total_hop_distance(h, state.p, hm)
+            assert bank_snapshot(state) == fresh_bank(state)
