@@ -6,12 +6,23 @@ matches the incumbent, a per-FPGA I/O budget is exceeded, or a resource
 capacity is exceeded.  When consecutive complete solutions are nearly
 equal, the search retreats to a fraction of the current depth and abandons
 that whole subtree, which forces it into a different region.
+
+Each node of the search is cheap because of three facts.  A net's cost is
+known exactly when its last member in the visit order is placed, so every
+net is listed once, at that depth (its completion list), and costed there
+only.  The placed prefix does not change while a depth cycles through its
+FPGAs, so entering a depth computes one candidate row: per FPGA, the cost
+the vertex would add there, or None when it does not fit or breaks the hop
+bound.  A candidate is then a row lookup, the incumbent prune and, only
+when some FPGA has an I/O limit, that check; nothing is written until all
+of them pass, so a rejected candidate changes nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -124,18 +135,45 @@ def dfs_assign(
     krt = t.num_resource_types
     order = sorted(range(n), key=lambda v: (-heats.node_heat[v], v))
     fpga_order = sorted(range(kf), key=lambda f: (-heats.fpga_heat[f], f))
-    dist = hm.rows()
-    caps = [list(c.values) for c in t.capacities]
-    io_limits = t.io_limits
+    # FPGAs are renumbered by heat rank: slot i is fpga_order[i], so every
+    # depth tries slots 0..kf-1 in order.  Only the result is mapped back.
+    full = hm.rows()
+    dist = [[full[a][b] for b in fpga_order] for a in fpga_order]
+    dist_t = [list(col) for col in zip(*dist)]  # dist_t[d][f] == dist[f][d]
+    io_limits = [t.io_limits[f] for f in fpga_order]
     io_limited = any(l is not None for l in io_limits)
     hop_max = t.hop_max
-    weights = [v.weight.values for v in h.vertices]
-    edges = h.edges
-    inc = h.incidence
+    node_cap = inf if budget.max_nodes is None else budget.max_nodes
+    max_solutions = budget.max_solutions
+    time_limit = budget.time_limit
+    # Capacity left per slot, every resource type packed into one int: the
+    # `width`-bit field r holds room_r + 2**(width - 1), which exceeds every
+    # capacity and weight, so subtracting a packed weight borrows across no
+    # field and leaves each field's top bit set exactly when that resource
+    # still fits.
+    amounts = [x for c in t.capacities for x in c] + [x for u in h.vertices for x in u.weight]
+    width = max(amounts, default=0).bit_length() + 1
 
-    rem = [len(e.members) for e in edges]
+    def pack(vals) -> int:
+        return sum(x << (r * width) for r, x in enumerate(vals))
+
+    guard = pack([1 << (width - 1)] * krt)
+    room = [pack(t.capacities[f]) + guard for f in fpga_order]
+    wts = [pack(h.vertices[v].weight) for v in order]  # per depth
+
+    # A net is costed once, at the depth of its last member in `order`;
+    # the entry keeps the drains other than the vertex placed there.
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    completing: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for e in h.edges:
+        d = max(pos[m] for m in e.members)
+        v = order[d]
+        others = tuple(x for x in e.drains if x != v)
+        completing[d].append((e.source, others, e.weight))
+
     asg = [-1] * n
-    usage = [[0] * krt for _ in range(kf)]
     io = [0] * kf
     partial = 0
 
@@ -147,77 +185,74 @@ def dfs_assign(
     status = "complete"
     start = time.monotonic()
 
-    # Per-depth undo records: (v, f, cost_added, io_deltas)
-    undo: list[tuple[int, int, int, list[tuple[int, int]]]] = [None] * n  # type: ignore
+    # Per depth: the candidate row (cost per slot, None where the vertex
+    # cannot go), the nets it completes as (source slot, or -1 when the
+    # vertex is the source; the other drains' slots; weight), and the undo
+    # record (slot, cost added, I/O added per slot) of the placed candidate.
+    rows: list[list[int | None]] = [[]] * n
+    nets: list[list[tuple[int, set[int], int]]] = [[]] * n
+    undo: list[tuple[int, int, dict[int, int] | None]] = [(0, 0, None)] * n
     cand_idx = [0] * (n + 1)
 
-    def try_place(v: int, f: int) -> bool:
-        nonlocal partial
-        wv = weights[v]
-        cap = caps[f]
-        urow = usage[f]
-        for i in range(krt):
-            if urow[i] + wv[i] > cap[i]:
-                return False
-        for i in range(krt):
-            urow[i] += wv[i]
-        asg[v] = f
-        cost_added = 0
-        io_deltas: list[tuple[int, int]] = []
-        ok = True
-        completed: list[int] = []
-        for e in inc[v]:
-            rem[e] -= 1
-            if rem[e] == 0:
-                completed.append(e)
-        for e in completed:
-            edge = edges[e]
-            s = asg[edge.source]
-            drow = dist[s]
-            w = edge.weight
-            dset = {asg[d] for d in edge.drains}
-            units = 0
-            external = False
-            for d in dset:
-                hd = drow[d]
-                if hop_max is not None and hd > hop_max:
-                    ok = False
-                units += hd
-                if d != s:
-                    external = True
-                    io_deltas.append((d, w))
-            cost_added += w * units
-            if external:
-                io_deltas.append((s, w))
-        partial += cost_added
-        if ok and best_thd is not None and partial >= best_thd:
-            ok = False
-        for f2, amt in io_deltas:
-            io[f2] += amt
-        if ok and io_limited:
-            for f2, _ in io_deltas:
-                lim = io_limits[f2]
-                if lim is not None and io[f2] > lim:
-                    ok = False
-                    break
-        if not ok:
-            _unplace(v, f, cost_added, io_deltas)
-            return False
-        undo[depth] = (v, f, cost_added, io_deltas)
-        return True
+    def candidate_row(depth: int) -> None:
+        """Cost of placing order[depth] on each slot given the prefix, None
+        where it does not fit or breaks hop_max, and the nets it completes."""
+        v = order[depth]
+        add = [0] * kf
+        worst = [0] * kf  # worst hop of the completed nets, per slot
+        completed = []
+        for src, others, w in completing[depth]:
+            hosts = set(map(asg.__getitem__, others))
+            if src == v:
+                # from source slot f, drain slot d costs dist[f][d]
+                for d in hosts:
+                    col = dist_t[d]
+                    add = [a + w * x for a, x in zip(add, col)]
+                    if hop_max is not None:
+                        worst = list(map(max, worst, col))
+                completed.append((-1, hosts, w))
+            else:
+                s = asg[src]
+                srow = dist[s]
+                hops = list(map(srow.__getitem__, hosts))
+                if hop_max is not None:
+                    if max(hops, default=0) > hop_max:
+                        # drains placed earlier already break the bound
+                        rows[depth] = [None] * kf
+                        nets[depth] = []
+                        return
+                    worst = list(map(max, worst, srow))
+                # slot f adds srow[f] unless another drain already sits on f
+                units = sum(hops)
+                add = [a + w * (units + x) for a, x in zip(add, srow)]
+                for d in hosts:
+                    add[d] -= w * srow[d]
+                completed.append((s, hosts, w))
+        wv = wts[depth]
+        row = [a if (r - wv) & guard == guard else None for a, r in zip(add, room)]
+        if hop_max is not None:
+            row = [a if x <= hop_max else None for a, x in zip(row, worst)]
+        rows[depth] = row
+        nets[depth] = completed
 
-    def _unplace(v: int, f: int, cost_added: int, io_deltas: list[tuple[int, int]]) -> None:
-        nonlocal partial
-        partial -= cost_added
-        for f2, amt in io_deltas:
-            io[f2] -= amt
-        for e in inc[v]:
-            rem[e] += 1
-        asg[v] = -1
-        wv = weights[v]
-        urow = usage[f]
-        for i in range(krt):
-            urow[i] -= wv[i]
+    def io_added(f: int, completed: list[tuple[int, set[int], int]]) -> dict[int, int]:
+        """Per-slot I/O the completed nets add with the vertex on slot f:
+        every drain slot other than the source's imports w, and the
+        source's exports w once if any drain slot imports."""
+        added: dict[int, int] = {}
+        for s, hosts, w in completed:
+            if s < 0:
+                s = f
+            else:
+                hosts = hosts | {f}
+            external = False
+            for d in hosts:
+                if d != s:
+                    added[d] = added.get(d, 0) + w
+                    external = True
+            if external:
+                added[s] = added.get(s, 0) + w
+        return added
 
     depth = 0
     while True:
@@ -226,7 +261,7 @@ def dfs_assign(
             solutions += 1
             best_thd = partial
             best_asg = list(asg)
-            if budget.max_solutions is not None and solutions >= budget.max_solutions:
+            if max_solutions is not None and solutions >= max_solutions:
                 status = "budget"
                 break
             if prev_thd is not None and should_deep_backtrack(
@@ -236,31 +271,64 @@ def dfs_assign(
             else:
                 target = depth - 1
             prev_thd = partial
-            while depth > target:
-                depth -= 1
-                _unplace(*undo[depth])
-            continue
-        i = cand_idx[depth]
-        if i >= kf:
+        else:
+            i = cand_idx[depth]
+            if i == 0:
+                candidate_row(depth)
+            row = rows[depth]
+            limit = inf if best_thd is None else best_thd - partial
+            f = -1
+            added = None
+            while i < kf:
+                nodes += 1
+                if nodes > node_cap or (
+                    time_limit is not None
+                    and nodes % 1000 == 0
+                    and time.monotonic() - start > time_limit
+                ):
+                    status = "budget"
+                    break
+                cost = row[i]
+                i += 1
+                if cost is None or cost >= limit:
+                    continue
+                if io_limited:
+                    added = io_added(i - 1, nets[depth])
+                    if any(
+                        io_limits[g] is not None and io[g] + a > io_limits[g]
+                        for g, a in added.items()
+                    ):
+                        continue
+                f = i - 1
+                break
+            if status == "budget":
+                break
+            cand_idx[depth] = i
+            if f >= 0:
+                if added:
+                    for g, a in added.items():
+                        io[g] += a
+                room[f] -= wts[depth]
+                asg[order[depth]] = f
+                partial += cost
+                undo[depth] = (f, cost, added)
+                depth += 1
+                cand_idx[depth] = 0
+                continue
             if depth == 0:
                 break  # exhausted: proven result
+            target = depth - 1
+        while depth > target:
             depth -= 1
-            _unplace(*undo[depth])
-            continue
-        cand_idx[depth] = i + 1
-        nodes += 1
-        if budget.max_nodes is not None and nodes > budget.max_nodes:
-            status = "budget"
-            break
-        if budget.time_limit is not None and nodes % 1000 == 0:
-            if time.monotonic() - start > budget.time_limit:
-                status = "budget"
-                break
-        if try_place(order[depth], fpga_order[i]):
-            depth += 1
-            cand_idx[depth] = 0
+            f, cost, added = undo[depth]
+            asg[order[depth]] = -1
+            partial -= cost
+            room[f] += wts[depth]
+            if added:
+                for g, a in added.items():
+                    io[g] -= a
 
-    placement = Placement(best_asg) if best_asg is not None else None
+    placement = None if best_asg is None else Placement([fpga_order[f] for f in best_asg])
     return AssignResult(placement, best_thd, status, solutions, nodes)
 
 
@@ -274,6 +342,10 @@ def parallel_assign(
 ) -> AssignResult:
     """Independent searches with per-seed heat jitter; deterministic
     reduction to the lowest THD, ties to the lowest seed value.
+
+    The seeds run one after another in this process; "parallel" names the
+    portfolio, not the execution.  Keeping it in-process keeps CPU-time
+    measurements of a run complete.
 
     A search that exhausts its space proves optimality (or infeasibility)
     for the whole portfolio, so remaining seeds are skipped: the visit

@@ -14,10 +14,10 @@ from mfspart.assign import (
     should_deep_backtrack,
 )
 from mfspart.io import gen_instance
-from mfspart.metrics import total_hop_distance, validate
+from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import Hypergraph, ResourceVector
 from mfspart.oracle import exhaustive_partition
-from mfspart.topology import MfsTopology, compute_hop_matrix
+from mfspart.topology import HopMatrix, MfsTopology, compute_hop_matrix
 
 from conftest import path_topology, ring_topology
 
@@ -131,6 +131,124 @@ def test_dfs_matches_oracle_when_exhaustive():
             assert res.status == "complete"
             assert res.thd == opt_thd
             assert total_hop_distance(b.hypergraph, res.placement, hm) == opt_thd
+
+
+def test_dfs_matches_oracle_under_binding_io_and_hop_bounds():
+    # Bounds taken from the unbounded optimum on a 4-FPGA path: every
+    # FPGA's I/O and the worst hop exactly at its values (the optimum stays
+    # feasible), a uniform I/O budget one below its peak, and a hop bound
+    # one below its worst hop.  The last two cut the optimum off.
+    path = [(0, 1), (1, 2), (2, 3)]
+    outcomes = set()
+    for seed in range(12):
+        b = gen_instance(seed, 7, 12, 4, 1, spare=0.5)
+        caps = b.topology.capacities
+        free = MfsTopology(caps, path)
+        hm = compute_hop_matrix(free)
+        opt_p, opt_thd = exhaustive_partition(b.hypergraph, free, hm)
+        assert opt_p is not None
+        rep = report(b.hypergraph, free, opt_p, hm)
+        bounds = [
+            (list(rep.fpga_io), rep.max_hop_used),
+            ([max(rep.fpga_io) - 1] * 4, rep.max_hop_used),
+        ]
+        if rep.max_hop_used > 1:
+            bounds.append((None, rep.max_hop_used - 1))
+        for io_limits, hop_max in bounds:
+            t = MfsTopology(caps, path, io_limits, hop_max)
+            ref_p, ref_thd = exhaustive_partition(b.hypergraph, t, hm)
+            res = dfs_assign(b.hypergraph, t, hm, EXHAUSTIVE)
+            assert res.status == "complete"
+            assert res.thd == ref_thd
+            if ref_p is None:
+                assert res.placement is None
+                outcomes.add("infeasible")
+            else:
+                assert validate(b.hypergraph, t, res.placement, hm) == []
+                assert total_hop_distance(b.hypergraph, res.placement, hm) == ref_thd
+                outcomes.add("same" if ref_thd == opt_thd else "worse")
+    assert outcomes == {"same", "worse", "infeasible"}
+
+
+def test_dfs_matches_oracle_on_asymmetric_hop_matrix():
+    # the search reads dist[source][drain] and never assumes symmetry
+    rng = random.Random(5)
+    for seed in range(8):
+        b = gen_instance(seed, 7, 12, 3, 1, spare=0.5, hop_max=3 if seed % 2 else None)
+        hm = HopMatrix(tuple(
+            tuple(0 if a == d else rng.randint(1, 4) for d in range(3)) for a in range(3)
+        ))
+        opt_p, opt_thd = exhaustive_partition(b.hypergraph, b.topology, hm)
+        res = dfs_assign(b.hypergraph, b.topology, hm, EXHAUSTIVE)
+        assert res.status == "complete"
+        assert res.thd == opt_thd
+        if opt_p is not None:
+            assert total_hop_distance(b.hypergraph, res.placement, hm) == opt_thd
+
+
+def _hub(seed, io_limit):
+    # nets of up to 64 drains; the hop bound and these I/O budgets each
+    # change what a 50k-node search finds on these instances
+    return gen_instance(seed, 150, 180, 8, 2, spare=0.4, hub_fanout=64,
+                        hop_max=2, io_limit=io_limit)
+
+
+NODES_50K = SearchBudget(max_nodes=50_000)
+# a wide stall window, so that deep backtracking fires (5 times here)
+DEEP = SearchBudget(max_solutions=None, max_nodes=None, stall_delta=0.5, rho=0.5)
+
+# Results of fixed searches, recorded before the search's inner loop was
+# rewritten around per-depth candidate rows: (instance, heat-jitter seed or
+# None, budget, (status, nodes, solutions, THD, placement with one FPGA
+# digit per vertex)).  Any change to visit order, pruning or ties shows here.
+PINNED_SEARCHES = [
+    ("unbounded-41", lambda: gen_instance(41, 80, 96, 8, 2, spare=0.4), 1, NODES_50K,
+     ("budget", 50001, 1, 259,
+      "541445631406366361655606466006336640530051564144164444331160"
+      "65553145101304031153")),
+    ("unbounded-41", lambda: gen_instance(41, 80, 96, 8, 2, spare=0.4), 2, NODES_50K,
+     ("budget", 50001, 1, 270,
+      "545445601406366361651606466006356440530351564144164414301163"
+      "63553145101304034153")),
+    ("unbounded-42", lambda: gen_instance(42, 80, 96, 8, 2, spare=0.4), 1, NODES_50K,
+     ("budget", 50001, 3, 255,
+      "333333223721572515756235262666257667136167517127371652312326"
+      "45252373612557227642")),
+    ("unbounded-42", lambda: gen_instance(42, 80, 96, 8, 2, spare=0.4), 2, NODES_50K,
+     ("budget", 50001, 3, 262,
+      "334333232721577515556237262666257667137166517526271752312326"
+      "31253373616557227232")),
+    ("hub-2003", lambda: _hub(2003, 115), 1, NODES_50K, ("budget", 50001, 0, None, None)),
+    ("hub-2003", lambda: _hub(2003, 115), 2, NODES_50K,
+     ("budget", 50001, 5, 556,
+      "555335565246456233731646443555125335341611643224231216162426"
+      "151326354134516615163424135444445562511243135615753526121535"
+      "331556425135366251626315321553")),
+    ("hub-2005", lambda: _hub(2005, 120), 1, NODES_50K,
+     ("budget", 50001, 4, 577,
+      "757570773275320503753277555207173127051112305235035375217213"
+      "352170035053530507720711052037071275031152331250207735577555"
+      "051122501317510537013710237203")),
+    ("hub-2005", lambda: _hub(2005, 120), 2, NODES_50K, ("budget", 50001, 0, None, None)),
+    ("deep-8", lambda: gen_instance(8, 10, 14, 3, 1, spare=0.4), None, DEEP,
+     ("complete", 21642, 6, 11, "1000222222")),
+]
+
+
+@pytest.mark.parametrize(
+    "make, heat_seed, budget, expected",
+    [case[1:] for case in PINNED_SEARCHES],
+    ids=[f"{case[0]}-heat{case[2]}" for case in PINNED_SEARCHES],
+)
+def test_pinned_search_results(make, heat_seed, budget, expected):
+    b = make()
+    hm = compute_hop_matrix(b.topology)
+    heats = compute_heats(b.hypergraph, b.topology, hm)
+    if heat_seed is not None:
+        heats = perturb_heats(heats, heat_seed)
+    res = dfs_assign(b.hypergraph, b.topology, hm, budget, heats)
+    placement = None if res.placement is None else "".join(map(str, res.placement.original))
+    assert (res.status, res.nodes, res.solutions, res.thd, placement) == expected
 
 
 def test_returned_placements_validate():
