@@ -128,6 +128,8 @@ def dfs_assign(
     exhausted, so the result is optimal for this objective; "complete"
     without a placement proves infeasibility.
     """
+    if h.num_vertices == 0:
+        return AssignResult(Placement([]), 0, "complete", 1, 0)
     if heats is None:
         heats = compute_heats(h, t, hm)
     n = h.num_vertices

@@ -117,22 +117,17 @@ def run_pipeline(
     def time_left() -> bool:
         return deadline is None or time.monotonic() < deadline
 
+    # refine the coarsest graph, then project onto each finer one and refine
     p = res.placement
-    if time_left():
-        p = refine_level(
-            coarsest, p, t, hm, ops=ops, max_replicas=max_replicas,
-            allow_zero_gain=allow_zero_gain,
-            observer=refine_observer(coarsest) if refine_observer else None,
-            deadline=deadline,
-        )
-    for i in range(len(levels) - 1, -1, -1):
-        p = project_to_finer(levels[i], p)
-        fine_h = levels[i - 1].hypergraph if i > 0 else h
+    for i in range(len(levels), -1, -1):
+        if i < len(levels):
+            p = project_to_finer(levels[i], p)
+        level_h = levels[i - 1].hypergraph if i > 0 else h
         if time_left():
             p = refine_level(
-                fine_h, p, t, hm, ops=ops, max_replicas=max_replicas,
+                level_h, p, t, hm, ops=ops, max_replicas=max_replicas,
                 allow_zero_gain=allow_zero_gain,
-                observer=refine_observer(fine_h) if refine_observer else None,
+                observer=refine_observer(level_h) if refine_observer else None,
                 deadline=deadline,
             )
     return PipelineResult(p, "ok", total_hop_distance(h, p, hm))
@@ -201,6 +196,9 @@ def cmd_partition(args) -> int:
         h, t = _load_instance(args)
     except (mio.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if h.num_vertices == 0:
+        print("error: hypergraph has no vertices to partition", file=sys.stderr)
         return EXIT_PARSE
     result = run_pipeline(h, t, **_pipeline_kwargs(args))
     if result.placement is None:

@@ -1,7 +1,8 @@
 """Refinement: move, exchange, replicate, and delete driven by gain heaps.
 
-One heap tracks exchanges; for each of the K FPGAs there is one heap each
-for moves, replicates, and deletes targeting it.  The loop applies the
+The bank is one table, `bank[kind][f]`: a heap per destination FPGA for
+each of move, replicate and delete.  Exchange entries sit in one heap
+keyed by vertex, with the best partner alongside.  The loop applies the
 globally best operation whose gain passes its acceptance rule (delete runs
 at zero gain to free resources, everything else needs strictly positive
 gain), re-checks constraints at application time, and then refreshes the
@@ -9,20 +10,22 @@ gains of every vertex whose stored value the operation could have changed:
 net-sharing neighbors for moves, replicates, and deletes, and their
 neighbors in turn for exchange pairings.
 
-A prospective operation is a map {vertex: frozenset of its new hosts}.
-The state keeps, per edge, the count of drain copies on each FPGA; an
-operation is evaluated by applying its host changes to copies of the
-affected edges' counts and reading the source's nearest-copy rows
-(`HopMatrix.nearest`) over them, which gives each edge's units, worst hop
-and I/O contribution.  On commit those same counts are installed.
+A prospective operation is a map {vertex: frozenset of its new hosts},
+built by `_change`, which holds each kind's precondition.  The state
+keeps, per edge, the count of drain copies on each FPGA; an operation is
+evaluated by applying its host changes to copies of the affected edges'
+counts and reading the source's nearest-copy rows (`HopMatrix.nearest`)
+over them, which gives each edge's units, worst hop and I/O contribution.
+On commit those same counts are installed.
 
 An exchange gain is the two endpoints' move gains plus a shared-edge
-correction.  The correction is cached per vertex pair and dropped, on each
-commit, for every pair of members of an edge with a touched member, which
-is exactly the set of pairs whose correction can change.  Entries the loop
-popped but could not apply are parked and re-offered by the next commit,
-before its refresh, so that exchange rebuilds always find exact move
-entries to decompose against.
+correction, so move entries are banked whenever exchange is enabled, even
+when moves themselves are not offered.  The correction is cached per
+vertex pair and dropped, on each commit, for every pair of members of an
+edge with a touched member, which is exactly the set of pairs whose
+correction can change.  Entries the loop popped but could not apply are
+parked and re-offered by the next commit, before its refresh, so that
+exchange rebuilds always find exact move entries to decompose against.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .topology import HopMatrix, MfsTopology
 
 KIND_RANK = {"delete": 0, "move": 1, "exchange": 2, "replicate": 3}
 ALL_OPS = ("move", "exchange", "replicate", "delete")
+FPGA_KINDS = ("move", "replicate", "delete")  # banked per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
 
 
@@ -54,18 +58,31 @@ class Op:
     gain: int = 0
 
 
-def _hosts_after(p: Placement, kind: str, v: int, f: int) -> frozenset:
-    """Hosts of v after a move of its original to f (a replica already at
-    f is absorbed), a replicate onto f, or a delete of the replica on f."""
-    hosts = p.hosts(v)
+def _change(
+    p: Placement, kind: str, v: int, dest: int, partner: int | None = None
+) -> dict[int, frozenset] | None:
+    """The host sets an op leaves its vertices with, {vertex: frozenset},
+    or None when it does not apply: a move to v's own FPGA, an exchange
+    whose partner is missing, not on `dest` or on v's FPGA, a replicate
+    onto a host of v, or a delete of a copy v does not have.  Each kind's
+    precondition lives here and nowhere else.  A move or exchange absorbs
+    a replica already on the destination."""
+    o = p.original[v]
+    reps = p.replicas[v]
     if kind == "move":
-        hosts.discard(p.original[v])
-        hosts.add(f)
-    elif kind == "replicate":
-        hosts.add(f)
-    else:
-        hosts.discard(f)
-    return frozenset(hosts)
+        return None if dest == o else {v: frozenset(reps | {dest})}
+    if kind == "exchange":
+        if partner is None or p.original[partner] != dest or dest == o:
+            return None
+        return {
+            v: frozenset(reps | {dest}),
+            partner: frozenset(p.replicas[partner] | {o}),
+        }
+    if kind == "replicate":
+        return None if dest == o or dest in reps else {v: frozenset(reps | {o, dest})}
+    if kind == "delete":
+        return {v: frozenset(reps - {dest} | {o})} if dest in reps else None
+    raise ValueError(f"unknown op kind '{kind}'")
 
 
 def _drain_counts(h: Hypergraph, p: Placement, e: int) -> dict[int, int]:
@@ -113,55 +130,53 @@ def _changed_nets(
     return after
 
 
-def _gain_over(
+_INAPPLICABLE = {
+    "move": "move destination equals the current original",
+    "exchange": "exchange requires vertices on different FPGAs",
+    "replicate": "replicate destination already hosts the vertex",
+    "delete": "delete target is not a replica of the vertex",
+}
+
+
+def _gain_of(
     h: Hypergraph,
     p: Placement,
     hm: HopMatrix,
-    change: dict[int, frozenset],
-    units: list[int] | None = None,
-    drain_cnt: Callable[[int], dict[int, int]] | None = None,
+    kind: str,
+    v: int,
+    dest: int,
+    partner: int | None = None,
 ) -> int:
-    """THD decrease of a prospective change {vertex: new host set}.  The
-    current per-net units and drain-host counts are a RefineState's when
-    given, else computed from the placement."""
-    if drain_cnt is None:
-        drain_cnt = partial(_drain_counts, h, p)
+    """THD decrease of one op, from the nets whose members it changes."""
+    change = _change(p, kind, v, dest, partner)
+    if change is None:
+        raise ValueError(_INAPPLICABLE[kind])
     g = 0
-    for e, (src_hosts, cnt) in _changed_nets(h, p, change, drain_cnt).items():
-        edge = h.edges[e]
-        before = units[e] if units is not None else net_hop_distance(h, e, p, hm)
-        g += edge.weight * (before - _units(hm, src_hosts, cnt))
+    nets = _changed_nets(h, p, change, partial(_drain_counts, h, p))
+    for e, (src_hosts, cnt) in nets.items():
+        before = net_hop_distance(h, e, p, hm)
+        g += h.edges[e].weight * (before - _units(hm, src_hosts, cnt))
     return g
 
 
 def gain_move(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
     """THD decrease from moving the original of v to FPGA f."""
-    if f == p.original[v]:
-        raise ValueError("move destination equals the current original")
-    return _gain_over(h, p, hm, {v: _hosts_after(p, "move", v, f)})
+    return _gain_of(h, p, hm, "move", v, f)
 
 
 def gain_exchange(h: Hypergraph, p: Placement, hm: HopMatrix, u: int, v: int) -> int:
     """THD decrease from swapping the originals of u and v, computed jointly."""
-    pu, pv = p.original[u], p.original[v]
-    if pu == pv:
-        raise ValueError("exchange requires vertices on different FPGAs")
-    change = {u: _hosts_after(p, "move", u, pv), v: _hosts_after(p, "move", v, pu)}
-    return _gain_over(h, p, hm, change)
+    return _gain_of(h, p, hm, "exchange", u, p.original[v], v)
 
 
 def gain_replicate(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
     """THD decrease from adding a copy of v on FPGA f."""
-    if f == p.original[v] or f in p.replicas[v]:
-        raise ValueError("replicate destination already hosts the vertex")
-    return _gain_over(h, p, hm, {v: _hosts_after(p, "replicate", v, f)})
+    return _gain_of(h, p, hm, "replicate", v, f)
 
 
 def gain_delete(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
     """THD decrease from removing the replica of v on FPGA f."""
-    if f not in p.replicas[v]:
-        raise ValueError("delete target is not a replica of the vertex")
-    return _gain_over(h, p, hm, {v: _hosts_after(p, "delete", v, f)})
+    return _gain_of(h, p, hm, "delete", v, f)
 
 
 def apply_op(p: Placement, op: Op) -> None:
@@ -249,9 +264,15 @@ class RefineState:
             for f, amt in contrib.items():
                 self.io[f] += amt
 
-        self.move_heaps = [AddressableMaxHeap() for _ in range(self.kf)]
-        self.rep_heaps = [AddressableMaxHeap() for _ in range(self.kf)]
-        self.del_heaps = [AddressableMaxHeap() for _ in range(self.kf)]
+        # bank[kind][f] holds the kind's entries with destination f; moves
+        # are banked whenever exchange is enabled, since exchange gains are
+        # built from them, but only enabled kinds are offered.  Exchange
+        # entries are per vertex, with the best partner in ex_partner.
+        self.bank = {
+            kind: [AddressableMaxHeap() for _ in range(self.kf)]
+            for kind in FPGA_KINDS
+            if kind in self.enabled or (kind == "move" and "exchange" in self.enabled)
+        }
         self.ex_heap = AddressableMaxHeap()
         self.ex_partner: dict[int, int] = {}
         # corr(v, u) of `_rebuild_exchange`, keyed pair_corr[v][u]
@@ -303,16 +324,6 @@ class RefineState:
             self._neighbors[v] = cached
         return cached
 
-    def _joint_exchange_gain(self, v: int, u: int) -> int:
-        p = self.p
-        change = {
-            v: _hosts_after(p, "move", v, p.original[u]),
-            u: _hosts_after(p, "move", u, p.original[v]),
-        }
-        return _gain_over(
-            self.h, p, self.hm, change, self.edge_units, self.edge_drain_cnt.__getitem__
-        )
-
     def _rebuild_mrd(self, v: int) -> None:
         """Refresh the move/replicate/delete entries of one vertex.
 
@@ -324,16 +335,13 @@ class RefineState:
         weight times the source's row at f.
         """
         p = self.p
-        for f in range(self.kf):
-            self.move_heaps[f].remove(v)
-            self.rep_heaps[f].remove(v)
-            self.del_heaps[f].remove(v)
+        for heaps in self.bank.values():
+            for heap in heaps:
+                heap.remove(v)
         if not self._is_boundary(v):
             return
         h = self.h
         nearest = self.hm.nearest
-        o = p.original[v]
-        reps = p.replicas[v]
         v_hosts = p.hosts(v)
 
         base_cost = 0  # current weighted units over I(v)
@@ -362,26 +370,21 @@ class RefineState:
             new_cost += sum(w * d for w, d in zip(src_w, hop))
             return base_cost - new_cost
 
-        if "move" in self.enabled:
-            for f in range(self.kf):
-                if f != o:
-                    self.move_heaps[f].push(v, gain(reps | {f}))
-        if "replicate" in self.enabled:
-            for f in range(self.kf):
-                if f not in v_hosts:
-                    self.rep_heaps[f].push(v, gain(v_hosts | {f}))
-        if "delete" in self.enabled:
-            for f in sorted(reps):
-                self.del_heaps[f].push(v, gain(v_hosts - {f}))
+        for kind, heaps in self.bank.items():
+            for f, heap in enumerate(heaps):
+                change = _change(p, kind, v, f)
+                if change is not None:
+                    heap.push(v, gain(change[v]))
 
     def _rebuild_exchange(self, v: int) -> None:
         """Refresh the best-partner exchange entry of one vertex.
 
-        When move entries are maintained, a pair gain decomposes into the
-        two move gains plus a correction over shared edges only,
-        g = g_v(pu) + g_u(pv) + corr(v, u); both move entries are exact by
-        the bank invariant, so this stays exact while skipping the full
-        joint evaluation.  corr(v, u) is cached per vertex, so a cached
+        A pair gain decomposes into the two move gains plus a correction
+        over shared edges only, g = g_v(pu) + g_u(pv) + corr(v, u).  Both
+        move entries are banked and exact: v and u share a net across two
+        FPGAs, so both are boundary vertices, and parked entries are back
+        before any rebuild.  They are read with plain lookups, so a broken
+        invariant fails loudly.  corr(v, u) is cached per vertex, so a cached
         pair costs two move-heap lookups and one dict lookup; the shared
         edge table of `_exchange_prep` is built only when some pair misses.
         `try_apply` drops corr(a, b) for every pair a, b that share an
@@ -395,10 +398,9 @@ class RefineState:
             return
         orig = self.p.original
         pv = orig[v]
-        use_decomposition = "move" in self.enabled
-        if use_decomposition:
-            g_v_at = [heap.get(v) for heap in self.move_heaps]
-            g_u_of = self.move_heaps[pv].get
+        moves = self.bank["move"]
+        g_v_at = [heap.get(v) for heap in moves]  # None only at pv
+        g_u_of = moves[pv].gain_of
         corr_v = self.pair_corr.setdefault(v, {})
         prep = None
         best_g = None
@@ -407,19 +409,12 @@ class RefineState:
             pu = orig[u]
             if pu == pv:
                 continue
-            g = None
-            if use_decomposition:
-                g_v = g_v_at[pu]
-                g_u = g_u_of(u)
-                if g_v is not None and g_u is not None:
-                    corr = corr_v.get(u)
-                    if corr is None:
-                        if prep is None:
-                            prep = self._exchange_prep(v)
-                        corr = corr_v[u] = self._pair_corr(v, u, prep)
-                    g = g_v + g_u + corr
-            if g is None:
-                g = self._joint_exchange_gain(v, u)
+            corr = corr_v.get(u)
+            if corr is None:
+                if prep is None:
+                    prep = self._exchange_prep(v)
+                corr = corr_v[u] = self._pair_corr(v, u, prep)
+            g = g_v_at[pu] + g_u_of(u) + corr
             if best_g is None or g > best_g:
                 best_g = g
                 best_u = u
@@ -541,61 +536,45 @@ class RefineState:
                 best_key = key
                 best = (kind, v, dest, gain)
 
-        for f in range(self.kf):
-            consider("delete", f, self.del_heaps[f].peek())
-            consider("move", f, self.move_heaps[f].peek())
-            if (
-                self.max_replicas is None
-                or self.replicates_applied < self.max_replicas
-            ):
-                consider("replicate", f, self.rep_heaps[f].peek())
+        capped = (
+            self.max_replicas is not None
+            and self.replicates_applied >= self.max_replicas
+        )
+        for kind, heaps in self.bank.items():
+            if kind in self.enabled and not (capped and kind == "replicate"):
+                for f, heap in enumerate(heaps):
+                    consider(kind, f, heap.peek())
         top = self.ex_heap.peek()
         if top is not None:
-            gain, v = top
-            consider("exchange", self.p.original[self.ex_partner[v]], top)
+            consider("exchange", self.p.original[self.ex_partner[top[1]]], top)
         return best
 
+    def _heap(self, kind: str, dest: int) -> AddressableMaxHeap:
+        """The heap holding the entries of `kind` with destination `dest`."""
+        return self.ex_heap if kind == "exchange" else self.bank[kind][dest]
+
     def pop_entry(self, kind: str, v: int, dest: int) -> None:
-        if kind == "move":
-            self.move_heaps[dest].remove(v)
-        elif kind == "replicate":
-            self.rep_heaps[dest].remove(v)
-        elif kind == "delete":
-            self.del_heaps[dest].remove(v)
-        else:
-            self.ex_heap.remove(v)
+        self._heap(kind, dest).remove(v)
 
     def stored_gain(self, op: Op) -> int | None:
         """Current bank gain for an op, or None if it has no live entry."""
-        try:
-            if op.kind == "move":
-                return self.move_heaps[op.dest].gain_of(op.v)
-            if op.kind == "replicate":
-                return self.rep_heaps[op.dest].gain_of(op.v)
-            if op.kind == "delete":
-                return self.del_heaps[op.dest].gain_of(op.v)
-            if op.kind == "exchange":
-                if self.ex_partner.get(op.v) != op.partner:
-                    return None
-                return self.ex_heap.gain_of(op.v)
-        except KeyError:
+        if op.kind not in self.enabled:
             return None
-        return None
+        if op.kind == "exchange" and self.ex_partner.get(op.v) != op.partner:
+            return None
+        return self._heap(op.kind, op.dest).get(op.v)
 
     def entries(self) -> Iterator[Op]:
-        """All live bank entries as ops (gains filled in)."""
+        """All live entries of the enabled kinds as ops (gains filled in)."""
         for f in range(self.kf):
-            for v, g in sorted(self.move_heaps[f].items().items()):
-                yield Op("move", v, f, gain=g)
-            for v, g in sorted(self.rep_heaps[f].items().items()):
-                yield Op("replicate", v, f, gain=g)
-            for v, g in sorted(self.del_heaps[f].items().items()):
-                yield Op("delete", v, f, gain=g)
+            for kind, heaps in self.bank.items():
+                if kind in self.enabled:
+                    for v, g in sorted(heaps[f].items().items()):
+                        yield Op(kind, v, f, gain=g)
+        orig = self.p.original
         for v, g in sorted(self.ex_heap.items().items()):
             u = self.ex_partner[v]
-            yield Op(
-                "exchange", v, self.p.original[u], u, self.p.original[v], gain=g
-            )
+            yield Op("exchange", v, orig[u], u, orig[v], gain=g)
 
     def try_apply(self, kind: str, v: int, dest: int) -> Op | None:
         """Constraint-check and apply one operation; None if infeasible.
@@ -607,35 +586,10 @@ class RefineState:
         """
         h = self.h
         p = self.p
-        if kind == "exchange":
-            u = self.ex_partner.get(v)
-            if u is None:
-                return None
-            pv, pu = p.original[v], p.original[u]
-            if pu != dest or pv == pu:
-                return None
-            change = {
-                v: _hosts_after(p, "move", v, pu),
-                u: _hosts_after(p, "move", u, pv),
-            }
-            op = Op("exchange", v, pu, u, pv)
-        elif kind == "move":
-            if dest == p.original[v]:
-                return None
-            change = {v: _hosts_after(p, kind, v, dest)}
-            op = Op("move", v, dest)
-        elif kind == "replicate":
-            if dest == p.original[v] or dest in p.replicas[v]:
-                return None
-            change = {v: _hosts_after(p, kind, v, dest)}
-            op = Op("replicate", v, dest)
-        elif kind == "delete":
-            if dest not in p.replicas[v]:
-                return None
-            change = {v: _hosts_after(p, kind, v, dest)}
-            op = Op("delete", v, dest)
-        else:
-            raise ValueError(f"unknown op kind '{kind}'")
+        partner = self.ex_partner.get(v) if kind == "exchange" else None
+        change = _change(p, kind, v, dest, partner)
+        if change is None:
+            return None
 
         # net per-FPGA resource deltas from the host-set changes
         deltas: dict[int, list[int]] = {}
@@ -684,7 +638,8 @@ class RefineState:
                     return None
 
         # commit
-        op = Op(op.kind, op.v, op.dest, op.partner, op.partner_dest, gain)
+        partner_dest = None if partner is None else p.original[v]
+        op = Op(kind, v, dest, partner, partner_dest, gain)
         apply_op(p, op)
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
@@ -723,14 +678,7 @@ class RefineState:
         could have changed is one the refresh rebuilds, replacing it; the
         rest are still exact."""
         for kind, v, dest, gain in self.parked:
-            if kind == "exchange":
-                self.ex_heap.push(v, gain)
-            elif kind == "move":
-                self.move_heaps[dest].push(v, gain)
-            elif kind == "replicate":
-                self.rep_heaps[dest].push(v, gain)
-            else:
-                self.del_heaps[dest].push(v, gain)
+            self._heap(kind, dest).push(v, gain)
         self.parked = []
 
     def _refresh_after(self, touched: list[int]) -> None:

@@ -87,6 +87,33 @@ def bounded_state(seed, n=20, m=36, k=5, io_slack=2):
     return b.hypergraph, t, hm, res.placement
 
 
+def shaken_bounded_state(seed, io_slack=2, steps=20):
+    """`bounded_state` with its refined placement walked back by random
+    original moves that each keep it valid, so that refinement has work to
+    do under the bounds."""
+    from mfspart.metrics import validate
+
+    state = bounded_state(seed, io_slack=io_slack)
+    if state is None:
+        return None
+    h, t, hm, p = state
+    rng = random.Random(seed)
+    done = 0
+    for _ in range(3000):
+        if done == steps:
+            break
+        v = rng.randrange(h.num_vertices)
+        f = rng.randrange(t.k_fpgas)
+        if f == p.original[v]:
+            continue
+        trial = p.copy()
+        trial.set_original(v, f)
+        if validate(h, t, trial, hm) == []:
+            p = trial
+            done += 1
+    return h, t, hm, p
+
+
 def bank_snapshot(state):
     """Every live bank entry as a sortable tuple, exchange partners included."""
     return sorted(

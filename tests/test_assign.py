@@ -15,7 +15,7 @@ from mfspart.assign import (
 )
 from mfspart.io import gen_instance
 from mfspart.metrics import report, total_hop_distance, validate
-from mfspart.model import Hypergraph, ResourceVector
+from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import exhaustive_partition
 from mfspart.topology import HopMatrix, MfsTopology, compute_hop_matrix
 
@@ -83,6 +83,15 @@ def test_dfs_single_node():
     assert res.status == "complete"
     assert res.thd == 0
     assert res.placement.original == [0]
+
+
+def test_dfs_empty_hypergraph():
+    h = Hypergraph.build([], [])
+    t = path_topology(2)
+    res = dfs_assign(h, t, compute_hop_matrix(t), EXHAUSTIVE)
+    assert res.status == "complete"
+    assert res.placement == Placement([])
+    assert res.thd == 0
 
 
 def test_dfs_two_nodes_forced_split():

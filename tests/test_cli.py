@@ -78,6 +78,15 @@ def test_partition_parse_error_exit_code(tmp_path, instance):
     assert run(["partition", tmp_path / "missing.hg", topo]) == 2
 
 
+def test_partition_empty_hypergraph_exit_code(tmp_path, capsys):
+    (tmp_path / "h.hg").write_text("0 0 2\n")
+    (tmp_path / "t.topo").write_text("2 1 2\n5 5\n5 5\n0 1\n")
+    sol = tmp_path / "x.sol"
+    assert run(["partition", tmp_path / "h.hg", tmp_path / "t.topo", "-o", sol]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not sol.exists()
+
+
 def test_partition_infeasible_exit_code(tmp_path):
     (tmp_path / "h.hg").write_text("1 0 1\n9\n")
     (tmp_path / "t.topo").write_text("2 1 1\n5\n5\n0 1\n")

@@ -30,6 +30,8 @@ from conftest import (
     fanout_story,
     fresh_bank,
     path_topology,
+    random_feasible_state,
+    shaken_bounded_state,
     tight_state,
 )
 
@@ -561,13 +563,13 @@ def test_incremental_vs_full_check_detects_tampering():
 
     def tamper(state, step):
         if step == 0 and target.kind == "move":
-            state.move_heaps[target.dest].push(target.v, target.gain + 999)
+            state.bank["move"][target.dest].push(target.v, target.gain + 999)
         elif step == 0:
             # corrupt whichever heap holds the first op
             if target.kind == "replicate":
-                state.rep_heaps[target.dest].push(target.v, 999)
+                state.bank["replicate"][target.dest].push(target.v, 999)
             elif target.kind == "delete":
-                state.del_heaps[target.dest].push(target.v, 999)
+                state.bank["delete"][target.dest].push(target.v, 999)
             else:
                 state.ex_heap.push(target.v, 999)
 
@@ -675,3 +677,111 @@ def test_refine_respects_io_and_hop_limits():
                     break
         assert applied >= 1
     assert checked >= 3
+
+
+def _random_feasible_hm(seed):
+    h, t, p = random_feasible_state(seed)
+    return h, t, compute_hop_matrix(t), p
+
+
+# refine_level results recorded before the gain bank was folded into one
+# table: (instance, refine_level options, applied ops as (kind, v, dest,
+# partner, partner_dest, gain), final originals, final replicas).  Any
+# change to a gain, to the tie order or to feasibility shows here.
+PINNED_REFINES = [
+    # gains tie across kinds here: swapping any two adjacent kind ranks
+    # changes the result
+    ("ties-0", lambda: tight_state(0, n=20, m=36), {},
+     [("exchange", 1, 2, 6, 0, 10), ("move", 9, 1, None, None, 3),
+      ("delete", 10, 1, None, None, 2), ("delete", 3, 1, None, None, 2),
+      ("replicate", 5, 1, None, None, 3), ("move", 15, 1, None, None, 2),
+      ("exchange", 0, 0, 14, 1, 2), ("exchange", 11, 0, 19, 1, 3),
+      ("exchange", 9, 2, 16, 1, 2), ("replicate", 5, 0, None, None, 2),
+      ("exchange", 10, 1, 15, 2, 1)],
+     [0, 2, 1, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 1, 1, 2, 1, 1, 1, 1],
+     {2: [2], 5: [0, 1]}),
+    ("tight-4", lambda: tight_state(4, n=20, m=36), {},
+     [("exchange", 7, 0, 11, 2, 7), ("exchange", 14, 1, 13, 2, 6),
+      ("replicate", 2, 0, None, None, 4), ("exchange", 11, 1, 6, 2, 2),
+      ("exchange", 3, 1, 2, 2, 3), ("delete", 18, 2, None, None, 1),
+      ("exchange", 12, 0, 18, 1, 1), ("replicate", 8, 2, None, None, 1),
+      ("replicate", 16, 2, None, None, 1), ("delete", 8, 0, None, None, 0)],
+     [2, 1, 2, 1, 2, 0, 2, 0, 1, 2, 0, 1, 0, 2, 1, 0, 0, 0, 1, 1],
+     {0: [1], 2: [0], 6: [0], 8: [2], 16: [2]}),
+    ("replicated-7", lambda: _random_replicated_state(7, n=14, m=26, k=3), {},
+     [("exchange", 2, 2, 6, 1, 7), ("replicate", 2, 0, None, None, 6),
+      ("move", 8, 0, None, None, 5), ("delete", 5, 1, None, None, 4),
+      ("move", 6, 0, None, None, 8), ("move", 0, 0, None, None, 3),
+      ("replicate", 0, 2, None, None, 3), ("replicate", 4, 2, None, None, 3),
+      ("replicate", 3, 0, None, None, 2), ("delete", 13, 2, None, None, 0)],
+     [0, 0, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0],
+     {0: [2], 1: [2], 2: [0], 3: [0], 4: [2], 9: [0]}),
+    ("bounded-5", lambda: shaken_bounded_state(5, io_slack=4), {},
+     [("move", 3, 3, None, None, 4), ("move", 7, 1, None, None, 3),
+      ("replicate", 4, 1, None, None, 3), ("move", 2, 1, None, None, 1)],
+     [1, 3, 1, 3, 2, 3, 2, 1, 3, 1, 1, 2, 1, 2, 2, 1, 2, 2, 1, 3],
+     {0: [3], 4: [1]}),
+    ("zero-gain-5", lambda: _random_feasible_hm(5),
+     dict(allow_zero_gain=True, zero_gain_limit=3, max_replicas=1),
+     [("replicate", 0, 2, None, None, 2), ("move", 6, 0, None, None, 0),
+      ("move", 6, 2, None, None, 0), ("move", 6, 0, None, None, 0)],
+     [0, 2, 2, 0, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 2, 1, 0, 1, 2, 1, 1, 1, 0, 1],
+     {0: [2]}),
+    ("exchange-only-8", lambda: tight_state(8, n=24, m=44), dict(ops=("exchange",)),
+     [("exchange", 3, 2, 16, 0, 10), ("exchange", 12, 1, 18, 0, 8),
+      ("exchange", 2, 2, 17, 1, 7), ("exchange", 11, 2, 15, 1, 6),
+      ("exchange", 5, 2, 22, 1, 3), ("exchange", 8, 2, 13, 0, 2),
+      ("exchange", 1, 2, 8, 0, 2), ("exchange", 9, 1, 17, 0, 1),
+      ("exchange", 14, 1, 23, 0, 1)],
+     [2, 2, 2, 2, 2, 2, 2, 1, 0, 1, 1, 2, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0],
+     {0: [0], 7: [2]}),
+]
+
+
+@pytest.mark.parametrize(
+    "make, options, ops, original, replicas",
+    [case[1:] for case in PINNED_REFINES],
+    ids=[case[0] for case in PINNED_REFINES],
+)
+def test_pinned_refine_results(make, options, ops, original, replicas):
+    h, t, hm, p = make()
+    seen = []
+
+    def record(op, pl, thd):
+        seen.append((op.kind, op.v, op.dest, op.partner, op.partner_dest, op.gain))
+
+    out = refine_level(h, p, t, hm, observer=record, **options)
+    assert seen == ops
+    assert out.original == original
+    assert {v: sorted(r) for v, r in enumerate(out.replicas) if r} == replicas
+
+
+def test_pinned_bounded_refine_is_bound():
+    # the bounds change what refinement does on the pinned bounded case
+    h, t, hm, p = shaken_bounded_state(5, io_slack=4)
+    free = MfsTopology(t.capacities, t.links)
+    assert refine_level(h, p, t, hm) != refine_level(h, p, free, hm)
+
+
+def test_exchange_only_bank_exact_after_each_op():
+    # with moves disabled, exchange gains still come from maintained move
+    # entries; only exchange entries are offered or applied
+    seen = 0
+    for seed in range(4):
+        h, t, hm, p = tight_state(seed, n=24, m=44)
+        state = RefineState(h, t, hm, p, ops=("exchange",))
+
+        def check(op, pl, thd):
+            nonlocal seen
+            seen += 1
+            assert op.kind == "exchange"
+            entries = list(state.entries())
+            assert {e.kind for e in entries} <= {"exchange"}
+            for e in entries:
+                assert e.gain == full_gain_recompute(h, state.p, hm, e), e
+            fresh = RefineState(h, t, hm, state.p, ops=("exchange",))
+            assert bank_snapshot(state) == bank_snapshot(fresh)
+
+        run_refine_loop(state, observer=check)
+        assert state.applied and all(op.kind == "exchange" for op in state.applied)
+    assert seen >= 10

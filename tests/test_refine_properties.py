@@ -7,9 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfspart.metrics import report, total_hop_distance, validate
-from mfspart.refine import RefineState, apply_op
+from mfspart.refine import RefineState, apply_op, run_refine_loop
 
-from conftest import bank_snapshot, bounded_state, fresh_bank, tight_state
+from conftest import (
+    bank_snapshot,
+    bounded_state,
+    fresh_bank,
+    shaken_bounded_state,
+    tight_state,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,3 +67,22 @@ def test_bounded_try_apply_matches_validate_and_fresh_bank(seed, picks):
             assert state.io == report(h, t, state.p, hm).fpga_io
             assert state.thd == total_hop_distance(h, state.p, hm)
             assert bank_snapshot(state) == fresh_bank(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), bounded=st.booleans())
+def test_refine_loop_bank_equals_fresh_bank_after_every_op(seed, bounded):
+    """The loop in its own op order, rejections and parking included: once
+    an op is applied nothing is left parked and the bank is a fresh one."""
+    if bounded:
+        state_args = shaken_bounded_state(seed, steps=10)
+        assume(state_args is not None)
+    else:
+        state_args = tight_state(seed, n=20, m=36)
+    state = RefineState(*state_args)
+
+    def check(op, pl, thd):
+        assert not state.parked
+        assert bank_snapshot(state) == fresh_bank(state)
+
+    run_refine_loop(state, observer=check)
