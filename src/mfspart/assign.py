@@ -7,15 +7,21 @@ capacity is exceeded.  When consecutive complete solutions are nearly
 equal, the search retreats to a fraction of the current depth and abandons
 that whole subtree, which forces it into a different region.
 
-Each node of the search is cheap because of three facts.  A net's cost is
+Each node of the search is cheap because of four facts.  A net's cost is
 known exactly when its last member in the visit order is placed, so every
 net is listed once, at that depth (its completion list), and costed there
 only.  The placed prefix does not change while a depth cycles through its
-FPGAs, so entering a depth computes one candidate row: per FPGA, the cost
-the vertex would add there, or None when it does not fit or breaks the hop
-bound.  A candidate is then a row lookup, the incumbent prune and, only
-when some FPGA has an I/O limit, that check; nothing is written until all
-of them pass, so a rejected candidate changes nothing.
+FPGAs, so entering a depth takes one candidate row: per FPGA, the cost the
+vertex would add there, or None when it breaks the hop bound.  That row is
+the cost half of a candidate.  It depends only on where the depth's
+dependency set, the other members of the nets it completes, was placed;
+so it is memoized per depth, keyed by those FPGAs, and a search meets a
+few hundred distinct rows in hundreds of thousands of nodes.  The fit half, whether
+the vertex fits the capacity left, changes with every placement and is
+tested afresh at each candidate.  A candidate is then a row lookup, the
+incumbent prune, the fit test and, only when some FPGA has an I/O limit,
+that check; nothing is written until all of them pass, so a rejected
+candidate changes nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import inf
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,6 +122,11 @@ def backtrack_depth(depth: int, rho: float) -> int:
     return int(rho * depth)
 
 
+def _no_slots(asg: list[int]) -> tuple[()]:
+    """Memo key of a depth whose completing nets read no other slot."""
+    return ()
+
+
 def dfs_assign(
     h: Hypergraph,
     t: MfsTopology,
@@ -164,7 +176,10 @@ def dfs_assign(
     wts = [pack(h.vertices[v].weight) for v in order]  # per depth
 
     # A net is costed once, at the depth of its last member in `order`;
-    # the entry keeps the drains other than the vertex placed there.
+    # the entry keeps the drains other than the vertex placed there.  A
+    # depth's row reads the slots of every other member of those nets,
+    # sources included, and nothing else that changes: its dependency set,
+    # whose slots key the depth's memo.
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -174,6 +189,11 @@ def dfs_assign(
         v = order[d]
         others = tuple(x for x in e.drains if x != v)
         completing[d].append((e.source, others, e.weight))
+    slots_read = []
+    for d, v in enumerate(order):
+        deps = sorted({x for src, others, _ in completing[d] for x in (src, *others)} - {v})
+        slots_read.append(itemgetter(*deps) if deps else _no_slots)
+    memo: list[dict] = [{} for _ in range(n)]
 
     asg = [-1] * n
     io = [0] * kf
@@ -187,22 +207,20 @@ def dfs_assign(
     status = "complete"
     start = time.monotonic()
 
-    # Per depth: the candidate row (cost per slot, None where the vertex
-    # cannot go), the nets it completes as (source slot, or -1 when the
-    # vertex is the source; the other drains' slots; weight), and the undo
-    # record (slot, cost added, I/O added per slot) of the placed candidate.
+    # Per depth: the candidate row (cost per slot, None where the hop bound
+    # breaks) and the undo record (slot, cost added, I/O added per slot) of
+    # the placed candidate.
     rows: list[list[int | None]] = [[]] * n
-    nets: list[list[tuple[int, set[int], int]]] = [[]] * n
     undo: list[tuple[int, int, dict[int, int] | None]] = [(0, 0, None)] * n
     cand_idx = [0] * (n + 1)
 
-    def candidate_row(depth: int) -> None:
-        """Cost of placing order[depth] on each slot given the prefix, None
-        where it does not fit or breaks hop_max, and the nets it completes."""
+    def cost_row(depth: int) -> list[int | None]:
+        """Cost the completed nets add with order[depth] on each slot, None
+        where one of them would break hop_max; all None when drains placed
+        earlier already break it."""
         v = order[depth]
         add = [0] * kf
         worst = [0] * kf  # worst hop of the completed nets, per slot
-        completed = []
         for src, others, w in completing[depth]:
             hosts = set(map(asg.__getitem__, others))
             if src == v:
@@ -212,41 +230,47 @@ def dfs_assign(
                     add = [a + w * x for a, x in zip(add, col)]
                     if hop_max is not None:
                         worst = list(map(max, worst, col))
-                completed.append((-1, hosts, w))
             else:
-                s = asg[src]
-                srow = dist[s]
+                srow = dist[asg[src]]
                 hops = list(map(srow.__getitem__, hosts))
                 if hop_max is not None:
                     if max(hops, default=0) > hop_max:
-                        # drains placed earlier already break the bound
-                        rows[depth] = [None] * kf
-                        nets[depth] = []
-                        return
+                        return [None] * kf  # drains placed earlier already break the bound
                     worst = list(map(max, worst, srow))
                 # slot f adds srow[f] unless another drain already sits on f
                 units = sum(hops)
                 add = [a + w * (units + x) for a, x in zip(add, srow)]
                 for d in hosts:
                     add[d] -= w * srow[d]
-                completed.append((s, hosts, w))
-        wv = wts[depth]
-        row = [a if (r - wv) & guard == guard else None for a, r in zip(add, room)]
         if hop_max is not None:
-            row = [a if x <= hop_max else None for a, x in zip(row, worst)]
-        rows[depth] = row
-        nets[depth] = completed
+            add = [a if x <= hop_max else None for a, x in zip(add, worst)]
+        return add
 
-    def io_added(f: int, completed: list[tuple[int, set[int], int]]) -> dict[int, int]:
-        """Per-slot I/O the completed nets add with the vertex on slot f:
-        every drain slot other than the source's imports w, and the
-        source's exports w once if any drain slot imports."""
+    def candidate_row(depth: int) -> list[int | None]:
+        """Cost of placing order[depth] on each slot given the prefix, None
+        where it breaks hop_max, from the depth's memo.  Whether the vertex
+        fits is not part of the row: `room` changes with every placement,
+        so the search tests it afresh at each candidate."""
+        table = memo[depth]
+        key = slots_read[depth](asg)
+        row = table.get(key)
+        if row is None:
+            row = table[key] = cost_row(depth)
+        return row
+
+    def io_added(f: int, depth: int) -> dict[int, int]:
+        """Per-slot I/O the nets completing at `depth` add with order[depth]
+        on slot f: every drain slot other than the source's imports w, and
+        the source's exports w once if any drain slot imports."""
+        v = order[depth]
         added: dict[int, int] = {}
-        for s, hosts, w in completed:
-            if s < 0:
+        for src, others, w in completing[depth]:
+            hosts = set(map(asg.__getitem__, others))
+            if src == v:
                 s = f
             else:
-                hosts = hosts | {f}
+                s = asg[src]
+                hosts.add(f)
             external = False
             for d in hosts:
                 if d != s:
@@ -276,8 +300,9 @@ def dfs_assign(
         else:
             i = cand_idx[depth]
             if i == 0:
-                candidate_row(depth)
+                rows[depth] = candidate_row(depth)
             row = rows[depth]
+            wv = wts[depth]
             limit = inf if best_thd is None else best_thd - partial
             f = -1
             added = None
@@ -292,10 +317,10 @@ def dfs_assign(
                     break
                 cost = row[i]
                 i += 1
-                if cost is None or cost >= limit:
+                if cost is None or cost >= limit or (room[i - 1] - wv) & guard != guard:
                     continue
                 if io_limited:
-                    added = io_added(i - 1, nets[depth])
+                    added = io_added(i - 1, depth)
                     if any(
                         io_limits[g] is not None and io[g] + a > io_limits[g]
                         for g, a in added.items()

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from mfspart import assign
 from mfspart.assign import (
     SearchBudget,
     backtrack_depth,
@@ -13,10 +15,12 @@ from mfspart.assign import (
     perturb_heats,
     should_deep_backtrack,
 )
-from mfspart.io import gen_instance
+from mfspart.coarsen import CoarseningConfig, build_hierarchy
+from mfspart.io import InstanceBundle, gen_instance
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import exhaustive_partition
+from mfspart.seeds import TAG_COARSEN, sub_seed
 from mfspart.topology import HopMatrix, MfsTopology, compute_hop_matrix
 
 from conftest import path_topology, ring_topology
@@ -202,6 +206,18 @@ def _hub(seed, io_limit):
                         hop_max=2, io_limit=io_limit)
 
 
+def _coarsest(seed):
+    # the coarsest level of a 1000-vertex instance, as the pipeline builds it
+    b = gen_instance(seed, 1000, 1200, 8, 2, spare=0.4)
+    levels = build_hierarchy(b.hypergraph, b.topology,
+                             CoarseningConfig(seed=sub_seed(1, TAG_COARSEN)))
+    return InstanceBundle(levels[-1].hypergraph, b.topology)
+
+
+def _hop_only(seed):
+    return gen_instance(seed, 80, 96, 8, 2, spare=0.4, hop_max=2)
+
+
 NODES_50K = SearchBudget(max_nodes=50_000)
 # a wide stall window, so that deep backtracking fires (5 times here)
 DEEP = SearchBudget(max_solutions=None, max_nodes=None, stall_delta=0.5, rho=0.5)
@@ -241,6 +257,26 @@ PINNED_SEARCHES = [
     ("hub-2005", lambda: _hub(2005, 120), 2, NODES_50K, ("budget", 50001, 0, None, None)),
     ("deep-8", lambda: gen_instance(8, 10, 14, 3, 1, spare=0.4), None, DEEP,
      ("complete", 21642, 6, 11, "1000222222")),
+    # Recorded before each depth's cost half was memoized by the slots it
+    # reads.  The coarsest graph has wide dependency sets (657 nets with
+    # 2,411 pins over 88 hypernodes); on the hop-only instance, drains
+    # placed earlier already break the bound at hundreds of depth entries.
+    ("coarsest-7000", lambda: _coarsest(7000), 1, NODES_50K,
+     ("budget", 50001, 1, 2207,
+      "777401730471737211344133007017434020714747132404033004732722"
+      "2727174037722013030100302131")),
+    ("coarsest-7000", lambda: _coarsest(7000), 2, NODES_50K,
+     ("budget", 50001, 1, 2215,
+      "707001430221434213347203007730734723714424132434013074432722"
+      "1440104017722310131107104731")),
+    ("hop-3002", lambda: _hop_only(3002), 1, NODES_50K,
+     ("budget", 50001, 3, 286,
+      "565666176574555526165551461543311115156173665614744173464347"
+      "37343733417131717461")),
+    ("hop-3002", lambda: _hop_only(3002), 2, NODES_50K,
+     ("budget", 50001, 3, 282,
+      "564666176575655466167411464443111155656147661615754133464357"
+      "37353733417131767461")),
 ]
 
 
@@ -327,3 +363,21 @@ def test_deterministic_dfs():
     r2 = dfs_assign(b.hypergraph, b.topology, hm, SearchBudget(max_nodes=15_000))
     assert r1.placement == r2.placement
     assert r1.nodes == r2.nodes
+
+
+def test_time_limit_read_every_thousand_nodes(monkeypatch):
+    # a clock that advances 1 s per read: the start read is t=0, and the
+    # first check, at node 1000, already sees the 0.5 s limit passed
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return float(len(reads) - 1)
+
+    monkeypatch.setattr(assign, "time", SimpleNamespace(monotonic=monotonic))
+    b = gen_instance(41, 80, 96, 8, 2, spare=0.4)
+    hm = compute_hop_matrix(b.topology)
+    budget = SearchBudget(max_solutions=None, time_limit=0.5, max_nodes=None)
+    res = dfs_assign(b.hypergraph, b.topology, hm, budget)
+    assert (res.status, res.nodes) == ("budget", 1000)
+    assert len(reads) == 2
