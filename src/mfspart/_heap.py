@@ -2,7 +2,9 @@
 
 Built on heapq with lazy invalidation: updates and removals mark the old
 entry stale and push a fresh one; stale entries are skipped at the top.
-Ties break toward the lower item id so pops are deterministic.
+Ties break toward the lower item id so pops are deterministic.  An entry
+can be shelved: taken out of heap order while it stays live, so that a
+caller can pass over a top it cannot use now and put it back later.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import heapq
 
 
 class AddressableMaxHeap:
-    __slots__ = ("_heap", "_live")
+    __slots__ = ("_heap", "_live", "_shelf")
 
     def __init__(self):
         self._heap: list[tuple[int, int]] = []  # (-gain, item)
         self._live: dict[int, int] = {}  # item -> current gain
+        self._shelf: list[tuple[int, int]] = []  # out of heap order, still live
 
     def __len__(self) -> int:
         return len(self._live)
@@ -59,6 +62,19 @@ class AddressableMaxHeap:
         neg, item = heapq.heappop(self._heap)
         del self._live[item]
         return -neg, item
+
+    def shelve(self) -> None:
+        """Take the current maximum out of heap order.  It stays live (for
+        `get`, `items` and `len`) until `unshelve`; a `push` or `remove` of
+        the item meanwhile acts as usual."""
+        self._clean_top()
+        self._shelf.append(heapq.heappop(self._heap))
+
+    def unshelve(self) -> None:
+        """Put every shelved entry back into heap order."""
+        for entry in self._shelf:
+            heapq.heappush(self._heap, entry)
+        self._shelf.clear()
 
     def items(self) -> dict[int, int]:
         """Live item -> gain snapshot."""

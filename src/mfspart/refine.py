@@ -5,10 +5,9 @@ each of move, replicate and delete.  Exchange entries sit in one heap
 keyed by vertex, with the best partner alongside.  The loop applies the
 globally best operation whose gain passes its acceptance rule (delete runs
 at zero gain to free resources, everything else needs strictly positive
-gain), re-checks constraints at application time, and then refreshes the
-gains of every vertex whose stored value the operation could have changed:
-net-sharing neighbors for moves, replicates, and deletes, and their
-neighbors in turn for exchange pairings.
+gain) and that fits its destination's resources, re-checks the I/O and
+hop bounds at application time, and then refreshes only the entries the
+operation can have changed.
 
 A prospective operation is a map {vertex: frozenset of its new hosts},
 built by `_change`, which holds each kind's precondition.  The state
@@ -18,14 +17,33 @@ counts and reading the source's nearest-copy rows (`HopMatrix.nearest`)
 over them, which gives each edge's units, worst hop and I/O contribution.
 On commit those same counts are installed.
 
+The refresh is driven by count transitions, as in FM-style delta gain
+updates.  A vertex's move, replicate and delete entries read, per incident
+edge, the source's hosts and only the part of the drain counts its own
+copies do not account for.  So the commit compares each changed edge's
+counts before and after, and rebuilds the touched vertices, every drain of
+an edge whose source was touched, the source of an edge whose covered
+FPGAs changed, and a drain for which the FPGAs other drains cover changed
+(a count crossing 0|1 at an FPGA it does not host, or 1|2 at one it
+does); see `_dirty`.
+
 An exchange gain is the two endpoints' move gains plus a shared-edge
 correction, so move entries are banked whenever exchange is enabled, even
-when moves themselves are not offered.  The correction is cached per
-vertex pair and dropped, on each commit, for every pair of members of an
-edge with a touched member, which is exactly the set of pairs whose
-correction can change.  Entries the loop popped but could not apply are
-parked and re-offered by the next commit, before its refresh, so that
-exchange rebuilds always find exact move entries to decompose against.
+when moves themselves are not offered.  The correction is symmetric and
+cached under both orders of each vertex pair; on each commit it is dropped
+for every pair of members of an edge with a touched member, which is
+exactly the set of pairs whose correction can change.  The rebuilt
+vertices get a full best-partner scan; any other vertex re-scores only the
+partners that were rebuilt or whose correction was dropped, against its
+stored best, and rescans only when that stored partner is among them.
+
+Selection shelves an acceptable heap top that does not fit its
+destination's free resources: it leaves heap order but stays live, so
+the bank still holds every entry, and it returns once usage on that FPGA
+falls (exchange entries: at the next commit).  `try_apply` therefore
+sees only entries that fit; one it rejects on I/O or hop grounds is parked
+and re-offered by the next commit, before its refresh, so that exchange
+rebuilds always find exact move entries to decompose against.
 """
 
 from __future__ import annotations
@@ -332,7 +350,9 @@ class RefineState:
         edge sourced at v costs its weight times the nearest-copy row of H
         over its drain hosts, and an edge draining at v costs what its
         other drains cost plus, per f in H that no other drain covers, its
-        weight times the source's row at f.
+        weight times the source's row at f.  Drain edges are visited only
+        at the FPGAs they cover; their rows are summed once per distinct
+        source host set.
         """
         p = self.p
         for heaps in self.bank.values():
@@ -341,33 +361,50 @@ class RefineState:
         if not self._is_boundary(v):
             return
         h = self.h
+        kf = self.kf
         nearest = self.hm.nearest
         v_hosts = p.hosts(v)
 
         base_cost = 0  # current weighted units over I(v)
         fixed = 0  # cost of the edges draining at v, without v's copies
-        src_w = [0] * self.kf  # weight of edges sourced at v draining on f
-        copy_cost = [0] * self.kf  # cost of a copy of v on f, as a drain
+        src_w: dict[int, int] = {}  # weight of edges sourced at v draining on f
+        by_src: dict = {}  # weight of edges draining at v, per source host set
+        rows: dict = {}  # nearest-copy row per source host set
+        covered = [0] * kf  # weighted hops at FPGAs other drains cover
         for e in h.incidence[v]:
             edge = h.edges[e]
             w = edge.weight
             base_cost += w * self.edge_units[e]
             cnt = self.edge_drain_cnt[e]
-            if edge.source == v:
+            s = edge.source
+            if s == v:
                 for f in cnt:
-                    src_w[f] += w
+                    src_w[f] = src_w.get(f, 0) + w
                 continue
-            hop, _ = nearest(p.hosts(edge.source))
-            for f in range(self.kf):
-                if cnt.get(f, 0) > (1 if f in v_hosts else 0):
-                    fixed += w * hop[f]
-                else:
-                    copy_cost[f] += w * hop[f]
+            reps = p.replicas[s]
+            key = frozenset(reps | {p.original[s]}) if reps else p.original[s]
+            by_src[key] = by_src.get(key, 0) + w
+            hop = rows.get(key)
+            if hop is None:
+                hop = rows[key] = nearest(key if reps else (key,))[0]
+            for f, c in cnt.items():
+                if c > (1 if f in v_hosts else 0):
+                    wh = w * hop[f]
+                    fixed += wh
+                    covered[f] += wh
+        copy_cost = [-c for c in covered]  # cost of a copy of v on f, as a drain
+        for key, w in by_src.items():
+            hop = rows[key]
+            for f in range(kf):
+                copy_cost[f] += w * hop[f]
 
-        def gain(hosts: set[int]) -> int:
+        def gain(hosts: frozenset) -> int:
             hop, _ = nearest(hosts)
-            new_cost = fixed + sum(copy_cost[f] for f in hosts)
-            new_cost += sum(w * d for w, d in zip(src_w, hop))
+            new_cost = fixed
+            for f in hosts:
+                new_cost += copy_cost[f]
+            for f, w in src_w.items():
+                new_cost += w * hop[f]
             return base_cost - new_cost
 
         for kind, heaps in self.bank.items():
@@ -377,35 +414,63 @@ class RefineState:
                     heap.push(v, gain(change[v]))
 
     def _rebuild_exchange(self, v: int) -> None:
-        """Refresh the best-partner exchange entry of one vertex.
+        """Refresh the best-partner exchange entry of one vertex from a
+        scan of all its neighbours (see `_best_partner`)."""
+        self.ex_heap.remove(v)
+        self.ex_partner.pop(v, None)
+        if "exchange" not in self.enabled or not self._is_boundary(v):
+            return
+        best_g, best_u = self._best_partner(v, self._neighbor_tuple(v), None, -1)
+        if best_g is not None:
+            self.ex_heap.push(v, best_g)
+            self.ex_partner[v] = best_u
+
+    def _patch_exchange(self, v: int, changed: set[int]) -> None:
+        """Update the exchange entry of a vertex whose own entries the op
+        left alone, given the partners whose pair gain may have changed.
+        Every other pair gain is as stored, so the stored best stays the
+        best of them, and only the changed pairs are re-scored against it;
+        when the stored partner is among them, v is rescanned in full."""
+        stored = self.ex_partner.get(v)
+        if stored in changed:
+            self._rebuild_exchange(v)
+            return
+        old = None if stored is None else self.ex_heap.gain_of(v)
+        best_g, best_u = self._best_partner(
+            v, changed, old, -1 if stored is None else stored
+        )
+        if best_g is not None and best_u != stored:
+            self.ex_heap.push(v, best_g)
+            self.ex_partner[v] = best_u
+
+    def _best_partner(
+        self, v: int, candidates, best_g: int | None, best_u: int
+    ) -> tuple[int | None, int]:
+        """The best of (best_g, best_u) and v's exchanges with candidates
+        on another FPGA: highest gain, then lowest partner id.
 
         A pair gain decomposes into the two move gains plus a correction
         over shared edges only, g = g_v(pu) + g_u(pv) + corr(v, u).  Both
         move entries are banked and exact: v and u share a net across two
         FPGAs, so both are boundary vertices, and parked entries are back
         before any rebuild.  They are read with plain lookups, so a broken
-        invariant fails loudly.  corr(v, u) is cached per vertex, so a cached
-        pair costs two move-heap lookups and one dict lookup; the shared
-        edge table of `_exchange_prep` is built only when some pair misses.
+        invariant fails loudly.  The correction is symmetric, since the
+        exchange of v with u is the exchange of u with v, and it is cached
+        under both pair_corr[v][u] and pair_corr[u][v]; the shared edge
+        table of `_exchange_prep` is built only when some pair misses.
         `try_apply` drops corr(a, b) for every pair a, b that share an
         edge with a touched member, which is exactly when either input of
         the correction (shared-edge drain counts and source hosts, both
         endpoints' hosts) can change.
         """
-        self.ex_heap.remove(v)
-        self.ex_partner.pop(v, None)
-        if "exchange" not in self.enabled or not self._is_boundary(v):
-            return
         orig = self.p.original
         pv = orig[v]
         moves = self.bank["move"]
-        g_v_at = [heap.get(v) for heap in moves]  # None only at pv
         g_u_of = moves[pv].gain_of
-        corr_v = self.pair_corr.setdefault(v, {})
+        pair_corr = self.pair_corr
+        corr_v = pair_corr.setdefault(v, {})
         prep = None
-        best_g = None
-        best_u = -1
-        for u in self._neighbor_tuple(v):
+        for u in candidates:
             pu = orig[u]
             if pu == pv:
                 continue
@@ -414,13 +479,12 @@ class RefineState:
                 if prep is None:
                     prep = self._exchange_prep(v)
                 corr = corr_v[u] = self._pair_corr(v, u, prep)
-            g = g_v_at[pu] + g_u_of(u) + corr
-            if best_g is None or g > best_g:
+                pair_corr.setdefault(u, {})[v] = corr
+            g = moves[pu].gain_of(v) + g_u_of(u) + corr
+            if best_g is None or g > best_g or (g == best_g and u < best_u):
                 best_g = g
                 best_u = u
-        if best_g is not None:
-            self.ex_heap.push(v, best_g)
-            self.ex_partner[v] = best_u
+        return best_g, best_u
 
     def _exchange_prep(self, v: int) -> dict[int, tuple]:
         """Per incident edge of v: drain-host counts with v's own
@@ -516,38 +580,53 @@ class RefineState:
         )
 
     def peek_best(self) -> tuple[str, int, int, int] | None:
-        """Best acceptable entry as (kind, vertex, dest, gain), or None.
+        """Best acceptable entry that fits its destination's resources, as
+        (kind, vertex, dest, gain), or None.
 
         Ties: higher gain, then delete > move > exchange > replicate,
-        then lower vertex id, then lower destination id.
+        then lower vertex id, then lower destination id.  An acceptable
+        heap top that does not fit is shelved: it leaves heap order but
+        stays live, and `try_apply` puts it back once the room it lacked
+        can have grown (for move and replicate, when usage on its FPGA
+        falls; for exchange, at the next commit).  So the result is the
+        entry the loop would reach by popping and rejecting every better
+        acceptable one that does not fit.
         """
-        best_key = None
-        best = None
+        orig = self.p.original
 
-        def consider(kind: str, dest: int, top: tuple[int, int] | None) -> None:
-            nonlocal best_key, best
-            if top is None:
-                return
-            gain, v = top
-            if not self._acceptable(kind, gain):
-                return
-            key = (-gain, KIND_RANK[kind], v, dest)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (kind, v, dest, gain)
+        def top(kind: str, f: int, heap: AddressableMaxHeap):
+            entry = heap.peek()
+            if entry is None or not self._acceptable(kind, entry[0]):
+                return None
+            gain, v = entry
+            dest = orig[self.ex_partner[v]] if kind == "exchange" else f
+            return (-gain, KIND_RANK[kind], v, dest), kind, f, heap
 
         capped = (
             self.max_replicas is not None
             and self.replicates_applied >= self.max_replicas
         )
-        for kind, heaps in self.bank.items():
-            if kind in self.enabled and not (capped and kind == "replicate"):
-                for f, heap in enumerate(heaps):
-                    consider(kind, f, heap.peek())
-        top = self.ex_heap.peek()
-        if top is not None:
-            consider("exchange", self.p.original[self.ex_partner[top[1]]], top)
-        return best
+        offered = [
+            (kind, f, heap)
+            for kind, heaps in self.bank.items()
+            if kind in self.enabled and not (capped and kind == "replicate")
+            for f, heap in enumerate(heaps)
+        ]
+        offered.append(("exchange", -1, self.ex_heap))
+        tops = [t for t in (top(*o) for o in offered) if t is not None]
+        while tops:
+            i = min(range(len(tops)), key=tops.__getitem__)
+            key, kind, f, heap = tops[i]
+            gain, v, dest = -key[0], key[2], key[3]
+            if self._fits(self._resource_deltas(self._op_change(kind, v, dest))):
+                return kind, v, dest, gain
+            heap.shelve()
+            nxt = top(kind, f, heap)
+            if nxt is None:
+                del tops[i]
+            else:
+                tops[i] = nxt
+        return None
 
     def _heap(self, kind: str, dest: int) -> AddressableMaxHeap:
         """The heap holding the entries of `kind` with destination `dest`."""
@@ -576,6 +655,37 @@ class RefineState:
             u = self.ex_partner[v]
             yield Op("exchange", v, orig[u], u, orig[v], gain=g)
 
+    def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
+        """`_change` of a bank entry; an exchange takes its stored partner."""
+        partner = self.ex_partner.get(v) if kind == "exchange" else None
+        return _change(self.p, kind, v, dest, partner)
+
+    def _resource_deltas(self, change: dict[int, frozenset]) -> dict[int, list[int]]:
+        """Net per-FPGA resource deltas of a host-set change."""
+        deltas: dict[int, list[int]] = {}
+        for tv, new_hosts in change.items():
+            old_hosts = self.p.hosts(tv)
+            wv = self.weights[tv]
+            for f in new_hosts - old_hosts:
+                row = deltas.setdefault(f, [0] * self.krt)
+                for i in range(self.krt):
+                    row[i] += wv[i]
+            for f in old_hosts - new_hosts:
+                row = deltas.setdefault(f, [0] * self.krt)
+                for i in range(self.krt):
+                    row[i] -= wv[i]
+        return deltas
+
+    def _fits(self, deltas: dict[int, list[int]]) -> bool:
+        """Whether every FPGA has room for its positive deltas."""
+        for f, dv in deltas.items():
+            row = self.usage[f]
+            cap = self.caps[f]
+            for i in range(self.krt):
+                if dv[i] > 0 and row[i] + dv[i] > cap[i]:
+                    return False
+        return True
+
     def try_apply(self, kind: str, v: int, dest: int) -> Op | None:
         """Constraint-check and apply one operation; None if infeasible.
 
@@ -586,30 +696,12 @@ class RefineState:
         """
         h = self.h
         p = self.p
-        partner = self.ex_partner.get(v) if kind == "exchange" else None
-        change = _change(p, kind, v, dest, partner)
+        change = self._op_change(kind, v, dest)
         if change is None:
             return None
-
-        # net per-FPGA resource deltas from the host-set changes
-        deltas: dict[int, list[int]] = {}
-        for tv, new_hosts in change.items():
-            old_hosts = p.hosts(tv)
-            wv = self.weights[tv]
-            for f in new_hosts - old_hosts:
-                row = deltas.setdefault(f, [0] * self.krt)
-                for i in range(self.krt):
-                    row[i] += wv[i]
-            for f in old_hosts - new_hosts:
-                row = deltas.setdefault(f, [0] * self.krt)
-                for i in range(self.krt):
-                    row[i] -= wv[i]
-        for f, dv in deltas.items():
-            row = self.usage[f]
-            cap = self.caps[f]
-            for i in range(self.krt):
-                if dv[i] > 0 and row[i] + dv[i] > cap[i]:
-                    return None
+        deltas = self._resource_deltas(change)
+        if not self._fits(deltas):
+            return None
 
         # every changed edge's units, worst hop and I/O from its new
         # source hosts and drain counts, through the nearest-copy rows
@@ -638,6 +730,8 @@ class RefineState:
                     return None
 
         # commit
+        dirty = self._dirty(change, after)
+        partner = self.ex_partner.get(v) if kind == "exchange" else None
         partner_dest = None if partner is None else p.original[v]
         op = Op(kind, v, dest, partner, partner_dest, gain)
         apply_op(p, op)
@@ -648,6 +742,10 @@ class RefineState:
             row = self.usage[f]
             for i in range(self.krt):
                 row[i] += dv[i]
+            if min(dv) < 0:  # room on f grew: shelved entries may fit now
+                for heaps in self.bank.values():
+                    heaps[f].unshelve()
+        self.ex_heap.unshelve()
         for f, d in io_delta.items():
             self.io[f] += d
         self.thd -= gain
@@ -668,57 +766,93 @@ class RefineState:
                     for b in members:
                         cache.pop(b, None)
         self._unpark()
-        self._refresh_after(list(change))
+        self._refresh_after(dirty, after)
         return op
+
+    def _dirty(self, change: dict[int, frozenset], after: dict) -> set[int]:
+        """The vertices whose move/replicate/delete entries a commit of
+        `change` can alter, read from the changed nets' drain counts
+        before (installed) and after (`after`) it.
+
+        Those entries read, per incident edge, only the source's hosts
+        and, of the drain counts, what the vertex's own copies do not
+        account for: for the source the covered FPGAs, for a drain d the
+        FPGAs that other drains cover, {f : cnt[f] - [f in hosts(d)] > 0}.
+        So beside the touched vertices the dirty ones are every drain of
+        a net whose source was touched, the source of a net whose covered
+        set changed, and a drain for which some count crossed 0|1 at an
+        FPGA it does not host or 1|2 at one it does.
+        """
+        h = self.h
+        p = self.p
+        dirty = set(change)
+        for e, (_, new) in after.items():
+            edge = h.edges[e]
+            if edge.source in change:
+                dirty.update(edge.drains)
+                continue
+            old = self.edge_drain_cnt[e]
+            if old.keys() != new.keys():
+                dirty.add(edge.source)
+            outside = []  # 0|1 crossings: reach drains not hosting f
+            inside = []  # 1|2 crossings: reach drains hosting f
+            for f in old.keys() | new.keys():
+                a, b = old.get(f, 0), new.get(f, 0)
+                if (a == 0) != (b == 0):
+                    outside.append(f)
+                if (a > 1) != (b > 1):
+                    inside.append(f)
+            if not outside and not inside:
+                continue
+            for d in edge.drains:
+                if d in dirty:
+                    continue
+                od, rd = p.original[d], p.replicas[d]
+                if any(f != od and f not in rd for f in outside) or any(
+                    f == od or f in rd for f in inside
+                ):
+                    dirty.add(d)
+        return dirty
 
     def _unpark(self) -> None:
         """Re-offer parked entries before the refresh rebuilds exchange
-        gains, so those read exact move entries instead of falling back to
-        the joint evaluation.  Every re-offered entry whose gain the op
-        could have changed is one the refresh rebuilds, replacing it; the
-        rest are still exact."""
+        gains, so those read exact move entries.  Every re-offered entry
+        whose gain the op could have changed is one the refresh rebuilds
+        or re-scores; the rest are still exact."""
         for kind, v, dest, gain in self.parked:
             self._heap(kind, dest).push(v, gain)
         self.parked = []
 
-    def _refresh_after(self, touched: list[int]) -> None:
+    def _refresh_after(self, dirty: set[int], after: dict) -> None:
+        h = self.h
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self.pair_corr.clear()
-            for v in range(self.h.num_vertices):
+            for v in range(h.num_vertices):
                 self._rebuild_mrd(v)
-            for v in range(self.h.num_vertices):
+            for v in range(h.num_vertices):
                 self._rebuild_exchange(v)
             return
-        # moves/replicates/deletes change only for net-sharing neighbors of
-        # the touched vertices; exchange pairings reach one net further
-        a1: set[int] = set(touched)
-        for tv in touched:
-            for e in self.h.incidence[tv]:
-                a1.update(self.h.edges[e].members)
-        a2: set[int] = set(a1)
-        for v in a1:
-            for e in self.h.incidence[v]:
-                a2.update(self.h.edges[e].members)
-        for v in sorted(a1):
+        for v in sorted(dirty):
             self._rebuild_mrd(v)
-        p = self.p
-        for v in sorted(a2):
-            if v in a1:
-                self._rebuild_exchange(v)
-                continue
-            # a pair gain involving v went stale only if its stored partner
-            # or some current exchange candidate lies in the one-hop set
-            stored = self.ex_partner.get(v)
-            need = stored is not None and stored in a1
-            if not need:
-                pv = p.original[v]
-                for m in self._neighbor_tuple(v):
-                    if m in a1 and p.original[m] != pv:
-                        need = True
-                        break
-            if need:
-                self._rebuild_exchange(v)
+        if "exchange" not in self.enabled:
+            return
+        # a pair gain g_v(pu) + g_u(pv) + corr(v, u) of a clean v changed
+        # only if u is dirty or the pair's corr was dropped
+        changed: dict[int, set[int]] = {}
+        for d in dirty:
+            for v in self._neighbor_tuple(d):
+                if v not in dirty:
+                    changed.setdefault(v, set()).add(d)
+        for e in after:
+            members = h.edges[e].members
+            for v in members:
+                if v not in dirty:
+                    changed.setdefault(v, set()).update(members)
+        for v in sorted(dirty):
+            self._rebuild_exchange(v)
+        for v in sorted(changed):
+            self._patch_exchange(v, changed[v])
 
 
 def _past(deadline: float | None) -> bool:

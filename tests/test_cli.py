@@ -1,9 +1,21 @@
 import csv
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mfspart.cli import main
-from mfspart.io import parse_hypergraph, parse_solution, parse_topology
+from mfspart.io import (
+    gen_instance,
+    parse_hypergraph,
+    parse_solution,
+    parse_topology,
+    write_hypergraph,
+    write_topology,
+)
 from mfspart.metrics import validate
 
 
@@ -149,3 +161,47 @@ def test_partition_budget_exhausted_exit_code(tmp_path):
     assert run(["partition", tmp_path / "h.hg", tmp_path / "t.topo",
                 "-o", tmp_path / "x.sol", "--assign-max-nodes", 1,
                 "--seeds", 1]) == 4
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfspart", "--help"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mfspart")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+# sha256 of the solution and report files that `partition` wrote for these
+# instances before refinement skipped the work an op does not change; the
+# lean case refines on several coarse levels, the other runs default flags
+PINNED_PARTITIONS = [
+    ("lean-600", (3000, 600, 720, 8, 2), ["--seeds", "1", "--assign-max-nodes", "2000"],
+     "dec04b2716629a12fa08cf3fa4ba1578b362ba8eea1a865dcd19f627f2e36535",
+     "06ad8755eb58e7c406ced8ec767623eb6efc9b7721bdba905e0311108e3d1fa3"),
+    ("default-150", (7, 150, 180, 8, 2), [],
+     "1792ca5cbb4d846d402d32f177eecb6ed69e2e4578edbec8ed27e4bf4021ee58",
+     "88b77a7e60e817fc048b0d4f4510b7829510acd1331ffd86934438bb49947ed8"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen_args, flags, sol_sha, report_sha",
+    [case[1:] for case in PINNED_PARTITIONS],
+    ids=[case[0] for case in PINNED_PARTITIONS],
+)
+def test_pinned_partition_bytes(tmp_path, gen_args, flags, sol_sha, report_sha):
+    b = gen_instance(*gen_args, spare=0.4)
+    hg, topo = tmp_path / "inst.hg", tmp_path / "inst.topo"
+    hg.write_text(write_hypergraph(b.hypergraph))
+    topo.write_text(write_topology(b.topology))
+    sol, rep = tmp_path / "out.sol", tmp_path / "out.report"
+    assert run(["partition", hg, topo, "-o", sol, "--report", rep, *flags]) == 0
+    assert hashlib.sha256(sol.read_bytes()).hexdigest() == sol_sha
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == report_sha

@@ -10,6 +10,7 @@ from mfspart.metrics import net_hop_distance, report, total_hop_distance, valida
 from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import best_single_replication, full_gain_recompute
 from mfspart.refine import (
+    KIND_RANK,
     Op,
     RefineState,
     apply_op,
@@ -785,3 +786,154 @@ def test_exchange_only_bank_exact_after_each_op():
         run_refine_loop(state, observer=check)
         assert state.applied and all(op.kind == "exchange" for op in state.applied)
     assert seen >= 10
+
+
+# -- selection and the transition-driven refresh -----------------------------
+
+
+def _reference_loop(state):
+    """Selection as the loop made it before entries that do not fit were
+    shelved: the best acceptable entry of `entries()` goes to `try_apply`,
+    and a rejected entry is passed over until the next commit."""
+    excluded = set()
+    rejected = 0
+    while True:
+        capped = (state.max_replicas is not None
+                  and state.replicates_applied >= state.max_replicas)
+        offered = [
+            op for op in state.entries()
+            if state._acceptable(op.kind, op.gain)
+            and not (capped and op.kind == "replicate")
+            and op not in excluded
+        ]
+        if not offered:
+            return rejected
+        op = min(offered, key=lambda o: (-o.gain, KIND_RANK[o.kind], o.v, o.dest))
+        if state.try_apply(op.kind, op.v, op.dest) is None:
+            excluded.add(op)
+            rejected += 1
+        else:
+            excluded.clear()
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["tight", "shaken-bounded"])
+def test_loop_applies_what_reference_selection_applies(bounded):
+    """The loop, which shelves entries that do not fit and tries only the
+    rest, applies the same ops as popping and rejecting in key order; the
+    reference state rebuilds its bank from scratch after every commit."""
+    cases = rejected = attempts = applied = 0
+    for seed in range(12 if bounded else 6):
+        args = shaken_bounded_state(seed) if bounded else tight_state(seed, n=20, m=36)
+        if args is None:
+            continue
+        cases += 1
+        reference = RefineState(*args, incremental=False)
+        rejected += _reference_loop(reference)
+        state = RefineState(*args)
+        tried = state.try_apply
+
+        def counted(kind, v, dest):
+            nonlocal attempts
+            attempts += 1
+            return tried(kind, v, dest)
+
+        def check(op, pl, thd):
+            assert not state.parked
+
+        state.try_apply = counted
+        run_refine_loop(state, observer=check)
+        assert state.applied == reference.applied, f"seed {seed}"
+        applied += len(state.applied)
+    assert cases >= 4 and applied >= 20
+    assert rejected >= 20  # the reference does meet entries that do not fit
+    if not bounded:
+        # without I/O or hop limits every entry the loop tries fits
+        assert attempts == applied
+
+
+def _drain_cnt_change(state, e, kind, v, dest):
+    before = dict(state.edge_drain_cnt[e])
+    assert state.try_apply(kind, v, dest) is not None
+    assert bank_snapshot(state) == fresh_bank(state)
+    return before, state.edge_drain_cnt[e]
+
+
+def test_refresh_drain_whose_own_copy_takes_a_count_from_2_to_1():
+    # drains 1 and 2 share FPGA 2; 2 leaves for FPGA 1, where drain 3 sits.
+    # No count crosses 0|1, and only drain 1's own copy keeps FPGA 2 covered
+    # now, so its move gains change
+    h = Hypergraph.build([[1]] * 4, [(2, 0, [1, 2, 3])])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2, 1]))
+    before = state.bank["move"][1].get(1)
+    cnt = _drain_cnt_change(state, 0, "move", 2, 1)
+    assert cnt == ({2: 2, 1: 1}, {2: 1, 1: 2})
+    assert state.bank["move"][1].get(1) != before
+
+
+def test_refresh_net_whose_source_moves():
+    # the drain counts stay as they were; only the source's hosts change
+    h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2]), (1, 2, [0])])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2]))
+    before = state.bank["move"][1].get(1)
+    cnt = _drain_cnt_change(state, 0, "move", 0, 1)
+    assert cnt == ({2: 2}, {2: 2})
+    assert state.bank["move"][1].get(1) != before
+
+
+def test_refresh_count_from_0_to_1_where_the_source_has_a_replica():
+    # drain 1 moves onto FPGA 2, where the source keeps a replica: the
+    # replica now serves it, so the source's delete gain there changes
+    h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2])])
+    t = path_topology(3)
+    p = Placement([0, 1, 0], [{2}, set(), set()])
+    state = RefineState(h, t, compute_hop_matrix(t), p)
+    before = state.bank["delete"][2].get(0)
+    cnt = _drain_cnt_change(state, 0, "move", 1, 2)
+    assert cnt == ({1: 1, 0: 1}, {2: 1, 0: 1})
+    assert state.bank["delete"][2].get(0) != before
+
+
+def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
+    # drain 1 on FPGA 0 pairs best with drain 2 on FPGA 1 (a tie with drain
+    # 4, broken by id).  Drain 2 then moves onto FPGA 0: no count that
+    # drain 1 reads crosses, so only its exchange entry needs a new partner
+    h = Hypergraph.build([[1]] * 5, [(1, 0, [1, 2, 3, 4])])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 0, 1, 0, 1]))
+    assert state.ex_partner[1] == 2
+    cnt = _drain_cnt_change(state, 0, "move", 2, 0)
+    assert cnt == ({0: 2, 1: 2}, {0: 3, 1: 1})
+    assert state.ex_partner[1] == 4
+
+
+def test_pair_corrections_cached_symmetrically_and_exact(monkeypatch):
+    # corr(v, u) == corr(u, v): a bank build computes each pair once, and
+    # every cached value, in both orders, matches a fresh computation
+    computed = []
+    pair_corr = RefineState._pair_corr
+
+    def counting(self, v, u, prep):
+        computed.append(frozenset((v, u)))
+        return pair_corr(self, v, u, prep)
+
+    monkeypatch.setattr(RefineState, "_pair_corr", counting)
+    checked = 0
+    for seed in range(4):
+        h, t, hm, p = tight_state(seed, n=20, m=36)
+        computed.clear()
+        state = RefineState(h, t, hm, p)
+        assert computed and len(computed) == len(set(computed))
+
+        def check(op, pl, thd):
+            nonlocal checked
+            for v, cache in state.pair_corr.items():
+                prep = state._exchange_prep(v)
+                for u, corr in cache.items():
+                    assert state.pair_corr[u][v] == corr
+                    assert corr == pair_corr(state, v, u, prep)
+                    checked += 1
+
+        run_refine_loop(state, observer=check)
+    assert checked >= 100
