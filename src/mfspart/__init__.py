@@ -17,6 +17,15 @@ from .coarsen import CoarseningConfig, Level, alpha_at_level, build_hierarchy, c
 from .assign import AssignResult, HeatScores, SearchBudget, compute_heats, dfs_assign, fpga_heat, node_heat, parallel_assign
 from .refine import Op, RefineState, gain_delete, gain_exchange, gain_move, gain_replicate, incremental_vs_full_check, project_to_finer, refine_level
 from .oracle import best_single_replication, exhaustive_partition, full_gain_recompute
-from .cli import run_pipeline
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # `run_pipeline` lives in `.cli`, which is imported only when asked
+    # for, so that `python -m mfspart.cli` does not find it imported already
+    if name == "run_pipeline":
+        from .cli import run_pipeline
+
+        return run_pipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,6 +37,15 @@ class AddressableMaxHeap:
         self._live[item] = gain
         heapq.heappush(self._heap, (-gain, item))
 
+    def update(self, item: int, gain: int | None) -> None:
+        """Set an item's gain, or remove it when `gain` is None.  An entry
+        whose gain is unchanged is left in place, shelved or not."""
+        if gain is None:
+            self._live.pop(item, None)
+        elif self._live.get(item) != gain:
+            self._live[item] = gain
+            heapq.heappush(self._heap, (-gain, item))
+
     def remove(self, item: int) -> None:
         self._live.pop(item, None)
 

@@ -153,7 +153,9 @@ def _load_instance(args) -> tuple[Hypergraph, MfsTopology]:
     return h, t
 
 
-def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(sp: argparse.ArgumentParser, ops: bool = True) -> None:
+    """The flags of `run_pipeline`; `ops=False` leaves out `--ops`, for a
+    command that chooses the ops itself."""
     sp.add_argument("--seed", type=int, default=1, help="master seed (all RNG derives from it)")
     sp.add_argument("--alpha0", type=float, default=0.5)
     sp.add_argument("--dalpha", type=float, default=3.0)
@@ -165,13 +167,14 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--stall-delta", type=float, default=0.02)
     sp.add_argument("--rho", type=float, default=0.3)
     sp.add_argument("--assign-variant", choices=("nodes", "fpgas"), default="nodes")
-    sp.add_argument("--ops", default="mv,ex,rep,del", help="refinement ops subset, or 'none'")
+    if ops:
+        sp.add_argument("--ops", default="mv,ex,rep,del", help="refinement ops subset, or 'none'")
     sp.add_argument("--max-replicas", type=int, default=None, help="cap on replicates per level")
     sp.add_argument("--allow-zero-gain", action="store_true")
     sp.add_argument("--time-limit", type=float, default=None, help="seconds; may break reproducibility")
 
 
-def _pipeline_kwargs(args) -> dict:
+def _pipeline_kwargs(args, ops: tuple[str, ...]) -> dict:
     return dict(
         seed=args.seed,
         alpha0=args.alpha0,
@@ -184,7 +187,7 @@ def _pipeline_kwargs(args) -> dict:
         stall_delta=args.stall_delta,
         rho=args.rho,
         assign_variant=args.assign_variant,
-        ops=parse_ops(args.ops),
+        ops=ops,
         max_replicas=args.max_replicas,
         allow_zero_gain=args.allow_zero_gain,
         time_limit=args.time_limit,
@@ -200,7 +203,7 @@ def cmd_partition(args) -> int:
     if h.num_vertices == 0:
         print("error: hypergraph has no vertices to partition", file=sys.stderr)
         return EXIT_PARSE
-    result = run_pipeline(h, t, **_pipeline_kwargs(args))
+    result = run_pipeline(h, t, **_pipeline_kwargs(args, parse_ops(args.ops)))
     if result.placement is None:
         if result.status == "infeasible":
             print("no solution: assignment search space exhausted", file=sys.stderr)
@@ -308,15 +311,7 @@ def cmd_bench(args) -> int:
         for arm in arms:
             t0 = time.monotonic()
             res = run_pipeline(
-                bundle.hypergraph,
-                bundle.topology,
-                seed=args.seed,
-                ops=parse_ops(arm),
-                n_seeds=args.seeds,
-                assign_budget=args.assign_budget,
-                assign_max_nodes=args.assign_max_nodes,
-                alpha0=args.alpha0,
-                dalpha=args.dalpha,
+                bundle.hypergraph, bundle.topology, **_pipeline_kwargs(args, parse_ops(arm))
             )
             dt = time.monotonic() - t0
             if res.placement is None:
@@ -417,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="-")
     sp.add_argument("--arms", default="none;mv,ex;mv,ex,rep,del")
     sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--vertices", type=int, default=200)
     sp.add_argument("--edges", type=int, default=400)
     sp.add_argument("--fpgas", type=int, default=4)
@@ -425,12 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spare", type=float, default=0.3)
     sp.add_argument("--hub-fraction", type=float, default=0.15)
     sp.add_argument("--hub-fanout", type=int, default=12)
-    sp.add_argument("--seeds", type=int, default=2)
-    sp.add_argument("--assign-budget", type=int, default=16)
-    sp.add_argument("--assign-max-nodes", type=int, default=20_000)
-    sp.add_argument("--alpha0", type=float, default=0.5)
-    sp.add_argument("--dalpha", type=float, default=3.0)
-    sp.set_defaults(func=cmd_bench)
+    # --seed also seeds the generated suite; --arms chooses the ops
+    _add_pipeline_flags(sp, ops=False)
+    sp.set_defaults(func=cmd_bench, seeds=2, assign_budget=16, assign_max_nodes=20_000)
     return ap
 
 

@@ -1,13 +1,13 @@
 """Refinement: move, exchange, replicate, and delete driven by gain heaps.
 
 The bank is one table, `bank[kind][f]`: a heap per destination FPGA for
-each of move, replicate and delete.  Exchange entries sit in one heap
-keyed by vertex, with the best partner alongside.  The loop applies the
-globally best operation whose gain passes its acceptance rule (delete runs
-at zero gain to free resources, everything else needs strictly positive
-gain) and that fits its destination's resources, re-checks the I/O and
-hop bounds at application time, and then refreshes only the entries the
-operation can have changed.
+each enabled kind of move, replicate and delete.  Exchange entries sit in
+one heap keyed by vertex, with the best partner alongside.  The loop
+applies the globally best operation whose gain passes its acceptance rule
+(delete runs at zero gain to free resources, everything else needs
+strictly positive gain) and that fits its destination's resources,
+re-checks the I/O and hop bounds at application time, and then refreshes
+only the entries the operation can have changed.
 
 A prospective operation is a map {vertex: frozenset of its new hosts},
 built by `_change`, which holds each kind's precondition.  The state
@@ -27,23 +27,30 @@ FPGAs changed, and a drain for which the FPGAs other drains cover changed
 (a count crossing 0|1 at an FPGA it does not host, or 1|2 at one it
 does); see `_dirty`.
 
-An exchange gain is the two endpoints' move gains plus a shared-edge
-correction, so move entries are banked whenever exchange is enabled, even
-when moves themselves are not offered.  The correction is symmetric and
-cached under both orders of each vertex pair; on each commit it is dropped
-for every pair of members of an edge with a touched member, which is
-exactly the set of pairs whose correction can change.  The rebuilt
-vertices get a full best-partner scan; any other vertex re-scores only the
-partners that were rebuilt or whose correction was dropped, against its
-stored best, and rescans only when that stored partner is among them.
+A rebuilt vertex's entries come in closed form from per-FPGA terms of its
+incident edges (see `_rebuild_mrd`), and an entry is pushed only when its
+gain changed.  Its move gains are also kept as one row per vertex,
+`move_row`, which is None exactly for a vertex without entries.
+
+An exchange gain is the two endpoints' move gains, read from their rows,
+plus a correction over the nets they share: corr(v, u) is a sum of one
+term per shared net (`_corr_term`), symmetric, and cached under both
+orders of the pair once first needed.  The cache is kept by per-net
+deltas, as an FM gain table is: a commit subtracts each changed net's old
+term from every cached pair of its members whose term it can alter and
+adds the new one, so no correction is ever rebuilt.  The vertices whose
+move row changed get a full best-partner scan; any other vertex re-scores
+only the partners whose pair gain changed (through that partner's row, or
+through the pair's correction) against its stored best, and rescans only
+when that stored partner is among them.
 
 Selection shelves an acceptable heap top that does not fit its
 destination's free resources: it leaves heap order but stays live, so
 the bank still holds every entry, and it returns once usage on that FPGA
 falls (exchange entries: at the next commit).  `try_apply` therefore
 sees only entries that fit; one it rejects on I/O or hop grounds is parked
-and re-offered by the next commit, before its refresh, so that exchange
-rebuilds always find exact move entries to decompose against.
+and re-offered by the next commit, before its refresh, which reads the
+stored exchange gains.
 """
 
 from __future__ import annotations
@@ -282,33 +289,51 @@ class RefineState:
             for f, amt in contrib.items():
                 self.io[f] += amt
 
-        # bank[kind][f] holds the kind's entries with destination f; moves
-        # are banked whenever exchange is enabled, since exchange gains are
-        # built from them, but only enabled kinds are offered.  Exchange
-        # entries are per vertex, with the best partner in ex_partner.
+        # nearest-copy hop row of every vertex's host set; the nets each
+        # vertex sources, as (e, weight), and drains, as (e, weight,
+        # source); and per drain FPGA g and cap c, the hops min(c,
+        # dist[f][g]) over f, filled as asked for
+        self.host_hop = [hm.nearest(self.p.hosts(v))[0] for v in range(h.num_vertices)]
+        self.sourced: list[list[tuple[int, int]]] = [[] for _ in h.vertices]
+        self.drained: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
+        for e in h.edges:
+            self.sourced[e.source].append((e.id, e.weight))
+            for d in e.drains:
+                self.drained[d].append((e.id, e.weight, e.source))
+        self._capped: list[dict] = [{None: col} for col in zip(*hm.dist)]
+
+        # bank[kind][f] holds the enabled kind's entries with destination f.
+        # Exchange entries are per vertex, with the best partner in
+        # ex_partner; they are built from move_row[v], v's move gain to
+        # every FPGA (None at its own), which is None exactly when v has no
+        # entries.
         self.bank = {
             kind: [AddressableMaxHeap() for _ in range(self.kf)]
             for kind in FPGA_KINDS
-            if kind in self.enabled or (kind == "move" and "exchange" in self.enabled)
+            if kind in self.enabled
         }
+        self.move_row: list[list | None] = [None] * h.num_vertices
         self.ex_heap = AddressableMaxHeap()
         self.ex_partner: dict[int, int] = {}
-        # corr(v, u) of `_rebuild_exchange`, keyed pair_corr[v][u]
+        # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
         self.pair_corr: dict[int, dict[int, int]] = {}
         # entries run_refine_loop popped and try_apply rejected, as
         # (kind, v, dest, gain); re-offered on the next commit.  A parked
-        # exchange keeps its partner in ex_partner, which only a rebuild
-        # of v changes, and rebuilds run after the re-offer.
+        # exchange keeps its partner in ex_partner, which only the refresh
+        # changes, and the refresh runs after the re-offer.
         self.parked: list[tuple[str, int, int, int]] = []
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
-        self._neighbors: dict[int, tuple[int, ...]] = {}  # lazy, static
+        self._neighbors: dict[int, dict[int, tuple[int, ...]]] = {}  # lazy, static
 
-        # moves first: exchange entries read move gains from the bank.
-        # Past `deadline` the build stops and the bank stays partial; the
-        # loop, which checks the same deadline, then applies nothing.
-        for rebuild in (self._rebuild_mrd, self._rebuild_exchange):
+        # moves first: exchange entries read the move rows.  Past
+        # `deadline` the build stops and the bank stays partial; the loop,
+        # which checks the same deadline, then applies nothing.
+        rebuilds = [self._rebuild_mrd]
+        if "exchange" in self.enabled:
+            rebuilds.append(self._rebuild_exchange)
+        for rebuild in rebuilds:
             for v in range(h.num_vertices):
                 if _past(deadline):
                     return
@@ -317,112 +342,144 @@ class RefineState:
     # -- gain bookkeeping -------------------------------------------------
 
     def _is_boundary(self, v: int) -> bool:
-        if self.p.replicas[v]:
+        """Whether v has a replica or a net that is not wholly on its
+        source's FPGA: a vertex without one has no entries."""
+        reps = self.p.replicas
+        if reps[v]:
             return True
-        p = self.p
-        for e in self.h.incidence[v]:
-            edge = self.h.edges[e]
-            if p.replicas[edge.source]:
+        orig = self.p.original
+        cnts = self.edge_drain_cnt
+        o = orig[v]
+        for e, _ in self.sourced[v]:
+            cnt = cnts[e]
+            if len(cnt) > 1 or o not in cnt:
                 return True
-            cnt = self.edge_drain_cnt[e]
-            if len(cnt) >= 2:
-                return True
-            if cnt and next(iter(cnt)) != p.original[edge.source]:
+        for e, _, s in self.drained[v]:
+            if reps[s] or orig[s] != o or len(cnts[e]) > 1:
                 return True
         return False
 
-    def _neighbor_tuple(self, v: int) -> tuple[int, ...]:
+    def _shared(self, v: int) -> dict[int, tuple[int, ...]]:
+        """v's neighbours, each with the nets it shares with v."""
         cached = self._neighbors.get(v)
         if cached is None:
-            out: set[int] = set()
+            acc: dict[int, list[int]] = {}
             for e in self.h.incidence[v]:
-                out.update(self.h.edges[e].members)
-            out.discard(v)
-            cached = tuple(sorted(out))
-            self._neighbors[v] = cached
+                for u in self.h.edges[e].members:
+                    if u != v:
+                        acc.setdefault(u, []).append(e)
+            cached = self._neighbors[v] = {u: tuple(es) for u, es in acc.items()}
         return cached
+
+    def _capped_col(self, g: int, cap: int | None) -> tuple[int, ...]:
+        """Per FPGA f, min(cap, dist[f][g]): the hop to g from the nearer of
+        f and a host set `cap` hops away from g (None: from f alone)."""
+        cols = self._capped[g]
+        col = cols.get(cap)
+        if col is None:
+            col = cols[cap] = tuple(x if x < cap else cap for x in cols[None])
+        return col
 
     def _rebuild_mrd(self, v: int) -> None:
         """Refresh the move/replicate/delete entries of one vertex.
 
         Every candidate changes only v's host set H, so the weighted cost
-        of v's incident edges is collected once into per-FPGA terms: an
-        edge sourced at v costs its weight times the nearest-copy row of H
-        over its drain hosts, and an edge draining at v costs what its
-        other drains cost plus, per f in H that no other drain covers, its
-        weight times the source's row at f.  Drain edges are visited only
-        at the FPGAs they cover; their rows are summed once per distinct
-        source host set.
+        of v's incident edges is collected once into per-FPGA terms.  An
+        edge draining at v costs what its other drains cost plus, per f in
+        H that no other drain covers, its weight times the source's row at
+        f: copy_cost[f].  Drain edges are visited only at the FPGAs they
+        cover, and their rows are summed once per distinct source row.  An
+        edge sourced at v costs its weight times the row of H at every
+        FPGA its drains cover: src_w.  A candidate's gain is then a closed
+        form: the copy costs of the copies it drops less those of the
+        copies it adds, plus the fall of the src_w sum.  Adding a copy on
+        f caps each FPGA's hop at f's, so that sum for R + {f} (move) and
+        H + {f} (replicate) is a capped-column sum per drain FPGA, with the
+        replicas' row R or v's own row H as the cap; a delete reads the
+        row of H less the replica.  An entry is pushed only when its gain
+        changed, so an unchanged one keeps its place, shelved or not.
         """
         p = self.p
-        for heaps in self.bank.values():
-            for heap in heaps:
-                heap.remove(v)
+        bank = self.bank
         if not self._is_boundary(v):
+            if self.move_row[v] is not None:  # v had entries
+                for heaps in bank.values():
+                    for heap in heaps:
+                        heap.remove(v)
+                self.move_row[v] = None
             return
-        h = self.h
-        kf = self.kf
-        nearest = self.hm.nearest
+        host_hop = self.host_hop
+        cnts = self.edge_drain_cnt
+        o = p.original[v]
+        reps = p.replicas[v]
         v_hosts = p.hosts(v)
 
-        base_cost = 0  # current weighted units over I(v)
-        fixed = 0  # cost of the edges draining at v, without v's copies
         src_w: dict[int, int] = {}  # weight of edges sourced at v draining on f
-        by_src: dict = {}  # weight of edges draining at v, per source host set
-        rows: dict = {}  # nearest-copy row per source host set
-        covered = [0] * kf  # weighted hops at FPGAs other drains cover
-        for e in h.incidence[v]:
-            edge = h.edges[e]
-            w = edge.weight
-            base_cost += w * self.edge_units[e]
-            cnt = self.edge_drain_cnt[e]
-            s = edge.source
-            if s == v:
-                for f in cnt:
-                    src_w[f] = src_w.get(f, 0) + w
-                continue
-            reps = p.replicas[s]
-            key = frozenset(reps | {p.original[s]}) if reps else p.original[s]
-            by_src[key] = by_src.get(key, 0) + w
-            hop = rows.get(key)
-            if hop is None:
-                hop = rows[key] = nearest(key if reps else (key,))[0]
-            for f, c in cnt.items():
+        for e, w in self.sourced[v]:
+            for f in cnts[e]:
+                src_w[f] = src_w.get(f, 0) + w
+        by_row: dict[tuple, int] = {}  # weight of edges draining at v, per source row
+        covered = [0] * self.kf  # weighted hops at FPGAs other drains cover
+        for e, w, s in self.drained[v]:
+            hop = host_hop[s]
+            by_row[hop] = by_row.get(hop, 0) + w
+            for f, c in cnts[e].items():
                 if c > (1 if f in v_hosts else 0):
-                    wh = w * hop[f]
-                    fixed += wh
-                    covered[f] += wh
+                    covered[f] += w * hop[f]
         copy_cost = [-c for c in covered]  # cost of a copy of v on f, as a drain
-        for key, w in by_src.items():
-            hop = rows[key]
-            for f in range(kf):
-                copy_cost[f] += w * hop[f]
+        for hop, w in by_row.items():
+            copy_cost = [c + w * x for c, x in zip(copy_cost, hop)]
 
-        def gain(hosts: frozenset) -> int:
-            hop, _ = nearest(hosts)
-            new_cost = fixed
-            for f in hosts:
-                new_cost += copy_cost[f]
-            for f, w in src_w.items():
-                new_cost += w * hop[f]
-            return base_cost - new_cost
-
-        for kind, heaps in self.bank.items():
-            for f, heap in enumerate(heaps):
-                change = _change(p, kind, v, f)
-                if change is not None:
-                    heap.push(v, gain(change[v]))
+        # per f, copy_cost[f] plus the src_w sum once v also sits on f:
+        # v's hosts R + {f} after a move, H + {f} after a replicate
+        v_hop = host_hop[v]
+        r_hop = self.hm.nearest(reps)[0] if reps else None
+        src_now = 0
+        move_cost = rep_cost = copy_cost
+        for g, w in src_w.items():
+            cap = v_hop[g]
+            if cap:
+                src_now += w * cap
+                col = self._capped_col(g, cap)
+                rep_cost = [a + w * x for a, x in zip(rep_cost, col)]
+            cap = r_hop[g] if r_hop else None
+            if cap != 0:
+                col = self._capped_col(g, cap)
+                move_cost = [a + w * x for a, x in zip(move_cost, col)]
+        keep = copy_cost[o] + src_now  # H's cost less R's copy costs
+        move = [keep - x for x in move_cost]
+        for r in reps:  # a move onto a replica adds no copy
+            move[r] += copy_cost[r]
+        move[o] = None
+        self.move_row[v] = move
+        if "move" in bank:
+            for heap, g in zip(bank["move"], move):
+                heap.update(v, g)
+        if "replicate" in bank:
+            rep = [src_now - x for x in rep_cost]
+            for f in v_hosts:
+                rep[f] = None
+            for heap, g in zip(bank["replicate"], rep):
+                heap.update(v, g)
+        if "delete" in bank:
+            dele: list[int | None] = [None] * self.kf
+            for r in reps:
+                hop = self.hm.nearest(v_hosts - {r})[0]
+                rest = sum(w * hop[g] for g, w in src_w.items())
+                dele[r] = copy_cost[r] + src_now - rest
+            for heap, g in zip(bank["delete"], dele):
+                heap.update(v, g)
 
     def _rebuild_exchange(self, v: int) -> None:
         """Refresh the best-partner exchange entry of one vertex from a
         scan of all its neighbours (see `_best_partner`)."""
-        self.ex_heap.remove(v)
-        self.ex_partner.pop(v, None)
-        if "exchange" not in self.enabled or not self._is_boundary(v):
-            return
-        best_g, best_u = self._best_partner(v, self._neighbor_tuple(v), None, -1)
-        if best_g is not None:
-            self.ex_heap.push(v, best_g)
+        best_g = None
+        if self.move_row[v] is not None:  # v has entries: a boundary vertex
+            best_g, best_u = self._best_partner(v, self._shared(v), None, -1)
+        self.ex_heap.update(v, best_g)
+        if best_g is None:
+            self.ex_partner.pop(v, None)
+        else:
             self.ex_partner[v] = best_u
 
     def _patch_exchange(self, v: int, changed: set[int]) -> None:
@@ -451,119 +508,119 @@ class RefineState:
 
         A pair gain decomposes into the two move gains plus a correction
         over shared edges only, g = g_v(pu) + g_u(pv) + corr(v, u).  Both
-        move entries are banked and exact: v and u share a net across two
-        FPGAs, so both are boundary vertices, and parked entries are back
-        before any rebuild.  They are read with plain lookups, so a broken
-        invariant fails loudly.  The correction is symmetric, since the
-        exchange of v with u is the exchange of u with v, and it is cached
-        under both pair_corr[v][u] and pair_corr[u][v]; the shared edge
-        table of `_exchange_prep` is built only when some pair misses.
-        `try_apply` drops corr(a, b) for every pair a, b that share an
-        edge with a touched member, which is exactly when either input of
-        the correction (shared-edge drain counts and source hosts, both
-        endpoints' hosts) can change.
+        move gains are read from the move rows, which are exact: v and u
+        share a net across two FPGAs, so both have rows, and a row is
+        indexed, not searched, so a missing one fails loudly.  The
+        correction is the sum over the shared nets of `_corr_term`, which
+        is symmetric; it is cached under both pair_corr[v][u] and
+        pair_corr[u][v] when first needed, and from then on kept by
+        per-net deltas: for each changed net, a commit subtracts the net's
+        old term from every cached pair of its members that the term can
+        change and adds the new one (see `_corr_terms`), so a cached
+        correction is never recomputed.
         """
         orig = self.p.original
         pv = orig[v]
-        moves = self.bank["move"]
-        g_u_of = moves[pv].gain_of
+        rows = self.move_row
+        row_v = rows[v]
         pair_corr = self.pair_corr
         corr_v = pair_corr.setdefault(v, {})
-        prep = None
+        shared = None
         for u in candidates:
             pu = orig[u]
             if pu == pv:
                 continue
             corr = corr_v.get(u)
             if corr is None:
-                if prep is None:
-                    prep = self._exchange_prep(v)
-                corr = corr_v[u] = self._pair_corr(v, u, prep)
+                if shared is None:
+                    shared = self._shared(v)
+                corr = corr_v[u] = sum(self._corr_term(e, v, u) for e in shared[u])
                 pair_corr.setdefault(u, {})[v] = corr
-            g = moves[pu].gain_of(v) + g_u_of(u) + corr
+            g = row_v[pu] + rows[u][pv] + corr
             if best_g is None or g > best_g or (g == best_g and u < best_u):
                 best_g = g
                 best_u = u
         return best_g, best_u
 
-    def _exchange_prep(self, v: int) -> dict[int, tuple]:
-        """Per incident edge of v: drain-host counts with v's own
-        contribution removed when v drains it (host sets are subsets of
-        the K FPGAs), and the source's nearest-copy row, so that
-        shared-edge corrections cost O(K) rather than a scan of the whole
-        (possibly huge) net."""
-        p = self.p
-        h = self.h
-        vh = p.hosts(v)
-        prep: dict[int, tuple] = {}
-        for e in h.incidence[v]:
-            edge = h.edges[e]
-            if edge.source == v:
-                prep[e] = ("src_v", edge.weight, self.edge_drain_cnt[e], None)
-            else:
-                cnt = dict(self.edge_drain_cnt[e])
-                for f in vh:
-                    c = cnt.get(f, 0) - 1
-                    if c <= 0:
-                        cnt.pop(f, None)
-                    else:
-                        cnt[f] = c
-                hop, _ = self.hm.nearest(p.hosts(edge.source))
-                prep[e] = ("drain_v", edge.weight, cnt, hop)
-        return prep
+    def _corr_term(self, e: int, a: int, b: int) -> int:
+        """Net e's part of the exchange correction of members a and b.
 
-    def _pair_corr(self, v: int, u: int, prep: dict[int, tuple]) -> int:
-        """Shared-edge correction of the exchange of v and u.
-
-        The correction has a closed form: writing the joint cost delta as
-        a mixed second difference over per-FPGA memberships, every term
-        cancels except where BOTH endpoints' host membership flips, i.e.
-        at the two originals being swapped.
+        Written as a mixed second difference over the two host sets, the
+        net's cost delta cancels everywhere except at the two originals
+        being swapped, where both memberships flip; the term reads only
+        e's drain counts and source row and the two vertices' hosts, and
+        it is symmetric in a and b (zero when they share an FPGA).
         """
-        p = self.p
-        h = self.h
-        nearest = self.hm.nearest
-        pv, pu = p.original[v], p.original[u]
-        v_reps = p.replicas[v]
-        reps_u = p.replicas[u]
-        corr = 0
-        for e in h.incidence[u]:
-            rec = prep.get(e)
-            if rec is None:
-                continue
-            kind, w, cnt, shop = rec
-            if kind == "src_v":
-                # v sources e, u drains it: the source-side min
-                # shift matters only at uncovered flip hosts
-                v_cur, _ = nearest(p.hosts(v))
-                v_new, _ = nearest(v_reps | {pu})
-                term = 0
-                if cnt.get(pu, 0) <= 1:
-                    term += v_new[pu] - v_cur[pu]
-                if pv not in reps_u and cnt.get(pv, 0) <= 0:
-                    term -= v_new[pv] - v_cur[pv]
-                corr += w * term
-            elif u == h.edges[e].source:
-                # u sources e, v drains it (cnt excludes v)
-                u_cur, _ = nearest(p.hosts(u))
-                u_new, _ = nearest(reps_u | {pv})
-                term = 0
-                if cnt.get(pv, 0) <= 0:
-                    term += u_new[pv] - u_cur[pv]
-                if pu not in v_reps and cnt.get(pu, 0) <= 0:
-                    term -= u_new[pu] - u_cur[pu]
-                corr += w * term
+        edge = self.h.edges[e]
+        s = edge.source
+        cnt = self.edge_drain_cnt[e]
+        orig = self.p.original
+        reps = self.p.replicas
+        if s == a or s == b:
+            # the source swaps with drain d: d's FPGA stops being covered
+            # unless another drain holds it, and the source's FPGA gets
+            # covered, served by the source's new hosts R_s + {pd}
+            d = b if s == a else a
+            ps, pd = orig[s], orig[d]
+            term = 0
+            if cnt[pd] <= 1:
+                term += self.host_hop[s][pd]
+            if ps not in cnt and ps not in reps[d]:
+                dist = self.hm.dist
+                hop = dist[pd][ps]
+                for r in reps[s]:
+                    if dist[r][ps] < hop:
+                        hop = dist[r][ps]
+                term += hop
+            return -edge.weight * term
+        # both drain e: the swapped originals keep the host union intact
+        # wherever nobody else covers them, cancelling the move gains'
+        # savings
+        pa, pb = orig[a], orig[b]
+        hop = self.host_hop[s]
+        term = 0
+        if cnt[pa] <= 1 and pa not in reps[b]:
+            term += hop[pa]
+        if cnt[pb] <= 1 and pb not in reps[a]:
+            term += hop[pb]
+        return -edge.weight * term
+
+    def _corr_terms(self, change: dict[int, frozenset], after: dict) -> list:
+        """(e, a, b, term) for every changed net e and every cached pair
+        a, b of its members whose term committing `change` can alter.
+
+        A term reads e's source row, the two members' hosts and, of e's
+        drain counts, only whether the count at either member's FPGA is
+        zero and whether it is at most one.  So unless the source is
+        touched, only pairs with a hot member are listed: a touched one, or
+        one on an FPGA where the commit flips one of those two tests.
+        """
+        pair_corr = self.pair_corr
+        orig = self.p.original
+        out = []
+        for e, (_, new) in after.items():
+            edge = self.h.edges[e]
+            members = edge.members
+            if edge.source in change:
+                hot = members
             else:
-                # both drain e: the swapped originals keep the
-                # host union intact wherever nobody else covers
-                # them, cancelling the move gains' savings
-                term = 0
-                if pv not in reps_u and cnt.get(pv, 0) <= 0:
-                    term -= shop[pv]
-                if pu not in v_reps and cnt.get(pu, 0) <= 1:
-                    term -= shop[pu]
-                corr += w * term
-        return corr
+                old = self.edge_drain_cnt[e]
+                flips = {
+                    f
+                    for f in old.keys() | new.keys()
+                    if (f in old) != (f in new)
+                    or (old.get(f, 0) <= 1) != (new.get(f, 0) <= 1)
+                }
+                hot = [x for x in members if x in change or orig[x] in flips]
+            hot_set = set(hot)
+            for a in hot:
+                cache = pair_corr.get(a)
+                if cache:
+                    for b in members:
+                        # a pair of two hot members is listed once
+                        if b in cache and (b > a or b not in hot_set):
+                            out.append((e, a, b, self._corr_term(e, a, b)))
+        return out
 
     # -- selection and application ----------------------------------------
 
@@ -731,6 +788,8 @@ class RefineState:
 
         # commit
         dirty = self._dirty(change, after)
+        # old terms of the cached corrections the changed nets take part in
+        terms = self._corr_terms(change, after) if self.incremental else []
         partner = self.ex_partner.get(v) if kind == "exchange" else None
         partner_dest = None if partner is None else p.original[v]
         op = Op(kind, v, dest, partner, partner_dest, gain)
@@ -738,6 +797,8 @@ class RefineState:
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
             self.edge_units[e] = new_units[e]
+        for x, hosts in change.items():
+            self.host_hop[x] = self.hm.nearest(hosts)[0]
         for f, dv in deltas.items():
             row = self.usage[f]
             for i in range(self.krt):
@@ -754,19 +815,8 @@ class RefineState:
         if gain == 0 and kind in ("move", "exchange") and self.allow_zero_gain:
             self.zero_gain_left -= 1
         self.applied.append(op)
-        # corr(a, b) reads the shared edges' drain counts and source hosts
-        # and both endpoints' hosts; each changes only where a shared edge
-        # has a touched member
-        pair_corr = self.pair_corr
-        for e in after:
-            members = h.edges[e].members
-            for a in members:
-                cache = pair_corr.get(a)
-                if cache:
-                    for b in members:
-                        cache.pop(b, None)
         self._unpark()
-        self._refresh_after(dirty, after)
+        self._refresh_after(dirty, terms)
         return op
 
     def _dirty(self, change: dict[int, frozenset], after: dict) -> set[int]:
@@ -815,43 +865,66 @@ class RefineState:
         return dirty
 
     def _unpark(self) -> None:
-        """Re-offer parked entries before the refresh rebuilds exchange
-        gains, so those read exact move entries.  Every re-offered entry
-        whose gain the op could have changed is one the refresh rebuilds
-        or re-scores; the rest are still exact."""
+        """Re-offer parked entries before the refresh, which compares each
+        rebuilt gain with the live one and re-scores exchange entries
+        against their stored gains.  Every re-offered entry whose gain the
+        op could have changed is one the refresh rebuilds or re-scores; the
+        rest are still exact."""
         for kind, v, dest, gain in self.parked:
             self._heap(kind, dest).push(v, gain)
         self.parked = []
 
-    def _refresh_after(self, dirty: set[int], after: dict) -> None:
+    def _refresh_after(self, dirty: set[int], terms: list) -> None:
+        """Rebuild the dirty vertices' entries, move each cached correction
+        of `terms` from its net's old term to the new one, and bring the
+        exchange entries up to date."""
         h = self.h
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self.pair_corr.clear()
             for v in range(h.num_vertices):
                 self._rebuild_mrd(v)
-            for v in range(h.num_vertices):
-                self._rebuild_exchange(v)
+            if "exchange" in self.enabled:
+                for v in range(h.num_vertices):
+                    self._rebuild_exchange(v)
             return
+        rows = self.move_row
+        old_rows = {v: rows[v] for v in dirty}
         for v in sorted(dirty):
             self._rebuild_mrd(v)
         if "exchange" not in self.enabled:
             return
-        # a pair gain g_v(pu) + g_u(pv) + corr(v, u) of a clean v changed
-        # only if u is dirty or the pair's corr was dropped
+        orig = self.p.original
+        # a vertex whose move row changed is rescanned in full; of its
+        # pairs, those with a partner on an FPGA where the row changed, or
+        # all when it moved or gained or lost its row, changed their gain
+        rescan: dict[int, set[int] | None] = {}
+        for v, old in old_rows.items():
+            new = rows[v]
+            if new == old:
+                continue
+            if old is None or new is None or old[orig[v]] is not None:
+                rescan[v] = None
+            else:
+                rescan[v] = {f for f, (a, b) in enumerate(zip(old, new)) if a != b}
+        # every other vertex re-scores the partners whose pair gain
+        # g_v(pu) + g_u(pv) + corr(v, u) changed: through u's row, as
+        # above, or through the pair's corr
         changed: dict[int, set[int]] = {}
-        for d in dirty:
-            for v in self._neighbor_tuple(d):
-                if v not in dirty:
+        pair_corr = self.pair_corr
+        for e, a, b, old in terms:
+            delta = self._corr_term(e, a, b) - old
+            if delta:
+                pair_corr[a][b] = pair_corr[b][a] = pair_corr[a][b] + delta
+                changed.setdefault(a, set()).add(b)
+                changed.setdefault(b, set()).add(a)
+        for d, fpgas in rescan.items():
+            for v in self._shared(d):
+                if fpgas is None or orig[v] in fpgas:
                     changed.setdefault(v, set()).add(d)
-        for e in after:
-            members = h.edges[e].members
-            for v in members:
-                if v not in dirty:
-                    changed.setdefault(v, set()).update(members)
-        for v in sorted(dirty):
+        for v in sorted(rescan):
             self._rebuild_exchange(v)
-        for v in sorted(changed):
+        for v in sorted(changed.keys() - rescan.keys()):
             self._patch_exchange(v, changed[v])
 
 

@@ -153,6 +153,45 @@ def test_bench_emits_rows_and_summary(tmp_path):
         assert summary[arm] == pytest.approx(sum(ratios) / len(ratios), abs=1e-4)
 
 
+# rows of a default `mfspart bench --count 1`, runtime left out, recorded
+# before bench took its pipeline flags from the ones `partition` has
+PINNED_BENCH_ROWS = [
+    ["gen000", "1", "none", "518", "281", "0"],
+    ["gen000", "1", "mv,ex", "313", "189", "0"],
+    ["gen000", "1", "mv,ex,rep,del", "259", "188", "15"],
+]
+
+
+def test_bench_keeps_its_defaults_and_passes_pipeline_flags(tmp_path, monkeypatch):
+    import mfspart.cli as cli
+
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--out", out, "--count", 1]) == 0
+    rows = [r for r in csv.reader(out.open()) if r and r[0].startswith("gen")]
+    assert [r[:6] for r in rows] == PINNED_BENCH_ROWS
+    # every pipeline flag reaches run_pipeline, except that --arms, not
+    # --ops, chooses the ops
+    seen = []
+    real = cli.run_pipeline
+
+    def spy(h, t, **kwargs):
+        seen.append(kwargs)
+        return real(h, t, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    assert run(["bench", "--out", out, "--count", 1, "--vertices", 30, "--edges", 45,
+                "--arms", "mv,ex", "--rho", 0.45, "--nfinal", 40,
+                "--max-replicas", 2]) == 0
+    assert len(seen) == 1
+    kwargs = seen[0]
+    assert (kwargs["rho"], kwargs["n_final"], kwargs["max_replicas"]) == (0.45, 40, 2)
+    assert kwargs["ops"] == ("move", "exchange")
+    assert (kwargs["n_seeds"], kwargs["assign_budget"], kwargs["assign_max_nodes"]) == (
+        2, 16, 20_000)
+    with pytest.raises(SystemExit):
+        run(["bench", "--out", out, "--count", 1, "--ops", "mv"])
+
+
 def test_partition_budget_exhausted_exit_code(tmp_path):
     # two heavy vertices on two unit FPGAs: feasible split exists, but one
     # search node cannot reach it
@@ -164,18 +203,20 @@ def test_partition_budget_exhausted_exit_code(tmp_path):
 
 
 def test_python_dash_m_runs_the_cli():
+    # both the package and its cli module run as `python -m`, silently
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "mfspart", "--help"],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: mfspart")
-    assert "RuntimeWarning" not in proc.stderr
+    for module in ("mfspart", "mfspart.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout.startswith("usage: mfspart"), module
+        assert "RuntimeWarning" not in proc.stderr, module
 
 
 # sha256 of the solution and report files that `partition` wrote for these

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mfspart._heap import AddressableMaxHeap
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
 from mfspart.metrics import net_hop_distance, report, total_hop_distance, validate
@@ -909,16 +910,17 @@ def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
 
 
 def test_pair_corrections_cached_symmetrically_and_exact(monkeypatch):
-    # corr(v, u) == corr(u, v): a bank build computes each pair once, and
-    # every cached value, in both orders, matches a fresh computation
+    # corr(v, u) == corr(u, v): a bank build computes each shared net's term
+    # of each pair once, and every cached value, in both orders, stays the
+    # sum of the pair's shared-net terms under the current placement
     computed = []
-    pair_corr = RefineState._pair_corr
+    corr_term = RefineState._corr_term
 
-    def counting(self, v, u, prep):
-        computed.append(frozenset((v, u)))
-        return pair_corr(self, v, u, prep)
+    def counting(self, e, a, b):
+        computed.append((e, frozenset((a, b))))
+        return corr_term(self, e, a, b)
 
-    monkeypatch.setattr(RefineState, "_pair_corr", counting)
+    monkeypatch.setattr(RefineState, "_corr_term", counting)
     checked = 0
     for seed in range(4):
         h, t, hm, p = tight_state(seed, n=20, m=36)
@@ -929,11 +931,26 @@ def test_pair_corrections_cached_symmetrically_and_exact(monkeypatch):
         def check(op, pl, thd):
             nonlocal checked
             for v, cache in state.pair_corr.items():
-                prep = state._exchange_prep(v)
                 for u, corr in cache.items():
                     assert state.pair_corr[u][v] == corr
-                    assert corr == pair_corr(state, v, u, prep)
+                    shared = state._shared(v)[u]
+                    assert corr == sum(corr_term(state, e, v, u) for e in shared)
                     checked += 1
 
         run_refine_loop(state, observer=check)
     assert checked >= 100
+
+
+def test_heap_update_keeps_unchanged_entries_in_place():
+    heap = AddressableMaxHeap()
+    heap.push(1, 5)
+    heap.push(2, 3)
+    heap.shelve()  # item 1 leaves heap order
+    heap.update(1, 5)  # unchanged: stays shelved
+    assert heap.peek() == (3, 2) and heap.get(1) == 5
+    heap.update(2, 7)
+    assert heap.peek() == (7, 2)
+    heap.update(2, None)
+    assert heap.peek() is None and 2 not in heap
+    heap.unshelve()
+    assert heap.peek() == (5, 1)

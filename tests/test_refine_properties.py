@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfspart.metrics import report, total_hop_distance, validate
-from mfspart.refine import RefineState, apply_op, run_refine_loop
+from mfspart.refine import (
+    RefineState,
+    apply_op,
+    gain_exchange,
+    gain_move,
+    run_refine_loop,
+)
 
 from conftest import (
     bank_snapshot,
@@ -86,3 +92,81 @@ def test_refine_loop_bank_equals_fresh_bank_after_every_op(seed, bounded):
         assert bank_snapshot(state) == fresh_bank(state)
 
     run_refine_loop(state, observer=check)
+
+
+def _walk_checking_corr_and_rows(state, picks):
+    """Apply the picked entries one by one.  After every applied op, each
+    cached correction between two FPGAs must equal the exchange gain less
+    the two move gains, in both orders, and every move row must equal the
+    move heaps and the move gains.  Returns how many applied ops had a
+    touched vertex sourcing a net that a cached pair shares, and how many
+    checked pairs share more than one net."""
+    h, hm = state.h, state.hm
+    sourcing_ops = multi_net_pairs = 0
+    for pick in picks:
+        entries = list(state.entries())
+        if not entries:
+            break
+        op = entries[pick % len(entries)]
+        if state.try_apply(op.kind, op.v, op.dest) is None:
+            continue
+        p = state.p
+        touched = {op.v, op.partner} - {None}
+        for e in h.edges:
+            members = e.members
+            if e.source in touched and any(
+                b in state.pair_corr.get(a, ()) for a in members for b in members
+            ):
+                sourcing_ops += 1
+                break
+        for a, cache in state.pair_corr.items():
+            for b, corr in cache.items():
+                assert state.pair_corr[b][a] == corr
+                pa, pb = p.original[a], p.original[b]
+                if pa == pb:
+                    continue
+                expected = (
+                    gain_exchange(h, p, hm, a, b)
+                    - gain_move(h, p, hm, a, pb)
+                    - gain_move(h, p, hm, b, pa)
+                )
+                assert corr == expected, (a, b)
+                multi_net_pairs += len(state._shared(a)[b]) > 1
+        for v, row in enumerate(state.move_row):
+            heaps = [heap.get(v) for heap in state.bank["move"]]
+            assert heaps == (row or [None] * state.kf), v
+            if row is not None:
+                assert row == [
+                    None if f == p.original[v] else gain_move(h, p, hm, v, f)
+                    for f in range(state.kf)
+                ], v
+    return sourcing_ops, multi_net_pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    bounded=st.booleans(),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=25),
+)
+def test_pair_corrections_and_move_rows_exact_after_every_op(seed, bounded, picks):
+    """Corrections kept by per-net deltas stay exact on tight states and
+    under binding resource, I/O and hop limits."""
+    if bounded:
+        state_args = bounded_state(seed)
+        assume(state_args is not None)
+    else:
+        state_args = tight_state(seed, n=16, m=30, k=4)
+    _walk_checking_corr_and_rows(RefineState(*state_args), picks)
+
+
+def test_corr_walk_covers_sourced_and_multi_net_pairs():
+    # the walks above do reach the cases the deltas must get right: a
+    # touched vertex that sources a shared net, and pairs sharing 2+ nets
+    sourcing_ops = multi_net_pairs = 0
+    for seed in range(3):
+        state = RefineState(*tight_state(seed, n=16, m=30, k=4))
+        counts = _walk_checking_corr_and_rows(state, range(0, 1500, 13))
+        sourcing_ops += counts[0]
+        multi_net_pairs += counts[1]
+    assert sourcing_ops >= 20 and multi_net_pairs >= 100
