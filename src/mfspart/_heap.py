@@ -66,18 +66,17 @@ class AddressableMaxHeap:
         neg, item = self._heap[0]
         return -neg, item
 
-    def pop(self) -> tuple[int, int]:
-        self._clean_top()
-        neg, item = heapq.heappop(self._heap)
-        del self._live[item]
-        return -neg, item
-
     def shelve(self) -> None:
-        """Take the current maximum out of heap order.  It stays live (for
-        `get`, `items` and `len`) until `unshelve`; a `push` or `remove` of
-        the item meanwhile acts as usual."""
+        """Take the current maximum out of heap order, with any copies of
+        it that re-keying left behind.  It stays live (for `get`, `items`
+        and `len`) until `unshelve`; a `push` or `remove` of the item
+        meanwhile acts as usual."""
         self._clean_top()
-        self._shelf.append(heapq.heappop(self._heap))
+        heap = self._heap
+        top = heapq.heappop(heap)
+        while heap and heap[0] == top:
+            heapq.heappop(heap)
+        self._shelf.append(top)
 
     def unshelve(self) -> None:
         """Put every shelved entry back into heap order."""

@@ -27,7 +27,7 @@ candidate changes nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 from operator import itemgetter
 
@@ -377,9 +377,14 @@ def parallel_assign(
     A search that exhausts its space proves optimality (or infeasibility)
     for the whole portfolio, so remaining seeds are skipped: the visit
     order cannot change what an exhaustive search finds.
+
+    `budget.time_limit` bounds the whole portfolio, counted from the call:
+    each search after the first gets what is left of it, and none starts
+    once it has passed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    end = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     base = compute_heats(h, t, hm)
     best: AssignResult | None = None
     best_key: tuple | None = None
@@ -387,6 +392,11 @@ def parallel_assign(
     total_solutions = 0
     any_complete_infeasible = False
     for idx, seed in enumerate(seeds):
+        if idx and end is not None:
+            left = end - time.monotonic()
+            if left <= 0:
+                break
+            budget = replace(budget, time_limit=left)
         res = dfs_assign(h, t, hm, budget, perturb_heats(base, seed, variant))
         total_nodes += res.nodes
         total_solutions += res.solutions

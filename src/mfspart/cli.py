@@ -195,11 +195,7 @@ def _pipeline_kwargs(args, ops: tuple[str, ...]) -> dict:
 
 
 def cmd_partition(args) -> int:
-    try:
-        h, t = _load_instance(args)
-    except (mio.ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    h, t = _load_instance(args)
     if h.num_vertices == 0:
         print("error: hypergraph has no vertices to partition", file=sys.stderr)
         return EXIT_PARSE
@@ -217,12 +213,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        h, t = _load_instance(args)
-        p = mio.parse_solution(_read(args.solution))
-    except (mio.ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    h, t = _load_instance(args)
+    p = mio.parse_solution(_read(args.solution))
     if p.num_vertices != h.num_vertices:
         print(
             f"error: solution covers {p.num_vertices} vertices, instance has {h.num_vertices}",
@@ -239,12 +231,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        h, t = _load_instance(args)
-        p = mio.parse_solution(_read(args.solution))
-    except (mio.ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    h, t = _load_instance(args)
+    p = mio.parse_solution(_read(args.solution))
     bad = validate(h, t, p)
     for vio in bad:
         print(f"violation: {vio.kind} at {vio.index}: {vio.observed} > {vio.limit} {vio.detail}")
@@ -252,38 +240,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        bundle = mio.gen_instance(
-            sub_seed(args.seed, TAG_GEN),
-            args.vertices,
-            args.edges,
-            args.fpgas,
-            args.types,
-            spare=args.spare,
-            max_fanout=args.max_fanout,
-            hub_fraction=args.hub_fraction,
-            hub_fanout=args.hub_fanout,
-            locality=args.locality,
-            extra_links=args.extra_links,
-            max_vertex_weight=args.max_vertex_weight,
-            max_edge_weight=args.max_edge_weight,
-            io_limit=args.io_limit,
-            hop_max=args.hop_max,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    bundle = mio.gen_instance(
+        sub_seed(args.seed, TAG_GEN),
+        args.vertices,
+        args.edges,
+        args.fpgas,
+        args.types,
+        spare=args.spare,
+        max_fanout=args.max_fanout,
+        hub_fraction=args.hub_fraction,
+        hub_fanout=args.hub_fanout,
+        locality=args.locality,
+        extra_links=args.extra_links,
+        max_vertex_weight=args.max_vertex_weight,
+        max_edge_weight=args.max_edge_weight,
+        io_limit=args.io_limit,
+        hop_max=args.hop_max,
+    )
     _write(args.prefix + ".hg", mio.write_hypergraph(bundle.hypergraph))
     _write(args.prefix + ".topo", mio.write_topology(bundle.topology))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    try:
-        h, t = _load_instance(args)
-    except (mio.ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    h, t = _load_instance(args)
     p, thd = exhaustive_partition(h, t)
     if p is None:
         print("no solution")
@@ -429,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ValueError includes mio.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

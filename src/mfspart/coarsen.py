@@ -97,14 +97,19 @@ def alpha_at_level(
     return min(max(raw, cfg.alpha0), cfg.alpha0 + cfg.dalpha)
 
 
+def merge_priority(r: float, p: float) -> tuple[int, float]:
+    """Sort key of a merge with connectivity score r and balance penalty
+    p, higher first: every zero-penalty merge, by r, outranks every other,
+    by r/p (zero-cost merges are taken greedily)."""
+    return (1, r) if p == 0.0 else (0, r / p)
+
+
 def rating(h: Hypergraph, u: int, v: int, alpha: float, mean_caps: tuple) -> float:
-    """Merge priority r/p; infinite when the balance penalty is zero
-    (zero-cost merges are taken greedily)."""
+    """Merge priority r/p; infinite when the balance penalty is zero."""
     r = heavy_edge_score(h, u, v)
     p = heavy_node_penalty(h.vertices[u].weight, h.vertices[v].weight, alpha, mean_caps)
-    if p == 0.0:
-        return math.inf
-    return r / p
+    zero_penalty, score = merge_priority(r, p)
+    return math.inf if zero_penalty else score
 
 
 def _max_caps(t: MfsTopology) -> list[int]:
@@ -158,13 +163,8 @@ def coarsen_level(
             wv = weights[v_cand]
             if any(wu[i] + wv[i] > max_caps[i] for i in range(k)):
                 continue
-            s = 0.0
-            for i in range(k):
-                c = mean_caps[i]
-                if c > 0:
-                    s += wu[i] * wv[i] / (c * c)
-            # p == 0 candidates outrank every finite-penalty candidate
-            key = (1, r, -v_cand) if s == 0.0 else (0, r / (s**alpha), -v_cand)
+            p = heavy_node_penalty(wu, wv, alpha, mean_caps)
+            key = (*merge_priority(r, p), -v_cand)
             if best_key is None or key > best_key:
                 best_key = key
                 best_v = v_cand

@@ -25,7 +25,7 @@ counts before and after, and rebuilds the touched vertices, every drain of
 an edge whose source was touched, the source of an edge whose covered
 FPGAs changed, and a drain for which the FPGAs other drains cover changed
 (a count crossing 0|1 at an FPGA it does not host, or 1|2 at one it
-does); see `_dirty`.
+does); see `_transitions`.
 
 A rebuilt vertex's entries come in closed form from per-FPGA terms of its
 incident edges (see `_rebuild_mrd`), and an entry is pushed only when its
@@ -45,12 +45,11 @@ through the pair's correction) against its stored best, and rescans only
 when that stored partner is among them.
 
 Selection shelves an acceptable heap top that does not fit its
-destination's free resources: it leaves heap order but stays live, so
-the bank still holds every entry, and it returns once usage on that FPGA
-falls (exchange entries: at the next commit).  `try_apply` therefore
-sees only entries that fit; one it rejects on I/O or hop grounds is parked
-and re-offered by the next commit, before its refresh, which reads the
-stored exchange gains.
+destination's free resources: it leaves heap order but stays live, and it
+returns once usage on that FPGA falls (exchange entries: at the next
+commit).  `try_apply` therefore sees only entries that fit; one it
+rejects on I/O or hop grounds is shelved the same way and returns at the
+next commit.  So the bank always holds every entry a fresh bank would.
 """
 
 from __future__ import annotations
@@ -61,7 +60,13 @@ from functools import partial
 from typing import Callable, Iterator
 
 from ._heap import AddressableMaxHeap
-from .metrics import net_hop_distance, net_io_contrib_hosts, total_hop_distance
+from .metrics import (
+    fpga_usage,
+    io_usage_all,
+    net_hop_distance,
+    net_io_contrib_hosts,
+    total_hop_distance,
+)
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
 
@@ -274,20 +279,8 @@ class RefineState:
             for e in h.edges
         ]
         self.thd = sum(e.weight * self.edge_units[e.id] for e in h.edges)
-        self.usage = [[0] * self.krt for _ in range(self.kf)]
-        for v in range(h.num_vertices):
-            wv = self.weights[v]
-            for f in self.p.hosts(v):
-                row = self.usage[f]
-                for i in range(self.krt):
-                    row[i] += wv[i]
-        self.io = [0] * self.kf
-        for e in h.edges:
-            contrib = net_io_contrib_hosts(
-                e, self.p.hosts(e.source), self.edge_drain_cnt[e.id], hm
-            )
-            for f, amt in contrib.items():
-                self.io[f] += amt
+        self.usage = [list(u.values) for u in fpga_usage(h, self.p, self.kf)]
+        self.io = io_usage_all(h, self.p, hm, self.kf)
 
         # nearest-copy hop row of every vertex's host set; the nets each
         # vertex sources, as (e, weight), and drains, as (e, weight,
@@ -317,11 +310,9 @@ class RefineState:
         self.ex_partner: dict[int, int] = {}
         # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
         self.pair_corr: dict[int, dict[int, int]] = {}
-        # entries run_refine_loop popped and try_apply rejected, as
-        # (kind, v, dest, gain); re-offered on the next commit.  A parked
-        # exchange keeps its partner in ex_partner, which only the refresh
-        # changes, and the refresh runs after the re-offer.
-        self.parked: list[tuple[str, int, int, int]] = []
+        # heaps whose top try_apply rejected on I/O or hop grounds and the
+        # loop shelved; the next commit unshelves them
+        self.held: list[AddressableMaxHeap] = []
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
@@ -516,7 +507,7 @@ class RefineState:
         pair_corr[u][v] when first needed, and from then on kept by
         per-net deltas: for each changed net, a commit subtracts the net's
         old term from every cached pair of its members that the term can
-        change and adds the new one (see `_corr_terms`), so a cached
+        change and adds the new one (see `_transitions`), so a cached
         correction is never recomputed.
         """
         orig = self.p.original
@@ -585,43 +576,6 @@ class RefineState:
             term += hop[pb]
         return -edge.weight * term
 
-    def _corr_terms(self, change: dict[int, frozenset], after: dict) -> list:
-        """(e, a, b, term) for every changed net e and every cached pair
-        a, b of its members whose term committing `change` can alter.
-
-        A term reads e's source row, the two members' hosts and, of e's
-        drain counts, only whether the count at either member's FPGA is
-        zero and whether it is at most one.  So unless the source is
-        touched, only pairs with a hot member are listed: a touched one, or
-        one on an FPGA where the commit flips one of those two tests.
-        """
-        pair_corr = self.pair_corr
-        orig = self.p.original
-        out = []
-        for e, (_, new) in after.items():
-            edge = self.h.edges[e]
-            members = edge.members
-            if edge.source in change:
-                hot = members
-            else:
-                old = self.edge_drain_cnt[e]
-                flips = {
-                    f
-                    for f in old.keys() | new.keys()
-                    if (f in old) != (f in new)
-                    or (old.get(f, 0) <= 1) != (new.get(f, 0) <= 1)
-                }
-                hot = [x for x in members if x in change or orig[x] in flips]
-            hot_set = set(hot)
-            for a in hot:
-                cache = pair_corr.get(a)
-                if cache:
-                    for b in members:
-                        # a pair of two hot members is listed once
-                        if b in cache and (b > a or b not in hot_set):
-                            out.append((e, a, b, self._corr_term(e, a, b)))
-        return out
-
     # -- selection and application ----------------------------------------
 
     def _acceptable(self, kind: str, gain: int) -> bool:
@@ -666,7 +620,7 @@ class RefineState:
         offered = [
             (kind, f, heap)
             for kind, heaps in self.bank.items()
-            if kind in self.enabled and not (capped and kind == "replicate")
+            if not (capped and kind == "replicate")
             for f, heap in enumerate(heaps)
         ]
         offered.append(("exchange", -1, self.ex_heap))
@@ -689,8 +643,13 @@ class RefineState:
         """The heap holding the entries of `kind` with destination `dest`."""
         return self.ex_heap if kind == "exchange" else self.bank[kind][dest]
 
-    def pop_entry(self, kind: str, v: int, dest: int) -> None:
-        self._heap(kind, dest).remove(v)
+    def hold(self, kind: str, dest: int) -> None:
+        """Shelve the entry `peek_best` just returned, which `try_apply`
+        rejected on I/O or hop grounds: it is the top of its heap.  It
+        stays live, and the next commit puts it back in heap order."""
+        heap = self._heap(kind, dest)
+        heap.shelve()
+        self.held.append(heap)
 
     def stored_gain(self, op: Op) -> int | None:
         """Current bank gain for an op, or None if it has no live entry."""
@@ -704,9 +663,8 @@ class RefineState:
         """All live entries of the enabled kinds as ops (gains filled in)."""
         for f in range(self.kf):
             for kind, heaps in self.bank.items():
-                if kind in self.enabled:
-                    for v, g in sorted(heaps[f].items().items()):
-                        yield Op(kind, v, f, gain=g)
+                for v, g in sorted(heaps[f].items().items()):
+                    yield Op(kind, v, f, gain=g)
         orig = self.p.original
         for v, g in sorted(self.ex_heap.items().items()):
             u = self.ex_partner[v]
@@ -787,9 +745,7 @@ class RefineState:
                     return None
 
         # commit
-        dirty = self._dirty(change, after)
-        # old terms of the cached corrections the changed nets take part in
-        terms = self._corr_terms(change, after) if self.incremental else []
+        dirty, terms = self._transitions(change, after) if self.incremental else ((), ())
         partner = self.ex_partner.get(v) if kind == "exchange" else None
         partner_dest = None if partner is None else p.original[v]
         op = Op(kind, v, dest, partner, partner_dest, gain)
@@ -806,6 +762,9 @@ class RefineState:
             if min(dv) < 0:  # room on f grew: shelved entries may fit now
                 for heaps in self.bank.values():
                     heaps[f].unshelve()
+        for heap in self.held:
+            heap.unshelve()
+        self.held = []
         self.ex_heap.unshelve()
         for f, d in io_delta.items():
             self.io[f] += d
@@ -815,64 +774,74 @@ class RefineState:
         if gain == 0 and kind in ("move", "exchange") and self.allow_zero_gain:
             self.zero_gain_left -= 1
         self.applied.append(op)
-        self._unpark()
         self._refresh_after(dirty, terms)
         return op
 
-    def _dirty(self, change: dict[int, frozenset], after: dict) -> set[int]:
-        """The vertices whose move/replicate/delete entries a commit of
-        `change` can alter, read from the changed nets' drain counts
-        before (installed) and after (`after`) it.
+    def _transitions(self, change: dict[int, frozenset], after: dict) -> tuple[set, list]:
+        """What a commit of `change` alters, read in one pass over the
+        changed nets' drain counts before (installed) and after (`after`)
+        it: the vertices whose move/replicate/delete entries it can alter,
+        and (e, a, b, term) for every changed net e and every cached pair
+        a, b of its members whose correction term it can alter, with the
+        old term.
 
         Those entries read, per incident edge, only the source's hosts
         and, of the drain counts, what the vertex's own copies do not
         account for: for the source the covered FPGAs, for a drain d the
         FPGAs that other drains cover, {f : cnt[f] - [f in hosts(d)] > 0}.
-        So beside the touched vertices the dirty ones are every drain of
-        a net whose source was touched, the source of a net whose covered
-        set changed, and a drain for which some count crossed 0|1 at an
-        FPGA it does not host or 1|2 at one it does.
+        A term reads e's source row, the two members' hosts and, of the
+        counts at either member's FPGA, only whether each is zero and
+        whether it is at most one.  So when the source is touched, every
+        drain is dirty and every pair is listed.  Otherwise what matters
+        is the FPGAs where a count crosses 0|1 or 1|2: the source is dirty
+        when the covered set changed; a drain is dirty when a 0|1 crossing
+        is at an FPGA it does not host, or a 1|2 crossing at one it does;
+        and a pair is listed when a member is touched or on a crossing.
         """
         h = self.h
-        p = self.p
+        orig = self.p.original
+        reps = self.p.replicas
+        pair_corr = self.pair_corr
         dirty = set(change)
+        terms = []
         for e, (_, new) in after.items():
             edge = h.edges[e]
+            members = edge.members
             if edge.source in change:
                 dirty.update(edge.drains)
-                continue
-            old = self.edge_drain_cnt[e]
-            if old.keys() != new.keys():
-                dirty.add(edge.source)
-            outside = []  # 0|1 crossings: reach drains not hosting f
-            inside = []  # 1|2 crossings: reach drains hosting f
-            for f in old.keys() | new.keys():
-                a, b = old.get(f, 0), new.get(f, 0)
-                if (a == 0) != (b == 0):
-                    outside.append(f)
-                if (a > 1) != (b > 1):
-                    inside.append(f)
-            if not outside and not inside:
-                continue
-            for d in edge.drains:
-                if d in dirty:
-                    continue
-                od, rd = p.original[d], p.replicas[d]
-                if any(f != od and f not in rd for f in outside) or any(
-                    f == od or f in rd for f in inside
-                ):
-                    dirty.add(d)
-        return dirty
-
-    def _unpark(self) -> None:
-        """Re-offer parked entries before the refresh, which compares each
-        rebuilt gain with the live one and re-scores exchange entries
-        against their stored gains.  Every re-offered entry whose gain the
-        op could have changed is one the refresh rebuilds or re-scores; the
-        rest are still exact."""
-        for kind, v, dest, gain in self.parked:
-            self._heap(kind, dest).push(v, gain)
-        self.parked = []
+                hot = members
+            else:
+                old = self.edge_drain_cnt[e]
+                if old.keys() != new.keys():
+                    dirty.add(edge.source)
+                outside = set()  # 0|1 crossings: reach drains not hosting f
+                inside = set()  # 1|2 crossings: reach drains hosting f
+                for f in old.keys() | new.keys():
+                    a, b = old.get(f, 0), new.get(f, 0)
+                    if (a == 0) != (b == 0):
+                        outside.add(f)
+                    if (a > 1) != (b > 1):
+                        inside.add(f)
+                if outside or inside:
+                    for d in edge.drains:
+                        if d in dirty:
+                            continue
+                        od, rd = orig[d], reps[d]
+                        if any(f != od and f not in rd for f in outside) or any(
+                            f == od or f in rd for f in inside
+                        ):
+                            dirty.add(d)
+                flips = outside | inside
+                hot = [x for x in members if x in change or orig[x] in flips]
+            hot_set = set(hot)
+            for a in hot:
+                cache = pair_corr.get(a)
+                if cache:
+                    for b in members:
+                        # a pair of two hot members is listed once
+                        if b in cache and (b > a or b not in hot_set):
+                            terms.append((e, a, b, self._corr_term(e, a, b)))
+        return dirty, terms
 
     def _refresh_after(self, dirty: set[int], terms: list) -> None:
         """Rebuild the dirty vertices' entries, move each cached correction
@@ -976,11 +945,11 @@ def run_refine_loop(
 ) -> int:
     """Drive a RefineState to a fixed point; returns the op count applied.
 
-    An entry that `try_apply` rejects is parked on the state rather than
-    dropped; the next commit re-offers every parked entry before its
-    refresh (see `RefineState._unpark`), so after each applied op the bank
-    holds what a fresh bank would.  With a `deadline` (a `time.monotonic()`
-    value) the loop stops at the first iteration that starts past it.
+    An entry that `try_apply` rejects stays in the bank, shelved until the
+    next commit (see `RefineState.hold`), so the bank holds what a fresh
+    bank would after every attempt.  With a `deadline` (a
+    `time.monotonic()` value) the loop stops at the first iteration that
+    starts past it.
     """
     applied = 0
     while max_ops is None or applied < max_ops:
@@ -990,10 +959,9 @@ def run_refine_loop(
         if best is None:
             break
         kind, v, dest, _ = best
-        state.pop_entry(kind, v, dest)
         op = state.try_apply(kind, v, dest)
         if op is None:
-            state.parked.append(best)
+            state.hold(kind, dest)
             continue
         applied += 1
         if observer is not None:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -127,6 +128,23 @@ def fresh_bank(state):
     from mfspart.refine import RefineState
 
     return bank_snapshot(RefineState(state.h, state.t, state.hm, state.p))
+
+
+def check_bank_after_every_attempt(state):
+    """Make every `try_apply` on `state` assert, whether it applies its op
+    or rejects it, that the bank then equals a fresh one.  Returns a
+    Counter of the attempts, by "applied" and "rejected"."""
+    counts = Counter()
+    tried = state.try_apply
+
+    def checked(kind, v, dest):
+        op = tried(kind, v, dest)
+        counts["rejected" if op is None else "applied"] += 1
+        assert bank_snapshot(state) == fresh_bank(state), (kind, v, dest, op)
+        return op
+
+    state.try_apply = checked
+    return counts
 
 
 @pytest.fixture

@@ -90,6 +90,19 @@ def test_partition_parse_error_exit_code(tmp_path, instance):
     assert run(["partition", tmp_path / "missing.hg", topo]) == 2
 
 
+def test_unwritable_output_exit_code(tmp_path, instance, capsys):
+    # an output path in a missing directory is an OSError, reported like a
+    # parse error rather than as a traceback
+    hg, topo = instance
+    missing = tmp_path / "no-such-dir"
+    assert run(["partition", hg, topo, "-o", missing / "x.sol",
+                "--assign-max-nodes", 4000]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert run(["gen", missing / "case", "--vertices", 12, "--edges", 18]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert not missing.exists()
+
+
 def test_partition_empty_hypergraph_exit_code(tmp_path, capsys):
     (tmp_path / "h.hg").write_text("0 0 2\n")
     (tmp_path / "t.topo").write_text("2 1 2\n5 5\n5 5\n0 1\n")

@@ -18,6 +18,7 @@ from mfspart.refine import (
 from conftest import (
     bank_snapshot,
     bounded_state,
+    check_bank_after_every_attempt,
     fresh_bank,
     shaken_bounded_state,
     tight_state,
@@ -78,20 +79,16 @@ def test_bounded_try_apply_matches_validate_and_fresh_bank(seed, picks):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), bounded=st.booleans())
 def test_refine_loop_bank_equals_fresh_bank_after_every_op(seed, bounded):
-    """The loop in its own op order, rejections and parking included: once
-    an op is applied nothing is left parked and the bank is a fresh one."""
+    """The loop in its own op order, rejections included: after every
+    attempt, applied or rejected, the bank is a fresh one."""
     if bounded:
         state_args = shaken_bounded_state(seed, steps=10)
         assume(state_args is not None)
     else:
         state_args = tight_state(seed, n=20, m=36)
     state = RefineState(*state_args)
-
-    def check(op, pl, thd):
-        assert not state.parked
-        assert bank_snapshot(state) == fresh_bank(state)
-
-    run_refine_loop(state, observer=check)
+    check_bank_after_every_attempt(state)
+    run_refine_loop(state)
 
 
 def _walk_checking_corr_and_rows(state, picks):
