@@ -27,7 +27,7 @@ candidate changes nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf
 from operator import itemgetter
 
@@ -46,7 +46,6 @@ class HeatScores:
 @dataclass
 class SearchBudget:
     max_solutions: int | None = 32
-    time_limit: float | None = None  # seconds; breaks reproducibility if it binds
     stall_delta: float = 0.02
     rho: float = 0.3
     max_nodes: int | None = 200_000
@@ -133,12 +132,15 @@ def dfs_assign(
     hm: HopMatrix,
     budget: SearchBudget,
     heats: HeatScores | None = None,
+    *,
+    deadline: float | None = None,
 ) -> AssignResult:
     """Best feasible unreplicated placement found within the budget.
 
     status "complete" with a placement means the search space was
     exhausted, so the result is optimal for this objective; "complete"
-    without a placement proves infeasibility.
+    without a placement proves infeasibility.  A `deadline` (a
+    `time.monotonic()` value, read every 1000 nodes) stops it with "budget".
     """
     if h.num_vertices == 0:
         return AssignResult(Placement([]), 0, "complete", 1, 0)
@@ -159,7 +161,6 @@ def dfs_assign(
     hop_max = t.hop_max
     node_cap = inf if budget.max_nodes is None else budget.max_nodes
     max_solutions = budget.max_solutions
-    time_limit = budget.time_limit
     # Capacity left per slot, every resource type packed into one int: the
     # `width`-bit field r holds room_r + 2**(width - 1), which exceeds every
     # capacity and weight, so subtracting a packed weight borrows across no
@@ -205,7 +206,6 @@ def dfs_assign(
     solutions = 0
     nodes = 0
     status = "complete"
-    start = time.monotonic()
 
     # Per depth: the candidate row (cost per slot, None where the hop bound
     # breaks) and the undo record (slot, cost added, I/O added per slot) of
@@ -309,9 +309,9 @@ def dfs_assign(
             while i < kf:
                 nodes += 1
                 if nodes > node_cap or (
-                    time_limit is not None
+                    deadline is not None
                     and nodes % 1000 == 0
-                    and time.monotonic() - start > time_limit
+                    and time.monotonic() >= deadline
                 ):
                     status = "budget"
                     break
@@ -366,6 +366,8 @@ def parallel_assign(
     budget: SearchBudget,
     seeds: list[int],
     variant: str = "nodes",
+    *,
+    deadline: float | None = None,
 ) -> AssignResult:
     """Independent searches with per-seed heat jitter; deterministic
     reduction to the lowest THD, ties to the lowest seed value.
@@ -378,13 +380,12 @@ def parallel_assign(
     for the whole portfolio, so remaining seeds are skipped: the visit
     order cannot change what an exhaustive search finds.
 
-    `budget.time_limit` bounds the whole portfolio, counted from the call:
-    each search after the first gets what is left of it, and none starts
-    once it has passed.
+    `deadline` (a `time.monotonic()` value) bounds the whole portfolio:
+    every search stops at it, and no search after the first starts once
+    it has passed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    end = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     base = compute_heats(h, t, hm)
     best: AssignResult | None = None
     best_key: tuple | None = None
@@ -392,12 +393,9 @@ def parallel_assign(
     total_solutions = 0
     any_complete_infeasible = False
     for idx, seed in enumerate(seeds):
-        if idx and end is not None:
-            left = end - time.monotonic()
-            if left <= 0:
-                break
-            budget = replace(budget, time_limit=left)
-        res = dfs_assign(h, t, hm, budget, perturb_heats(base, seed, variant))
+        if idx and deadline is not None and time.monotonic() >= deadline:
+            break
+        res = dfs_assign(h, t, hm, budget, perturb_heats(base, seed, variant), deadline=deadline)
         total_nodes += res.nodes
         total_solutions += res.solutions
         if res.placement is None:

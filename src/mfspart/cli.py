@@ -5,8 +5,9 @@ randomness derives from one --seed via the splitmix expansion in
 `mfspart.seeds`, so identical flags and seeds reproduce identical solution
 and report files byte for byte (as long as no wall-clock limit binds).
 
-Exit codes: 0 success, 2 parse/usage error, 3 proven infeasible,
-4 budget exhausted without a feasible placement, 5 constraint violations.
+Exit codes: 0 success, 2 parse/usage error, 3 proven infeasible (by a
+search of the uncoarsened graph), 4 budget exhausted without a feasible
+placement, 5 constraint violations.
 """
 
 from __future__ import annotations
@@ -82,12 +83,17 @@ def run_pipeline(
     that pass's hypergraph and must return a per-op callback (or None);
     test instrumentation hooks in through it.
 
-    `time_limit` is in wall-clock seconds from the call: assignment gets
-    what coarsening left of it (at least 0.1 s), and refinement stops at
-    the first bank-build step or op that would start past it, keeping the
-    placement valid.
+    `time_limit` (wall-clock seconds) fixes one deadline at the call.  The
+    hop matrix and coarsening run to completion; assignment stops at the
+    deadline but gets at least 0.1 s; refinement stops at the first
+    bank-build step or op that would start past it, keeping the placement
+    valid.
+
+    Status "infeasible" means the search exhausted the uncoarsened graph's
+    space; a search on a coarsened graph proves nothing about the input,
+    so its failure is "budget".
     """
-    start = time.monotonic()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     hm = compute_hop_matrix(t)
     cfg = CoarseningConfig(
         alpha0=alpha0,
@@ -99,23 +105,18 @@ def run_pipeline(
     levels = build_hierarchy(h, t, cfg)
     coarsest = levels[-1].hypergraph if levels else h
 
-    remaining = None if time_limit is None else max(0.1, time_limit - (time.monotonic() - start))
     budget = SearchBudget(
         max_solutions=assign_budget,
-        time_limit=remaining,
         stall_delta=stall_delta,
         rho=rho,
         max_nodes=assign_max_nodes,
     )
     seeds = [sub_seed(seed, TAG_ASSIGN, i) for i in range(n_seeds)]
-    res = parallel_assign(coarsest, t, hm, budget, seeds, assign_variant)
+    floor = None if deadline is None else max(deadline, time.monotonic() + 0.1)
+    res = parallel_assign(coarsest, t, hm, budget, seeds, assign_variant, deadline=floor)
     if res.placement is None:
-        return PipelineResult(None, "infeasible" if res.status == "complete" else "budget")
-
-    deadline = None if time_limit is None else start + time_limit
-
-    def time_left() -> bool:
-        return deadline is None or time.monotonic() < deadline
+        proven = res.status == "complete" and not levels
+        return PipelineResult(None, "infeasible" if proven else "budget")
 
     # refine the coarsest graph, then project onto each finer one and refine
     p = res.placement
@@ -123,13 +124,12 @@ def run_pipeline(
         if i < len(levels):
             p = project_to_finer(levels[i], p)
         level_h = levels[i - 1].hypergraph if i > 0 else h
-        if time_left():
-            p = refine_level(
-                level_h, p, t, hm, ops=ops, max_replicas=max_replicas,
-                allow_zero_gain=allow_zero_gain,
-                observer=refine_observer(level_h) if refine_observer else None,
-                deadline=deadline,
-            )
+        p = refine_level(
+            level_h, p, t, hm, ops=ops, max_replicas=max_replicas,
+            allow_zero_gain=allow_zero_gain,
+            observer=refine_observer(level_h) if refine_observer else None,
+            deadline=deadline,
+        )
     return PipelineResult(p, "ok", total_hop_distance(h, p, hm))
 
 
@@ -151,6 +151,17 @@ def _load_instance(args) -> tuple[Hypergraph, MfsTopology]:
     t = mio.parse_topology(_read(args.topology))
     mio.InstanceBundle(h, t)  # k agreement check
     return h, t
+
+
+def _load_solved(args) -> tuple[Hypergraph, MfsTopology, Placement]:
+    """The instance and a solution that covers each of its vertices once."""
+    h, t = _load_instance(args)
+    p = mio.parse_solution(_read(args.solution))
+    if p.num_vertices != h.num_vertices:
+        raise ValueError(
+            f"solution covers {p.num_vertices} vertices, instance has {h.num_vertices}"
+        )
+    return h, t, p
 
 
 def _add_pipeline_flags(sp: argparse.ArgumentParser, ops: bool = True) -> None:
@@ -213,26 +224,20 @@ def cmd_partition(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    h, t = _load_instance(args)
-    p = mio.parse_solution(_read(args.solution))
-    if p.num_vertices != h.num_vertices:
-        print(
-            f"error: solution covers {p.num_vertices} vertices, instance has {h.num_vertices}",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    rep = metrics_report(h, t, p)
-    _write(args.report, rep.to_text())
-    bad = validate(h, t, p)
+    h, t, p = _load_solved(args)
+    hm = compute_hop_matrix(t)
+    bad = validate(h, t, p, hm)
     for vio in bad:
         print(f"violation: {vio.kind} at {vio.index}: {vio.observed} > {vio.limit} {vio.detail}",
               file=sys.stderr)
+    # a placement violation (an FPGA id out of range, say) leaves nothing to report
+    if not any(vio.kind == "placement" for vio in bad):
+        _write(args.report, metrics_report(h, t, p, hm).to_text())
     return EXIT_VIOLATIONS if bad else EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    h, t = _load_instance(args)
-    p = mio.parse_solution(_read(args.solution))
+    h, t, p = _load_solved(args)
     bad = validate(h, t, p)
     for vio in bad:
         print(f"violation: {vio.kind} at {vio.index}: {vio.observed} > {vio.limit} {vio.detail}")
@@ -275,6 +280,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     arms = [a.strip() for a in args.arms.split(";") if a.strip()]
+    if not arms:
+        raise ValueError(f"--arms {args.arms!r} names no arm")
     rows = []
     for idx in range(args.count):
         gen_seed = sub_seed(args.seed, TAG_GEN, idx)

@@ -33,6 +33,8 @@ class CoarseningConfig:
             raise ValueError("dalpha must be non-negative")
         if not (0 < self.min_reduction <= 1):
             raise ValueError("min_reduction must be in (0, 1]")
+        if self.n_final is not None and self.n_final < 1:
+            raise ValueError("n_final must be at least 1")
 
     def resolved_n_final(self, k_fpgas: int) -> int:
         if self.n_final is not None:

@@ -161,6 +161,7 @@ def parse_topology(text: str) -> MfsTopology:
         capacities.append(ResourceVector(caps))
         io_limits.append(lim)
     links = []
+    seen = set()
     for j in range(n_links):
         line_no, tokens = lines[1 + k_fpgas + j]
         if len(tokens) != 2:
@@ -170,8 +171,10 @@ def parse_topology(text: str) -> MfsTopology:
             raise ParseError(line_no, f"link {j}: self-link ({a}, {b})")
         if not (0 <= a < k_fpgas and 0 <= b < k_fpgas):
             raise ParseError(line_no, f"link {j}: endpoint out of range")
-        if (min(a, b), max(a, b)) in {(min(x, y), max(x, y)) for x, y in links}:
+        key = (min(a, b), max(a, b))
+        if key in seen:
             raise ParseError(line_no, f"link {j}: duplicate link ({a}, {b})")
+        seen.add(key)
         links.append((a, b))
     try:
         topo = MfsTopology(capacities, links, io_limits, hop_max)

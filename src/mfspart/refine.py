@@ -318,14 +318,19 @@ class RefineState:
         self.replicates_applied = 0
         self._neighbors: dict[int, dict[int, tuple[int, ...]]] = {}  # lazy, static
 
-        # moves first: exchange entries read the move rows.  Past
-        # `deadline` the build stops and the bank stays partial; the loop,
-        # which checks the same deadline, then applies nothing.
+        # past `deadline` the bank stays partial; the loop, which checks
+        # the same deadline, then applies nothing
+        self._rebuild_all(deadline)
+
+    def _rebuild_all(self, deadline: float | None = None) -> None:
+        """Build every vertex's entries, moves first: exchange entries read
+        the move rows.  Stops at the first vertex that starts past
+        `deadline`."""
         rebuilds = [self._rebuild_mrd]
         if "exchange" in self.enabled:
             rebuilds.append(self._rebuild_exchange)
         for rebuild in rebuilds:
-            for v in range(h.num_vertices):
+            for v in range(self.h.num_vertices):
                 if _past(deadline):
                     return
                 rebuild(v)
@@ -847,15 +852,10 @@ class RefineState:
         """Rebuild the dirty vertices' entries, move each cached correction
         of `terms` from its net's old term to the new one, and bring the
         exchange entries up to date."""
-        h = self.h
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self.pair_corr.clear()
-            for v in range(h.num_vertices):
-                self._rebuild_mrd(v)
-            if "exchange" in self.enabled:
-                for v in range(h.num_vertices):
-                    self._rebuild_exchange(v)
+            self._rebuild_all()
             return
         rows = self.move_row
         old_rows = {v: rows[v] for v in dirty}
@@ -919,7 +919,7 @@ def refine_level(
     """Apply highest-gain operations until none is both acceptable and
     feasible, or until `deadline` (a `time.monotonic()` value) passes;
     THD never increases and every intermediate state is valid."""
-    if not ops:
+    if not ops or _past(deadline):
         return p.copy()
     state = RefineState(
         h,

@@ -366,36 +366,36 @@ def test_deterministic_dfs():
 
 
 def test_time_limit_read_every_thousand_nodes(monkeypatch):
-    # a clock that advances 1 s per read: the start read is t=0, and the
-    # first check, at node 1000, already sees the 0.5 s limit passed
+    # a clock that advances 1 s per read from t=1: the first check, at
+    # node 1000, already sees the deadline t=0.5 passed
     reads = []
 
     def monotonic():
         reads.append(None)
-        return float(len(reads) - 1)
+        return float(len(reads))
 
     monkeypatch.setattr(assign, "time", SimpleNamespace(monotonic=monotonic))
     b = gen_instance(41, 80, 96, 8, 2, spare=0.4)
     hm = compute_hop_matrix(b.topology)
-    budget = SearchBudget(max_solutions=None, time_limit=0.5, max_nodes=None)
-    res = dfs_assign(b.hypergraph, b.topology, hm, budget)
+    budget = SearchBudget(max_solutions=None, max_nodes=None)
+    res = dfs_assign(b.hypergraph, b.topology, hm, budget, deadline=0.5)
     assert (res.status, res.nodes) == ("budget", 1000)
-    assert len(reads) == 2
+    assert len(reads) == 1
 
 
 def test_portfolio_shares_one_time_limit(monkeypatch):
-    # the same 1 s-per-read clock: the portfolio's end is read as t=0, the
-    # first search stops at its first check, and the 0.5 s limit has passed
-    # before a second search could start, so four seeds run the nodes of one
+    # the same 1 s-per-read clock: the first search stops at its first
+    # check, and the deadline has passed before a second search could
+    # start, so four seeds run the nodes of one
     reads = []
 
     def monotonic():
         reads.append(None)
-        return float(len(reads) - 1)
+        return float(len(reads))
 
     monkeypatch.setattr(assign, "time", SimpleNamespace(monotonic=monotonic))
     b = gen_instance(41, 80, 96, 8, 2, spare=0.4)
     hm = compute_hop_matrix(b.topology)
-    budget = SearchBudget(max_solutions=None, time_limit=0.5, max_nodes=None)
-    res = parallel_assign(b.hypergraph, b.topology, hm, budget, [11, 12, 13, 14])
+    budget = SearchBudget(max_solutions=None, max_nodes=None)
+    res = parallel_assign(b.hypergraph, b.topology, hm, budget, [11, 12, 13, 14], deadline=0.5)
     assert (res.status, res.nodes) == ("budget", 1000)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mfspart.cli import main
+from mfspart.cli import main, run_pipeline
 from mfspart.io import (
     gen_instance,
     parse_hypergraph,
@@ -17,6 +17,7 @@ from mfspart.io import (
     write_topology,
 )
 from mfspart.metrics import validate
+from mfspart.oracle import exhaustive_partition
 
 
 def run(args):
@@ -136,12 +137,61 @@ def test_evaluate_size_mismatch(tmp_path, instance):
     assert run(["evaluate", hg, topo, tmp_path / "short.sol"]) == 2
 
 
+def test_validate_truncated_solution_exit_code(tmp_path, instance, capsys):
+    hg, topo = instance
+    (tmp_path / "short.sol").write_text("0\n")
+    assert run(["validate", hg, topo, tmp_path / "short.sol"]) == 2
+    assert capsys.readouterr().err == "error: solution covers 1 vertices, instance has 24\n"
+
+
+def test_validate_extra_lines_exit_code(tmp_path, instance, capsys):
+    hg, topo = instance
+    (tmp_path / "long.sol").write_text("0\n" * 25)
+    assert run(["validate", hg, topo, tmp_path / "long.sol"]) == 2
+    assert capsys.readouterr().err == "error: solution covers 25 vertices, instance has 24\n"
+
+
+def test_evaluate_fpga_out_of_range_exit_code(tmp_path, capsys):
+    # FPGA 2 does not exist on a 2-FPGA topology: the violation is
+    # printed and no report is written
+    (tmp_path / "h.hg").write_text("2 1 1\n1\n1\n1 0 1\n")
+    (tmp_path / "t.topo").write_text("2 1 1\n5\n5\n0 1\n")
+    (tmp_path / "bad.sol").write_text("0\n2\n")
+    rep = tmp_path / "r.report"
+    assert run(["evaluate", tmp_path / "h.hg", tmp_path / "t.topo",
+                tmp_path / "bad.sol", "--report", rep]) == 5
+    assert capsys.readouterr().err.startswith("violation: placement at 1:")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("n_final", [0, -5])
+def test_partition_nfinal_below_one_exit_code(tmp_path, instance, capsys, n_final):
+    hg, topo = instance
+    assert run(["partition", hg, topo, "-o", tmp_path / "x.sol", "--nfinal", n_final]) == 2
+    assert capsys.readouterr().err == "error: n_final must be at least 1\n"
+
+
+def test_coarsened_search_failure_is_budget_not_infeasible():
+    # the search exhausts the coarsest graph of this instance, but the
+    # input has a placement: only an uncoarsened search proves anything
+    b = gen_instance(0, 8, 12, 3, 1, spare=0.1)
+    res = run_pipeline(b.hypergraph, b.topology, n_final=2)
+    assert (res.placement, res.status) == (None, "budget")
+    p, thd = exhaustive_partition(b.hypergraph, b.topology)
+    assert p is not None and thd == 15
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     (tmp_path / "h.hg").write_text("2 1 1\n1\n1\n1 0 1\n")
     (tmp_path / "t.topo").write_text("2 1 1\n5\n5\n0 1\n")
     assert run(["oracle", tmp_path / "h.hg", tmp_path / "t.topo"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "thd 0"
+
+
+def test_bench_without_arms_exit_code(tmp_path, capsys):
+    assert run(["bench", "--out", tmp_path / "b.csv", "--count", 1, "--arms", ";"]) == 2
+    assert capsys.readouterr().err.startswith("error: --arms ';' names no arm")
 
 
 def test_bench_emits_rows_and_summary(tmp_path):

@@ -123,6 +123,16 @@ def test_topology_duplicate_link_rejected():
         parse_topology("2 2 1\n1\n1\n0 1\n1 0\n")
 
 
+def test_topology_late_duplicate_link_reports_its_line():
+    # a full mesh on 30 FPGAs, then its first link again, reversed: the
+    # error names the last line, 1 header + 30 FPGA lines + 436 links
+    pairs = [(a, b) for a in range(30) for b in range(a + 1, 30)] + [(1, 0)]
+    text = f"30 {len(pairs)} 1\n" + "1\n" * 30 + "".join(f"{a} {b}\n" for a, b in pairs)
+    with pytest.raises(ParseError, match=r"link 435: duplicate link \(1, 0\)") as err:
+        parse_topology(text)
+    assert err.value.line == 467
+
+
 def test_topology_disconnected_rejected():
     with pytest.raises(ParseError, match=r"unreachable pair \(0, 1\)"):
         parse_topology("2 0 1\n1\n1\n")
