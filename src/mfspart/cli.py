@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -83,16 +84,18 @@ def run_pipeline(
     that pass's hypergraph and must return a per-op callback (or None);
     test instrumentation hooks in through it.
 
-    `time_limit` (wall-clock seconds) fixes one deadline at the call.  The
-    hop matrix and coarsening run to completion; assignment stops at the
-    deadline but gets at least 0.1 s; refinement stops at the first
-    bank-build step or op that would start past it, keeping the placement
-    valid.
+    `time_limit` (wall-clock seconds, finite and non-negative) fixes one
+    deadline at the call.  The hop matrix and coarsening run to
+    completion; assignment stops at the deadline but gets at least 0.1 s;
+    refinement stops at the first bank-build step or op that would start
+    past it, keeping the placement valid.
 
     Status "infeasible" means the search exhausted the uncoarsened graph's
     space; a search on a coarsened graph proves nothing about the input,
     so its failure is "budget".
     """
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
+        raise ValueError("time_limit must be finite and non-negative")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     hm = compute_hop_matrix(t)
     cfg = CoarseningConfig(

@@ -27,10 +27,10 @@ class CoarseningConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if self.dalpha < 0:
-            raise ValueError("dalpha must be non-negative")
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
+            raise ValueError("alpha0 must be finite and positive")
+        if not (math.isfinite(self.dalpha) and self.dalpha >= 0):
+            raise ValueError("dalpha must be finite and non-negative")
         if not (0 < self.min_reduction <= 1):
             raise ValueError("min_reduction must be in (0, 1]")
         if self.n_final is not None and self.n_final < 1:

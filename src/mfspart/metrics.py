@@ -6,11 +6,10 @@ cost of a net is the sum, over the FPGAs hosting its drains, of the hop
 distance from the nearest copy of the source; without replication this is
 exactly the classic source-to-drain-FPGA hop sum.
 
-Every per-net term comes from one kernel, `HopMatrix.nearest`, applied to
-the source's host set S.  With its rows (hop, server) and D the set of
-FPGAs hosting a drain, the net costs sum(hop[f] for f in D) units, its
-worst hop is max(hop[f] for f in D), and it imports on every f in D - S,
-each served (exported) by server[f].
+Every per-net term comes from one kernel, `net_terms`, which reads the
+source's nearest-copy rows (`HopMatrix.nearest`) at the FPGAs hosting a
+drain: the net's units, its worst hop and its I/O ports.  The metrics here
+and refinement's application-time checks all go through it.
 """
 
 from __future__ import annotations
@@ -60,22 +59,48 @@ class MetricsReport:
         return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
-def _net_hops(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> list[int]:
-    """Per FPGA hosting a drain of net e, the hop distance from the nearest
-    copy of the source."""
-    hop, _ = hm.nearest(p.hosts(h.edges[e].source))
-    return [hop[f] for f in drain_fpgas(h, e, p)]
+def net_terms(
+    hm: HopMatrix, src_hosts, drain_hosts
+) -> tuple[int, int, set[int]]:
+    """A net's (units, worst hop, I/O ports), given the FPGAs hosting its
+    source and its drains.
+
+    With (hop, server) the nearest-copy rows of the source hosts, every
+    drain FPGA f with hop[f] > 0 adds hop[f] to the units, bounds the
+    worst hop from below, and makes f (an importer) and server[f] (the
+    exporting source copy, ties to the lowest id) ports: each port carries
+    the net's weight once.  hop[f] is 0 exactly when f hosts a source copy,
+    which then serves f locally.
+    """
+    hop, server = hm.nearest(src_hosts)
+    units = worst = 0
+    ports: set[int] = set()
+    for f in drain_hosts:
+        x = hop[f]
+        if x:
+            units += x
+            if x > worst:
+                worst = x
+            ports.add(f)
+            ports.add(server[f])
+    return units, worst, ports
+
+
+def _placed_terms(h: Hypergraph, p: Placement, hm: HopMatrix):
+    """(edge, units, worst hop, I/O ports) of every net under p."""
+    for e in h.edges:
+        yield (e, *net_terms(hm, p.hosts(e.source), drain_fpgas(h, e.id, p)))
 
 
 def net_hop_distance(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> int:
     """Unweighted cost of net e: per drain FPGA, the hop distance from the
     nearest copy of the source."""
-    return sum(_net_hops(h, e, p, hm))
+    return net_terms(hm, p.hosts(h.edges[e].source), drain_fpgas(h, e, p))[0]
 
 
 def total_hop_distance(h: Hypergraph, p: Placement, hm: HopMatrix) -> int:
     """Sum over nets of weight times net hop distance."""
-    return sum(e.weight * net_hop_distance(h, e.id, p, hm) for e in h.edges)
+    return sum(e.weight * units for e, units, _, _ in _placed_terms(h, p, hm))
 
 
 def cut_size(h: Hypergraph, p: Placement) -> int:
@@ -96,35 +121,13 @@ def cut_size(h: Hypergraph, p: Placement) -> int:
     return cut
 
 
-def net_io_contrib_hosts(edge, src_hosts, drain_hosts, hm: HopMatrix) -> dict[int, int]:
-    """Per-FPGA signal units a net adds, given the FPGAs hosting its source
-    and its drains: w_e per importing FPGA (hosts a drain, no local source
-    copy) and w_e per exporting FPGA (the nearest source copy serving at
-    least one importer; ties to the lowest id)."""
-    _, server = hm.nearest(src_hosts)
-    contrib: dict[int, int] = {}
-    for f in drain_hosts:
-        if f not in src_hosts:
-            contrib[f] = edge.weight
-            # an exporter hosts the source, so it is never an importer
-            contrib[server[f]] = edge.weight
-    return contrib
-
-
-def io_usage_all(h: Hypergraph, p: Placement, hm: HopMatrix, k_fpgas: int) -> list[int]:
+def io_usage_all(h: Hypergraph, p: Placement, hm: HopMatrix) -> list[int]:
     """I/O signal units per FPGA, across all nets."""
-    io = [0] * k_fpgas
-    for e in h.edges:
-        contrib = net_io_contrib_hosts(
-            e, p.hosts(e.source), drain_fpgas(h, e.id, p), hm
-        )
-        for f, units in contrib.items():
-            io[f] += units
+    io = [0] * hm.k_fpgas
+    for e, _, _, ports in _placed_terms(h, p, hm):
+        for f in ports:
+            io[f] += e.weight
     return io
-
-
-def io_usage(h: Hypergraph, p: Placement, hm: HopMatrix, f: int) -> int:
-    return io_usage_all(h, p, hm, hm.k_fpgas)[f]
 
 
 def _placement_violations(p: Placement, k_fpgas: int) -> list[Violation]:
@@ -181,17 +184,18 @@ def validate(
                 out.append(
                     Violation("resource", f, usage[f][i], cap[i], f"resource type {i}")
                 )
-    io = io_usage_all(h, p, hm, t.k_fpgas)
+    io = [0] * t.k_fpgas
+    hops: list[Violation] = []
+    for e, _, worst, ports in _placed_terms(h, p, hm):
+        for f in ports:
+            io[f] += e.weight
+        if t.hop_max is not None and worst > t.hop_max:
+            hops.append(Violation("hop", e.id, worst, t.hop_max))
     for f in range(t.k_fpgas):
         lim = t.io_limits[f]
         if lim is not None and io[f] > lim:
             out.append(Violation("io", f, io[f], lim))
-    if t.hop_max is not None:
-        for e in h.edges:
-            worst = max(_net_hops(h, e.id, p, hm))
-            if worst > t.hop_max:
-                out.append(Violation("hop", e.id, worst, t.hop_max))
-    return out
+    return out + hops
 
 
 def report(
@@ -201,15 +205,17 @@ def report(
         hm = compute_hop_matrix(t)
     thd = 0
     max_hop = 0
-    for e in h.edges:
-        hops = _net_hops(h, e.id, p, hm)
-        thd += e.weight * sum(hops)
-        max_hop = max(max_hop, *hops)
+    io = [0] * t.k_fpgas
+    for e, units, worst, ports in _placed_terms(h, p, hm):
+        thd += e.weight * units
+        max_hop = max(max_hop, worst)
+        for f in ports:
+            io[f] += e.weight
     return MetricsReport(
         total_hop_distance=thd,
         cut_size=cut_size(h, p),
         fpga_usage=fpga_usage(h, p, t.k_fpgas),
-        fpga_io=io_usage_all(h, p, hm, t.k_fpgas),
+        fpga_io=io,
         max_hop_used=max_hop,
         replica_count=p.replica_count(),
     )

@@ -13,9 +13,9 @@ A prospective operation is a map {vertex: frozenset of its new hosts},
 built by `_change`, which holds each kind's precondition.  The state
 keeps, per edge, the count of drain copies on each FPGA; an operation is
 evaluated by applying its host changes to copies of the affected edges'
-counts and reading the source's nearest-copy rows (`HopMatrix.nearest`)
-over them, which gives each edge's units, worst hop and I/O contribution.
-On commit those same counts are installed.
+counts and calling `metrics.net_terms` on each changed edge before and
+after, which gives its units (so the gain), worst hop and I/O ports.  On
+commit those same counts are installed.
 
 The refresh is driven by count transitions, as in FM-style delta gain
 updates.  A vertex's move, replicate and delete entries read, per incident
@@ -56,17 +56,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator
 
 from ._heap import AddressableMaxHeap
-from .metrics import (
-    fpga_usage,
-    io_usage_all,
-    net_hop_distance,
-    net_io_contrib_hosts,
-    total_hop_distance,
-)
+from .metrics import fpga_usage, net_terms
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
 
@@ -124,20 +117,15 @@ def _drain_counts(h: Hypergraph, p: Placement, e: int) -> dict[int, int]:
     return cnt
 
 
-def _units(hm: HopMatrix, src_hosts, drain_hosts) -> int:
-    hop, _ = hm.nearest(src_hosts)
-    return sum(hop[f] for f in drain_hosts)
-
-
 def _changed_nets(
     h: Hypergraph,
     p: Placement,
     change: dict[int, frozenset],
-    drain_cnt: Callable[[int], dict[int, int]],
+    drain_cnt: list[dict[int, int]] | dict[int, dict[int, int]],
 ) -> dict[int, tuple[set | frozenset, dict[int, int]]]:
     """Source hosts and drain-host counts, after a prospective change
     {vertex: new host set}, of every net with a changed member.
-    `drain_cnt(e)` gives the current counts; they are copied, not edited."""
+    `drain_cnt[e]` holds the current counts; they are copied, not edited."""
     after: dict[int, tuple[set | frozenset, dict[int, int]]] = {}
     for v, new in change.items():
         old = p.hosts(v)
@@ -145,7 +133,7 @@ def _changed_nets(
             src = h.edges[e].source
             if e not in after:
                 src_hosts = change[src] if src in change else p.hosts(src)
-                after[e] = (src_hosts, dict(drain_cnt(e)))
+                after[e] = (src_hosts, dict(drain_cnt[e]))
             if src == v:
                 continue
             cnt = after[e][1]
@@ -181,11 +169,12 @@ def _gain_of(
     change = _change(p, kind, v, dest, partner)
     if change is None:
         raise ValueError(_INAPPLICABLE[kind])
+    cnts = {e: _drain_counts(h, p, e) for x in change for e in h.incidence[x]}
     g = 0
-    nets = _changed_nets(h, p, change, partial(_drain_counts, h, p))
-    for e, (src_hosts, cnt) in nets.items():
-        before = net_hop_distance(h, e, p, hm)
-        g += h.edges[e].weight * (before - _units(hm, src_hosts, cnt))
+    for e, (src_hosts, cnt) in _changed_nets(h, p, change, cnts).items():
+        edge = h.edges[e]
+        before = net_terms(hm, p.hosts(edge.source), cnts[e])[0]
+        g += edge.weight * (before - net_terms(hm, src_hosts, cnt)[0])
     return g
 
 
@@ -274,13 +263,14 @@ class RefineState:
         # per-edge counts of drain copies per FPGA, kept current so gain
         # rebuilds never rescan (possibly huge) drain lists
         self.edge_drain_cnt = [_drain_counts(h, self.p, e.id) for e in h.edges]
-        self.edge_units = [
-            _units(hm, self.p.hosts(e.source), self.edge_drain_cnt[e.id])
-            for e in h.edges
-        ]
-        self.thd = sum(e.weight * self.edge_units[e.id] for e in h.edges)
+        self.thd = 0
+        self.io = [0] * self.kf
+        for e, cnt in zip(h.edges, self.edge_drain_cnt):
+            units, _, ports = net_terms(hm, self.p.hosts(e.source), cnt)
+            self.thd += e.weight * units
+            for f in ports:
+                self.io[f] += e.weight
         self.usage = [list(u.values) for u in fpga_usage(h, self.p, self.kf)]
-        self.io = io_usage_all(h, self.p, hm, self.kf)
 
         # nearest-copy hop row of every vertex's host set; the nets each
         # vertex sources, as (e, weight), and drains, as (e, weight,
@@ -656,14 +646,6 @@ class RefineState:
         heap.shelve()
         self.held.append(heap)
 
-    def stored_gain(self, op: Op) -> int | None:
-        """Current bank gain for an op, or None if it has no live entry."""
-        if op.kind not in self.enabled:
-            return None
-        if op.kind == "exchange" and self.ex_partner.get(op.v) != op.partner:
-            return None
-        return self._heap(op.kind, op.dest).get(op.v)
-
     def entries(self) -> Iterator[Op]:
         """All live entries of the enabled kinds as ops (gains filled in)."""
         for f in range(self.kf):
@@ -723,26 +705,25 @@ class RefineState:
         if not self._fits(deltas):
             return None
 
-        # every changed edge's units, worst hop and I/O from its new
-        # source hosts and drain counts, through the nearest-copy rows
-        after = _changed_nets(h, p, change, self.edge_drain_cnt.__getitem__)
-        new_units: dict[int, int] = {}
+        # every changed edge's terms after the op, and before it from the
+        # installed counts: the gain, the worst hop and the I/O delta
+        after = _changed_nets(h, p, change, self.edge_drain_cnt)
         gain = 0
         io_delta: dict[int, int] = {}
         for e, (src_hosts, cnt) in after.items():
             edge = h.edges[e]
-            hop, _ = self.hm.nearest(src_hosts)
-            if self.hop_max is not None and max(hop[f] for f in cnt) > self.hop_max:
+            w = edge.weight
+            units, worst, ports = net_terms(self.hm, src_hosts, cnt)
+            if self.hop_max is not None and worst > self.hop_max:
                 return None
-            new_units[e] = nu = sum(hop[f] for f in cnt)
-            gain += edge.weight * (self.edge_units[e] - nu)
-            old_io = net_io_contrib_hosts(
-                edge, p.hosts(edge.source), self.edge_drain_cnt[e], self.hm
+            old_units, _, old_ports = net_terms(
+                self.hm, p.hosts(edge.source), self.edge_drain_cnt[e]
             )
-            for f, amt in old_io.items():
-                io_delta[f] = io_delta.get(f, 0) - amt
-            for f, amt in net_io_contrib_hosts(edge, src_hosts, cnt, self.hm).items():
-                io_delta[f] = io_delta.get(f, 0) + amt
+            gain += w * (old_units - units)
+            for f in old_ports:
+                io_delta[f] = io_delta.get(f, 0) - w
+            for f in ports:
+                io_delta[f] = io_delta.get(f, 0) + w
         if self.io_limited:
             for f, d in io_delta.items():
                 lim = self.io_limits[f]
@@ -757,7 +738,6 @@ class RefineState:
         apply_op(p, op)
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
-            self.edge_units[e] = new_units[e]
         for x, hosts in change.items():
             self.host_hop[x] = self.hm.nearest(hosts)[0]
         for f, dv in deltas.items():
@@ -977,31 +957,3 @@ def project_to_finer(level, coarse_p: Placement) -> Placement:
     replicas = [set(coarse_p.replicas[mapping[v]]) for v in range(len(mapping))]
     return Placement(original, replicas)
 
-
-def incremental_vs_full_check(
-    h: Hypergraph,
-    t: MfsTopology,
-    hm: HopMatrix,
-    p: Placement,
-    ops: list[Op],
-    tamper: Callable[[RefineState, int], None] | None = None,
-) -> bool:
-    """Replay an op sequence, asserting each op's bank gain matches a
-    from-scratch recomputation (two full THD evaluations).  Any mismatch,
-    missing entry, or infeasible application returns False."""
-    state = RefineState(h, t, hm, p)
-    for i, op in enumerate(ops):
-        if tamper is not None:
-            tamper(state, i)
-        stored = state.stored_gain(op)
-        if stored is None:
-            return False
-        before = total_hop_distance(h, state.p, hm)
-        trial = state.p.copy()
-        apply_op(trial, op)
-        expected = before - total_hop_distance(h, trial, hm)
-        if stored != expected:
-            return False
-        if state.try_apply(op.kind, op.v, op.dest) is None:
-            return False
-    return True

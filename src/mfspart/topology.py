@@ -30,7 +30,7 @@ class HopMatrix:
 
         This is the one place a "nearest source copy" is computed: the
         hop distance, the worst hop and the I/O server of a net all read
-        the rows of its source's host set."""
+        the rows of its source's host set, through `metrics.net_terms`."""
         key = frozenset(hosts)
         rows = self._nearest.get(key)
         if rows is None:

@@ -171,6 +171,25 @@ def test_partition_nfinal_below_one_exit_code(tmp_path, instance, capsys, n_fina
     assert capsys.readouterr().err == "error: n_final must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--time-limit", "nan", "time_limit must be finite and non-negative"),
+        ("--alpha0", "nan", "alpha0 must be finite and positive"),
+        ("--dalpha", "nan", "dalpha must be finite and non-negative"),
+        ("--dalpha", "inf", "dalpha must be finite and non-negative"),
+    ],
+    ids=["time-limit-nan", "alpha0-nan", "dalpha-nan", "dalpha-inf"],
+)
+def test_partition_non_finite_flag_exit_code(tmp_path, instance, capsys, flag, value, message):
+    # a NaN deadline never trips, and an infinite dalpha makes the level-0
+    # alpha inf * 0 = NaN: each is a usage error, not a run
+    hg, topo = instance
+    assert run(["partition", hg, topo, "-o", tmp_path / "x.sol", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.sol").exists()
+
+
 def test_coarsened_search_failure_is_budget_not_infeasible():
     # the search exhausts the coarsest graph of this instance, but the
     # input has a placement: only an uncoarsened search proves anything
@@ -284,24 +303,33 @@ def test_python_dash_m_runs_the_cli():
 
 # sha256 of the solution and report files that `partition` wrote for these
 # instances before refinement skipped the work an op does not change; the
-# lean case refines on several coarse levels, the other runs default flags
+# lean case refines on several coarse levels, the other runs default flags.
+# The bounded case (pinned later, before net terms came from one kernel)
+# runs hub nets under binding I/O and hop bounds, so refinement rejects
+# some ops on hop grounds.
 PINNED_PARTITIONS = [
-    ("lean-600", (3000, 600, 720, 8, 2), ["--seeds", "1", "--assign-max-nodes", "2000"],
+    ("lean-600", (3000, 600, 720, 8, 2), {"spare": 0.4},
+     ["--seeds", "1", "--assign-max-nodes", "2000"],
      "dec04b2716629a12fa08cf3fa4ba1578b362ba8eea1a865dcd19f627f2e36535",
      "06ad8755eb58e7c406ced8ec767623eb6efc9b7721bdba905e0311108e3d1fa3"),
-    ("default-150", (7, 150, 180, 8, 2), [],
+    ("default-150", (7, 150, 180, 8, 2), {"spare": 0.4}, [],
      "1792ca5cbb4d846d402d32f177eecb6ed69e2e4578edbec8ed27e4bf4021ee58",
      "88b77a7e60e817fc048b0d4f4510b7829510acd1331ffd86934438bb49947ed8"),
+    ("bounded-150", (4, 150, 180, 8, 2),
+     {"spare": 0.4, "hub_fanout": 64, "io_limit": 155, "hop_max": 3},
+     ["--seeds", "1", "--assign-max-nodes", "2000"],
+     "9b61a102ace74faa19d99e2473f357c9ea0c0fdf92d03062c54f17239461bede",
+     "87833f31d54089a8b13a2044f2162c0bd1ea5f1320a758750ed1ecd08d58d0a9"),
 ]
 
 
 @pytest.mark.parametrize(
-    "gen_args, flags, sol_sha, report_sha",
+    "gen_args, gen_kwargs, flags, sol_sha, report_sha",
     [case[1:] for case in PINNED_PARTITIONS],
     ids=[case[0] for case in PINNED_PARTITIONS],
 )
-def test_pinned_partition_bytes(tmp_path, gen_args, flags, sol_sha, report_sha):
-    b = gen_instance(*gen_args, spare=0.4)
+def test_pinned_partition_bytes(tmp_path, gen_args, gen_kwargs, flags, sol_sha, report_sha):
+    b = gen_instance(*gen_args, **gen_kwargs)
     hg, topo = tmp_path / "inst.hg", tmp_path / "inst.topo"
     hg.write_text(write_hypergraph(b.hypergraph))
     topo.write_text(write_topology(b.topology))

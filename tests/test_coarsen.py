@@ -20,6 +20,21 @@ from mfspart.topology import MfsTopology, mean_capacity
 from conftest import path_topology
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"alpha0": math.nan}, "alpha0 must be finite and positive"),
+        ({"alpha0": math.inf}, "alpha0 must be finite and positive"),
+        ({"dalpha": math.nan}, "dalpha must be finite and non-negative"),
+        ({"dalpha": math.inf}, "dalpha must be finite and non-negative"),
+    ],
+    ids=["alpha0-nan", "alpha0-inf", "dalpha-nan", "dalpha-inf"],
+)
+def test_config_rejects_non_finite_alpha(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        CoarseningConfig(n_final=128, **kwargs)
+
+
 def test_heavy_edge_score_no_shared():
     h = Hypergraph.build([[1]] * 4, [(1, 0, [1]), (1, 2, [3])])
     assert heavy_edge_score(h, 0, 2) == 0.0

@@ -5,7 +5,6 @@ import pytest
 from mfspart.io import gen_instance
 from mfspart.metrics import (
     cut_size,
-    io_usage,
     io_usage_all,
     net_hop_distance,
     report,
@@ -77,14 +76,21 @@ def _random_state(seed, n=8, m=14, k=3):
     return b.hypergraph, b.topology, hm, Placement(orig, reps)
 
 
-def _brute_max_hop(h, p, hm):
-    worst = 0
+def _brute_net_worst(h, p, hm):
+    """Per net, the largest hop from its nearest source copy to a drain copy."""
+    out = []
     for e in h.edges:
         hosts = {p.original[e.source]} | p.replicas[e.source]
+        worst = 0
         for d in e.drains:
             for f in {p.original[d]} | p.replicas[d]:
                 worst = max(worst, min(hm.dist[s][f] for s in hosts))
-    return worst
+        out.append(worst)
+    return out
+
+
+def _brute_max_hop(h, p, hm):
+    return max(_brute_net_worst(h, p, hm), default=0)
 
 
 def _brute_io(h, p, hm, k):
@@ -204,7 +210,7 @@ def test_io_all_local():
     h = Hypergraph.build([[1]] * 2, [(1, 0, [1])])
     t = path_topology(2)
     hm = compute_hop_matrix(t)
-    assert io_usage_all(h, Placement.all_on(2, 0), hm, 2) == [0, 0]
+    assert io_usage_all(h, Placement.all_on(2, 0), hm) == [0, 0]
 
 
 def test_io_symmetric_crossing():
@@ -212,8 +218,8 @@ def test_io_symmetric_crossing():
     t = path_topology(2)
     hm = compute_hop_matrix(t)
     p = Placement([0, 1])
-    assert io_usage(h, p, hm, 0) == 2
-    assert io_usage(h, p, hm, 1) == 2
+    assert io_usage_all(h, p, hm)[0] == 2
+    assert io_usage_all(h, p, hm)[1] == 2
 
 
 def test_io_fanout_story_post_replication():
@@ -221,7 +227,7 @@ def test_io_fanout_story_post_replication():
     hm = compute_hop_matrix(t)
     p.add_replica(1, 2)
     # FPGA 2 imports only the feeder net (weight 1); its fanout nets are local
-    assert io_usage(h, p, hm, 2) == 1
+    assert io_usage_all(h, p, hm)[2] == 1
 
 
 def test_validate_feasible_empty():
@@ -253,6 +259,34 @@ def test_validate_io_violation():
     bad = validate(h, t, Placement([0, 1]))
     assert {v.kind for v in bad} == {"io"}
     assert len(bad) == 2  # both endpoints carry 4 > 3
+
+
+def test_validate_bounds_match_brute_force_with_replicas():
+    # hop and I/O bounds one below what the brute force reports: validate
+    # must list exactly the nets and FPGAs that exceed them
+    checked = 0
+    for seed in range(30):
+        h, t, hm, p = _random_state(seed, n=10, m=18, k=5)
+        worst = _brute_net_worst(h, p, hm)
+        io = _brute_io(h, p, hm, t.k_fpgas)
+        hop_max = max(worst) - 1
+        if hop_max < 1:
+            continue
+        # every other FPGA with traffic gets a limit one below its usage
+        limits = [x - 1 if x and f % 2 == 0 else x for f, x in enumerate(io)]
+        bounded = MfsTopology(t.capacities, t.links, limits, hop_max)
+        bad = validate(h, bounded, p, hm)
+        hops = {(v.index, v.observed, v.limit) for v in bad if v.kind == "hop"}
+        ios = {(v.index, v.observed, v.limit) for v in bad if v.kind == "io"}
+        assert hops == {
+            (e, w, hop_max) for e, w in enumerate(worst) if w > hop_max
+        }
+        assert ios == {
+            (f, x, x - 1) for f, x in enumerate(io) if x and f % 2 == 0
+        }
+        assert hops and ios
+        checked += 1
+    assert checked >= 20
 
 
 def test_validate_malformed_placement():

@@ -8,7 +8,7 @@ import pytest
 from mfspart._heap import AddressableMaxHeap
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
-from mfspart.metrics import net_hop_distance, report, total_hop_distance, validate
+from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import best_single_replication, full_gain_recompute
 from mfspart.refine import (
@@ -20,7 +20,6 @@ from mfspart.refine import (
     gain_exchange,
     gain_move,
     gain_replicate,
-    incremental_vs_full_check,
     project_to_finer,
     refine_level,
     run_refine_loop,
@@ -526,59 +525,6 @@ def test_project_preserves_thd_and_counts():
         cur = fine
 
 
-# -- incremental_vs_full_check ---------------------------------------------
-
-
-def _sample_feasible_ops(h, t, hm, p, n_ops, seed):
-    state = RefineState(h, t, hm, p)
-    rng = random.Random(seed)
-    ops = []
-    for _ in range(n_ops):
-        entries = list(state.entries())
-        rng.shuffle(entries)
-        for op in entries:
-            applied = state.try_apply(op.kind, op.v, op.dest)
-            if applied is not None:
-                ops.append(Op(op.kind, op.v, op.dest, op.partner, op.partner_dest))
-                break
-        else:
-            break
-    return ops
-
-
-def test_incremental_vs_full_check_random_sequences():
-    h, t, hm, p = _random_replicated_state(3, n=14, m=26, k=3)
-    ops = _sample_feasible_ops(h, t, hm, p, 25, seed=11)
-    assert len(ops) > 0
-    assert incremental_vs_full_check(h, t, hm, p, ops)
-
-
-def test_incremental_vs_full_check_empty():
-    h, t, hm, p = _random_replicated_state(4)
-    assert incremental_vs_full_check(h, t, hm, p, [])
-
-
-def test_incremental_vs_full_check_detects_tampering():
-    h, t, hm, p = _random_replicated_state(5, n=14, m=26, k=3)
-    ops = _sample_feasible_ops(h, t, hm, p, 5, seed=2)
-    assert len(ops) >= 1
-    target = ops[0]
-
-    def tamper(state, step):
-        if step == 0 and target.kind == "move":
-            state.bank["move"][target.dest].push(target.v, target.gain + 999)
-        elif step == 0:
-            # corrupt whichever heap holds the first op
-            if target.kind == "replicate":
-                state.bank["replicate"][target.dest].push(target.v, 999)
-            elif target.kind == "delete":
-                state.bank["delete"][target.dest].push(target.v, 999)
-            else:
-                state.ex_heap.push(target.v, 999)
-
-    assert not incremental_vs_full_check(h, t, hm, p, ops, tamper=tamper)
-
-
 def test_best_single_replication_matches_heap_max():
     # the oracle filters by feasibility and scans every vertex; the heap
     # holds boundary vertices only, so compare on the feasible subset
@@ -642,9 +588,6 @@ def test_try_apply_feasibility_exact_under_binding_bounds():
             op = rng.choice(feasible)
             assert state.try_apply(op.kind, op.v, op.dest) is not None
             assert state.io == report(h, t, state.p, hm).fpga_io
-            assert state.edge_units == [
-                net_hop_distance(h, e.id, state.p, hm) for e in h.edges
-            ]
             assert state.thd == total_hop_distance(h, state.p, hm)
     assert kinds == {"resource", "io", "hop"}
 
