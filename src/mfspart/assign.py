@@ -11,17 +11,29 @@ Each node of the search is cheap because of four facts.  A net's cost is
 known exactly when its last member in the visit order is placed, so every
 net is listed once, at that depth (its completion list), and costed there
 only.  The placed prefix does not change while a depth cycles through its
-FPGAs, so entering a depth takes one candidate row: per FPGA, the cost the
-vertex would add there, or None when it breaks the hop bound.  That row is
-the cost half of a candidate.  It depends only on where the depth's
+FPGAs, so a depth takes one candidate row: per FPGA, the cost the vertex
+would add there, or None when it breaks the hop bound.  That row is the
+cost half of a candidate.  It depends only on where the depth's
 dependency set, the other members of the nets it completes, was placed;
-so it is memoized per depth, keyed by those FPGAs, and a search meets a
-few hundred distinct rows in hundreds of thousands of nodes.  The fit half, whether
-the vertex fits the capacity left, changes with every placement and is
-tested afresh at each candidate.  A candidate is then a row lookup, the
-incumbent prune, the fit test and, only when some FPGA has an I/O limit,
-that check; nothing is written until all of them pass, so a rejected
-candidate changes nothing.
+so it is memoized per depth, keyed by those FPGAs.  The memo pays off on
+sparse graphs, where it hits on nearly every depth entry; on a coarsest
+graph with wide dependency sets nearly every entry computes a fresh row.
+The fit half, whether the vertex fits the capacity left, changes with
+every placement and is tested afresh at each candidate.  A candidate is
+then a row lookup, the incumbent prune, the fit test and, only when some
+FPGA has an I/O limit, that check.
+
+Most nodes are not visited at all: they are charged in bulk.  With each
+row the memo keeps its suffix minima, the smallest cost at each slot or
+after it.  Once that minimum reaches the incumbent's limit, every slot
+left at the depth fails the prune, so the scan stops and counts them in
+one sum.  A candidate that passes every test looks its child's row up
+before it is placed; a child whose smallest cost reaches the limit left
+after the candidate is counted as its K nodes without being entered.  A
+charged node is one the incumbent prune rejects, a test that comes
+before the fit and I/O tests and changes nothing, so the search meets the
+same solutions in the same order with the same node count as one that
+visits every node.
 """
 
 from __future__ import annotations
@@ -55,6 +67,10 @@ class SearchBudget:
             raise ValueError("stall_delta must be in (0, 1)")
         if not (0 < self.rho < 1):
             raise ValueError("rho must be in (0, 1)")
+        if self.max_solutions is not None and self.max_solutions < 1:
+            raise ValueError("max_solutions must be at least 1")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError("max_nodes must be at least 1")
 
 
 @dataclass
@@ -64,6 +80,7 @@ class AssignResult:
     status: str  # "complete": search space exhausted; "budget": stopped early
     solutions: int = 0
     nodes: int = 0
+    rows: int = 0  # candidate rows computed; the rest of the depth entries hit the memo
 
     @property
     def feasible(self) -> bool:
@@ -140,7 +157,8 @@ def dfs_assign(
     status "complete" with a placement means the search space was
     exhausted, so the result is optimal for this objective; "complete"
     without a placement proves infeasibility.  A `deadline` (a
-    `time.monotonic()` value, read every 1000 nodes) stops it with "budget".
+    `time.monotonic()` value, read whenever the node count passes a multiple of
+    1000) stops it with "budget" at that multiple.
     """
     if h.num_vertices == 0:
         return AssignResult(Placement([]), 0, "complete", 1, 0)
@@ -196,6 +214,9 @@ def dfs_assign(
         slots_read.append(itemgetter(*deps) if deps else _no_slots)
     memo: list[dict] = [{} for _ in range(n)]
 
+    # Slot per vertex of the placed prefix.  A candidate's slot is written
+    # before its child's row is looked up, so the vertex of the depth being
+    # scanned may hold the last slot tried; nothing reads it until placed.
     asg = [-1] * n
     io = [0] * kf
     partial = 0
@@ -208,16 +229,18 @@ def dfs_assign(
     status = "complete"
 
     # Per depth: the candidate row (cost per slot, None where the hop bound
-    # breaks) and the undo record (slot, cost added, I/O added per slot) of
-    # the placed candidate.
-    rows: list[list[int | None]] = [[]] * n
+    # breaks) with its suffix minima, and the undo record (slot, cost
+    # added, I/O added per slot) of the placed candidate.
+    rows: list[tuple[list[int | None], list[float]]] = [([], [])] * n
     undo: list[tuple[int, int, dict[int, int] | None]] = [(0, 0, None)] * n
     cand_idx = [0] * (n + 1)
+    dead = ([None] * kf, [inf] * (kf + 1))
 
-    def cost_row(depth: int) -> list[int | None]:
+    def cost_row(depth: int) -> tuple[list[int | None], list[float]]:
         """Cost the completed nets add with order[depth] on each slot, None
-        where one of them would break hop_max; all None when drains placed
-        earlier already break it."""
+        where one of them would break hop_max (all None when drains placed
+        earlier already break it), and the row's suffix minima: entry i is
+        the smallest cost at slots i and after, inf past the last."""
         v = order[depth]
         add = [0] * kf
         worst = [0] * kf  # worst hop of the completed nets, per slot
@@ -235,7 +258,7 @@ def dfs_assign(
                 hops = list(map(srow.__getitem__, hosts))
                 if hop_max is not None:
                     if max(hops, default=0) > hop_max:
-                        return [None] * kf  # drains placed earlier already break the bound
+                        return dead
                     worst = list(map(max, worst, srow))
                 # slot f adds srow[f] unless another drain already sits on f
                 units = sum(hops)
@@ -244,19 +267,13 @@ def dfs_assign(
                     add[d] -= w * srow[d]
         if hop_max is not None:
             add = [a if x <= hop_max else None for a, x in zip(add, worst)]
-        return add
-
-    def candidate_row(depth: int) -> list[int | None]:
-        """Cost of placing order[depth] on each slot given the prefix, None
-        where it breaks hop_max, from the depth's memo.  Whether the vertex
-        fits is not part of the row: `room` changes with every placement,
-        so the search tests it afresh at each candidate."""
-        table = memo[depth]
-        key = slots_read[depth](asg)
-        row = table.get(key)
-        if row is None:
-            row = table[key] = cost_row(depth)
-        return row
+        tail = [inf] * (kf + 1)
+        low = inf
+        for i in range(kf - 1, -1, -1):
+            if add[i] is not None and add[i] < low:
+                low = add[i]
+            tail[i] = low
+        return add, tail
 
     def io_added(f: int, depth: int) -> dict[int, int]:
         """Per-slot I/O the nets completing at `depth` add with order[depth]
@@ -280,6 +297,12 @@ def dfs_assign(
                 added[s] = added.get(s, 0) + w
         return added
 
+    # Nodes are counted once per scan of a depth.  The search stops with
+    # "budget" at node_cap + 1, or at a multiple of 1000 once the deadline
+    # has passed; the clock is read when a scan reaches the next multiple.
+    next_read = inf if deadline is None else 1000
+    stop_at = min(next_read, node_cap + 1)
+    rows[0] = memo[0][()] = cost_row(0)  # depth 0 reads no other slot
     depth = 0
     while True:
         if depth == n:
@@ -298,23 +321,21 @@ def dfs_assign(
                 target = depth - 1
             prev_thd = partial
         else:
-            i = cand_idx[depth]
-            if i == 0:
-                rows[depth] = candidate_row(depth)
-            row = rows[depth]
+            # Scan from the depth's next slot while some slot left costs
+            # less than the limit.  A candidate that passes every test is
+            # placed unless its child is dead: then the child's kf nodes
+            # are charged and the scan goes on.
+            start = i = cand_idx[depth]
+            row, tail = rows[depth]
             wv = wts[depth]
             limit = inf if best_thd is None else best_thd - partial
+            child = depth + 1
+            # a candidate at slot i - 1 is node nodes + i - start + charged
+            allowance = node_cap - nodes + start
+            charged = 0
             f = -1
             added = None
-            while i < kf:
-                nodes += 1
-                if nodes > node_cap or (
-                    deadline is not None
-                    and nodes % 1000 == 0
-                    and time.monotonic() >= deadline
-                ):
-                    status = "budget"
-                    break
+            while tail[i] < limit:
                 cost = row[i]
                 i += 1
                 if cost is None or cost >= limit or (room[i - 1] - wv) & guard != guard:
@@ -326,20 +347,47 @@ def dfs_assign(
                         for g, a in added.items()
                     ):
                         continue
+                if child < n:
+                    if i + charged > allowance:
+                        break  # past the cap: its child's row is never needed
+                    # the child's row from its memo; whether its vertex fits
+                    # is tested at each of its candidates, as `room` changes
+                    asg[order[depth]] = i - 1
+                    key = slots_read[child](asg)
+                    entry = memo[child].get(key)
+                    if entry is None:
+                        entry = memo[child][key] = cost_row(child)
+                    if entry[1][0] >= limit - cost:
+                        charged += kf
+                        continue
+                    rows[child] = entry
                 f = i - 1
                 break
-            if status == "budget":
-                break
+            else:
+                i = kf  # every slot left fails the prune
+            nodes += i - start + charged
+            if nodes >= stop_at:
+                if nodes >= next_read:
+                    if next_read <= node_cap and time.monotonic() >= deadline:
+                        nodes = next_read
+                        status = "budget"
+                        break
+                    next_read = nodes - nodes % 1000 + 1000
+                if nodes > node_cap:
+                    nodes = node_cap + 1
+                    status = "budget"
+                    break
+                stop_at = min(next_read, node_cap + 1)
             cand_idx[depth] = i
             if f >= 0:
                 if added:
                     for g, a in added.items():
                         io[g] += a
-                room[f] -= wts[depth]
+                room[f] -= wv
                 asg[order[depth]] = f
                 partial += cost
                 undo[depth] = (f, cost, added)
-                depth += 1
+                depth = child
                 cand_idx[depth] = 0
                 continue
             if depth == 0:
@@ -356,7 +404,7 @@ def dfs_assign(
                     io[g] -= a
 
     placement = None if best_asg is None else Placement([fpga_order[f] for f in best_asg])
-    return AssignResult(placement, best_thd, status, solutions, nodes)
+    return AssignResult(placement, best_thd, status, solutions, nodes, sum(map(len, memo)))
 
 
 def parallel_assign(
@@ -391,6 +439,7 @@ def parallel_assign(
     best_key: tuple | None = None
     total_nodes = 0
     total_solutions = 0
+    total_rows = 0
     any_complete_infeasible = False
     for idx, seed in enumerate(seeds):
         if idx and deadline is not None and time.monotonic() >= deadline:
@@ -398,6 +447,7 @@ def parallel_assign(
         res = dfs_assign(h, t, hm, budget, perturb_heats(base, seed, variant), deadline=deadline)
         total_nodes += res.nodes
         total_solutions += res.solutions
+        total_rows += res.rows
         if res.placement is None:
             if res.status == "complete":
                 any_complete_infeasible = True
@@ -411,5 +461,7 @@ def parallel_assign(
             break
     if best is None:
         status = "complete" if any_complete_infeasible else "budget"
-        return AssignResult(None, None, status, total_solutions, total_nodes)
-    return AssignResult(best.placement, best.thd, best.status, total_solutions, total_nodes)
+        return AssignResult(None, None, status, total_solutions, total_nodes, total_rows)
+    return AssignResult(
+        best.placement, best.thd, best.status, total_solutions, total_nodes, total_rows
+    )

@@ -301,8 +301,12 @@ class RefineState:
         # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
         self.pair_corr: dict[int, dict[int, int]] = {}
         # heaps whose top try_apply rejected on I/O or hop grounds and the
-        # loop shelved; the next commit unshelves them
+        # loop shelved, or whose top selection passed over as a return (see
+        # `_returns`); the next commit unshelves them
         self.held: list[AddressableMaxHeap] = []
+        # (vertex, FPGA) pairs a vertex left by a zero-gain move or
+        # exchange since the last positive-gain commit
+        self.left_at_zero: set[tuple[int, int]] = set()
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
@@ -585,6 +589,18 @@ class RefineState:
             and kind in ("move", "exchange")
         )
 
+    def _returns(self, kind: str, v: int, dest: int) -> bool:
+        """Whether a zero-gain move or exchange entry takes a vertex back
+        to an FPGA it left at zero gain since the last positive-gain
+        commit.  Selection passes such an entry over, so zero-gain ops
+        cannot undo each other; the entry itself stays exact and live."""
+        left = self.left_at_zero
+        if not left or kind not in ("move", "exchange"):
+            return False
+        if (v, dest) in left:
+            return True
+        return kind == "exchange" and (self.ex_partner[v], self.p.original[v]) in left
+
     def peek_best(self) -> tuple[str, int, int, int] | None:
         """Best acceptable entry that fits its destination's resources, as
         (kind, vertex, dest, gain), or None.
@@ -594,19 +610,24 @@ class RefineState:
         heap top that does not fit is shelved: it leaves heap order but
         stays live, and `try_apply` puts it back once the room it lacked
         can have grown (for move and replicate, when usage on its FPGA
-        falls; for exchange, at the next commit).  So the result is the
-        entry the loop would reach by popping and rejecting every better
-        acceptable one that does not fit.
+        falls; for exchange, at the next commit).  A zero-gain top that
+        `_returns` flags is shelved until the next commit.  So the result
+        is the entry the loop would reach by popping and rejecting every
+        better acceptable one that does not fit or returns.
         """
         orig = self.p.original
 
         def top(kind: str, f: int, heap: AddressableMaxHeap):
-            entry = heap.peek()
-            if entry is None or not self._acceptable(kind, entry[0]):
-                return None
-            gain, v = entry
-            dest = orig[self.ex_partner[v]] if kind == "exchange" else f
-            return (-gain, KIND_RANK[kind], v, dest), kind, f, heap
+            while True:
+                entry = heap.peek()
+                if entry is None or not self._acceptable(kind, entry[0]):
+                    return None
+                gain, v = entry
+                dest = orig[self.ex_partner[v]] if kind == "exchange" else f
+                if gain or not self._returns(kind, v, dest):
+                    return (-gain, KIND_RANK[kind], v, dest), kind, f, heap
+                heap.shelve()
+                self.held.append(heap)
 
         capped = (
             self.max_replicas is not None
@@ -733,7 +754,8 @@ class RefineState:
         # commit
         dirty, terms = self._transitions(change, after) if self.incremental else ((), ())
         partner = self.ex_partner.get(v) if kind == "exchange" else None
-        partner_dest = None if partner is None else p.original[v]
+        source = p.original[v]
+        partner_dest = None if partner is None else source
         op = Op(kind, v, dest, partner, partner_dest, gain)
         apply_op(p, op)
         for e, (_, cnt) in after.items():
@@ -756,8 +778,14 @@ class RefineState:
         self.thd -= gain
         if kind == "replicate":
             self.replicates_applied += 1
-        if gain == 0 and kind in ("move", "exchange") and self.allow_zero_gain:
-            self.zero_gain_left -= 1
+        if gain > 0:
+            self.left_at_zero.clear()
+        elif gain == 0 and kind in ("move", "exchange"):
+            self.left_at_zero.add((v, source))
+            if partner is not None:
+                self.left_at_zero.add((partner, dest))
+            if self.allow_zero_gain:
+                self.zero_gain_left -= 1
         self.applied.append(op)
         self._refresh_after(dirty, terms)
         return op

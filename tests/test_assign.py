@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -296,6 +298,100 @@ def test_pinned_search_results(make, heat_seed, budget, expected):
     assert (res.status, res.nodes, res.solutions, res.thd, placement) == expected
 
 
+def _pinned_heats(make, heat_seed):
+    """A pinned case's instance, hop matrix and (jittered) heats."""
+    b = make()
+    hm = compute_hop_matrix(b.topology)
+    heats = compute_heats(b.hypergraph, b.topology, hm)
+    if heat_seed is not None:
+        heats = perturb_heats(heats, heat_seed)
+    return b, hm, heats
+
+
+# Every node cap from 1 to 500 on three of the pinned searches, recorded
+# before the search charged dead candidates and dead children in bulk: a
+# cap that falls inside a charged run must stop with the same (status,
+# nodes, solutions, THD, placement) as a search that counts node by node,
+# having computed the same candidate rows.  Each case holds the sha256 of
+# those tuples' reprs and that of the row counts' reprs, cap 1 first.
+PINNED_SWEEPS = [
+    ("unbounded-41", lambda: gen_instance(41, 80, 96, 8, 2, spare=0.4), 1, NODES_50K,
+     "c1119decb27d456c12ebc9465408fcab9b3c66810690a7278c167e8ecb540166",
+     "87d996baccd0823f008db7db4f59480628a5c08c0457ef45f6096c229b29cacc"),
+    ("hub-2005", lambda: _hub(2005, 120), 1, NODES_50K,
+     "306989ad21d3342c9d90aada3236c599dbec91349393ce199edd4dc7850dc3c9",
+     "7799e82b1fa3aa9475ffb052a607edeb162ee17c6ce339259b927b5bac3fbb88"),
+    ("deep-8", lambda: gen_instance(8, 10, 14, 3, 1, spare=0.4), None, DEEP,
+     "7ca27627849bb06063a999ef9e375f63d4b4f1d4be0679b40c63e18b9567a2e2",
+     "3c631fbc82c6f248597f32730e07092f0d2cacaf15d4ecf923823d22c18d1355"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, heat_seed, budget, expected, expected_rows",
+    [case[1:] for case in PINNED_SWEEPS],
+    ids=[case[0] for case in PINNED_SWEEPS],
+)
+def test_pinned_node_cap_sweep(make, heat_seed, budget, expected, expected_rows):
+    b, hm, heats = _pinned_heats(make, heat_seed)
+    digest = hashlib.sha256()
+    rows = hashlib.sha256()
+    for cap in range(1, 501):
+        res = dfs_assign(b.hypergraph, b.topology, hm, replace(budget, max_nodes=cap), heats)
+        placement = None if res.placement is None else "".join(map(str, res.placement.original))
+        digest.update(repr((res.status, res.nodes, res.solutions, res.thd, placement)).encode())
+        rows.update(repr(res.rows).encode())
+    assert (digest.hexdigest(), rows.hexdigest()) == (expected, expected_rows)
+
+
+# Candidate rows three pinned searches compute, counted on the search that
+# visited every node: looking a child's row up before entering it computes
+# the row of every child that search entered, and no other.
+PINNED_ROWS = [
+    ("coarsest-7000", lambda: _coarsest(7000), 1, NODES_50K, 1680),
+    ("coarsest-7000", lambda: _coarsest(7000), 2, NODES_50K, 942),
+    ("deep-8", lambda: gen_instance(8, 10, 14, 3, 1, spare=0.4), None, DEEP, 2265),
+]
+
+
+@pytest.mark.parametrize(
+    "make, heat_seed, budget, expected",
+    [case[1:] for case in PINNED_ROWS],
+    ids=[f"{case[0]}-heat{case[2]}" for case in PINNED_ROWS],
+)
+def test_pinned_rows_computed(make, heat_seed, budget, expected):
+    b, hm, heats = _pinned_heats(make, heat_seed)
+    assert dfs_assign(b.hypergraph, b.topology, hm, budget, heats).rows == expected
+
+
+def test_portfolio_sums_rows():
+    b = gen_instance(41, 80, 96, 8, 2, spare=0.4)
+    hm = compute_hop_matrix(b.topology)
+    budget = SearchBudget(max_nodes=5_000)
+    base = compute_heats(b.hypergraph, b.topology, hm)
+    solo = [dfs_assign(b.hypergraph, b.topology, hm, budget, perturb_heats(base, s))
+            for s in (1, 2)]
+    par = parallel_assign(b.hypergraph, b.topology, hm, budget, [1, 2])
+    assert par.rows == sum(r.rows for r in solo) > 0
+    assert par.nodes == sum(r.nodes for r in solo)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(max_nodes=0), "max_nodes must be at least 1"),
+        (dict(max_nodes=-5), "max_nodes must be at least 1"),
+        (dict(max_solutions=0), "max_solutions must be at least 1"),
+    ],
+    ids=["max-nodes-0", "max-nodes-negative", "max-solutions-0"],
+)
+def test_budget_below_one_rejected(kwargs, message):
+    # a search always counts its first node and a solution ends it at the
+    # cap, so a cap below one would silently act as one
+    with pytest.raises(ValueError, match=message):
+        SearchBudget(**kwargs)
+
+
 def test_returned_placements_validate():
     for seed in range(6):
         b = gen_instance(100 + seed, 14, 24, 4, 2, spare=0.4)
@@ -382,6 +478,24 @@ def test_time_limit_read_every_thousand_nodes(monkeypatch):
     assert (res.status, res.nodes) == ("budget", 1000)
     assert len(reads) == 1
 
+
+def test_time_limit_stops_at_the_multiple_it_was_read_at(monkeypatch):
+    # a clock at t=0 on its first read and t=1 on its second: the deadline
+    # t=0.5 is seen at the second multiple of 1000, and the search stops
+    # there even when a scan charged nodes past it
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return float(len(reads) - 1)
+
+    monkeypatch.setattr(assign, "time", SimpleNamespace(monotonic=monotonic))
+    b = gen_instance(41, 80, 96, 8, 2, spare=0.4)
+    hm = compute_hop_matrix(b.topology)
+    budget = SearchBudget(max_solutions=None, max_nodes=None)
+    res = dfs_assign(b.hypergraph, b.topology, hm, budget, deadline=0.5)
+    assert (res.status, res.nodes) == ("budget", 2000)
+    assert len(reads) == 2
 
 def test_portfolio_shares_one_time_limit(monkeypatch):
     # the same 1 s-per-read clock: the first search stops at its first

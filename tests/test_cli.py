@@ -190,6 +190,25 @@ def test_partition_non_finite_flag_exit_code(tmp_path, instance, capsys, flag, v
     assert not (tmp_path / "x.sol").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--assign-max-nodes", 0, "max_nodes must be at least 1"),
+        ("--assign-max-nodes", -5, "max_nodes must be at least 1"),
+        ("--assign-budget", 0, "max_solutions must be at least 1"),
+    ],
+    ids=["max-nodes-0", "max-nodes-negative", "assign-budget-0"],
+)
+def test_partition_assign_budget_below_one_exit_code(tmp_path, instance, capsys, flag, value,
+                                                     message):
+    # a search with no node or no solution to spend is a usage error, not
+    # a budget exit (4) or a run with a budget of one
+    hg, topo = instance
+    assert run(["partition", hg, topo, "-o", tmp_path / "x.sol", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.sol").exists()
+
+
 def test_coarsened_search_failure_is_budget_not_infeasible():
     # the search exhausts the coarsest graph of this instance, but the
     # input has a placement: only an uncoarsened search proves anything

@@ -455,6 +455,36 @@ def test_zero_gain_moves_only_with_flag():
     assert len(seen2) <= 3
 
 
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_zero_gain_ops_never_take_a_vertex_back(seed):
+    # until a positive-gain op commits, no zero-gain move or exchange puts
+    # a vertex back on an FPGA it left at zero gain; on seed 5, vertex 6
+    # used to move between FPGAs 0 and 2 at gain 0 until the zero-gain
+    # allowance (the vertex count) ran out.  The bank stays exact.
+    h, t, p = random_feasible_state(seed)
+    state = RefineState(h, t, compute_hop_matrix(t), p, allow_zero_gain=True)
+    check_bank_after_every_attempt(state)
+    orig = list(p.original)
+    left = set()
+    zero = []
+
+    def check(op, pl, thd):
+        moved = [op.v] + ([op.partner] if op.kind == "exchange" else [])
+        if op.gain > 0:
+            left.clear()
+        elif op.kind in ("move", "exchange"):
+            zero.append(op)
+            assert not {(x, pl.original[x]) for x in moved} & left, op
+            left.update((x, orig[x]) for x in moved)
+        for x in moved:
+            orig[x] = pl.original[x]
+
+    run_refine_loop(state, observer=check)
+    assert state.zero_gain_left == h.num_vertices - len(zero) > 0
+    if seed == 5:
+        assert len(zero) >= 2
+
+
 def test_incremental_and_full_variants_agree():
     for seed in range(4):
         h, t, hm, p = _random_replicated_state(seed, n=14, m=26, k=3)
@@ -667,11 +697,16 @@ PINNED_REFINES = [
       ("replicate", 4, 1, None, None, 3), ("move", 2, 1, None, None, 1)],
      [1, 3, 1, 3, 2, 3, 2, 1, 3, 1, 1, 2, 1, 2, 2, 1, 2, 2, 1, 3],
      {0: [3], 4: [1]}),
+    # a zero-gain move may not take a vertex back where it came from until
+    # a positive-gain op commits: vertex 6 leaves FPGA 2 at gain 0 and
+    # returns only by a positive exchange, after the zero-gain moves have
+    # opened two positive ones
     ("zero-gain-5", lambda: _random_feasible_hm(5),
      dict(allow_zero_gain=True, zero_gain_limit=3, max_replicas=1),
      [("replicate", 0, 2, None, None, 2), ("move", 6, 0, None, None, 0),
-      ("move", 6, 2, None, None, 0), ("move", 6, 0, None, None, 0)],
-     [0, 2, 2, 0, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 2, 1, 0, 1, 2, 1, 1, 1, 0, 1],
+      ("move", 16, 2, None, None, 0), ("move", 22, 2, None, None, 1),
+      ("move", 1, 0, None, None, 1), ("exchange", 6, 2, 9, 0, 2)],
+     [0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 1, 1, 2, 1],
      {0: [2]}),
     ("exchange-only-8", lambda: tight_state(8, n=24, m=44), dict(ops=("exchange",)),
      [("exchange", 3, 2, 16, 0, 10), ("exchange", 12, 1, 18, 0, 8),
