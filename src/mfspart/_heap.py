@@ -37,6 +37,12 @@ class AddressableMaxHeap:
         self._live[item] = gain
         heapq.heappush(self._heap, (-gain, item))
 
+    def fill(self, items: dict[int, int]) -> None:
+        """Make an empty heap hold `items` (item -> gain), all at once."""
+        self._live.update(items)
+        self._heap = [(-gain, item) for item, gain in items.items()]
+        heapq.heapify(self._heap)
+
     def update(self, item: int, gain: int | None) -> None:
         """Set an item's gain, or remove it when `gain` is None.  An entry
         whose gain is unchanged is left in place, shelved or not."""

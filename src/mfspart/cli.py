@@ -96,6 +96,8 @@ def run_pipeline(
     """
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
         raise ValueError("time_limit must be finite and non-negative")
+    if max_replicas is not None and max_replicas < 0:
+        raise ValueError("max_replicas must be non-negative")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     hm = compute_hop_matrix(t)
     cfg = CoarseningConfig(

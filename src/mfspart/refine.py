@@ -27,22 +27,31 @@ FPGAs changed, and a drain for which the FPGAs other drains cover changed
 (a count crossing 0|1 at an FPGA it does not host, or 1|2 at one it
 does); see `_transitions`.
 
-A rebuilt vertex's entries come in closed form from per-FPGA terms of its
-incident edges (see `_rebuild_mrd`), and an entry is pushed only when its
-gain changed.  Its move gains are also kept as one row per vertex,
-`move_row`, which is None exactly for a vertex without entries.
+A rebuilt vertex's entries come in closed form from two per-FPGA
+aggregates of its incident edges, copy_cost (the cost of a copy of it on
+each FPGA, as a drain) and src_w (the weight of the edges it sources that
+drain on each FPGA); see `_mrd_rows`.  They are built on the vertex's
+first use and from then on kept by per-net deltas, as an FM gain table
+is: the commit patches them from each changed edge's counts and source
+row, before and after.  The terms that read only src_w and the vertex's
+hosts are cached until either changes, so a rebuild reads no edge and
+costs O(K).  Its move, replicate and delete gains are kept as rows,
+`move_row`, `rep_row` and `del_row`, None exactly for a vertex without
+entries (delete: without replicas), and a heap slot is pushed only when
+its gain changed.
 
 An exchange gain is the two endpoints' move gains, read from their rows,
 plus a correction over the nets they share: corr(v, u) is a sum of one
 term per shared net (`_corr_term`), symmetric, and cached under both
 orders of the pair once first needed.  The cache is kept by per-net
-deltas, as an FM gain table is: a commit subtracts each changed net's old
-term from every cached pair of its members whose term it can alter and
-adds the new one, so no correction is ever rebuilt.  The vertices whose
-move row changed get a full best-partner scan; any other vertex re-scores
-only the partners whose pair gain changed (through that partner's row, or
-through the pair's correction) against its stored best, and rescans only
-when that stored partner is among them.
+deltas too: a commit subtracts each changed net's old term from every
+cached pair of its members whose term it can alter and adds the new one,
+so no correction is ever rebuilt.  One re-score rule serves every vertex:
+it re-scores only the partners whose pair gain changed (through the
+pair's correction, or through either row: a row that changed at FPGAs F
+changes the pairs with a partner on F) against its stored best, and
+rescans in full only when it moved, gained or lost its row, or its
+stored partner is among them.
 
 Selection shelves an acceptable heap top that does not fit its
 destination's free resources: it leaves heap order but stays live, and it
@@ -243,6 +252,8 @@ class RefineState:
         unknown = self.enabled - set(ALL_OPS)
         if unknown:
             raise ValueError(f"unknown op kinds: {sorted(unknown)}")
+        if max_replicas is not None and max_replicas < 0:
+            raise ValueError("max_replicas must be non-negative")
         self.max_replicas = max_replicas
         self.allow_zero_gain = allow_zero_gain
         self.zero_gain_left = (
@@ -284,22 +295,7 @@ class RefineState:
             for d in e.drains:
                 self.drained[d].append((e.id, e.weight, e.source))
         self._capped: list[dict] = [{None: col} for col in zip(*hm.dist)]
-
-        # bank[kind][f] holds the enabled kind's entries with destination f.
-        # Exchange entries are per vertex, with the best partner in
-        # ex_partner; they are built from move_row[v], v's move gain to
-        # every FPGA (None at its own), which is None exactly when v has no
-        # entries.
-        self.bank = {
-            kind: [AddressableMaxHeap() for _ in range(self.kf)]
-            for kind in FPGA_KINDS
-            if kind in self.enabled
-        }
-        self.move_row: list[list | None] = [None] * h.num_vertices
-        self.ex_heap = AddressableMaxHeap()
-        self.ex_partner: dict[int, int] = {}
-        # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
-        self.pair_corr: dict[int, dict[int, int]] = {}
+        self._no_gains = (None,) * self.kf  # the row of a vertex without entries
         # heaps whose top try_apply rejected on I/O or hop grounds and the
         # loop shelved, or whose top selection passed over as a return (see
         # `_returns`); the next commit unshelves them
@@ -314,40 +310,66 @@ class RefineState:
 
         # past `deadline` the bank stays partial; the loop, which checks
         # the same deadline, then applies nothing
-        self._rebuild_all(deadline)
+        self._build_bank(deadline)
 
-    def _rebuild_all(self, deadline: float | None = None) -> None:
-        """Build every vertex's entries, moves first: exchange entries read
-        the move rows.  Stops at the first vertex that starts past
-        `deadline`."""
-        rebuilds = [self._rebuild_mrd]
-        if "exchange" in self.enabled:
-            rebuilds.append(self._rebuild_exchange)
-        for rebuild in rebuilds:
-            for v in range(self.h.num_vertices):
-                if _past(deadline):
-                    return
-                rebuild(v)
+    def _build_bank(self, deadline: float | None = None) -> None:
+        """Build the bank from scratch: every vertex's rows, each heap at
+        once from them, then the exchange entries, which read the move
+        rows.  Stops at the first vertex that starts past `deadline`.
+        Every aggregate and cache starts empty."""
+        n = self.h.num_vertices
+        # per vertex, built by `_aggregates` on first use and from then on
+        # kept by per-net deltas (see `_transitions`): copy_cost[v][f], the
+        # cost of a copy of v on f as a drain, and src_w[v], per FPGA f the
+        # weight of the nets v sources whose drains cover f; src_terms[v]
+        # caches what `_mrd_rows` reads of src_w[v] and v's hosts
+        self.copy_cost: list[list[int] | None] = [None] * n
+        self.src_w: list[dict[int, int] | None] = [None] * n
+        self.src_terms: list[tuple | None] = [None] * n
+        # v has entries exactly when it has a replica or cut[v] > 0: the
+        # count of its nets that do not lie wholly on one FPGA (`_local`)
+        self.cut = [0] * n
+        for e, cnt in zip(self.h.edges, self.edge_drain_cnt):
+            if not _local(self.p.hosts(e.source), cnt):
+                for x in e.members:
+                    self.cut[x] += 1
+        # bank[kind][f] holds the enabled kind's entries with destination f.
+        # A vertex's gains of each kind are also kept as one row, None for
+        # a vertex without entries (delete: without replicas), so a rebuild
+        # pushes only the slots that changed.  Exchange entries are per
+        # vertex, with the best partner in ex_partner; they are built from
+        # move_row[v], v's move gain to every FPGA (None at its own).
+        self.bank = {
+            kind: [AddressableMaxHeap() for _ in range(self.kf)]
+            for kind in FPGA_KINDS
+            if kind in self.enabled
+        }
+        self.move_row: list[list | None] = [None] * n
+        self.rep_row: list[list | None] = [None] * n
+        self.del_row: list[list | None] = [None] * n
+        self.ex_heap = AddressableMaxHeap()
+        self.ex_partner: dict[int, int] = {}
+        # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
+        self.pair_corr: dict[int, dict[int, int]] = {}
+        tables = (self.move_row, self.rep_row, self.del_row)
+        done = 0
+        while done < n and not _past(deadline):
+            for table, row in zip(tables, self._mrd_rows(done)):
+                table[done] = row
+            done += 1
+        for kind, table in zip(FPGA_KINDS, tables):
+            for f, heap in enumerate(self.bank.get(kind, ())):
+                heap.fill(
+                    {v: row[f] for v, row in enumerate(table) if row and row[f] is not None}
+                )
+        if done < n or "exchange" not in self.enabled:
+            return
+        for v in range(n):
+            if _past(deadline):
+                return
+            self._rebuild_exchange(v)
 
     # -- gain bookkeeping -------------------------------------------------
-
-    def _is_boundary(self, v: int) -> bool:
-        """Whether v has a replica or a net that is not wholly on its
-        source's FPGA: a vertex without one has no entries."""
-        reps = self.p.replicas
-        if reps[v]:
-            return True
-        orig = self.p.original
-        cnts = self.edge_drain_cnt
-        o = orig[v]
-        for e, _ in self.sourced[v]:
-            cnt = cnts[e]
-            if len(cnt) > 1 or o not in cnt:
-                return True
-        for e, _, s in self.drained[v]:
-            if reps[s] or orig[s] != o or len(cnts[e]) > 1:
-                return True
-        return False
 
     def _shared(self, v: int) -> dict[int, tuple[int, ...]]:
         """v's neighbours, each with the nets it shares with v."""
@@ -370,95 +392,132 @@ class RefineState:
             col = cols[cap] = tuple(x if x < cap else cap for x in cols[None])
         return col
 
-    def _rebuild_mrd(self, v: int) -> None:
-        """Refresh the move/replicate/delete entries of one vertex.
+    def _aggregates(self, v: int) -> list[int]:
+        """Build v's aggregates from its incident nets, on its first use;
+        returns copy_cost[v].
 
-        Every candidate changes only v's host set H, so the weighted cost
-        of v's incident edges is collected once into per-FPGA terms.  An
-        edge draining at v costs what its other drains cost plus, per f in
-        H that no other drain covers, its weight times the source's row at
-        f: copy_cost[f].  Drain edges are visited only at the FPGAs they
-        cover, and their rows are summed once per distinct source row.  An
-        edge sourced at v costs its weight times the row of H at every
-        FPGA its drains cover: src_w.  A candidate's gain is then a closed
-        form: the copy costs of the copies it drops less those of the
-        copies it adds, plus the fall of the src_w sum.  Adding a copy on
-        f caps each FPGA's hop at f's, so that sum for R + {f} (move) and
-        H + {f} (replicate) is a capped-column sum per drain FPGA, with the
-        replicas' row R or v's own row H as the cap; a delete reads the
-        row of H less the replica.  An entry is pushed only when its gain
-        changed, so an unchanged one keeps its place, shelved or not.
-        """
-        p = self.p
-        bank = self.bank
-        if not self._is_boundary(v):
-            if self.move_row[v] is not None:  # v had entries
-                for heaps in bank.values():
-                    for heap in heaps:
-                        heap.remove(v)
-                self.move_row[v] = None
-            return
+        A net draining at v costs what its other drains cost plus, per f
+        in v's hosts H that no other drain covers, its weight times the
+        source's row at f: copy_cost[f] sums those terms over all f.  Drain
+        nets are visited only at the FPGAs they cover, and their rows are
+        summed once per distinct source row.  src_w[f] is the weight of
+        the nets v sources whose drains cover f."""
         host_hop = self.host_hop
         cnts = self.edge_drain_cnt
-        o = p.original[v]
-        reps = p.replicas[v]
-        v_hosts = p.hosts(v)
-
-        src_w: dict[int, int] = {}  # weight of edges sourced at v draining on f
+        v_hosts = self.p.hosts(v)
+        src_w: dict[int, int] = {}
         for e, w in self.sourced[v]:
             for f in cnts[e]:
                 src_w[f] = src_w.get(f, 0) + w
-        by_row: dict[tuple, int] = {}  # weight of edges draining at v, per source row
+        by_row: dict[tuple, int] = {}  # weight of nets draining at v, per source row
         covered = [0] * self.kf  # weighted hops at FPGAs other drains cover
         for e, w, s in self.drained[v]:
             hop = host_hop[s]
             by_row[hop] = by_row.get(hop, 0) + w
             for f, c in cnts[e].items():
-                if c > (1 if f in v_hosts else 0):
+                if c > (f in v_hosts):
                     covered[f] += w * hop[f]
-        copy_cost = [-c for c in covered]  # cost of a copy of v on f, as a drain
+        copy_cost = [-c for c in covered]
         for hop, w in by_row.items():
             copy_cost = [c + w * x for c, x in zip(copy_cost, hop)]
+        self.src_w[v] = src_w
+        self.copy_cost[v] = copy_cost
+        return copy_cost
 
-        # per f, copy_cost[f] plus the src_w sum once v also sits on f:
-        # v's hosts R + {f} after a move, H + {f} after a replicate
-        v_hop = host_hop[v]
+    def _sourced_terms(self, v: int) -> tuple:
+        """The terms of v's gains that read only src_w[v] and v's hosts H
+        (replicas R), cached in src_terms[v] until either changes:
+        (src_now, move_col, rep_col, falls).
+
+        src_now is the cost of v's sourced nets, src_w[g] times the row of
+        H at g summed over g.  Adding a copy on f caps each FPGA's hop at
+        f's, so the sourced cost after a move (hosts R + {f}) or a
+        replicate (H + {f}) is, per f, a capped-column sum over the drain
+        FPGAs, with R's row or H's as the cap: move_col[f] and rep_col[f].
+        falls holds (r, the fall of the sourced cost when replica r goes)."""
+        src_w = self.src_w[v]
+        v_hop = self.host_hop[v]
+        reps = self.p.replicas[v]
         r_hop = self.hm.nearest(reps)[0] if reps else None
         src_now = 0
-        move_cost = rep_cost = copy_cost
+        move_col = rep_col = [0] * self.kf
         for g, w in src_w.items():
             cap = v_hop[g]
             if cap:
                 src_now += w * cap
                 col = self._capped_col(g, cap)
-                rep_cost = [a + w * x for a, x in zip(rep_cost, col)]
+                rep_col = [a + w * x for a, x in zip(rep_col, col)]
             cap = r_hop[g] if r_hop else None
             if cap != 0:
                 col = self._capped_col(g, cap)
-                move_cost = [a + w * x for a, x in zip(move_cost, col)]
+                move_col = [a + w * x for a, x in zip(move_col, col)]
+        falls = []
+        if reps:
+            v_hosts = self.p.hosts(v)
+            for r in reps:
+                hop = self.hm.nearest(v_hosts - {r})[0]
+                falls.append((r, src_now - sum(w * hop[g] for g, w in src_w.items())))
+        terms = self.src_terms[v] = (src_now, tuple(move_col), tuple(rep_col), tuple(falls))
+        return terms
+
+    def _mrd_rows(self, v: int) -> tuple[list | None, list | None, list | None]:
+        """v's move, replicate and delete rows: per destination FPGA, the
+        gain, or None where the op does not apply.
+
+        Every candidate changes only v's host set H, so its gain is a
+        closed form in v's kept aggregates (see `_aggregates` and
+        `_sourced_terms`): the copy costs of the copies it drops less
+        those of the copies it adds, plus the fall of the sourced cost.
+        The aggregates are built on v's first use and from then on patched
+        by each commit's changed nets, so this reads no net and costs
+        O(K).  A row is None for a vertex without entries, and for a
+        disabled kind.
+        """
+        p = self.p
+        reps = p.replicas[v]
+        if not (reps or self.cut[v]):  # v has no entries
+            return None, None, None
+        copy_cost = self.copy_cost[v] or self._aggregates(v)
+        src_now, move_col, rep_col, falls = self.src_terms[v] or self._sourced_terms(v)
+        o = p.original[v]
         keep = copy_cost[o] + src_now  # H's cost less R's copy costs
-        move = [keep - x for x in move_cost]
+        move = [keep - c - x for c, x in zip(copy_cost, move_col)]
         for r in reps:  # a move onto a replica adds no copy
             move[r] += copy_cost[r]
         move[o] = None
-        self.move_row[v] = move
-        if "move" in bank:
-            for heap, g in zip(bank["move"], move):
-                heap.update(v, g)
-        if "replicate" in bank:
-            rep = [src_now - x for x in rep_cost]
-            for f in v_hosts:
-                rep[f] = None
-            for heap, g in zip(bank["replicate"], rep):
-                heap.update(v, g)
-        if "delete" in bank:
-            dele: list[int | None] = [None] * self.kf
+        rep = dele = None
+        if "replicate" in self.bank:
+            rep = [src_now - c - x for c, x in zip(copy_cost, rep_col)]
+            rep[o] = None
             for r in reps:
-                hop = self.hm.nearest(v_hosts - {r})[0]
-                rest = sum(w * hop[g] for g, w in src_w.items())
-                dele[r] = copy_cost[r] + src_now - rest
-            for heap, g in zip(bank["delete"], dele):
-                heap.update(v, g)
+                rep[r] = None
+        if reps and "delete" in self.bank:
+            dele = [None] * self.kf
+            for r, fall in falls:
+                dele[r] = copy_cost[r] + fall
+        return move, rep, dele
+
+    def _rebuild_mrd(self, v: int) -> None:
+        """Refresh the move/replicate/delete entries of one vertex from
+        its rows (see `_mrd_rows`).  A slot is pushed to its heap only
+        when its gain changed, so an unchanged entry keeps its place,
+        shelved or not."""
+        move, rep, dele = self._mrd_rows(v)
+        self._set_row(self.move_row, "move", v, move)
+        self._set_row(self.rep_row, "replicate", v, rep)
+        self._set_row(self.del_row, "delete", v, dele)
+
+    def _set_row(self, rows: list, kind: str, v: int, new: list | None) -> None:
+        """Store v's row of `kind` gains and push the slots that changed."""
+        old = rows[v]
+        rows[v] = new
+        heaps = self.bank.get(kind)
+        if heaps is None or old is new:  # disabled, or None before and after
+            return
+        none = self._no_gains
+        for heap, a, b in zip(heaps, old or none, new or none):
+            if a != b:
+                heap.update(v, b)
 
     def _rebuild_exchange(self, v: int) -> None:
         """Refresh the best-partner exchange entry of one vertex from a
@@ -473,11 +532,12 @@ class RefineState:
             self.ex_partner[v] = best_u
 
     def _patch_exchange(self, v: int, changed: set[int]) -> None:
-        """Update the exchange entry of a vertex whose own entries the op
-        left alone, given the partners whose pair gain may have changed.
-        Every other pair gain is as stored, so the stored best stays the
-        best of them, and only the changed pairs are re-scored against it;
-        when the stored partner is among them, v is rescanned in full."""
+        """Update the exchange entry of a vertex that kept its FPGA and its
+        row's presence, given the partners whose pair gain may have
+        changed.  Every other pair gain is as stored, so the stored best
+        stays the best of them, and only the changed pairs are re-scored
+        against it; when the stored partner is among them, v is rescanned
+        in full."""
         stored = self.ex_partner.get(v)
         if stored in changed:
             self._rebuild_exchange(v)
@@ -796,7 +856,9 @@ class RefineState:
         it: the vertices whose move/replicate/delete entries it can alter,
         and (e, a, b, term) for every changed net e and every cached pair
         a, b of its members whose correction term it can alter, with the
-        old term.
+        old term.  The same pass patches the kept aggregates by each
+        changed net's terms before and after, and drops the cached
+        sourced-net terms of the vertices whose hosts or src_w change.
 
         Those entries read, per incident edge, only the source's hosts
         and, of the drain counts, what the vertex's own copies do not
@@ -810,41 +872,99 @@ class RefineState:
         when the covered set changed; a drain is dirty when a 0|1 crossing
         is at an FPGA it does not host, or a 1|2 crossing at one it does;
         and a pair is listed when a member is touched or on a crossing.
+        A touched drain is dirty anyway, but what other drains cover can
+        change for it with no count changing (an exchange of two drains of
+        one net), so its copy_cost is patched at every FPGA e covers.
         """
         h = self.h
         orig = self.p.original
         reps = self.p.replicas
         pair_corr = self.pair_corr
+        host_hop = self.host_hop
+        copy_cost = self.copy_cost
+        src_w = self.src_w
+        src_terms = self.src_terms
+        cut = self.cut
         dirty = set(change)
+        for x in change:
+            src_terms[x] = None
         terms = []
-        for e, (_, new) in after.items():
+        for e, (src_hosts, new) in after.items():
             edge = h.edges[e]
+            s = edge.source
+            w = edge.weight
             members = edge.members
-            if edge.source in change:
+            old = self.edge_drain_cnt[e]
+            was_local = _local(self.p.hosts(s), old)
+            if was_local != _local(src_hosts, new):
+                step = 1 if was_local else -1
+                for x in members:
+                    cut[x] += step
+            outside = set()  # 0|1 crossings: reach drains not hosting f
+            inside = set()  # 1|2 crossings: reach drains hosting f
+            for f in old.keys() | new.keys():
+                a, b = old.get(f, 0), new.get(f, 0)
+                if (a == 0) != (b == 0):
+                    outside.add(f)
+                if (a > 1) != (b > 1):
+                    inside.add(f)
+            if outside:  # the covered set changed
+                dirty.add(s)
+                sw = src_w[s]
+                if sw is not None:
+                    src_terms[s] = None
+                    for f in outside:
+                        x = sw.get(f, 0) + (w if f in new else -w)
+                        if x:
+                            sw[f] = x
+                        else:
+                            del sw[f]
+            if s in change:
                 dirty.update(edge.drains)
+                hop_old = host_hop[s]
+                hop_new = self.hm.nearest(src_hosts)[0]
+                shift = [w * (b - a) for a, b in zip(hop_old, hop_new)]
+                for d in edge.drains:
+                    cc = copy_cost[d]
+                    if cc is None:
+                        continue
+                    od, rd = orig[d], reps[d]
+                    new_hosts = change.get(d)
+                    cc = copy_cost[d] = [c + x for c, x in zip(cc, shift)]
+                    for f, c in old.items():
+                        if c > (f == od or f in rd):  # another drain covers f
+                            cc[f] += w * hop_old[f]
+                    for f, c in new.items():
+                        if c > (f == od or f in rd if new_hosts is None else f in new_hosts):
+                            cc[f] -= w * hop_new[f]
                 hot = members
             else:
-                old = self.edge_drain_cnt[e]
-                if old.keys() != new.keys():
-                    dirty.add(edge.source)
-                outside = set()  # 0|1 crossings: reach drains not hosting f
-                inside = set()  # 1|2 crossings: reach drains hosting f
-                for f in old.keys() | new.keys():
-                    a, b = old.get(f, 0), new.get(f, 0)
-                    if (a == 0) != (b == 0):
-                        outside.add(f)
-                    if (a > 1) != (b > 1):
-                        inside.add(f)
-                if outside or inside:
-                    for d in edge.drains:
-                        if d in dirty:
-                            continue
-                        od, rd = orig[d], reps[d]
-                        if any(f != od and f not in rd for f in outside) or any(
-                            f == od or f in rd for f in inside
-                        ):
-                            dirty.add(d)
+                hop = host_hop[s]
                 flips = outside | inside
+                spread = None
+                for d in edge.drains:
+                    cc = copy_cost[d]
+                    new_hosts = change.get(d)
+                    if new_hosts is None:
+                        if not flips or (cc is None and d in dirty):
+                            continue
+                        fpgas = flips
+                    elif cc is None:  # touched, so dirty already
+                        continue
+                    else:
+                        if spread is None:
+                            spread = old.keys() | new.keys()
+                        fpgas = spread
+                    od, rd = orig[d], reps[d]
+                    for f in fpgas:
+                        held = f == od or f in rd
+                        now = held if new_hosts is None else f in new_hosts
+                        # whether no other drain covers f, before and after
+                        uncovered = new.get(f, 0) == now
+                        if (old.get(f, 0) == held) != uncovered:
+                            dirty.add(d)
+                            if cc is not None:
+                                cc[f] += w * hop[f] if uncovered else -w * hop[f]
                 hot = [x for x in members if x in change or orig[x] in flips]
             hot_set = set(hot)
             for a in hot:
@@ -862,8 +982,7 @@ class RefineState:
         exchange entries up to date."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
-            self.pair_corr.clear()
-            self._rebuild_all()
+            self._build_bank()
             return
         rows = self.move_row
         old_rows = {v: rows[v] for v in dirty}
@@ -872,21 +991,11 @@ class RefineState:
         if "exchange" not in self.enabled:
             return
         orig = self.p.original
-        # a vertex whose move row changed is rescanned in full; of its
-        # pairs, those with a partner on an FPGA where the row changed, or
-        # all when it moved or gained or lost its row, changed their gain
-        rescan: dict[int, set[int] | None] = {}
-        for v, old in old_rows.items():
-            new = rows[v]
-            if new == old:
-                continue
-            if old is None or new is None or old[orig[v]] is not None:
-                rescan[v] = None
-            else:
-                rescan[v] = {f for f, (a, b) in enumerate(zip(old, new)) if a != b}
-        # every other vertex re-scores the partners whose pair gain
-        # g_v(pu) + g_u(pv) + corr(v, u) changed: through u's row, as
-        # above, or through the pair's corr
+        # the pairs whose gain g_v(pu) + g_u(pv) + corr(v, u) changed, per
+        # vertex: through the pair's corr, or through a row; a row that
+        # changed at FPGAs F changes the pairs with a partner on F, and a
+        # vertex that moved, or gained or lost its row, changes all its
+        # pairs and is rescanned in full
         changed: dict[int, set[int]] = {}
         pair_corr = self.pair_corr
         for e, a, b, old in terms:
@@ -895,14 +1004,33 @@ class RefineState:
                 pair_corr[a][b] = pair_corr[b][a] = pair_corr[a][b] + delta
                 changed.setdefault(a, set()).add(b)
                 changed.setdefault(b, set()).add(a)
-        for d, fpgas in rescan.items():
-            for v in self._shared(d):
-                if fpgas is None or orig[v] in fpgas:
-                    changed.setdefault(v, set()).add(d)
+        rescan = set()
+        for d, old in old_rows.items():
+            new = rows[d]
+            if new == old:
+                continue
+            if old is None or new is None or old[orig[d]] is not None:
+                rescan.add(d)
+                for u in self._shared(d):
+                    changed.setdefault(u, set()).add(d)
+                continue
+            fpgas = {f for f, (a, b) in enumerate(zip(old, new)) if a != b}
+            mine = changed.setdefault(d, set())
+            for u in self._shared(d):
+                if orig[u] in fpgas:
+                    changed.setdefault(u, set()).add(d)
+                    mine.add(u)
         for v in sorted(rescan):
             self._rebuild_exchange(v)
-        for v in sorted(changed.keys() - rescan.keys()):
+        for v in sorted(changed.keys() - rescan):
             self._patch_exchange(v, changed[v])
+
+
+def _local(src_hosts, cnt: dict[int, int]) -> bool:
+    """Whether a net lies wholly on one FPGA: its source has one copy and
+    every drain copy sits with it.  A vertex none of whose nets is cut
+    this way, and that has no replica, has no entries."""
+    return len(cnt) == 1 and len(src_hosts) == 1 and not src_hosts.isdisjoint(cnt)
 
 
 def _past(deadline: float | None) -> bool:

@@ -209,6 +209,16 @@ def test_partition_assign_budget_below_one_exit_code(tmp_path, instance, capsys,
     assert not (tmp_path / "x.sol").exists()
 
 
+@pytest.mark.parametrize("value", [-1, -5])
+def test_partition_negative_max_replicas_exit_code(tmp_path, instance, capsys, value):
+    # a negative cap used to read as a cap of 0: no replicate was applied
+    # and the run exited 0
+    hg, topo = instance
+    assert run(["partition", hg, topo, "-o", tmp_path / "x.sol", "--max-replicas", value]) == 2
+    assert capsys.readouterr().err == "error: max_replicas must be non-negative\n"
+    assert not (tmp_path / "x.sol").exists()
+
+
 def test_coarsened_search_failure_is_budget_not_infeasible():
     # the search exhausts the coarsest graph of this instance, but the
     # input has a placement: only an uncoarsened search proves anything
@@ -339,6 +349,16 @@ PINNED_PARTITIONS = [
      ["--seeds", "1", "--assign-max-nodes", "2000"],
      "9b61a102ace74faa19d99e2473f357c9ea0c0fdf92d03062c54f17239461bede",
      "87833f31d54089a8b13a2044f2162c0bd1ea5f1320a758750ed1ecd08d58d0a9"),
+    ("zero-gain-capped-600", (3, 600, 720, 8, 2), {"spare": 0.4},
+     ["--seeds", "1", "--assign-max-nodes", "2000", "--allow-zero-gain",
+      "--max-replicas", "2"],
+     "276ebc9f7769251ab0f0153ed0a7da17f91cb0d464fe0efe4959dbcb9ab0f135",
+     "5d814227abc310be1c35032821f9ae4530c83a670b9fb596e364e69b00b8444d"),
+    ("hub-600", (5, 600, 720, 8, 2),
+     {"spare": 0.4, "hub_fraction": 0.2, "hub_fanout": 64},
+     ["--seeds", "1", "--assign-max-nodes", "2000"],
+     "f9907b735070f3e4b9fd5f8c8700313b3b4f1de394e11c5f444066cb49921e10",
+     "1f9d7d46a6c9ce0518329a3d6e71de44027721bdb9fa9cae5efa3fcdc175a1f1"),
 ]
 
 

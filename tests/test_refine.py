@@ -440,6 +440,13 @@ def test_max_replicas_cap():
     assert "replicate" not in seen
 
 
+def test_negative_max_replicas_rejected():
+    h, t, p = fanout_story(src_fpga=1)
+    hm = compute_hop_matrix(t)
+    with pytest.raises(ValueError, match="max_replicas must be non-negative"):
+        RefineState(h, t, hm, p, max_replicas=-1)
+
+
 def test_zero_gain_moves_only_with_flag():
     # two symmetric unit-capacity FPGAs: the only candidates are zero-gain
     h = Hypergraph.build([[1], [1]], [(1, 0, [1])])

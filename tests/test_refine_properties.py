@@ -1,5 +1,7 @@
 """Property tests of the refinement bank over generated op sequences."""
 
+from collections import Counter
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfspart.metrics import report, total_hop_distance, validate
+from mfspart.model import drain_fpgas
 from mfspart.refine import (
     RefineState,
     apply_op,
@@ -167,3 +170,109 @@ def test_corr_walk_covers_sourced_and_multi_net_pairs():
         sourcing_ops += counts[0]
         multi_net_pairs += counts[1]
     assert sourcing_ops >= 20 and multi_net_pairs >= 100
+
+
+def _scratch_aggregates(state, v):
+    """copy_cost, src_w and the sourced-net terms of v, from their
+    definitions under the current placement."""
+    h, hm, p = state.h, state.hm, state.p
+    hosts = p.hosts(v)
+    copy_cost = [0] * state.kf
+    src_w = {}
+    for e in h.edges:
+        if e.source == v:
+            for f in drain_fpgas(h, e.id, p):
+                src_w[f] = src_w.get(f, 0) + e.weight
+        elif v in e.drains:
+            others = set()
+            for d in e.drains:
+                if d != v:
+                    others |= p.hosts(d)
+            hop = hm.nearest(p.hosts(e.source))[0]
+            for f in range(state.kf):
+                if f not in others:
+                    copy_cost[f] += e.weight * hop[f]
+
+    def sourced_cost(host_set):
+        hop = hm.nearest(host_set)[0]
+        return sum(w * hop[g] for g, w in src_w.items())
+
+    reps = p.replicas[v]
+    src_now = sourced_cost(hosts)
+    move_col = [sourced_cost(reps | {f}) for f in range(state.kf)]
+    rep_col = [sourced_cost(hosts | {f}) for f in range(state.kf)]
+    falls = {r: src_now - sourced_cost(hosts - {r}) for r in reps}
+    return copy_cost, src_w, (src_now, move_col, rep_col, falls)
+
+
+def _walk_checking_aggregates(state, picks):
+    """Apply the picked entries one by one.  After every applied op, each
+    vertex's stored aggregates and cached sourced-net terms must equal
+    their definitions, and its cut-net count a fresh count.  Returns how
+    many applied ops touched the source of a net with a drain whose
+    aggregates are kept, exchanged two drains of one net, and deleted a
+    vertex's last replica."""
+    h = state.h
+    cases = Counter()
+    for pick in picks:
+        entries = list(state.entries())
+        if not entries:
+            break
+        op = entries[pick % len(entries)]
+        kept = [v for v, cc in enumerate(state.copy_cost) if cc is not None]
+        if state.try_apply(op.kind, op.v, op.dest) is None:
+            continue
+        touched = {op.v, op.partner} - {None}
+        for e in h.edges:
+            if e.source in touched and any(d in kept for d in e.drains):
+                cases["touched source"] += 1
+                break
+        if op.kind == "exchange" and any(
+            op.v in e.drains and op.partner in e.drains for e in h.edges
+        ):
+            cases["exchanged drains"] += 1
+        if op.kind == "delete" and not state.p.replicas[op.v]:
+            cases["last replica deleted"] += 1
+        fresh = RefineState(state.h, state.t, state.hm, state.p)
+        assert state.cut == fresh.cut
+        for v, cc in enumerate(state.copy_cost):
+            if cc is None:
+                continue
+            copy_cost, src_w, terms = _scratch_aggregates(state, v)
+            assert cc == copy_cost, v
+            assert state.src_w[v] == src_w, v
+            cached = state.src_terms[v]
+            if cached is not None:
+                src_now, move_col, rep_col, falls = cached
+                assert (src_now, list(move_col), list(rep_col), dict(falls)) == terms, v
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    bounded=st.booleans(),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=25),
+)
+def test_aggregates_exact_after_every_op(seed, bounded, picks):
+    """Aggregates kept by per-net deltas stay exact on tight states and
+    under binding resource, I/O and hop limits."""
+    if bounded:
+        state_args = bounded_state(seed)
+        assume(state_args is not None)
+    else:
+        state_args = tight_state(seed, n=16, m=30, k=4)
+    _walk_checking_aggregates(RefineState(*state_args), picks)
+
+
+def test_aggregate_walk_covers_the_delta_cases():
+    # the walks above do reach the cases the deltas must get right: a
+    # touched source, two drains of one net swapping FPGAs (coverage
+    # changes with no count changing), and a delete of a last replica
+    cases = Counter()
+    for seed in range(3):
+        state = RefineState(*tight_state(seed, n=16, m=30, k=4))
+        cases += _walk_checking_aggregates(state, range(0, 1500, 13))
+    assert cases["touched source"] >= 10, cases
+    assert cases["exchanged drains"] >= 3, cases
+    assert cases["last replica deleted"] >= 3, cases
