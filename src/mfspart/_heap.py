@@ -5,6 +5,8 @@ entry stale and push a fresh one; stale entries are skipped at the top.
 Ties break toward the lower item id so pops are deterministic.  An entry
 can be shelved: taken out of heap order while it stays live, so that a
 caller can pass over a top it cannot use now and put it back later.
+Shelved entries sit in buckets that a caller names by the event that lets
+them back: `unshelve(bucket)` returns that bucket's entries only.
 """
 
 from __future__ import annotations
@@ -13,21 +15,18 @@ import heapq
 
 
 class AddressableMaxHeap:
-    __slots__ = ("_heap", "_live", "_shelf")
+    __slots__ = ("_heap", "_live", "_shelves")
 
     def __init__(self):
         self._heap: list[tuple[int, int]] = []  # (-gain, item)
         self._live: dict[int, int] = {}  # item -> current gain
-        self._shelf: list[tuple[int, int]] = []  # out of heap order, still live
+        self._shelves: dict[object, list[tuple[int, int]]] = {}  # bucket -> entries
 
     def __len__(self) -> int:
         return len(self._live)
 
     def __contains__(self, item: int) -> bool:
         return item in self._live
-
-    def gain_of(self, item: int) -> int:
-        return self._live[item]
 
     def get(self, item: int, default: int | None = None) -> int | None:
         return self._live.get(item, default)
@@ -52,9 +51,6 @@ class AddressableMaxHeap:
             self._live[item] = gain
             heapq.heappush(self._heap, (-gain, item))
 
-    def remove(self, item: int) -> None:
-        self._live.pop(item, None)
-
     def _clean_top(self) -> None:
         heap = self._heap
         live = self._live
@@ -72,23 +68,22 @@ class AddressableMaxHeap:
         neg, item = self._heap[0]
         return -neg, item
 
-    def shelve(self) -> None:
+    def shelve(self, bucket: object = None) -> None:
         """Take the current maximum out of heap order, with any copies of
-        it that re-keying left behind.  It stays live (for `get`, `items`
-        and `len`) until `unshelve`; a `push` or `remove` of the item
-        meanwhile acts as usual."""
+        it that re-keying left behind, into `bucket`.  It stays live (for
+        `get`, `items` and `len`) until `unshelve(bucket)`; a `push` or
+        `update` of the item meanwhile acts as usual."""
         self._clean_top()
         heap = self._heap
         top = heapq.heappop(heap)
         while heap and heap[0] == top:
             heapq.heappop(heap)
-        self._shelf.append(top)
+        self._shelves.setdefault(bucket, []).append(top)
 
-    def unshelve(self) -> None:
-        """Put every shelved entry back into heap order."""
-        for entry in self._shelf:
+    def unshelve(self, bucket: object = None) -> None:
+        """Put the entries shelved in `bucket` back into heap order."""
+        for entry in self._shelves.pop(bucket, ()):
             heapq.heappush(self._heap, entry)
-        self._shelf.clear()
 
     def items(self) -> dict[int, int]:
         """Live item -> gain snapshot."""

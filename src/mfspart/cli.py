@@ -287,6 +287,8 @@ def cmd_bench(args) -> int:
     arms = [a.strip() for a in args.arms.split(";") if a.strip()]
     if not arms:
         raise ValueError(f"--arms {args.arms!r} names no arm")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rows = []
     for idx in range(args.count):
         gen_seed = sub_seed(args.seed, TAG_GEN, idx)

@@ -1,17 +1,19 @@
-"""Refinement: move, exchange, replicate, and delete driven by gain heaps.
+"""Refinement: move, exchange, replicate, and delete driven by one gain heap.
 
-The bank is one table, `bank[kind][f]`: a heap per destination FPGA for
-each enabled kind of move, replicate and delete.  Exchange entries sit in
-one heap keyed by vertex, with the best partner alongside.  The loop
-applies the globally best operation whose gain passes its acceptance rule
-(delete runs at zero gain to free resources, everything else needs
-strictly positive gain) and that fits its destination's resources,
-re-checks the I/O and hop bounds at application time, and then refreshes
-only the entries the operation can have changed.
+The bank is one addressable max-heap of every enabled kind's entries:
+move, replicate and delete per vertex and destination FPGA, exchange per
+vertex with its best partner alongside.  Item ids make the heap's order
+the tie order (see `RefineState.item`).  The loop applies the best
+operation whose gain passes its acceptance rule (delete runs at zero
+gain to free resources, everything else needs strictly positive gain)
+and that fits its destination's resources, re-checks the I/O and hop
+bounds at application time, and then refreshes only the entries the
+operation can have changed.
 
 A prospective operation is a map {vertex: frozenset of its new hosts},
-built by `_change`, which holds each kind's precondition.  The state
-keeps, per edge, the count of drain copies on each FPGA; an operation is
+built by `_change`, which holds each kind's precondition; a commit
+installs those sets in `hosts[v]`.  The state also keeps, per edge, the
+count of drain copies on each FPGA; an operation is
 evaluated by applying its host changes to copies of the affected edges'
 counts and calling `metrics.net_terms` on each changed edge before and
 after, which gives its units (so the gain), worst hop and I/O ports.  On
@@ -37,7 +39,7 @@ row, before and after.  The terms that read only src_w and the vertex's
 hosts are cached until either changes, so a rebuild reads no edge and
 costs O(K).  Its move, replicate and delete gains are kept as rows,
 `move_row`, `rep_row` and `del_row`, None exactly for a vertex without
-entries (delete: without replicas), and a heap slot is pushed only when
+entries (delete: without replicas), and a bank slot is pushed only when
 its gain changed.
 
 An exchange gain is the two endpoints' move gains, read from their rows,
@@ -53,12 +55,14 @@ changes the pairs with a partner on F) against its stored best, and
 rescans in full only when it moved, gained or lost its row, or its
 stored partner is among them.
 
-Selection shelves an acceptable heap top that does not fit its
-destination's free resources: it leaves heap order but stays live, and it
-returns once usage on that FPGA falls (exchange entries: at the next
-commit).  `try_apply` therefore sees only entries that fit; one it
-rejects on I/O or hop grounds is shelved the same way and returns at the
-next commit.  So the bank always holds every entry a fresh bank would.
+Selection shelves an acceptable top it cannot take now: the entry leaves
+heap order but stays live, in a bucket named by when it returns.  A move,
+replicate or delete to f that does not fit waits in bucket f, until usage
+on f falls; an exchange that does not fit, a zero-gain return
+(`_returns`) and an entry `try_apply` rejects on I/O or hop grounds wait
+in "commit", until the next commit; a replicate past `max_replicas` goes
+to "never".  So `try_apply` sees only entries that fit, and the bank
+always holds every entry a fresh bank would.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
 
 KIND_RANK = {"delete": 0, "move": 1, "exchange": 2, "replicate": 3}
+BY_RANK = sorted(KIND_RANK, key=KIND_RANK.get)
 ALL_OPS = ("move", "exchange", "replicate", "delete")
 FPGA_KINDS = ("move", "replicate", "delete")  # banked per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
@@ -117,32 +122,31 @@ def _change(
     raise ValueError(f"unknown op kind '{kind}'")
 
 
-def _drain_counts(h: Hypergraph, p: Placement, e: int) -> dict[int, int]:
-    """Per FPGA, the number of drain copies of net e it hosts."""
+def _drain_counts(h: Hypergraph, hosts, e: int) -> dict[int, int]:
+    """Per FPGA, the number of net e's drains d with it in `hosts[d]`."""
     cnt: dict[int, int] = {}
     for d in h.edges[e].drains:
-        for f in p.hosts(d):
+        for f in hosts[d]:
             cnt[f] = cnt.get(f, 0) + 1
     return cnt
 
 
 def _changed_nets(
     h: Hypergraph,
-    p: Placement,
+    hosts,
     change: dict[int, frozenset],
     drain_cnt: list[dict[int, int]] | dict[int, dict[int, int]],
-) -> dict[int, tuple[set | frozenset, dict[int, int]]]:
+) -> dict[int, tuple[frozenset, dict[int, int]]]:
     """Source hosts and drain-host counts, after a prospective change
-    {vertex: new host set}, of every net with a changed member.
-    `drain_cnt[e]` holds the current counts; they are copied, not edited."""
-    after: dict[int, tuple[set | frozenset, dict[int, int]]] = {}
+    {vertex: new host set}, of every net with a changed member, from the
+    current `hosts[v]` and `drain_cnt[e]` (copied, not edited)."""
+    after: dict[int, tuple[frozenset, dict[int, int]]] = {}
     for v, new in change.items():
-        old = p.hosts(v)
+        old = hosts[v]
         for e in h.incidence[v]:
             src = h.edges[e].source
             if e not in after:
-                src_hosts = change[src] if src in change else p.hosts(src)
-                after[e] = (src_hosts, dict(drain_cnt[e]))
+                after[e] = (change.get(src, hosts[src]), dict(drain_cnt[e]))
             if src == v:
                 continue
             cnt = after[e][1]
@@ -178,11 +182,15 @@ def _gain_of(
     change = _change(p, kind, v, dest, partner)
     if change is None:
         raise ValueError(_INAPPLICABLE[kind])
-    cnts = {e: _drain_counts(h, p, e) for x in change for e in h.incidence[x]}
+    # the hosts of every member of the nets the op reaches, and of the
+    # changed vertices themselves (an isolated one reaches no net)
+    nets = {e for x in change for e in h.incidence[x]}
+    hosts = {x: p.hosts(x) for x in (*change, *(m for e in nets for m in h.edges[e].members))}
+    cnts = {e: _drain_counts(h, hosts, e) for e in nets}
     g = 0
-    for e, (src_hosts, cnt) in _changed_nets(h, p, change, cnts).items():
+    for e, (src_hosts, cnt) in _changed_nets(h, hosts, change, cnts).items():
         edge = h.edges[e]
-        before = net_terms(hm, p.hosts(edge.source), cnts[e])[0]
+        before = net_terms(hm, hosts[edge.source], cnts[e])[0]
         g += edge.weight * (before - net_terms(hm, src_hosts, cnt)[0])
     return g
 
@@ -271,13 +279,16 @@ class RefineState:
         self.hop_max = t.hop_max
         self.weights = [v.weight.values for v in h.vertices]
 
-        # per-edge counts of drain copies per FPGA, kept current so gain
-        # rebuilds never rescan (possibly huge) drain lists
-        self.edge_drain_cnt = [_drain_counts(h, self.p, e.id) for e in h.edges]
+        # every vertex's host set, replaced at each commit by the one
+        # `_change` gave; and per-edge counts of drain copies per FPGA, kept
+        # current so gain rebuilds never rescan (possibly huge) drain lists
+        n = h.num_vertices
+        self.hosts = [frozenset(self.p.hosts(v)) for v in range(n)]
+        self.edge_drain_cnt = [_drain_counts(h, self.hosts, e.id) for e in h.edges]
         self.thd = 0
         self.io = [0] * self.kf
         for e, cnt in zip(h.edges, self.edge_drain_cnt):
-            units, _, ports = net_terms(hm, self.p.hosts(e.source), cnt)
+            units, _, ports = net_terms(hm, self.hosts[e.source], cnt)
             self.thd += e.weight * units
             for f in ports:
                 self.io[f] += e.weight
@@ -287,7 +298,7 @@ class RefineState:
         # vertex sources, as (e, weight), and drains, as (e, weight,
         # source); and per drain FPGA g and cap c, the hops min(c,
         # dist[f][g]) over f, filled as asked for
-        self.host_hop = [hm.nearest(self.p.hosts(v))[0] for v in range(h.num_vertices)]
+        self.host_hop = [hm.nearest(hs)[0] for hs in self.hosts]
         self.sourced: list[list[tuple[int, int]]] = [[] for _ in h.vertices]
         self.drained: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
         for e in h.edges:
@@ -296,10 +307,9 @@ class RefineState:
                 self.drained[d].append((e.id, e.weight, e.source))
         self._capped: list[dict] = [{None: col} for col in zip(*hm.dist)]
         self._no_gains = (None,) * self.kf  # the row of a vertex without entries
-        # heaps whose top try_apply rejected on I/O or hop grounds and the
-        # loop shelved, or whose top selection passed over as a return (see
-        # `_returns`); the next commit unshelves them
-        self.held: list[AddressableMaxHeap] = []
+        # a bank item id is _base[kind] + v * K + dest (see `item`)
+        self._span = n * self.kf
+        self._base = {kind: KIND_RANK[kind] * self._span for kind in self.enabled}
         # (vertex, FPGA) pairs a vertex left by a zero-gain move or
         # exchange since the last positive-gain commit
         self.left_at_zero: set[tuple[int, int]] = set()
@@ -313,7 +323,7 @@ class RefineState:
         self._build_bank(deadline)
 
     def _build_bank(self, deadline: float | None = None) -> None:
-        """Build the bank from scratch: every vertex's rows, each heap at
+        """Build the bank from scratch: every vertex's rows, the heap at
         once from them, then the exchange entries, which read the move
         rows.  Stops at the first vertex that starts past `deadline`.
         Every aggregate and cache starts empty."""
@@ -330,24 +340,20 @@ class RefineState:
         # count of its nets that do not lie wholly on one FPGA (`_local`)
         self.cut = [0] * n
         for e, cnt in zip(self.h.edges, self.edge_drain_cnt):
-            if not _local(self.p.hosts(e.source), cnt):
+            if not _local(self.hosts[e.source], cnt):
                 for x in e.members:
                     self.cut[x] += 1
-        # bank[kind][f] holds the enabled kind's entries with destination f.
-        # A vertex's gains of each kind are also kept as one row, None for
-        # a vertex without entries (delete: without replicas), so a rebuild
-        # pushes only the slots that changed.  Exchange entries are per
-        # vertex, with the best partner in ex_partner; they are built from
-        # move_row[v], v's move gain to every FPGA (None at its own).
-        self.bank = {
-            kind: [AddressableMaxHeap() for _ in range(self.kf)]
-            for kind in FPGA_KINDS
-            if kind in self.enabled
-        }
+        # the bank holds every enabled kind's entries, by item id (see
+        # `_base`).  A vertex's gains of each kind are also kept as one row,
+        # None for a vertex without entries (delete: without replicas), so
+        # a rebuild pushes only the slots that changed.  Exchange entries
+        # are per vertex, with the best partner in ex_partner; they are
+        # built from move_row[v], v's move gain to every FPGA (None at its
+        # own).
+        self.bank = AddressableMaxHeap()
         self.move_row: list[list | None] = [None] * n
         self.rep_row: list[list | None] = [None] * n
         self.del_row: list[list | None] = [None] * n
-        self.ex_heap = AddressableMaxHeap()
         self.ex_partner: dict[int, int] = {}
         # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
         self.pair_corr: dict[int, dict[int, int]] = {}
@@ -357,11 +363,12 @@ class RefineState:
             for table, row in zip(tables, self._mrd_rows(done)):
                 table[done] = row
             done += 1
-        for kind, table in zip(FPGA_KINDS, tables):
-            for f, heap in enumerate(self.bank.get(kind, ())):
-                heap.fill(
-                    {v: row[f] for v, row in enumerate(table) if row and row[f] is not None}
-                )
+        self.bank.fill({
+            self._base[kind] + v * self.kf + f: g
+            for kind, table in zip(FPGA_KINDS, tables) if kind in self._base
+            for v, row in enumerate(table) if row
+            for f, g in enumerate(row) if g is not None
+        })
         if done < n or "exchange" not in self.enabled:
             return
         for v in range(n):
@@ -404,7 +411,7 @@ class RefineState:
         the nets v sources whose drains cover f."""
         host_hop = self.host_hop
         cnts = self.edge_drain_cnt
-        v_hosts = self.p.hosts(v)
+        v_hosts = self.hosts[v]
         src_w: dict[int, int] = {}
         for e, w in self.sourced[v]:
             for f in cnts[e]:
@@ -453,7 +460,7 @@ class RefineState:
                 move_col = [a + w * x for a, x in zip(move_col, col)]
         falls = []
         if reps:
-            v_hosts = self.p.hosts(v)
+            v_hosts = self.hosts[v]
             for r in reps:
                 hop = self.hm.nearest(v_hosts - {r})[0]
                 falls.append((r, src_now - sum(w * hop[g] for g, w in src_w.items())))
@@ -486,12 +493,12 @@ class RefineState:
             move[r] += copy_cost[r]
         move[o] = None
         rep = dele = None
-        if "replicate" in self.bank:
+        if "replicate" in self.enabled:
             rep = [src_now - c - x for c, x in zip(copy_cost, rep_col)]
             rep[o] = None
             for r in reps:
                 rep[r] = None
-        if reps and "delete" in self.bank:
+        if reps and "delete" in self.enabled:
             dele = [None] * self.kf
             for r, fall in falls:
                 dele[r] = copy_cost[r] + fall
@@ -499,7 +506,7 @@ class RefineState:
 
     def _rebuild_mrd(self, v: int) -> None:
         """Refresh the move/replicate/delete entries of one vertex from
-        its rows (see `_mrd_rows`).  A slot is pushed to its heap only
+        its rows (see `_mrd_rows`).  A slot is pushed to the bank only
         when its gain changed, so an unchanged entry keeps its place,
         shelved or not."""
         move, rep, dele = self._mrd_rows(v)
@@ -511,13 +518,14 @@ class RefineState:
         """Store v's row of `kind` gains and push the slots that changed."""
         old = rows[v]
         rows[v] = new
-        heaps = self.bank.get(kind)
-        if heaps is None or old is new:  # disabled, or None before and after
+        base = self._base.get(kind)
+        if base is None or old is new:  # disabled, or None before and after
             return
+        item = base + v * self.kf
         none = self._no_gains
-        for heap, a, b in zip(heaps, old or none, new or none):
+        for f, (a, b) in enumerate(zip(old or none, new or none)):
             if a != b:
-                heap.update(v, b)
+                self.bank.update(item + f, b)
 
     def _rebuild_exchange(self, v: int) -> None:
         """Refresh the best-partner exchange entry of one vertex from a
@@ -525,7 +533,7 @@ class RefineState:
         best_g = None
         if self.move_row[v] is not None:  # v has entries: a boundary vertex
             best_g, best_u = self._best_partner(v, self._shared(v), None, -1)
-        self.ex_heap.update(v, best_g)
+        self.bank.update(self.item("exchange", v), best_g)
         if best_g is None:
             self.ex_partner.pop(v, None)
         else:
@@ -542,12 +550,13 @@ class RefineState:
         if stored in changed:
             self._rebuild_exchange(v)
             return
-        old = None if stored is None else self.ex_heap.gain_of(v)
+        item = self.item("exchange", v)
+        old = self.bank.get(item)
         best_g, best_u = self._best_partner(
             v, changed, old, -1 if stored is None else stored
         )
         if best_g is not None and best_u != stored:
-            self.ex_heap.push(v, best_g)
+            self.bank.push(item, best_g)
             self.ex_partner[v] = best_u
 
     def _best_partner(
@@ -605,7 +614,7 @@ class RefineState:
         s = edge.source
         cnt = self.edge_drain_cnt[e]
         orig = self.p.original
-        reps = self.p.replicas
+        hosts = self.hosts
         if s == a or s == b:
             # the source swaps with drain d: d's FPGA stops being covered
             # unless another drain holds it, and the source's FPGA gets
@@ -615,10 +624,10 @@ class RefineState:
             term = 0
             if cnt[pd] <= 1:
                 term += self.host_hop[s][pd]
-            if ps not in cnt and ps not in reps[d]:
+            if ps not in cnt and ps not in hosts[d]:
                 dist = self.hm.dist
                 hop = dist[pd][ps]
-                for r in reps[s]:
+                for r in self.p.replicas[s]:
                     if dist[r][ps] < hop:
                         hop = dist[r][ps]
                 term += hop
@@ -629,9 +638,9 @@ class RefineState:
         pa, pb = orig[a], orig[b]
         hop = self.host_hop[s]
         term = 0
-        if cnt[pa] <= 1 and pa not in reps[b]:
+        if cnt[pa] <= 1 and pa not in hosts[b]:
             term += hop[pa]
-        if cnt[pb] <= 1 and pb not in reps[a]:
+        if cnt[pb] <= 1 and pb not in hosts[a]:
             term += hop[pb]
         return -edge.weight * term
 
@@ -665,78 +674,75 @@ class RefineState:
         """Best acceptable entry that fits its destination's resources, as
         (kind, vertex, dest, gain), or None.
 
-        Ties: higher gain, then delete > move > exchange > replicate,
-        then lower vertex id, then lower destination id.  An acceptable
-        heap top that does not fit is shelved: it leaves heap order but
-        stays live, and `try_apply` puts it back once the room it lacked
-        can have grown (for move and replicate, when usage on its FPGA
-        falls; for exchange, at the next commit).  A zero-gain top that
-        `_returns` flags is shelved until the next commit.  So the result
-        is the entry the loop would reach by popping and rejecting every
-        better acceptable one that does not fit or returns.
+        The bank's order is the tie order: higher gain, then delete > move
+        > exchange > replicate, then lower vertex id, then lower
+        destination id.  The acceptable entries come first in it (every
+        positive gain, then at gain 0 the deletes and, under
+        `allow_zero_gain` with budget left, the moves and exchanges), so
+        the first unacceptable top ends the search; a replicate past
+        `max_replicas`, the one exception, is shelved for good.  A top
+        that does not fit, or a zero-gain top that `_returns` flags, is
+        shelved until it can be taken (see the module docstring).  So the
+        result is the entry the loop would reach by popping and rejecting
+        every better acceptable one that does not fit or returns.
         """
-        orig = self.p.original
-
-        def top(kind: str, f: int, heap: AddressableMaxHeap):
-            while True:
-                entry = heap.peek()
-                if entry is None or not self._acceptable(kind, entry[0]):
-                    return None
-                gain, v = entry
-                dest = orig[self.ex_partner[v]] if kind == "exchange" else f
-                if gain or not self._returns(kind, v, dest):
-                    return (-gain, KIND_RANK[kind], v, dest), kind, f, heap
-                heap.shelve()
-                self.held.append(heap)
-
+        bank = self.bank
         capped = (
             self.max_replicas is not None
             and self.replicates_applied >= self.max_replicas
         )
-        offered = [
-            (kind, f, heap)
-            for kind, heaps in self.bank.items()
-            if not (capped and kind == "replicate")
-            for f, heap in enumerate(heaps)
-        ]
-        offered.append(("exchange", -1, self.ex_heap))
-        tops = [t for t in (top(*o) for o in offered) if t is not None]
-        while tops:
-            i = min(range(len(tops)), key=tops.__getitem__)
-            key, kind, f, heap = tops[i]
-            gain, v, dest = -key[0], key[2], key[3]
-            if self._fits(self._resource_deltas(self._op_change(kind, v, dest))):
+        while True:
+            entry = bank.peek()
+            if entry is None:
+                return None
+            gain, item = entry
+            kind, v, dest = self._decode(item)
+            if not self._acceptable(kind, gain):
+                return None
+            if capped and kind == "replicate":
+                bank.shelve("never")
+            elif not gain and self._returns(kind, v, dest):
+                bank.shelve("commit")
+            elif self._fits(self._resource_deltas(self._op_change(kind, v, dest))):
                 return kind, v, dest, gain
-            heap.shelve()
-            nxt = top(kind, f, heap)
-            if nxt is None:
-                del tops[i]
             else:
-                tops[i] = nxt
-        return None
+                bank.shelve("commit" if kind == "exchange" else dest)
 
-    def _heap(self, kind: str, dest: int) -> AddressableMaxHeap:
-        """The heap holding the entries of `kind` with destination `dest`."""
-        return self.ex_heap if kind == "exchange" else self.bank[kind][dest]
+    def item(self, kind: str, v: int, dest: int = 0) -> int:
+        """The bank's item id of (kind, v, dest), dest 0 for an exchange:
+        (KIND_RANK[kind] * n + v) * K + dest, so that the heap's order,
+        higher gain then lower id, is the tie order."""
+        return self._base[kind] + v * self.kf + dest
 
-    def hold(self, kind: str, dest: int) -> None:
+    def _decode(self, item: int) -> tuple[str, int, int]:
+        """(kind, vertex, dest) of a bank item id; an exchange's dest is
+        its stored partner's FPGA."""
+        rank, rest = divmod(item, self._span)
+        v, dest = divmod(rest, self.kf)
+        if rank == KIND_RANK["exchange"]:
+            dest = self.p.original[self.ex_partner[v]]
+        return BY_RANK[rank], v, dest
+
+    def hold(self) -> None:
         """Shelve the entry `peek_best` just returned, which `try_apply`
-        rejected on I/O or hop grounds: it is the top of its heap.  It
-        stays live, and the next commit puts it back in heap order."""
-        heap = self._heap(kind, dest)
-        heap.shelve()
-        self.held.append(heap)
+        rejected on I/O or hop grounds: it is the bank's top.  It stays
+        live, and the next commit puts it back in heap order."""
+        self.bank.shelve("commit")
 
     def entries(self) -> Iterator[Op]:
-        """All live entries of the enabled kinds as ops (gains filled in)."""
-        for f in range(self.kf):
-            for kind, heaps in self.bank.items():
-                for v, g in sorted(heaps[f].items().items()):
-                    yield Op(kind, v, f, gain=g)
+        """All live entries of the enabled kinds as ops (gains filled in):
+        by destination FPGA, then kind in `FPGA_KINDS` order, then vertex,
+        and the exchanges last, by vertex."""
         orig = self.p.original
-        for v, g in sorted(self.ex_heap.items().items()):
-            u = self.ex_partner[v]
-            yield Op("exchange", v, orig[u], u, orig[v], gain=g)
+        ops = []
+        for item, g in self.bank.items().items():
+            kind, v, dest = self._decode(item)
+            if kind == "exchange":
+                u = self.ex_partner[v]
+                ops.append(((self.kf, v), Op(kind, v, dest, u, orig[v], gain=g)))
+            else:
+                ops.append(((dest, FPGA_KINDS.index(kind), v), Op(kind, v, dest, gain=g)))
+        return (op for _, op in sorted(ops, key=lambda x: x[0]))
 
     def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
         """`_change` of a bank entry; an exchange takes its stored partner."""
@@ -747,7 +753,7 @@ class RefineState:
         """Net per-FPGA resource deltas of a host-set change."""
         deltas: dict[int, list[int]] = {}
         for tv, new_hosts in change.items():
-            old_hosts = self.p.hosts(tv)
+            old_hosts = self.hosts[tv]
             wv = self.weights[tv]
             for f in new_hosts - old_hosts:
                 row = deltas.setdefault(f, [0] * self.krt)
@@ -788,7 +794,7 @@ class RefineState:
 
         # every changed edge's terms after the op, and before it from the
         # installed counts: the gain, the worst hop and the I/O delta
-        after = _changed_nets(h, p, change, self.edge_drain_cnt)
+        after = _changed_nets(h, self.hosts, change, self.edge_drain_cnt)
         gain = 0
         io_delta: dict[int, int] = {}
         for e, (src_hosts, cnt) in after.items():
@@ -798,7 +804,7 @@ class RefineState:
             if self.hop_max is not None and worst > self.hop_max:
                 return None
             old_units, _, old_ports = net_terms(
-                self.hm, p.hosts(edge.source), self.edge_drain_cnt[e]
+                self.hm, self.hosts[edge.source], self.edge_drain_cnt[e]
             )
             gain += w * (old_units - units)
             for f in old_ports:
@@ -821,18 +827,15 @@ class RefineState:
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
         for x, hosts in change.items():
+            self.hosts[x] = hosts
             self.host_hop[x] = self.hm.nearest(hosts)[0]
         for f, dv in deltas.items():
             row = self.usage[f]
             for i in range(self.krt):
                 row[i] += dv[i]
             if min(dv) < 0:  # room on f grew: shelved entries may fit now
-                for heaps in self.bank.values():
-                    heaps[f].unshelve()
-        for heap in self.held:
-            heap.unshelve()
-        self.held = []
-        self.ex_heap.unshelve()
+                self.bank.unshelve(f)
+        self.bank.unshelve("commit")
         for f, d in io_delta.items():
             self.io[f] += d
         self.thd -= gain
@@ -878,7 +881,7 @@ class RefineState:
         """
         h = self.h
         orig = self.p.original
-        reps = self.p.replicas
+        hosts = self.hosts
         pair_corr = self.pair_corr
         host_hop = self.host_hop
         copy_cost = self.copy_cost
@@ -895,14 +898,15 @@ class RefineState:
             w = edge.weight
             members = edge.members
             old = self.edge_drain_cnt[e]
-            was_local = _local(self.p.hosts(s), old)
+            was_local = _local(hosts[s], old)
             if was_local != _local(src_hosts, new):
                 step = 1 if was_local else -1
                 for x in members:
                     cut[x] += step
+            spread = old.keys() | new.keys()
             outside = set()  # 0|1 crossings: reach drains not hosting f
             inside = set()  # 1|2 crossings: reach drains hosting f
-            for f in old.keys() | new.keys():
+            for f in spread:
                 a, b = old.get(f, 0), new.get(f, 0)
                 if (a == 0) != (b == 0):
                     outside.add(f)
@@ -928,39 +932,33 @@ class RefineState:
                     cc = copy_cost[d]
                     if cc is None:
                         continue
-                    od, rd = orig[d], reps[d]
-                    new_hosts = change.get(d)
+                    was, now = hosts[d], change.get(d, hosts[d])
                     cc = copy_cost[d] = [c + x for c, x in zip(cc, shift)]
                     for f, c in old.items():
-                        if c > (f == od or f in rd):  # another drain covers f
+                        if c > (f in was):  # another drain covers f
                             cc[f] += w * hop_old[f]
                     for f, c in new.items():
-                        if c > (f == od or f in rd if new_hosts is None else f in new_hosts):
+                        if c > (f in now):
                             cc[f] -= w * hop_new[f]
                 hot = members
             else:
                 hop = host_hop[s]
                 flips = outside | inside
-                spread = None
                 for d in edge.drains:
                     cc = copy_cost[d]
-                    new_hosts = change.get(d)
-                    if new_hosts is None:
-                        if not flips or (cc is None and d in dirty):
+                    if d in change:
+                        if cc is None:  # touched, so dirty already
                             continue
-                        fpgas = flips
-                    elif cc is None:  # touched, so dirty already
+                        fpgas = spread
+                    elif not flips or (cc is None and d in dirty):
                         continue
                     else:
-                        if spread is None:
-                            spread = old.keys() | new.keys()
-                        fpgas = spread
-                    od, rd = orig[d], reps[d]
+                        fpgas = flips
+                    was, now = hosts[d], change.get(d, hosts[d])
                     for f in fpgas:
-                        held = f == od or f in rd
-                        now = held if new_hosts is None else f in new_hosts
+                        held = f in was
                         # whether no other drain covers f, before and after
-                        uncovered = new.get(f, 0) == now
+                        uncovered = new.get(f, 0) == (f in now)
                         if (old.get(f, 0) == held) != uncovered:
                             dirty.add(d)
                             if cc is not None:
@@ -1097,7 +1095,7 @@ def run_refine_loop(
         kind, v, dest, _ = best
         op = state.try_apply(kind, v, dest)
         if op is None:
-            state.hold(kind, dest)
+            state.hold()
             continue
         applied += 1
         if observer is not None:

@@ -242,6 +242,14 @@ def test_bench_without_arms_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --arms ';' names no arm")
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_bench_without_instances_exit_code(tmp_path, capsys, count):
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--out", out, "--count", count]) == 2
+    assert capsys.readouterr().err.startswith("error: --count must be at least 1")
+    assert not out.exists()
+
+
 def test_bench_emits_rows_and_summary(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--out", out, "--count", 2, "--vertices", 20,

@@ -846,10 +846,10 @@ def test_refresh_drain_whose_own_copy_takes_a_count_from_2_to_1():
     h = Hypergraph.build([[1]] * 4, [(2, 0, [1, 2, 3])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2, 1]))
-    before = state.bank["move"][1].get(1)
+    before = state.bank.get(state.item("move", 1, 1))
     cnt = _drain_cnt_change(state, 0, "move", 2, 1)
     assert cnt == ({2: 2, 1: 1}, {2: 1, 1: 2})
-    assert state.bank["move"][1].get(1) != before
+    assert state.bank.get(state.item("move", 1, 1)) != before
 
 
 def test_refresh_net_whose_source_moves():
@@ -857,10 +857,10 @@ def test_refresh_net_whose_source_moves():
     h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2]), (1, 2, [0])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2]))
-    before = state.bank["move"][1].get(1)
+    before = state.bank.get(state.item("move", 1, 1))
     cnt = _drain_cnt_change(state, 0, "move", 0, 1)
     assert cnt == ({2: 2}, {2: 2})
-    assert state.bank["move"][1].get(1) != before
+    assert state.bank.get(state.item("move", 1, 1)) != before
 
 
 def test_refresh_count_from_0_to_1_where_the_source_has_a_replica():
@@ -870,10 +870,10 @@ def test_refresh_count_from_0_to_1_where_the_source_has_a_replica():
     t = path_topology(3)
     p = Placement([0, 1, 0], [{2}, set(), set()])
     state = RefineState(h, t, compute_hop_matrix(t), p)
-    before = state.bank["delete"][2].get(0)
+    before = state.bank.get(state.item("delete", 0, 2))
     cnt = _drain_cnt_change(state, 0, "move", 1, 2)
     assert cnt == ({1: 1, 0: 1}, {2: 1, 0: 1})
-    assert state.bank["delete"][2].get(0) != before
+    assert state.bank.get(state.item("delete", 0, 2)) != before
 
 
 def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
@@ -949,3 +949,34 @@ def test_heap_shelve_takes_every_copy_of_the_top():
     assert heap.peek() == (4, 2) and heap.get(1) == 5
     heap.unshelve()
     assert heap.peek() == (5, 1)
+
+
+def test_heap_unshelve_returns_only_its_bucket():
+    heap = AddressableMaxHeap()
+    heap.push(1, 5)
+    heap.push(2, 4)
+    heap.push(3, 3)
+    heap.shelve(0)  # item 1
+    heap.shelve("commit")  # item 2
+    assert heap.peek() == (3, 3) and len(heap) == 3
+    heap.unshelve("commit")
+    assert heap.peek() == (4, 2)
+    heap.unshelve(1)  # nothing shelved there
+    assert heap.peek() == (4, 2)
+    heap.unshelve(0)
+    assert heap.peek() == (5, 1)
+
+
+def test_heap_item_rekeyed_while_shelved_surfaces_once_at_its_new_gain():
+    heap = AddressableMaxHeap()
+    heap.push(1, 5)
+    heap.push(2, 3)
+    heap.shelve(0)  # item 1 at gain 5
+    heap.push(1, 4)  # re-keyed: back in heap order at once
+    assert heap.peek() == (4, 1)
+    heap.unshelve(0)  # the shelved copy at gain 5 is stale
+    assert heap.peek() == (4, 1)
+    heap.update(1, None)
+    assert heap.peek() == (3, 2)
+    heap.update(2, None)
+    assert heap.peek() is None

@@ -133,7 +133,7 @@ def _walk_checking_corr_and_rows(state, picks):
                 assert corr == expected, (a, b)
                 multi_net_pairs += len(state._shared(a)[b]) > 1
         for v, row in enumerate(state.move_row):
-            heaps = [heap.get(v) for heap in state.bank["move"]]
+            heaps = [state.bank.get(state.item("move", v, f)) for f in range(state.kf)]
             assert heaps == (row or [None] * state.kf), v
             if row is not None:
                 assert row == [
