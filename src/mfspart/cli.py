@@ -5,6 +5,11 @@ randomness derives from one --seed via the splitmix expansion in
 `mfspart.seeds`, so identical flags and seeds reproduce identical solution
 and report files byte for byte (as long as no wall-clock limit binds).
 
+A flag of `run_pipeline` or `gen_instance` is passed under the keyword it
+feeds, and only when given: every flag left out takes the library's
+default.  The CLI's own defaults are --seed, gen's size flags and bench's
+suite and budget flags.
+
 Exit codes: 0 success, 2 parse/usage error, 3 proven infeasible (by a
 search of the uncoarsened graph), 4 budget exhausted without a feasible
 placement, 5 constraint violations.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 import time
@@ -62,15 +68,15 @@ def run_pipeline(
     t: MfsTopology,
     *,
     seed: int = 1,
-    alpha0: float = 0.5,
-    dalpha: float = 3.0,
-    n_final: int | None = None,
-    min_reduction: float = 0.95,
+    alpha0: float = CoarseningConfig.alpha0,
+    dalpha: float = CoarseningConfig.dalpha,
+    n_final: int | None = CoarseningConfig.n_final,
+    min_reduction: float = CoarseningConfig.min_reduction,
     n_seeds: int = 4,
-    assign_budget: int | None = 32,
-    assign_max_nodes: int | None = 200_000,
-    stall_delta: float = 0.02,
-    rho: float = 0.3,
+    assign_budget: int | None = SearchBudget.max_solutions,
+    assign_max_nodes: int | None = SearchBudget.max_nodes,
+    stall_delta: float = SearchBudget.stall_delta,
+    rho: float = SearchBudget.rho,
     assign_variant: str = "nodes",
     ops: tuple[str, ...] = ALL_OPS,
     max_replicas: int | None = None,
@@ -169,45 +175,44 @@ def _load_solved(args) -> tuple[Hypergraph, MfsTopology, Placement]:
     return h, t, p
 
 
+def _keywords(fn) -> frozenset[str]:
+    """The keyword-only parameters of `fn`."""
+    params = inspect.signature(fn).parameters.values()
+    return frozenset(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+
+
+PIPELINE_KEYWORDS = _keywords(run_pipeline)
+GEN_KEYWORDS = _keywords(mio.gen_instance)
+
+
+def _given(args, keywords: frozenset[str]) -> dict:
+    """The parsed flags that name one of `keywords`: the given ones, and
+    those with a default of the CLI's own."""
+    return {k: v for k, v in vars(args).items() if k in keywords}
+
+
 def _add_pipeline_flags(sp: argparse.ArgumentParser, ops: bool = True) -> None:
-    """The flags of `run_pipeline`; `ops=False` leaves out `--ops`, for a
-    command that chooses the ops itself."""
+    """The flags of `run_pipeline`, each stored under its keyword;
+    `ops=False` leaves out `--ops`, for a command that chooses the ops
+    itself."""
     sp.add_argument("--seed", type=int, default=1, help="master seed (all RNG derives from it)")
-    sp.add_argument("--alpha0", type=float, default=0.5)
-    sp.add_argument("--dalpha", type=float, default=3.0)
-    sp.add_argument("--nfinal", type=int, default=None, help="coarsest size target (default max(128, 16K))")
-    sp.add_argument("--min-reduction", type=float, default=0.95)
-    sp.add_argument("--seeds", type=int, default=4, help="number of perturbed assignment searches")
-    sp.add_argument("--assign-budget", type=int, default=32, help="max solutions per search")
-    sp.add_argument("--assign-max-nodes", type=int, default=200_000)
-    sp.add_argument("--stall-delta", type=float, default=0.02)
-    sp.add_argument("--rho", type=float, default=0.3)
-    sp.add_argument("--assign-variant", choices=("nodes", "fpgas"), default="nodes")
+    sp.add_argument("--alpha0", type=float)
+    sp.add_argument("--dalpha", type=float)
+    sp.add_argument("--nfinal", type=int, dest="n_final", metavar="NFINAL",
+                    help="coarsest size target (default max(128, 16K))")
+    sp.add_argument("--min-reduction", type=float)
+    sp.add_argument("--seeds", type=int, dest="n_seeds", metavar="SEEDS",
+                    help="number of perturbed assignment searches")
+    sp.add_argument("--assign-budget", type=int, help="max solutions per search")
+    sp.add_argument("--assign-max-nodes", type=int)
+    sp.add_argument("--stall-delta", type=float)
+    sp.add_argument("--rho", type=float)
+    sp.add_argument("--assign-variant", choices=("nodes", "fpgas"))
     if ops:
-        sp.add_argument("--ops", default="mv,ex,rep,del", help="refinement ops subset, or 'none'")
-    sp.add_argument("--max-replicas", type=int, default=None, help="cap on replicates per level")
+        sp.add_argument("--ops", help="refinement ops subset, or 'none'")
+    sp.add_argument("--max-replicas", type=int, help="cap on replicates per level")
     sp.add_argument("--allow-zero-gain", action="store_true")
-    sp.add_argument("--time-limit", type=float, default=None, help="seconds; may break reproducibility")
-
-
-def _pipeline_kwargs(args, ops: tuple[str, ...]) -> dict:
-    return dict(
-        seed=args.seed,
-        alpha0=args.alpha0,
-        dalpha=args.dalpha,
-        n_final=args.nfinal,
-        min_reduction=args.min_reduction,
-        n_seeds=args.seeds,
-        assign_budget=args.assign_budget,
-        assign_max_nodes=args.assign_max_nodes,
-        stall_delta=args.stall_delta,
-        rho=args.rho,
-        assign_variant=args.assign_variant,
-        ops=ops,
-        max_replicas=args.max_replicas,
-        allow_zero_gain=args.allow_zero_gain,
-        time_limit=args.time_limit,
-    )
+    sp.add_argument("--time-limit", type=float, help="seconds; may break reproducibility")
 
 
 def cmd_partition(args) -> int:
@@ -215,7 +220,10 @@ def cmd_partition(args) -> int:
     if h.num_vertices == 0:
         print("error: hypergraph has no vertices to partition", file=sys.stderr)
         return EXIT_PARSE
-    result = run_pipeline(h, t, **_pipeline_kwargs(args, parse_ops(args.ops)))
+    kwargs = _given(args, PIPELINE_KEYWORDS)
+    if "ops" in kwargs:
+        kwargs["ops"] = parse_ops(kwargs["ops"])
+    result = run_pipeline(h, t, **kwargs)
     if result.placement is None:
         if result.status == "infeasible":
             print("no solution: assignment search space exhausted", file=sys.stderr)
@@ -251,21 +259,8 @@ def cmd_validate(args) -> int:
 
 def cmd_gen(args) -> int:
     bundle = mio.gen_instance(
-        sub_seed(args.seed, TAG_GEN),
-        args.vertices,
-        args.edges,
-        args.fpgas,
-        args.types,
-        spare=args.spare,
-        max_fanout=args.max_fanout,
-        hub_fraction=args.hub_fraction,
-        hub_fanout=args.hub_fanout,
-        locality=args.locality,
-        extra_links=args.extra_links,
-        max_vertex_weight=args.max_vertex_weight,
-        max_edge_weight=args.max_edge_weight,
-        io_limit=args.io_limit,
-        hop_max=args.hop_max,
+        sub_seed(args.seed, TAG_GEN), args.vertices, args.edges, args.fpgas, args.types,
+        **_given(args, GEN_KEYWORDS),
     )
     _write(args.prefix + ".hg", mio.write_hypergraph(bundle.hypergraph))
     _write(args.prefix + ".topo", mio.write_topology(bundle.topology))
@@ -289,40 +284,27 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--arms {args.arms!r} names no arm")
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    suite = _given(args, GEN_KEYWORDS)
+    pipeline = _given(args, PIPELINE_KEYWORDS)
     rows = []
     for idx in range(args.count):
         gen_seed = sub_seed(args.seed, TAG_GEN, idx)
         bundle = mio.gen_instance(
-            gen_seed,
-            args.vertices,
-            args.edges,
-            args.fpgas,
-            args.types,
-            spare=args.spare,
-            hub_fraction=args.hub_fraction,
-            hub_fanout=args.hub_fanout,
+            gen_seed, args.vertices, args.edges, args.fpgas, args.types, **suite
         )
         for arm in arms:
             t0 = time.monotonic()
             res = run_pipeline(
-                bundle.hypergraph, bundle.topology, **_pipeline_kwargs(args, parse_ops(arm))
+                bundle.hypergraph, bundle.topology, ops=parse_ops(arm), **pipeline
             )
             dt = time.monotonic() - t0
+            row = (f"gen{idx:03d}", args.seed, arm)
             if res.placement is None:
-                rows.append((f"gen{idx:03d}", args.seed, arm, "", "", "", f"{dt:.3f}"))
+                rows.append((*row, "", "", "", f"{dt:.3f}"))
                 continue
             rep = metrics_report(bundle.hypergraph, bundle.topology, res.placement)
-            rows.append(
-                (
-                    f"gen{idx:03d}",
-                    args.seed,
-                    arm,
-                    rep.total_hop_distance,
-                    rep.cut_size,
-                    rep.replica_count,
-                    f"{dt:.3f}",
-                )
-            )
+            rows.append((*row, rep.total_hop_distance, rep.cut_size, rep.replica_count,
+                         f"{dt:.3f}"))
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
@@ -356,8 +338,12 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mfspart", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # partition, gen and bench leave a flag without a default below unset
+    # unless it is given, so that the library's default applies
+    unset = argparse.SUPPRESS
 
-    sp = sub.add_parser("partition", help="partition an instance end to end")
+    sp = sub.add_parser("partition", help="partition an instance end to end",
+                        argument_default=unset)
     sp.add_argument("hypergraph")
     sp.add_argument("topology")
     sp.add_argument("-o", "--output", default="-", help="solution file ('-' = stdout)")
@@ -378,23 +364,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("solution")
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("gen", help="generate a random instance")
+    sp = sub.add_parser("gen", help="generate a random instance", argument_default=unset)
     sp.add_argument("prefix", help="output path prefix (.hg and .topo are appended)")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--vertices", type=int, default=100)
     sp.add_argument("--edges", type=int, default=200)
     sp.add_argument("--fpgas", type=int, default=4)
     sp.add_argument("--types", type=int, default=2)
-    sp.add_argument("--spare", type=float, default=0.25)
-    sp.add_argument("--max-fanout", type=int, default=8)
-    sp.add_argument("--hub-fraction", type=float, default=0.1)
-    sp.add_argument("--hub-fanout", type=int, default=16)
-    sp.add_argument("--locality", type=int, default=None)
-    sp.add_argument("--extra-links", type=int, default=None)
-    sp.add_argument("--max-vertex-weight", type=int, default=4)
-    sp.add_argument("--max-edge-weight", type=int, default=3)
-    sp.add_argument("--io-limit", type=int, default=None)
-    sp.add_argument("--hop-max", type=int, default=None)
+    sp.add_argument("--spare", type=float)
+    sp.add_argument("--max-fanout", type=int)
+    sp.add_argument("--hub-fraction", type=float)
+    sp.add_argument("--hub-fanout", type=int)
+    sp.add_argument("--locality", type=int)
+    sp.add_argument("--extra-links", type=int)
+    sp.add_argument("--max-vertex-weight", type=int)
+    sp.add_argument("--max-edge-weight", type=int)
+    sp.add_argument("--io-limit", type=int)
+    sp.add_argument("--hop-max", type=int)
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("oracle", help="exhaustive optimum for tiny instances")
@@ -402,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("topology")
     sp.set_defaults(func=cmd_oracle)
 
-    sp = sub.add_parser("bench", help="run ops-subset arms over a generated suite, emit CSV")
+    sp = sub.add_parser("bench", help="run ops-subset arms over a generated suite, emit CSV",
+                        argument_default=unset)
     sp.add_argument("--out", default="-")
     sp.add_argument("--arms", default="none;mv,ex;mv,ex,rep,del")
     sp.add_argument("--count", type=int, default=10)
@@ -415,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hub-fanout", type=int, default=12)
     # --seed also seeds the generated suite; --arms chooses the ops
     _add_pipeline_flags(sp, ops=False)
-    sp.set_defaults(func=cmd_bench, seeds=2, assign_budget=16, assign_max_nodes=20_000)
+    sp.set_defaults(func=cmd_bench, n_seeds=2, assign_budget=16, assign_max_nodes=20_000)
     return ap
 
 

@@ -323,8 +323,8 @@ def gen_instance(
         raise ValueError("need at least one FPGA")
     if n_resource_types < 1:
         raise ValueError("need at least one resource type")
-    if spare < 0:
-        raise ValueError("spare fraction must be non-negative")
+    if not (math.isfinite(spare) and spare >= 0):
+        raise ValueError("spare fraction must be finite and non-negative")
     rand = random.Random(seed)
     if locality is None:
         locality = max(8, n_vertices // max(1, k_fpgas) // 4)

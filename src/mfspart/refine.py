@@ -60,9 +60,10 @@ heap order but stays live, in a bucket named by when it returns.  A move,
 replicate or delete to f that does not fit waits in bucket f, until usage
 on f falls; an exchange that does not fit, a zero-gain return
 (`_returns`) and an entry `try_apply` rejects on I/O or hop grounds wait
-in "commit", until the next commit; a replicate past `max_replicas` goes
-to "never".  So `try_apply` sees only entries that fit, and the bank
-always holds every entry a fresh bank would.
+in "commit", until the next commit.  So `try_apply` sees only entries
+that fit, and the bank always holds every entry a fresh bank would.  Once
+`max_replicas` binds, replicate is no longer an enabled kind: its entries
+leave the bank and its rows are no longer built.
 """
 
 from __future__ import annotations
@@ -263,6 +264,8 @@ class RefineState:
         if max_replicas is not None and max_replicas < 0:
             raise ValueError("max_replicas must be non-negative")
         self.max_replicas = max_replicas
+        if max_replicas == 0:  # the cap binds from the start
+            self.enabled -= {"replicate"}
         self.allow_zero_gain = allow_zero_gain
         self.zero_gain_left = (
             (zero_gain_limit if zero_gain_limit is not None else h.num_vertices)
@@ -679,18 +682,13 @@ class RefineState:
         destination id.  The acceptable entries come first in it (every
         positive gain, then at gain 0 the deletes and, under
         `allow_zero_gain` with budget left, the moves and exchanges), so
-        the first unacceptable top ends the search; a replicate past
-        `max_replicas`, the one exception, is shelved for good.  A top
-        that does not fit, or a zero-gain top that `_returns` flags, is
-        shelved until it can be taken (see the module docstring).  So the
-        result is the entry the loop would reach by popping and rejecting
-        every better acceptable one that does not fit or returns.
+        the first unacceptable top ends the search.  A top that does not
+        fit, or a zero-gain top that `_returns` flags, is shelved until it
+        can be taken (see the module docstring).  So the result is the
+        entry the loop would reach by popping and rejecting every better
+        acceptable one that does not fit or returns.
         """
         bank = self.bank
-        capped = (
-            self.max_replicas is not None
-            and self.replicates_applied >= self.max_replicas
-        )
         while True:
             entry = bank.peek()
             if entry is None:
@@ -699,9 +697,7 @@ class RefineState:
             kind, v, dest = self._decode(item)
             if not self._acceptable(kind, gain):
                 return None
-            if capped and kind == "replicate":
-                bank.shelve("never")
-            elif not gain and self._returns(kind, v, dest):
+            if not gain and self._returns(kind, v, dest):
                 bank.shelve("commit")
             elif self._fits(self._resource_deltas(self._op_change(kind, v, dest))):
                 return kind, v, dest, gain
@@ -841,6 +837,8 @@ class RefineState:
         self.thd -= gain
         if kind == "replicate":
             self.replicates_applied += 1
+            if self.replicates_applied == self.max_replicas:
+                self._drop_replicates()
         if gain > 0:
             self.left_at_zero.clear()
         elif gain == 0 and kind in ("move", "exchange"):
@@ -852,6 +850,14 @@ class RefineState:
         self.applied.append(op)
         self._refresh_after(dirty, terms)
         return op
+
+    def _drop_replicates(self) -> None:
+        """Disable replicate, whose cap binds: every live replicate slot
+        leaves the bank, and no replicate row is built again."""
+        for v in range(self.h.num_vertices):
+            self._set_row(self.rep_row, "replicate", v, None)
+        self.enabled -= {"replicate"}
+        self._base.pop("replicate", None)
 
     def _transitions(self, change: dict[int, frozenset], after: dict) -> tuple[set, list]:
         """What a commit of `change` alters, read in one pass over the

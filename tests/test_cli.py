@@ -14,10 +14,12 @@ from mfspart.io import (
     parse_solution,
     parse_topology,
     write_hypergraph,
+    write_solution,
     write_topology,
 )
-from mfspart.metrics import validate
+from mfspart.metrics import report, validate
 from mfspart.oracle import exhaustive_partition
+from mfspart.seeds import TAG_GEN, sub_seed
 
 
 def run(args):
@@ -45,6 +47,61 @@ def test_gen_deterministic_files(tmp_path):
                     "--edges", 18, "--fpgas", 2]) == 0
     assert (tmp_path / "a.hg").read_bytes() == (tmp_path / "b.hg").read_bytes()
     assert (tmp_path / "a.topo").read_bytes() == (tmp_path / "b.topo").read_bytes()
+
+
+@pytest.mark.parametrize("spare", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_non_finite_spare_exit_code(tmp_path, capsys, command, spare):
+    # an infinite spare used to die in an OverflowError traceback (exit 1)
+    out = tmp_path / "x"
+    argv = [command, out] if command == "gen" else [command, "--out", out, "--count", 1]
+    assert run([*argv, "--spare", spare]) == 2
+    assert capsys.readouterr().err == "error: spare fraction must be finite and non-negative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_adds_no_defaults_of_its_own(tmp_path):
+    # a flag left out takes gen_instance's default; only the size flags
+    # and --seed have defaults in the CLI
+    assert run(["gen", tmp_path / "g", "--seed", 4]) == 0
+    b = gen_instance(sub_seed(4, TAG_GEN), 100, 200, 4, 2)
+    assert (tmp_path / "g.hg").read_text() == write_hypergraph(b.hypergraph)
+    assert (tmp_path / "g.topo").read_text() == write_topology(b.topology)
+
+
+# sha256 of the .hg and .topo files that `gen` wrote for these flags
+# before its flags were passed to gen_instance only when given
+PINNED_GEN = [
+    ("defaults", [],
+     "93031fa6c31250dc1b9f92dd2b13ba7b983c0d4e8e24133680b8a2feedb55364",
+     "b462d7a17a9fabb1217267a9dfaebee1d841b7d2464e812bca157c7a5f3a504b"),
+    ("hub", ["--vertices", 150, "--edges", 180, "--fpgas", 8, "--hub-fanout", 64,
+             "--io-limit", 155, "--hop-max", 3],
+     "8a1884a003066135a8e038716018403f1e9a0fe421853690b465e9f789300c08",
+     "23763a6dbc2008dfa2fceba60ffa402f6133d09b6d3c9c4cf8c35eb326df05f2"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, hg_sha, topo_sha", [case[1:] for case in PINNED_GEN], ids=[c[0] for c in PINNED_GEN]
+)
+def test_pinned_gen_bytes(tmp_path, flags, hg_sha, topo_sha):
+    assert run(["gen", tmp_path / "g", *flags]) == 0
+    assert hashlib.sha256((tmp_path / "g.hg").read_bytes()).hexdigest() == hg_sha
+    assert hashlib.sha256((tmp_path / "g.topo").read_bytes()).hexdigest() == topo_sha
+
+
+def test_partition_adds_no_defaults_of_its_own(tmp_path):
+    # with no flags, partition writes what run_pipeline's defaults give
+    b = gen_instance(11, 40, 60, 3, 2)
+    hg, topo = tmp_path / "i.hg", tmp_path / "i.topo"
+    hg.write_text(write_hypergraph(b.hypergraph))
+    topo.write_text(write_topology(b.topology))
+    sol, rep = tmp_path / "o.sol", tmp_path / "o.report"
+    assert run(["partition", hg, topo, "-o", sol, "--report", rep]) == 0
+    res = run_pipeline(b.hypergraph, b.topology)
+    assert sol.read_text() == write_solution(res.placement)
+    assert rep.read_text() == report(b.hypergraph, b.topology, res.placement).to_text()
 
 
 def test_partition_evaluate_validate_round_trip(tmp_path, instance):

@@ -225,6 +225,14 @@ def test_gen_zero_vertices_rejected():
         gen_instance(1, 0, 0, 2)
 
 
+@pytest.mark.parametrize("spare", [float("inf"), float("nan"), -0.5])
+def test_gen_spare_not_finite_and_non_negative_rejected(spare):
+    # an infinite spare overflowed the capacity arithmetic and a NaN one
+    # failed in int(); both are refused up front
+    with pytest.raises(ValueError, match="^spare fraction must be finite and non-negative$"):
+        gen_instance(1, 10, 12, 2, spare=spare)
+
+
 def test_gen_mismatched_types_rejected():
     b = gen_instance(2, 10, 10, 2, 2)
     b2 = gen_instance(2, 10, 10, 2, 1)

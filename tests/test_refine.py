@@ -12,6 +12,7 @@ from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import best_single_replication, full_gain_recompute
 from mfspart.refine import (
+    ALL_OPS,
     KIND_RANK,
     Op,
     RefineState,
@@ -440,6 +441,29 @@ def test_max_replicas_cap():
     assert "replicate" not in seen
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_capped_bank_is_a_fresh_bank_without_replicate(cap):
+    # once the cap binds, replicate is not an enabled kind: after every op
+    # the bank is the one a fresh state without replicate builds
+    checked = 0
+    for seed in range(6):
+        h, t, hm, p = _random_replicated_state(seed, n=14, m=26, k=3)
+        state = RefineState(h, t, hm, p, max_replicas=cap)
+
+        def check(op, pl, thd):
+            nonlocal checked
+            capped = state.replicates_applied >= cap
+            ops = tuple(k for k in ALL_OPS if not (capped and k == "replicate"))
+            assert bank_snapshot(state) == bank_snapshot(RefineState(h, t, hm, state.p, ops=ops))
+            checked += capped
+
+        if cap == 0:
+            assert "replicate" not in {op.kind for op in state.entries()}
+        run_refine_loop(state, observer=check)
+        assert state.replicates_applied <= cap
+    assert checked >= 30
+
+
 def test_negative_max_replicas_rejected():
     h, t, p = fanout_story(src_fpga=1)
     hm = compute_hop_matrix(t)
@@ -699,6 +723,17 @@ PINNED_REFINES = [
       ("replicate", 3, 0, None, None, 2), ("delete", 13, 2, None, None, 0)],
      [0, 0, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0],
      {0: [2], 1: [2], 2: [0], 3: [0], 4: [2], 9: [0]}),
+    # the cap binds after the first two ops, while replicates with positive
+    # gain stay at the top of the bank
+    ("replicated-3-capped", lambda: _random_replicated_state(3, n=14, m=26, k=3),
+     dict(max_replicas=2),
+     [("replicate", 0, 1, None, None, 12), ("replicate", 0, 2, None, None, 12),
+      ("exchange", 4, 0, 11, 1, 5), ("delete", 10, 0, None, None, 3),
+      ("move", 4, 2, None, None, 1), ("delete", 2, 1, None, None, 0),
+      ("delete", 3, 1, None, None, 0), ("move", 6, 2, None, None, 2),
+      ("move", 12, 2, None, None, 1)],
+     [0, 2, 2, 0, 2, 2, 2, 2, 2, 0, 2, 1, 2, 1],
+     {0: [1, 2], 6: [0], 11: [2], 13: [2]}),
     ("bounded-5", lambda: shaken_bounded_state(5, io_slack=4), {},
      [("move", 3, 3, None, None, 4), ("move", 7, 1, None, None, 3),
       ("replicate", 4, 1, None, None, 3), ("move", 2, 1, None, None, 1)],
