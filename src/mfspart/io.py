@@ -325,6 +325,19 @@ def gen_instance(
         raise ValueError("need at least one resource type")
     if not (math.isfinite(spare) and spare >= 0):
         raise ValueError("spare fraction must be finite and non-negative")
+    # each shape argument fails here under its own name, not later in the
+    # random draws or, for a NaN fraction, not at all
+    for name, value, low in (
+        ("max_fanout", max_fanout, 1),
+        ("hub_fanout", hub_fanout, 2),
+        ("max_vertex_weight", max_vertex_weight, 1),
+        ("max_edge_weight", max_edge_weight, 1),
+    ):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    for name, value in (("hub_fraction", hub_fraction), ("driver_fraction", driver_fraction)):
+        if not 0 <= value <= 1:  # also refuses NaN
+            raise ValueError(f"{name} must be a fraction in [0, 1], got {value}")
     rand = random.Random(seed)
     if locality is None:
         locality = max(8, n_vertices // max(1, k_fpgas) // 4)

@@ -45,15 +45,19 @@ its gain changed.
 An exchange gain is the two endpoints' move gains, read from their rows,
 plus a correction over the nets they share: corr(v, u) is a sum of one
 term per shared net (`_corr_term`), symmetric, and cached under both
-orders of the pair once first needed.  The cache is kept by per-net
-deltas too: a commit subtracts each changed net's old term from every
-cached pair of its members whose term it can alter and adds the new one,
-so no correction is ever rebuilt.  One re-score rule serves every vertex:
-it re-scores only the partners whose pair gain changed (through the
-pair's correction, or through either row: a row that changed at FPGAs F
-changes the pairs with a partner on F) against its stored best, and
-rescans in full only when it moved, gained or lost its row, or its
-stored partner is among them.
+orders of the pair once first needed (`_set_corr`).  The cache is kept
+by per-net deltas too: a commit subtracts each changed net's old term
+from every cached pair of its members whose term it can alter and adds
+the new one, so no correction is ever rebuilt.  One method,
+`_refresh_exchange(v, changed)`, keeps every exchange entry.  It is
+given the partners whose pair gain may have changed, or None for all of
+them; it re-scores only those against the stored best, and scans all of
+v's neighbours when given None or the stored partner.  The bank build
+calls it with None for every vertex.  A commit builds one map of changed
+pairs, from the corrections that moved and the rows that changed (a row
+that changed at FPGAs F changes the pairs with a partner on F, and a
+vertex that moved, or gained or lost its row, changes all its pairs),
+and calls it once per vertex in the map.
 
 Selection shelves an acceptable top it cannot take now: the entry leaves
 heap order but stays live, in a bucket named by when it returns.  A move,
@@ -377,7 +381,7 @@ class RefineState:
         for v in range(n):
             if _past(deadline):
                 return
-            self._rebuild_exchange(v)
+            self._refresh_exchange(v)
 
     # -- gain bookkeeping -------------------------------------------------
 
@@ -530,36 +534,28 @@ class RefineState:
             if a != b:
                 self.bank.update(item + f, b)
 
-    def _rebuild_exchange(self, v: int) -> None:
-        """Refresh the best-partner exchange entry of one vertex from a
-        scan of all its neighbours (see `_best_partner`)."""
-        best_g = None
-        if self.move_row[v] is not None:  # v has entries: a boundary vertex
+    def _refresh_exchange(self, v: int, changed: set[int] | None = None) -> None:
+        """Bring v's exchange entry up to date, given the partners whose
+        pair gain may have changed (None: all of them).  Every other pair
+        is as stored, so only `changed` is re-scored against the stored
+        best, unless it holds the stored partner: then, as for None, all
+        of v's neighbours are scanned.  A vertex without a move row has
+        no entry.  No exchange entry is shelved when this runs (a commit
+        unshelves "commit" first), so a plain update keeps heap order."""
+        item = self.item("exchange", v)
+        stored = self.ex_partner.get(v)
+        if self.move_row[v] is None:  # v has no entries
+            best_g = None
+        elif changed is None or stored in changed:
             best_g, best_u = self._best_partner(v, self._shared(v), None, -1)
-        self.bank.update(self.item("exchange", v), best_g)
+        else:
+            best_g, best_u = self._best_partner(
+                v, changed, self.bank.get(item), -1 if stored is None else stored
+            )
+        self.bank.update(item, best_g)
         if best_g is None:
             self.ex_partner.pop(v, None)
         else:
-            self.ex_partner[v] = best_u
-
-    def _patch_exchange(self, v: int, changed: set[int]) -> None:
-        """Update the exchange entry of a vertex that kept its FPGA and its
-        row's presence, given the partners whose pair gain may have
-        changed.  Every other pair gain is as stored, so the stored best
-        stays the best of them, and only the changed pairs are re-scored
-        against it; when the stored partner is among them, v is rescanned
-        in full."""
-        stored = self.ex_partner.get(v)
-        if stored in changed:
-            self._rebuild_exchange(v)
-            return
-        item = self.item("exchange", v)
-        old = self.bank.get(item)
-        best_g, best_u = self._best_partner(
-            v, changed, old, -1 if stored is None else stored
-        )
-        if best_g is not None and best_u != stored:
-            self.bank.push(item, best_g)
             self.ex_partner[v] = best_u
 
     def _best_partner(
@@ -573,20 +569,15 @@ class RefineState:
         move gains are read from the move rows, which are exact: v and u
         share a net across two FPGAs, so both have rows, and a row is
         indexed, not searched, so a missing one fails loudly.  The
-        correction is the sum over the shared nets of `_corr_term`, which
-        is symmetric; it is cached under both pair_corr[v][u] and
-        pair_corr[u][v] when first needed, and from then on kept by
-        per-net deltas: for each changed net, a commit subtracts the net's
-        old term from every cached pair of its members that the term can
-        change and adds the new one (see `_transitions`), so a cached
-        correction is never recomputed.
+        correction is the sum over the shared nets of `_corr_term`; it is
+        cached when first needed (`_set_corr`) and from then on kept by
+        per-net deltas (see `_transitions`), so it is never recomputed.
         """
         orig = self.p.original
         pv = orig[v]
         rows = self.move_row
         row_v = rows[v]
-        pair_corr = self.pair_corr
-        corr_v = pair_corr.setdefault(v, {})
+        corr_v = self.pair_corr.setdefault(v, {})
         shared = None
         for u in candidates:
             pu = orig[u]
@@ -596,13 +587,18 @@ class RefineState:
             if corr is None:
                 if shared is None:
                     shared = self._shared(v)
-                corr = corr_v[u] = sum(self._corr_term(e, v, u) for e in shared[u])
-                pair_corr.setdefault(u, {})[v] = corr
+                corr = sum(self._corr_term(e, v, u) for e in shared[u])
+                self._set_corr(v, u, corr)
             g = row_v[pu] + rows[u][pv] + corr
             if best_g is None or g > best_g or (g == best_g and u < best_u):
                 best_g = g
                 best_u = u
         return best_g, best_u
+
+    def _set_corr(self, a: int, b: int, corr: int) -> None:
+        """Cache corr(a, b), which is symmetric, under both orders."""
+        self.pair_corr.setdefault(a, {})[b] = corr
+        self.pair_corr.setdefault(b, {})[a] = corr
 
     def _corr_term(self, e: int, a: int, b: int) -> int:
         """Net e's part of the exchange correction of members a and b.
@@ -999,35 +995,37 @@ class RefineState:
         # vertex: through the pair's corr, or through a row; a row that
         # changed at FPGAs F changes the pairs with a partner on F, and a
         # vertex that moved, or gained or lost its row, changes all its
-        # pairs and is rescanned in full
-        changed: dict[int, set[int]] = {}
-        pair_corr = self.pair_corr
+        # pairs (None)
+        changed: dict[int, set[int] | None] = {}
+
+        def mark(v: int, u: int) -> None:
+            pairs = changed.setdefault(v, set())
+            if pairs is not None:
+                pairs.add(u)
+
         for e, a, b, old in terms:
             delta = self._corr_term(e, a, b) - old
             if delta:
-                pair_corr[a][b] = pair_corr[b][a] = pair_corr[a][b] + delta
-                changed.setdefault(a, set()).add(b)
-                changed.setdefault(b, set()).add(a)
-        rescan = set()
+                self._set_corr(a, b, self.pair_corr[a][b] + delta)
+                mark(a, b)
+                mark(b, a)
         for d, old in old_rows.items():
             new = rows[d]
             if new == old:
                 continue
             if old is None or new is None or old[orig[d]] is not None:
-                rescan.add(d)
+                changed[d] = None
                 for u in self._shared(d):
-                    changed.setdefault(u, set()).add(d)
+                    mark(u, d)
                 continue
             fpgas = {f for f, (a, b) in enumerate(zip(old, new)) if a != b}
             mine = changed.setdefault(d, set())
             for u in self._shared(d):
                 if orig[u] in fpgas:
-                    changed.setdefault(u, set()).add(d)
+                    mark(u, d)
                     mine.add(u)
-        for v in sorted(rescan):
-            self._rebuild_exchange(v)
-        for v in sorted(changed.keys() - rescan):
-            self._patch_exchange(v, changed[v])
+        for v in sorted(changed):
+            self._refresh_exchange(v, changed[v])
 
 
 def _local(src_hosts, cnt: dict[int, int]) -> bool:

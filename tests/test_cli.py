@@ -60,6 +60,22 @@ def test_non_finite_spare_exit_code(tmp_path, capsys, command, spare):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--hub-fanout", 1, "hub_fanout must be at least 2, got 1"),
+        ("--max-vertex-weight", 0, "max_vertex_weight must be at least 1, got 0"),
+        ("--max-fanout", 0, "max_fanout must be at least 1, got 0"),
+        ("--hub-fraction", "nan", "hub_fraction must be a fraction in [0, 1], got nan"),
+    ],
+    ids=["hub-fanout", "max-vertex-weight", "max-fanout", "hub-fraction"],
+)
+def test_gen_shape_flag_exit_code(tmp_path, capsys, flag, value, message):
+    assert run(["gen", tmp_path / "x", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_adds_no_defaults_of_its_own(tmp_path):
     # a flag left out takes gen_instance's default; only the size flags
     # and --seed have defaults in the CLI

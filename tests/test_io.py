@@ -233,6 +233,29 @@ def test_gen_spare_not_finite_and_non_negative_rejected(spare):
         gen_instance(1, 10, 12, 2, spare=spare)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"hub_fanout": 1}, "hub_fanout must be at least 2, got 1"),
+        ({"max_fanout": 0}, "max_fanout must be at least 1, got 0"),
+        ({"max_vertex_weight": 0}, "max_vertex_weight must be at least 1, got 0"),
+        ({"max_edge_weight": 0}, "max_edge_weight must be at least 1, got 0"),
+        ({"hub_fraction": float("nan")}, "hub_fraction must be a fraction in [0, 1], got nan"),
+        ({"driver_fraction": 1.5}, "driver_fraction must be a fraction in [0, 1], got 1.5"),
+    ],
+    ids=["hub-fanout", "max-fanout", "max-vertex-weight", "max-edge-weight",
+         "hub-fraction", "driver-fraction"],
+)
+def test_gen_shape_argument_rejected(kwargs, message):
+    # before, a hub fanout of 1 or a vertex weight cap of 0 failed in
+    # random's "empty range", an edge weight cap of 0 in the first net's
+    # weight check, a fanout cap of 0 ran as 1, and a NaN hub fraction
+    # dropped every hub net; each is now refused under its own name
+    with pytest.raises(ValueError) as err:
+        gen_instance(1, 10, 12, 2, **kwargs)
+    assert str(err.value) == message
+
+
 def test_gen_mismatched_types_rejected():
     b = gen_instance(2, 10, 10, 2, 2)
     b2 = gen_instance(2, 10, 10, 2, 1)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from mfspart._heap import AddressableMaxHeap
+from mfspart.cli import run_pipeline
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
 from mfspart.metrics import report, total_hop_distance, validate
@@ -1015,3 +1016,28 @@ def test_heap_item_rekeyed_while_shelved_surfaces_once_at_its_new_gain():
     assert heap.peek() == (3, 2)
     heap.update(2, None)
     assert heap.peek() is None
+
+
+def test_exchange_upkeep_work_on_lean_600(monkeypatch):
+    # pinned bytes cannot catch a change that keeps the output and redoes
+    # the partner scans; these counts were recorded on the lean-600
+    # partition of PINNED_PARTITIONS before the exchange refresh paths
+    # became one method, and the upkeep may not do more work than that
+    counts = Counter()
+    corr_term = RefineState._corr_term
+    best_partner = RefineState._best_partner
+
+    def counting_term(self, e, a, b):
+        counts["corr_term"] += 1
+        return corr_term(self, e, a, b)
+
+    def counting_partner(self, v, candidates, best_g, best_u):
+        counts["candidates"] += len(candidates)
+        return best_partner(self, v, candidates, best_g, best_u)
+
+    monkeypatch.setattr(RefineState, "_corr_term", counting_term)
+    monkeypatch.setattr(RefineState, "_best_partner", counting_partner)
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    run_pipeline(b.hypergraph, b.topology, n_seeds=1, assign_max_nodes=2000)
+    assert counts["corr_term"] <= 45_229
+    assert counts["candidates"] <= 182_284
