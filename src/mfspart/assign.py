@@ -60,7 +60,7 @@ class SearchBudget:
     max_solutions: int | None = 32
     stall_delta: float = 0.02
     rho: float = 0.3
-    max_nodes: int | None = 200_000
+    max_nodes: int | None = 20_000
 
     def __post_init__(self):
         if not (0 < self.stall_delta < 1):

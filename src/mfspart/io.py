@@ -325,11 +325,18 @@ def gen_instance(
         raise ValueError("need at least one resource type")
     if not (math.isfinite(spare) and spare >= 0):
         raise ValueError("spare fraction must be finite and non-negative")
+    if locality is None:
+        locality = max(8, n_vertices // max(1, k_fpgas) // 4)
+    if extra_links is None:
+        extra_links = max(0, k_fpgas // 2)
     # each shape argument fails here under its own name, not later in the
-    # random draws or, for a NaN fraction, not at all
+    # random draws or, for a NaN fraction or a window or link count out of
+    # range, not at all
     for name, value, low in (
         ("max_fanout", max_fanout, 1),
         ("hub_fanout", hub_fanout, 2),
+        ("locality", locality, 1),
+        ("extra_links", extra_links, 0),
         ("max_vertex_weight", max_vertex_weight, 1),
         ("max_edge_weight", max_edge_weight, 1),
     ):
@@ -339,8 +346,6 @@ def gen_instance(
         if not 0 <= value <= 1:  # also refuses NaN
             raise ValueError(f"{name} must be a fraction in [0, 1], got {value}")
     rand = random.Random(seed)
-    if locality is None:
-        locality = max(8, n_vertices // max(1, k_fpgas) // 4)
 
     weights = [
         [rand.randint(1, max_vertex_weight) for _ in range(n_resource_types)]
@@ -402,8 +407,6 @@ def gen_instance(
     for idx in range(1, k_fpgas):
         a, b = order[idx], order[rand.randrange(idx)]
         links.add((min(a, b), max(a, b)))
-    if extra_links is None:
-        extra_links = max(0, k_fpgas // 2)
     attempts = 0
     while len(links) < (k_fpgas - 1) + extra_links and attempts < 20 * (extra_links + 1):
         a = rand.randrange(k_fpgas)

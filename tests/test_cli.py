@@ -67,8 +67,12 @@ def test_non_finite_spare_exit_code(tmp_path, capsys, command, spare):
         ("--max-vertex-weight", 0, "max_vertex_weight must be at least 1, got 0"),
         ("--max-fanout", 0, "max_fanout must be at least 1, got 0"),
         ("--hub-fraction", "nan", "hub_fraction must be a fraction in [0, 1], got nan"),
+        ("--locality", 0, "locality must be at least 1, got 0"),
+        ("--locality", -5, "locality must be at least 1, got -5"),
+        ("--extra-links", -1, "extra_links must be at least 0, got -1"),
     ],
-    ids=["hub-fanout", "max-vertex-weight", "max-fanout", "hub-fraction"],
+    ids=["hub-fanout", "max-vertex-weight", "max-fanout", "hub-fraction",
+         "locality-zero", "locality-negative", "extra-links"],
 )
 def test_gen_shape_flag_exit_code(tmp_path, capsys, flag, value, message):
     assert run(["gen", tmp_path / "x", flag, value]) == 2
@@ -292,6 +296,34 @@ def test_partition_negative_max_replicas_exit_code(tmp_path, instance, capsys, v
     assert not (tmp_path / "x.sol").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", 0, "n_seeds must be at least 1, got 0"),
+        ("--seeds", -2, "n_seeds must be at least 1, got -2"),
+        ("--assign-max-nodes", 0, "max_nodes must be at least 1"),
+        ("--rho", 2, "rho must be in (0, 1)"),
+        ("--alpha0", "nan", "alpha0 must be finite and positive"),
+    ],
+    ids=["seeds-0", "seeds-negative", "max-nodes-0", "rho-2", "alpha0-nan"],
+)
+def test_partition_bad_flag_refused_before_any_phase(tmp_path, instance, capsys, monkeypatch,
+                                                     flag, value, message):
+    # these were refused only after the hop matrix (and, but for alpha0,
+    # the coarsening) had run, and --seeds 0 named no flag
+    import mfspart.cli as cli
+
+    ran = []
+    for name in ("compute_hop_matrix", "build_hierarchy"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=real: ran.append(_n) or _f(*a))
+    hg, topo = instance
+    assert run(["partition", hg, topo, "-o", tmp_path / "x.sol", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert ran == []
+    assert not (tmp_path / "x.sol").exists()
+
+
 def test_coarsened_search_failure_is_budget_not_infeasible():
     # the search exhausts the coarsest graph of this instance, but the
     # input has a placement: only an uncoarsened search proves anything
@@ -384,6 +416,29 @@ def test_bench_keeps_its_defaults_and_passes_pipeline_flags(tmp_path, monkeypatc
         run(["bench", "--out", out, "--count", 1, "--ops", "mv"])
 
 
+def test_bench_takes_every_generator_flag(tmp_path, monkeypatch):
+    # bench builds its suite from the shape flags gen has, so a sweep can
+    # run bounded or suite30-like instances; its own suite defaults stay
+    import mfspart.cli as cli
+
+    seen = []
+    real = cli.mio.gen_instance
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.mio, "gen_instance", spy)
+    flags = {"--io-limit": 155, "--hop-max": 3, "--driver-fraction": 0.03,
+             "--max-vertex-weight": 6, "--locality": 5, "--extra-links": 1}
+    argv = [a for kv in flags.items() for a in kv]
+    assert run(["bench", "--out", tmp_path / "b.csv", "--count", 1, "--vertices", 30,
+                "--edges", 45, "--arms", "none", *argv]) == 0
+    assert seen == [{"spare": 0.3, "hub_fraction": 0.15, "hub_fanout": 12, "io_limit": 155,
+                     "hop_max": 3, "driver_fraction": 0.03, "max_vertex_weight": 6,
+                     "locality": 5, "extra_links": 1}]
+
+
 def test_partition_budget_exhausted_exit_code(tmp_path):
     # two heavy vertices on two unit FPGAs: feasible split exists, but one
     # search node cannot reach it
@@ -416,18 +471,25 @@ def test_python_dash_m_runs_the_cli():
 # lean case refines on several coarse levels, the other runs default flags.
 # The bounded case (pinned later, before net terms came from one kernel)
 # runs hub nets under binding I/O and hop bounds, so refinement rejects
-# some ops on hop grounds.
+# some ops on hop grounds.  The default-flag cases were recorded when the
+# defaults became one search of 20k nodes (from 4 of 200k): default-150
+# again, and the bounded instance under default flags, whose search finds
+# its two solutions within the first 2k nodes.
 PINNED_PARTITIONS = [
     ("lean-600", (3000, 600, 720, 8, 2), {"spare": 0.4},
      ["--seeds", "1", "--assign-max-nodes", "2000"],
      "dec04b2716629a12fa08cf3fa4ba1578b362ba8eea1a865dcd19f627f2e36535",
      "06ad8755eb58e7c406ced8ec767623eb6efc9b7721bdba905e0311108e3d1fa3"),
     ("default-150", (7, 150, 180, 8, 2), {"spare": 0.4}, [],
-     "1792ca5cbb4d846d402d32f177eecb6ed69e2e4578edbec8ed27e4bf4021ee58",
-     "88b77a7e60e817fc048b0d4f4510b7829510acd1331ffd86934438bb49947ed8"),
+     "6305b3769a867e9e58b2b358c3afd0b1d9aa231a7bcfbf533f5bf138355fe3c6",
+     "6f65319cfaebd2979b6be5b5aa000b2844107dc91cf14046a7dc47c87b77f916"),
     ("bounded-150", (4, 150, 180, 8, 2),
      {"spare": 0.4, "hub_fanout": 64, "io_limit": 155, "hop_max": 3},
      ["--seeds", "1", "--assign-max-nodes", "2000"],
+     "9b61a102ace74faa19d99e2473f357c9ea0c0fdf92d03062c54f17239461bede",
+     "87833f31d54089a8b13a2044f2162c0bd1ea5f1320a758750ed1ecd08d58d0a9"),
+    ("default-bounded-150", (4, 150, 180, 8, 2),
+     {"spare": 0.4, "hub_fanout": 64, "io_limit": 155, "hop_max": 3}, [],
      "9b61a102ace74faa19d99e2473f357c9ea0c0fdf92d03062c54f17239461bede",
      "87833f31d54089a8b13a2044f2162c0bd1ea5f1320a758750ed1ecd08d58d0a9"),
     ("zero-gain-capped-600", (3, 600, 720, 8, 2), {"spare": 0.4},
