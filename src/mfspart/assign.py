@@ -109,6 +109,9 @@ def compute_heats(h: Hypergraph, t: MfsTopology, hm: HopMatrix) -> HeatScores:
     )
 
 
+PERTURB_VARIANTS = ("nodes", "fpgas")  # the heat family `perturb_heats` jitters
+
+
 def perturb_heats(heats: HeatScores, seed: int, variant: str = "nodes") -> HeatScores:
     """Multiplicative jitter, uniform in [0.9, 1.1], on one heat family."""
     rng = np.random.default_rng(seed)

@@ -26,13 +26,13 @@ import time
 from dataclasses import dataclass
 
 from . import io as mio
-from .assign import SearchBudget, parallel_assign
+from .assign import PERTURB_VARIANTS, SearchBudget, parallel_assign
 from .coarsen import CoarseningConfig, build_hierarchy
 from .metrics import report as metrics_report
 from .metrics import total_hop_distance, validate
 from .model import Hypergraph, Placement
 from .oracle import exhaustive_partition
-from .refine import ALL_OPS, OP_ALIASES, project_to_finer, refine_level
+from .refine import ALL_OPS, OP_ALIASES, op_kinds, project_to_finer, refine_level
 from .seeds import TAG_ASSIGN, TAG_COARSEN, TAG_GEN, sub_seed
 from .topology import MfsTopology, compute_hop_matrix
 
@@ -108,7 +108,8 @@ def run_pipeline(
     4 searches of 200k nodes, the defaults before.  More nodes lower the
     coarsest graph's THD a little; refinement evens most of that out.
 
-    The numeric arguments are checked before the hop matrix is built.
+    The numeric arguments, the assignment variant and the op kinds are
+    checked before the hop matrix is built.
     """
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
         raise ValueError("time_limit must be finite and non-negative")
@@ -116,6 +117,9 @@ def run_pipeline(
         raise ValueError("max_replicas must be non-negative")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    if assign_variant not in PERTURB_VARIANTS:
+        raise ValueError(f"unknown perturbation variant '{assign_variant}'")
+    op_kinds(ops)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     # both configurations check their fields here, before any phase runs
     cfg = CoarseningConfig(
@@ -240,7 +244,7 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, ops: bool = True, **default
                     help=f"max DFS nodes per search (default {default['assign_max_nodes']})")
     sp.add_argument("--stall-delta", type=float)
     sp.add_argument("--rho", type=float)
-    sp.add_argument("--assign-variant", choices=("nodes", "fpgas"))
+    sp.add_argument("--assign-variant", choices=PERTURB_VARIANTS)
     if ops:
         sp.add_argument("--ops", help="refinement ops subset, or 'none'")
     sp.add_argument("--max-replicas", type=int, help="cap on replicates per level")

@@ -44,20 +44,20 @@ its gain changed.
 
 An exchange gain is the two endpoints' move gains, read from their rows,
 plus a correction over the nets they share: corr(v, u) is a sum of one
-term per shared net (`_corr_term`), symmetric, and cached under both
-orders of the pair once first needed (`_set_corr`).  The cache is kept
-by per-net deltas too: a commit subtracts each changed net's old term
-from every cached pair of its members whose term it can alter and adds
-the new one, so no correction is ever rebuilt.  One method,
-`_refresh_exchange(v, changed)`, keeps every exchange entry.  It is
-given the partners whose pair gain may have changed, or None for all of
-them; it re-scores only those against the stored best, and scans all of
-v's neighbours when given None or the stored partner.  The bank build
-calls it with None for every vertex.  A commit builds one map of changed
-pairs, from the corrections that moved and the rows that changed (a row
-that changed at FPGAs F changes the pairs with a partner on F, and a
-vertex that moved, or gained or lost its row, changes all its pairs),
-and calls it once per vertex in the map.
+term per shared net, symmetric.  One array table per level, an
+`ExchangeTable` the state owns, keeps every exchange entry: each member
+pair of each net as a triple with its term, each neighbour pair's
+correction, each vertex's move row, and each vertex's best (gain,
+partner).  It holds no reference back to the state; a commit installs
+what the terms read (hosts, originals, drain counts capped at 2) and
+hands it the triples whose term can change, found by the same count
+transitions as the rows (see `_transitions`), and the move rows that
+changed.  The table applies the nonzero term deltas, so no correction
+is ever rebuilt, and re-scores only the pairs whose gain changed against
+each endpoint's stored best: a row that changed at FPGAs F changes the
+pairs with a partner on F, and a vertex that moved, or gained or lost
+its row, changes all its pairs.  A vertex scans all its neighbours only
+then, or when its stored partner's pair changed.
 
 Selection shelves an acceptable top it cannot take now: the entry leaves
 heap order but stays live, in a bucket named by when it returns.  A move,
@@ -76,6 +76,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ._exchange import ExchangeTable
 from ._heap import AddressableMaxHeap
 from .metrics import fpga_usage, net_terms
 from .model import Hypergraph, Placement
@@ -86,6 +87,16 @@ BY_RANK = sorted(KIND_RANK, key=KIND_RANK.get)
 ALL_OPS = ("move", "exchange", "replicate", "delete")
 FPGA_KINDS = ("move", "replicate", "delete")  # banked per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
+
+
+def op_kinds(ops) -> frozenset:
+    """The op kinds named by `ops`, aliases resolved; an unknown name is a
+    ValueError."""
+    kinds = frozenset(OP_ALIASES.get(o, o) for o in ops)
+    unknown = kinds - set(ALL_OPS)
+    if unknown:
+        raise ValueError(f"unknown op kinds: {sorted(unknown)}")
+    return kinds
 
 
 @dataclass(frozen=True)
@@ -261,10 +272,7 @@ class RefineState:
         self.t = t
         self.hm = hm
         self.p = p.copy()
-        self.enabled = frozenset(OP_ALIASES.get(o, o) for o in ops)
-        unknown = self.enabled - set(ALL_OPS)
-        if unknown:
-            raise ValueError(f"unknown op kinds: {sorted(unknown)}")
+        self.enabled = op_kinds(ops)
         if max_replicas is not None and max_replicas < 0:
             raise ValueError("max_replicas must be non-negative")
         self.max_replicas = max_replicas
@@ -323,17 +331,19 @@ class RefineState:
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
-        self._neighbors: dict[int, dict[int, tuple[int, ...]]] = {}  # lazy, static
+        # the exchange pairs of this level; it holds no reference back here
+        self.exchange = ExchangeTable(h, hm.dist, self.kf) if "exchange" in self.enabled else None
 
         # past `deadline` the bank stays partial; the loop, which checks
         # the same deadline, then applies nothing
         self._build_bank(deadline)
 
     def _build_bank(self, deadline: float | None = None) -> None:
-        """Build the bank from scratch: every vertex's rows, the heap at
-        once from them, then the exchange entries, which read the move
-        rows.  Stops at the first vertex that starts past `deadline`.
-        Every aggregate and cache starts empty."""
+        """Build the bank from scratch: every vertex's rows, then the
+        exchange entries, which read the move rows, then the heap at once
+        from them.  Stops at the first vertex that starts past `deadline`,
+        and builds no exchange entry once it has passed.  Every aggregate
+        and cache starts empty."""
         n = self.h.num_vertices
         # per vertex, built by `_aggregates` on first use and from then on
         # kept by per-net deltas (see `_transitions`): copy_cost[v][f], the
@@ -354,48 +364,40 @@ class RefineState:
         # `_base`).  A vertex's gains of each kind are also kept as one row,
         # None for a vertex without entries (delete: without replicas), so
         # a rebuild pushes only the slots that changed.  Exchange entries
-        # are per vertex, with the best partner in ex_partner; they are
-        # built from move_row[v], v's move gain to every FPGA (None at its
-        # own).
+        # are per vertex, with the best partner in ex_partner; the exchange
+        # table scores them from move_row[v], v's move gain to every FPGA
+        # (None at its own).
         self.bank = AddressableMaxHeap()
         self.move_row: list[list | None] = [None] * n
         self.rep_row: list[list | None] = [None] * n
         self.del_row: list[list | None] = [None] * n
         self.ex_partner: dict[int, int] = {}
-        # corr(v, u) of `_best_partner`, keyed pair_corr[v][u] and [u][v]
-        self.pair_corr: dict[int, dict[int, int]] = {}
         tables = (self.move_row, self.rep_row, self.del_row)
         done = 0
         while done < n and not _past(deadline):
             for table, row in zip(tables, self._mrd_rows(done)):
                 table[done] = row
             done += 1
-        self.bank.fill({
+        entries = {
             self._base[kind] + v * self.kf + f: g
             for kind, table in zip(FPGA_KINDS, tables) if kind in self._base
             for v, row in enumerate(table) if row
             for f, g in enumerate(row) if g is not None
-        })
-        if done < n or "exchange" not in self.enabled:
-            return
-        for v in range(n):
-            if _past(deadline):
-                return
-            self._refresh_exchange(v)
+        }
+        if done == n and self.exchange is not None and not _past(deadline):
+            p = self.p
+            self.exchange.install(
+                p.original, self.hosts, self.host_hop,
+                {v: self.hm.nearest(r)[0] for v, r in enumerate(p.replicas) if r},
+                self.edge_drain_cnt, self.move_row,
+            )
+            base = self._base["exchange"]
+            for v, g, u in self.exchange.build():
+                entries[base + v * self.kf] = g
+                self.ex_partner[v] = u
+        self.bank.fill(entries)
 
     # -- gain bookkeeping -------------------------------------------------
-
-    def _shared(self, v: int) -> dict[int, tuple[int, ...]]:
-        """v's neighbours, each with the nets it shares with v."""
-        cached = self._neighbors.get(v)
-        if cached is None:
-            acc: dict[int, list[int]] = {}
-            for e in self.h.incidence[v]:
-                for u in self.h.edges[e].members:
-                    if u != v:
-                        acc.setdefault(u, []).append(e)
-            cached = self._neighbors[v] = {u: tuple(es) for u, es in acc.items()}
-        return cached
 
     def _capped_col(self, g: int, cap: int | None) -> tuple[int, ...]:
         """Per FPGA f, min(cap, dist[f][g]): the hop to g from the nearer of
@@ -533,115 +535,6 @@ class RefineState:
         for f, (a, b) in enumerate(zip(old or none, new or none)):
             if a != b:
                 self.bank.update(item + f, b)
-
-    def _refresh_exchange(self, v: int, changed: set[int] | None = None) -> None:
-        """Bring v's exchange entry up to date, given the partners whose
-        pair gain may have changed (None: all of them).  Every other pair
-        is as stored, so only `changed` is re-scored against the stored
-        best, unless it holds the stored partner: then, as for None, all
-        of v's neighbours are scanned.  A vertex without a move row has
-        no entry.  No exchange entry is shelved when this runs (a commit
-        unshelves "commit" first), so a plain update keeps heap order."""
-        item = self.item("exchange", v)
-        stored = self.ex_partner.get(v)
-        if self.move_row[v] is None:  # v has no entries
-            best_g = None
-        elif changed is None or stored in changed:
-            best_g, best_u = self._best_partner(v, self._shared(v), None, -1)
-        else:
-            best_g, best_u = self._best_partner(
-                v, changed, self.bank.get(item), -1 if stored is None else stored
-            )
-        self.bank.update(item, best_g)
-        if best_g is None:
-            self.ex_partner.pop(v, None)
-        else:
-            self.ex_partner[v] = best_u
-
-    def _best_partner(
-        self, v: int, candidates, best_g: int | None, best_u: int
-    ) -> tuple[int | None, int]:
-        """The best of (best_g, best_u) and v's exchanges with candidates
-        on another FPGA: highest gain, then lowest partner id.
-
-        A pair gain decomposes into the two move gains plus a correction
-        over shared edges only, g = g_v(pu) + g_u(pv) + corr(v, u).  Both
-        move gains are read from the move rows, which are exact: v and u
-        share a net across two FPGAs, so both have rows, and a row is
-        indexed, not searched, so a missing one fails loudly.  The
-        correction is the sum over the shared nets of `_corr_term`; it is
-        cached when first needed (`_set_corr`) and from then on kept by
-        per-net deltas (see `_transitions`), so it is never recomputed.
-        """
-        orig = self.p.original
-        pv = orig[v]
-        rows = self.move_row
-        row_v = rows[v]
-        corr_v = self.pair_corr.setdefault(v, {})
-        shared = None
-        for u in candidates:
-            pu = orig[u]
-            if pu == pv:
-                continue
-            corr = corr_v.get(u)
-            if corr is None:
-                if shared is None:
-                    shared = self._shared(v)
-                corr = sum(self._corr_term(e, v, u) for e in shared[u])
-                self._set_corr(v, u, corr)
-            g = row_v[pu] + rows[u][pv] + corr
-            if best_g is None or g > best_g or (g == best_g and u < best_u):
-                best_g = g
-                best_u = u
-        return best_g, best_u
-
-    def _set_corr(self, a: int, b: int, corr: int) -> None:
-        """Cache corr(a, b), which is symmetric, under both orders."""
-        self.pair_corr.setdefault(a, {})[b] = corr
-        self.pair_corr.setdefault(b, {})[a] = corr
-
-    def _corr_term(self, e: int, a: int, b: int) -> int:
-        """Net e's part of the exchange correction of members a and b.
-
-        Written as a mixed second difference over the two host sets, the
-        net's cost delta cancels everywhere except at the two originals
-        being swapped, where both memberships flip; the term reads only
-        e's drain counts and source row and the two vertices' hosts, and
-        it is symmetric in a and b (zero when they share an FPGA).
-        """
-        edge = self.h.edges[e]
-        s = edge.source
-        cnt = self.edge_drain_cnt[e]
-        orig = self.p.original
-        hosts = self.hosts
-        if s == a or s == b:
-            # the source swaps with drain d: d's FPGA stops being covered
-            # unless another drain holds it, and the source's FPGA gets
-            # covered, served by the source's new hosts R_s + {pd}
-            d = b if s == a else a
-            ps, pd = orig[s], orig[d]
-            term = 0
-            if cnt[pd] <= 1:
-                term += self.host_hop[s][pd]
-            if ps not in cnt and ps not in hosts[d]:
-                dist = self.hm.dist
-                hop = dist[pd][ps]
-                for r in self.p.replicas[s]:
-                    if dist[r][ps] < hop:
-                        hop = dist[r][ps]
-                term += hop
-            return -edge.weight * term
-        # both drain e: the swapped originals keep the host union intact
-        # wherever nobody else covers them, cancelling the move gains'
-        # savings
-        pa, pb = orig[a], orig[b]
-        hop = self.host_hop[s]
-        term = 0
-        if cnt[pa] <= 1 and pa not in hosts[b]:
-            term += hop[pa]
-        if cnt[pb] <= 1 and pb not in hosts[a]:
-            term += hop[pb]
-        return -edge.weight * term
 
     # -- selection and application ----------------------------------------
 
@@ -810,7 +703,9 @@ class RefineState:
                     return None
 
         # commit
-        dirty, terms = self._transitions(change, after) if self.incremental else ((), ())
+        dirty, triples, levels = (
+            self._transitions(change, after) if self.incremental else ((), (), ())
+        )
         partner = self.ex_partner.get(v) if kind == "exchange" else None
         source = p.original[v]
         partner_dest = None if partner is None else source
@@ -818,9 +713,16 @@ class RefineState:
         apply_op(p, op)
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
+        table = self.exchange if self.incremental else None
         for x, hosts in change.items():
             self.hosts[x] = hosts
             self.host_hop[x] = self.hm.nearest(hosts)[0]
+            if table is not None:
+                reps = p.replicas[x]
+                rep_hop = self.hm.nearest(reps)[0] if reps else None
+                table.set_vertex(x, p.original[x], hosts, self.host_hop[x], rep_hop)
+        if table is not None:
+            table.set_levels(*levels)
         for f, dv in deltas.items():
             row = self.usage[f]
             for i in range(self.krt):
@@ -844,7 +746,7 @@ class RefineState:
             if self.allow_zero_gain:
                 self.zero_gain_left -= 1
         self.applied.append(op)
-        self._refresh_after(dirty, terms)
+        self._refresh_after(dirty, triples)
         return op
 
     def _drop_replicates(self) -> None:
@@ -855,15 +757,20 @@ class RefineState:
         self.enabled -= {"replicate"}
         self._base.pop("replicate", None)
 
-    def _transitions(self, change: dict[int, frozenset], after: dict) -> tuple[set, list]:
+    def _transitions(
+        self, change: dict[int, frozenset], after: dict
+    ) -> tuple[set, tuple, tuple]:
         """What a commit of `change` alters, read in one pass over the
         changed nets' drain counts before (installed) and after (`after`)
         it: the vertices whose move/replicate/delete entries it can alter,
-        and (e, a, b, term) for every changed net e and every cached pair
-        a, b of its members whose correction term it can alter, with the
-        old term.  The same pass patches the kept aggregates by each
-        changed net's terms before and after, and drops the cached
-        sourced-net terms of the vertices whose hosts or src_w change.
+        the exchange triples whose correction term it can alter, as (the
+        nets all of whose triples can, (net, member position) pairs whose
+        triples with every other member can), see `ExchangeTable.refresh`,
+        and the (nets, FPGAs, levels) where a count's min(count, 2), all a
+        term reads of it, changed.  The same pass patches the kept
+        aggregates by each changed net's terms before and after, and drops
+        the cached sourced-net terms of the vertices whose hosts or src_w
+        change.
 
         Those entries read, per incident edge, only the source's hosts
         and, of the drain counts, what the vertex's own copies do not
@@ -872,19 +779,20 @@ class RefineState:
         A term reads e's source row, the two members' hosts and, of the
         counts at either member's FPGA, only whether each is zero and
         whether it is at most one.  So when the source is touched, every
-        drain is dirty and every pair is listed.  Otherwise what matters
-        is the FPGAs where a count crosses 0|1 or 1|2: the source is dirty
-        when the covered set changed; a drain is dirty when a 0|1 crossing
-        is at an FPGA it does not host, or a 1|2 crossing at one it does;
-        and a pair is listed when a member is touched or on a crossing.
-        A touched drain is dirty anyway, but what other drains cover can
-        change for it with no count changing (an exchange of two drains of
-        one net), so its copy_cost is patched at every FPGA e covers.
+        drain is dirty and every triple of e is hot.  Otherwise what
+        matters is the FPGAs where a count crosses 0|1 or 1|2: the source
+        is dirty when the covered set changed; a drain is dirty when a 0|1
+        crossing is at an FPGA it does not host, or a 1|2 crossing at one
+        it does; and a member's triples are hot when it is touched or on a
+        crossing.  A touched drain is dirty anyway, but what other drains
+        cover can change for it with no count changing (an exchange of two
+        drains of one net), so its copy_cost is patched at every FPGA e
+        covers.
         """
         h = self.h
         orig = self.p.original
         hosts = self.hosts
-        pair_corr = self.pair_corr
+        pairs = self.exchange is not None  # whether to list hot triples
         host_hop = self.host_hop
         copy_cost = self.copy_cost
         src_w = self.src_w
@@ -893,7 +801,8 @@ class RefineState:
         dirty = set(change)
         for x in change:
             src_terms[x] = None
-        terms = []
+        whole, hot = [], []
+        level_at = level_nets, level_fpgas, level_values = [], [], []
         for e, (src_hosts, new) in after.items():
             edge = h.edges[e]
             s = edge.source
@@ -914,6 +823,10 @@ class RefineState:
                     outside.add(f)
                 if (a > 1) != (b > 1):
                     inside.add(f)
+                if pairs and min(a, 2) != min(b, 2):
+                    level_nets.append(e)
+                    level_fpgas.append(f)
+                    level_values.append(min(b, 2))
             if outside:  # the covered set changed
                 dirty.add(s)
                 sw = src_w[s]
@@ -942,7 +855,8 @@ class RefineState:
                     for f, c in new.items():
                         if c > (f in now):
                             cc[f] -= w * hop_new[f]
-                hot = members
+                if pairs:
+                    whole.append(e)
             else:
                 hop = host_hop[s]
                 flips = outside | inside
@@ -965,21 +879,20 @@ class RefineState:
                             dirty.add(d)
                             if cc is not None:
                                 cc[f] += w * hop[f] if uncovered else -w * hop[f]
-                hot = [x for x in members if x in change or orig[x] in flips]
-            hot_set = set(hot)
-            for a in hot:
-                cache = pair_corr.get(a)
-                if cache:
-                    for b in members:
-                        # a pair of two hot members is listed once
-                        if b in cache and (b > a or b not in hot_set):
-                            terms.append((e, a, b, self._corr_term(e, a, b)))
-        return dirty, terms
+                if pairs and flips:
+                    hot += (
+                        (e, i) for i, x in enumerate(members) if x in change or orig[x] in flips
+                    )
+                elif pairs:
+                    hot += ((e, members.index(x)) for x in change if x in members)
+        return dirty, (whole, hot), level_at
 
-    def _refresh_after(self, dirty: set[int], terms: list) -> None:
-        """Rebuild the dirty vertices' entries, move each cached correction
-        of `terms` from its net's old term to the new one, and bring the
-        exchange entries up to date."""
+    def _refresh_after(self, dirty: set[int], triples: tuple) -> None:
+        """Rebuild the dirty vertices' entries, then hand the exchange
+        table the `triples` whose term can change (see `_transitions`),
+        the move rows that changed and, of those, the vertices that moved
+        or gained or lost their row, and install the exchange entries
+        whose best changed."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self._build_bank()
@@ -988,44 +901,21 @@ class RefineState:
         old_rows = {v: rows[v] for v in dirty}
         for v in sorted(dirty):
             self._rebuild_mrd(v)
-        if "exchange" not in self.enabled:
+        if self.exchange is None:
             return
         orig = self.p.original
-        # the pairs whose gain g_v(pu) + g_u(pv) + corr(v, u) changed, per
-        # vertex: through the pair's corr, or through a row; a row that
-        # changed at FPGAs F changes the pairs with a partner on F, and a
-        # vertex that moved, or gained or lost its row, changes all its
-        # pairs (None)
-        changed: dict[int, set[int] | None] = {}
-
-        def mark(v: int, u: int) -> None:
-            pairs = changed.setdefault(v, set())
-            if pairs is not None:
-                pairs.add(u)
-
-        for e, a, b, old in terms:
-            delta = self._corr_term(e, a, b) - old
-            if delta:
-                self._set_corr(a, b, self.pair_corr[a][b] + delta)
-                mark(a, b)
-                mark(b, a)
-        for d, old in old_rows.items():
-            new = rows[d]
-            if new == old:
-                continue
-            if old is None or new is None or old[orig[d]] is not None:
-                changed[d] = None
-                for u in self._shared(d):
-                    mark(u, d)
-                continue
-            fpgas = {f for f, (a, b) in enumerate(zip(old, new)) if a != b}
-            mine = changed.setdefault(d, set())
-            for u in self._shared(d):
-                if orig[u] in fpgas:
-                    mark(u, d)
-                    mine.add(u)
-        for v in sorted(changed):
-            self._refresh_exchange(v, changed[v])
+        changed = {d: rows[d] for d, old in old_rows.items() if rows[d] != old}
+        moved = [
+            d for d, new in changed.items()
+            if new is None or old_rows[d] is None or old_rows[d][orig[d]] is not None
+        ]
+        base = self._base["exchange"]
+        for v, g, u in self.exchange.refresh(*triples, changed, moved):
+            self.bank.update(base + v * self.kf, g)
+            if g is None:
+                del self.ex_partner[v]
+            else:
+                self.ex_partner[v] = u
 
 
 def _local(src_hosts, cnt: dict[int, int]) -> bool:

@@ -130,6 +130,15 @@ def fresh_bank(state):
     return bank_snapshot(RefineState(state.h, state.t, state.hm, state.p))
 
 
+def pair_corrections(table):
+    """corr(v, u) of every neighbour pair an exchange table keeps, under
+    both orders, each read through its own directed slot."""
+    return dict(zip(
+        zip(table.owner.tolist(), table.partner.tolist()),
+        table.corr[table.slot_pair].tolist(),
+    ))
+
+
 def check_bank_after_every_attempt(state):
     """Make every `try_apply` on `state` assert, whether it applies its op
     or rejects it, that the bank then equals a fresh one.  Returns a

@@ -18,6 +18,7 @@ from mfspart.io import (
     write_topology,
 )
 from mfspart.metrics import report, validate
+from mfspart.model import Hyperedge, Hypergraph
 from mfspart.oracle import exhaustive_partition
 from mfspart.seeds import TAG_GEN, sub_seed
 
@@ -324,6 +325,35 @@ def test_partition_bad_flag_refused_before_any_phase(tmp_path, instance, capsys,
     assert not (tmp_path / "x.sol").exists()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"assign_variant": "bogus"}, "unknown perturbation variant 'bogus'"),
+        ({"ops": ("bogus",)}, "unknown op kinds: ['bogus']"),
+        ({"ops": ("mv", "swap")}, "unknown op kinds: ['swap']"),
+    ],
+    ids=["variant", "op", "op-after-alias"],
+)
+def test_run_pipeline_bad_name_refused_before_any_phase(monkeypatch, kwargs, message):
+    # an unknown assignment variant was refused only once the hop matrix
+    # was built, and an unknown op only once coarsening and assignment had
+    # run; the library call refuses both first
+    import mfspart.cli as cli
+
+    ran = []
+    for name in ("compute_hop_matrix", "build_hierarchy"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=real: ran.append(_n) or _f(*a))
+    b = gen_instance(9, 24, 40, 3, 2)
+    with pytest.raises(ValueError) as err:
+        run_pipeline(b.hypergraph, b.topology, **kwargs)
+    assert str(err.value) == message
+    assert ran == []
+    # no ops at all is a valid request: the assigned placement, unrefined
+    res = run_pipeline(b.hypergraph, b.topology, ops=())
+    assert res.status == "ok" and ran == ["compute_hop_matrix", "build_hierarchy"]
+
+
 def test_coarsened_search_failure_is_budget_not_infeasible():
     # the search exhausts the coarsest graph of this instance, but the
     # input has a placement: only an uncoarsened search proves anything
@@ -519,3 +549,24 @@ def test_pinned_partition_bytes(tmp_path, gen_args, gen_kwargs, flags, sol_sha, 
     assert run(["partition", hg, topo, "-o", sol, "--report", rep, *flags]) == 0
     assert hashlib.sha256(sol.read_bytes()).hexdigest() == sol_sha
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == report_sha
+
+
+def test_pinned_wide_net_partition_bytes(tmp_path):
+    # one weight-1 net sourced at vertex 0 drains every other vertex: every
+    # vertex is then a neighbour of every other, and each op touches a
+    # member of that net, so this is where the exchange upkeep's rule for
+    # which pair terms and partner scans a commit redoes decides the cost.
+    # Recorded before the exchange pairs moved into one array table
+    b = gen_instance(11, 300, 360, 8, 2, spare=0.4)
+    h = b.hypergraph
+    wide = Hyperedge(h.num_edges, 1, 0, range(1, h.num_vertices))
+    hg, topo = tmp_path / "wide.hg", tmp_path / "wide.topo"
+    hg.write_text(write_hypergraph(Hypergraph(h.vertices, [*h.edges, wide])))
+    topo.write_text(write_topology(b.topology))
+    sol, rep = tmp_path / "out.sol", tmp_path / "out.report"
+    assert run(["partition", hg, topo, "-o", sol, "--report", rep,
+                "--seeds", "1", "--assign-max-nodes", "2000"]) == 0
+    assert (hashlib.sha256(sol.read_bytes()).hexdigest()
+            == "dce58cad4ac60f14ea504371029f744ec878aab9de27693dfeccb0267ac12b81")
+    assert (hashlib.sha256(rep.read_bytes()).hexdigest()
+            == "59c3a5b815fcb62029adcae8c2d2b04d038014c681a7fab5dbf5990fb782bc1a")

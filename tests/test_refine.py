@@ -1,10 +1,13 @@
 import copy
+import gc
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
 
+from mfspart._exchange import ExchangeTable
 from mfspart._heap import AddressableMaxHeap
 from mfspart.cli import run_pipeline
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
@@ -34,6 +37,7 @@ from conftest import (
     check_bank_after_every_attempt,
     fanout_story,
     fresh_bank,
+    pair_corrections,
     path_topology,
     random_feasible_state,
     shaken_bounded_state,
@@ -925,36 +929,94 @@ def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
     assert state.ex_partner[1] == 4
 
 
+def _reference_corr_term(state, e, a, b):
+    """Net e's part of the exchange correction of members a and b, from
+    the state's counts and host sets, one Python branch per case."""
+    edge = state.h.edges[e]
+    s = edge.source
+    cnt = state.edge_drain_cnt[e]
+    orig = state.p.original
+    if s in (a, b):
+        d = b if s == a else a
+        ps, pd = orig[s], orig[d]
+        term = state.host_hop[s][pd] if cnt[pd] <= 1 else 0
+        if ps not in cnt and ps not in state.hosts[d]:
+            term += min(state.hm.dist[r][ps] for r in state.p.replicas[s] | {pd})
+        return -edge.weight * term
+    term = 0
+    for x, y in ((a, b), (b, a)):
+        if cnt[orig[x]] <= 1 and orig[x] not in state.hosts[y]:
+            term += state.host_hop[s][orig[x]]
+    return -edge.weight * term
+
+
 def test_pair_corrections_cached_symmetrically_and_exact(monkeypatch):
     # corr(v, u) == corr(u, v): a bank build computes each shared net's term
-    # of each pair once, and every cached value, in both orders, stays the
-    # sum of the pair's shared-net terms under the current placement
+    # of each pair once, and every kept correction, in both orders, stays
+    # the sum of the pair's shared-net terms under the current placement
     computed = []
-    corr_term = RefineState._corr_term
+    terms = ExchangeTable._terms
 
-    def counting(self, e, a, b):
-        computed.append((e, frozenset((a, b))))
-        return corr_term(self, e, a, b)
+    def counting(self, t):
+        computed.extend(t.tolist())
+        return terms(self, t)
 
-    monkeypatch.setattr(RefineState, "_corr_term", counting)
+    monkeypatch.setattr(ExchangeTable, "_terms", counting)
     checked = 0
     for seed in range(4):
         h, t, hm, p = tight_state(seed, n=20, m=36)
         computed.clear()
         state = RefineState(h, t, hm, p)
-        assert computed and len(computed) == len(set(computed))
+        n_triples = sum(len(e.drains) * (len(e.drains) + 1) // 2 for e in h.edges)
+        assert computed and sorted(computed) == list(range(n_triples))
 
         def check(op, pl, thd):
             nonlocal checked
-            for v, cache in state.pair_corr.items():
-                for u, corr in cache.items():
-                    assert state.pair_corr[u][v] == corr
-                    shared = state._shared(v)[u]
-                    assert corr == sum(corr_term(state, e, v, u) for e in shared)
-                    checked += 1
+            corr = pair_corrections(state.exchange)
+            for (v, u), c in corr.items():
+                assert corr[u, v] == c
+                shared = set(h.incidence[v]) & set(h.incidence[u])
+                assert c == sum(_reference_corr_term(state, e, v, u) for e in shared)
+                checked += 1
 
         run_refine_loop(state, observer=check)
     assert checked >= 100
+
+
+def test_exchange_table_in_runs_of_a_few_slots(monkeypatch):
+    # the table builds, retallies and scores in runs of CHUNK, split
+    # between vertices, so that a level with millions of pairs keeps its
+    # temporaries small; runs of three must refine exactly as one run
+    import mfspart._exchange as exchange
+
+    h, t, hm, p = tight_state(5, n=20, m=36)
+    whole = RefineState(h, t, hm, p)
+    first = bank_snapshot(whole)
+    run_refine_loop(whole)
+    monkeypatch.setattr(exchange, "CHUNK", 3)
+    state = RefineState(h, t, hm, p)
+    assert len(state.exchange.partner) > 3 * exchange.CHUNK
+    assert bank_snapshot(state) == first
+    run_refine_loop(state)
+    assert state.applied == whole.applied and state.p == whole.p
+
+
+def test_refine_state_freed_with_its_last_reference():
+    # the exchange table holds no reference back to the state, so even
+    # without the cycle collector a level's state, its table with it, is
+    # freed as soon as the last reference to it goes
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        state = RefineState(*tight_state(3, n=20, m=36))
+        run_refine_loop(state)
+        assert state.applied and state.exchange is not None
+        refs = weakref.ref(state), weakref.ref(state.exchange)
+        del state
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_heap_update_keeps_unchanged_entries_in_place():
@@ -1020,24 +1082,24 @@ def test_heap_item_rekeyed_while_shelved_surfaces_once_at_its_new_gain():
 
 def test_exchange_upkeep_work_on_lean_600(monkeypatch):
     # pinned bytes cannot catch a change that keeps the output and redoes
-    # the partner scans; these counts were recorded on the lean-600
-    # partition of PINNED_PARTITIONS before the exchange refresh paths
-    # became one method, and the upkeep may not do more work than that
+    # the pair terms or partner scans; these counts were recorded on the
+    # lean-600 partition of PINNED_PARTITIONS when the exchange pairs moved
+    # into one array table, and the upkeep may not do more work than that
     counts = Counter()
-    corr_term = RefineState._corr_term
-    best_partner = RefineState._best_partner
+    terms = ExchangeTable._terms
+    best = ExchangeTable._best
 
-    def counting_term(self, e, a, b):
-        counts["corr_term"] += 1
-        return corr_term(self, e, a, b)
+    def counting_terms(self, t):
+        counts["terms"] += len(t)
+        return terms(self, t)
 
-    def counting_partner(self, v, candidates, best_g, best_u):
-        counts["candidates"] += len(candidates)
-        return best_partner(self, v, candidates, best_g, best_u)
+    def counting_best(self, slots):
+        counts["slots"] += len(slots)
+        return best(self, slots)
 
-    monkeypatch.setattr(RefineState, "_corr_term", counting_term)
-    monkeypatch.setattr(RefineState, "_best_partner", counting_partner)
+    monkeypatch.setattr(ExchangeTable, "_terms", counting_terms)
+    monkeypatch.setattr(ExchangeTable, "_best", counting_best)
     b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
     run_pipeline(b.hypergraph, b.topology, n_seeds=1, assign_max_nodes=2000)
-    assert counts["corr_term"] <= 45_229
-    assert counts["candidates"] <= 182_284
+    assert 0 < counts["terms"] <= 34_901
+    assert 0 < counts["slots"] <= 182_559

@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mfspart._exchange import OUT
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import drain_fpgas
 from mfspart.refine import (
@@ -23,6 +24,7 @@ from conftest import (
     bounded_state,
     check_bank_after_every_attempt,
     fresh_bank,
+    pair_corrections,
     shaken_bounded_state,
     tight_state,
 )
@@ -96,11 +98,11 @@ def test_refine_loop_bank_equals_fresh_bank_after_every_op(seed, bounded):
 
 def _walk_checking_corr_and_rows(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
-    cached correction between two FPGAs must equal the exchange gain less
+    kept correction between two FPGAs must equal the exchange gain less
     the two move gains, in both orders, and every move row must equal the
-    move heaps and the move gains.  Returns how many applied ops had a
-    touched vertex sourcing a net that a cached pair shares, and how many
-    checked pairs share more than one net."""
+    move heaps, the move gains and the exchange table's copy of it.
+    Returns how many applied ops had a touched vertex sourcing a net, and
+    how many checked pairs share more than one net."""
     h, hm = state.h, state.hm
     sourcing_ops = multi_net_pairs = 0
     for pick in picks:
@@ -112,29 +114,26 @@ def _walk_checking_corr_and_rows(state, picks):
             continue
         p = state.p
         touched = {op.v, op.partner} - {None}
-        for e in h.edges:
-            members = e.members
-            if e.source in touched and any(
-                b in state.pair_corr.get(a, ()) for a in members for b in members
-            ):
-                sourcing_ops += 1
-                break
-        for a, cache in state.pair_corr.items():
-            for b, corr in cache.items():
-                assert state.pair_corr[b][a] == corr
-                pa, pb = p.original[a], p.original[b]
-                if pa == pb:
-                    continue
-                expected = (
-                    gain_exchange(h, p, hm, a, b)
-                    - gain_move(h, p, hm, a, pb)
-                    - gain_move(h, p, hm, b, pa)
-                )
-                assert corr == expected, (a, b)
-                multi_net_pairs += len(state._shared(a)[b]) > 1
+        sourcing_ops += any(e.source in touched for e in h.edges)
+        corr = pair_corrections(state.exchange)
+        assert corr
+        for (a, b), c in corr.items():
+            assert corr[b, a] == c
+            pa, pb = p.original[a], p.original[b]
+            if pa == pb:
+                continue
+            expected = (
+                gain_exchange(h, p, hm, a, b)
+                - gain_move(h, p, hm, a, pb)
+                - gain_move(h, p, hm, b, pa)
+            )
+            assert c == expected, (a, b)
+            multi_net_pairs += len(set(h.incidence[a]) & set(h.incidence[b])) > 1
         for v, row in enumerate(state.move_row):
             heaps = [state.bank.get(state.item("move", v, f)) for f in range(state.kf)]
             assert heaps == (row or [None] * state.kf), v
+            kept = state.exchange.move[v].tolist()
+            assert kept == [OUT if g is None else g for g in (row or [None] * state.kf)], v
             if row is not None:
                 assert row == [
                     None if f == p.original[v] else gain_move(h, p, hm, v, f)
