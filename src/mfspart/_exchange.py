@@ -11,23 +11,42 @@ shared net.  The table holds, per level:
   triples); each triple's neighbour pair; and every neighbour pair as two
   directed slots in CSR by vertex, each vertex's slots sorted by partner
   id;
-- mirrors of what a term or a pair gain reads, which the state installs
-  at each commit: the originals, the host sets as a boolean matrix, the
-  nearest-host and nearest-replica hop rows, the drain counts per net and
-  FPGA capped at 2, and the move rows as an n x K array;
+- what a term or a pair gain reads, as the state last handed it over:
+  the originals, the host sets as a boolean matrix, the nearest-host and
+  nearest-replica hop rows, each net's level per FPGA, and the move rows
+  as an n x K array;
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
-  gain first, then the lower partner id.
+  gain first, then the lower partner id.  best_u holds the partner, -1
+  for a vertex without an entry (it has no row, or no partner off its
+  FPGA).
 
-`build` fills the dynamic part from the mirrors in a few array passes.
-`refresh` is given the triples whose terms a commit can alter and the
-move-row gains it changed; it recomputes those terms, applies the nonzero
-deltas, re-scores only the changed pairs against each endpoint's stored
-best, and rescans a whole segment only for a vertex that moved, gained or
-lost its row, or whose stored partner's pair changed.
+The refinement state hands over only facts it owns: `build` takes every
+vertex's original, host set and hop rows, every net's drain counts and
+every move row, and fills the rest in a few array passes; `commit` takes
+the same of the vertices a commit touched, the nets with a touched
+member and the vertices it rebuilt, and works out what to redo itself:
+
+- levels: a term reads of net e's drain count at FPGA f only whether it
+  is zero and whether it is at most one, so the table keeps the level
+  min(2, count), and a count that crosses 0|1 or 1|2 changes a level;
+- hot triples: a term reads e's source row, the two members' originals
+  and hosts, and the levels at their originals.  So every triple of a
+  net whose source was touched is hot; otherwise those of a touched
+  member, or of a member whose original holds a changed level, found in
+  one array pass over the nets' pins.  A hot triple's term is
+  recomputed, and a nonzero delta added to its pair's correction;
+- changed pairs: those of a hot triple whose term changed, and, for a
+  vertex v whose move row changed at FPGAs F, the pairs of v with a
+  partner on F;
+- rescans: a pair gain reads each endpoint's row at the other's
+  original, so every pair of a vertex that moved, or gained or lost its
+  row, changed; such a vertex, and one whose stored partner's pair
+  changed, forgets its best and scans its whole segment.  Every other
+  changed pair is scored against the stored best of each endpoint.
 
 The table holds no reference to the refinement state: what it reads is
-what was installed in it.
+what was handed to it.
 """
 
 from __future__ import annotations
@@ -75,10 +94,11 @@ class ExchangeTable:
         self.source = pins[pin_ptr[:-1]].astype(np.intp)
         self.weight = np.fromiter((e.weight for e in h.edges), np.int64, m)
         self.dist = np.array(dist, np.int64).reshape(kf, kf)
-        tri_ptr = np.zeros(m + 1, np.intp)
-        np.cumsum(sizes * (sizes - 1) // 2, out=tri_ptr[1:])
-        self._pin_ptr = pin_ptr.tolist()
-        self._tri_ptr = tri_ptr.tolist()
+        self.kf = kf
+        self.tri_ptr = np.zeros(m + 1, np.intp)
+        np.cumsum(sizes * (sizes - 1) // 2, out=self.tri_ptr[1:])
+        self.pin_ptr = pin_ptr
+        self.pins = pins
 
         # the triples, net by net: each pin position with every later one
         # of its net; then each pin position's triples
@@ -88,11 +108,10 @@ class ExchangeTable:
         self.tri_a = pins[a_pos]
         del a_pos
         self.tri_b = pins[b_pos]
-        del b_pos, pins, pin_net
+        del b_pos, pin_net
         n_tri = len(self.tri_net)
-        mem_ptr = np.zeros(n_pins + 1, np.intp)
-        np.cumsum(np.bincount(at, minlength=n_pins), out=mem_ptr[1:])
-        self._mem_ptr = mem_ptr.tolist()
+        self.mem_ptr = np.zeros(n_pins + 1, np.intp)
+        np.cumsum(np.bincount(at, minlength=n_pins), out=self.mem_ptr[1:])
         order = np.argsort(at, kind="stable")
         del at
         order %= max(n_tri, 1)
@@ -123,7 +142,6 @@ class ExchangeTable:
         del owner
         self.ptr = np.zeros(n + 1, np.intp)
         np.cumsum(np.bincount(self.owner, minlength=n), out=self.ptr[1:])
-        self._ptr = self.ptr.tolist()
         self.partner = np.concatenate((lo.astype(I32), hi.astype(I32)))[order]
         del lo, hi
         where = np.empty(2 * n_pairs, I32)
@@ -148,57 +166,58 @@ class ExchangeTable:
         self.corr = np.zeros(n_pairs, np.int64)
         self.best_g = np.full(n, NONE, np.int64)
         self.best_u = np.full(n, -1, np.intp)
-        self._full = np.zeros(n, bool)  # scratch vertex marks
+        self._mark = np.zeros(n, bool)  # scratch vertex marks
 
-    # -- mirrors ------------------------------------------------------------
+    # -- the state a term or a pair gain reads ------------------------------
 
-    def install(self, orig, hosts, host_hop, rep_hop: dict, cnts, move_rows) -> None:
-        """Install the whole state: every vertex's original, host set and
-        nearest-host row, the nearest-replica rows {v: row} of the vertices
-        with replicas, every net's drain counts and every move row."""
-        self.orig[:] = orig
-        self.host[:] = False
+    def _set_vertices(self, vertices: dict) -> np.ndarray:
+        """Install {v: (original, host set, nearest-host row, nearest-replica
+        row or None)}; returns the vertices."""
+        vs = np.fromiter(vertices, np.intp, len(vertices))
+        shape = len(vs), self.kf
+        facts = vertices.values()
+        self.orig[vs] = [o for o, _, _, _ in facts]
+        self.host[vs] = False
         self.host[
-            [v for v, hs in enumerate(hosts) for _ in hs], [f for hs in hosts for f in hs]
+            [v for v, (_, hs, _, _) in vertices.items() for _ in hs],
+            [f for _, hs, _, _ in facts for f in hs],
         ] = True
-        self.host_hop[:] = np.reshape(host_hop, self.host_hop.shape)
-        self.rep_hop[:] = FAR
-        if rep_hop:
-            self.rep_hop[list(rep_hop)] = list(rep_hop.values())
-        self.level[:] = 0
-        self.set_levels(
-            [e for e, cnt in enumerate(cnts) for _ in cnt],
+        self.host_hop[vs] = np.reshape([hop for _, _, hop, _ in facts], shape)
+        far = [FAR] * self.kf
+        self.rep_hop[vs] = np.reshape([far if rep is None else rep for *_, rep in facts], shape)
+        return vs
+
+    def _set_levels(self, nets: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Install the levels of the nets {e: drain counts {f: count}};
+        returns the nets and, per net and FPGA, whether its level changed."""
+        es = np.fromiter(nets, np.intp, len(nets))
+        new = np.zeros((len(es), self.kf), np.int64)
+        cnts = nets.values()
+        new[
+            [i for i, cnt in enumerate(cnts) for _ in cnt],
             [f for cnt in cnts for f in cnt],
-            [min(c, 2) for cnt in cnts for c in cnt.values()],
+        ] = [min(c, 2) for cnt in cnts for c in cnt.values()]
+        flip = new != self.level[es]
+        self.level[es] = new
+        return es, flip
+
+    def _set_rows(self, rows: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Install the move rows {v: row or None}; returns the vertices
+        whose row changed, per such vertex the FPGAs where it did, and the
+        vertices whose out places changed: they moved, or gained or lost
+        their row."""
+        vs = np.fromiter(rows, np.intp, len(rows))
+        out = [OUT] * self.kf
+        new = np.reshape(
+            [[OUT if g is None else g for g in row] if row else out for row in rows.values()],
+            (len(vs), self.kf),
         )
-        self.set_rows(dict(enumerate(move_rows)))
-
-    def set_vertex(self, v: int, orig: int, hosts, hop_row, rep_row) -> None:
-        """Install v's original, host set and nearest-host and nearest-
-        replica hop rows (rep_row None: no replica)."""
-        self.orig[v] = orig
-        row = self.host[v]
-        row[:] = False
-        row[list(hosts)] = True
-        self.host_hop[v] = hop_row
-        self.rep_hop[v] = FAR if rep_row is None else rep_row
-
-    def set_levels(self, nets: list, fpgas: list, levels: list) -> None:
-        """Install, at some (net, FPGA) places, min(2, the number of the
-        net's drains with a copy there): all that a term reads of the
-        drain counts."""
-        if nets:
-            self.level[nets, fpgas] = levels
-
-    def set_rows(self, rows: dict) -> None:
-        """Install the move rows {v: row or None} of some vertices, OUT
-        where a row is None."""
-        if rows:
-            kf = self.move.shape[1]
-            self.move[list(rows)] = [
-                [OUT if g is None else g for g in row] if row else [OUT] * kf
-                for row in rows.values()
-            ]
+        old = self.move[vs]
+        self.move[vs] = new
+        at = old != new
+        hit = at.any(1)
+        moved = vs[((old == OUT) != (new == OUT)).any(1)]
+        return vs[hit], at[hit], moved
 
     # -- terms and scores -------------------------------------------------------
 
@@ -252,12 +271,16 @@ class ExchangeTable:
         top[top < OUT // 2] = NONE
         return owners[start], top, u[np.minimum.reduceat(hit, start)]
 
-    # -- build and refresh ----------------------------------------------------
+    # -- build and commit ---------------------------------------------------
 
-    def build(self) -> list[tuple[int, int | None, int]]:
-        """Every term, correction and best partner from the mirrors as
-        installed; returns (v, gain, partner) of each vertex with an
-        entry.  Works in runs of about CHUNK triples, then CHUNK slots."""
+    def build(self, vertices: dict, nets: dict, rows: dict) -> list[tuple[int, int]]:
+        """Install the whole state, in `commit`'s form with every vertex and
+        net, then fill every term, correction and best partner; returns
+        (v, gain) of each vertex with an entry.  Works in runs of about
+        CHUNK triples, then CHUNK slots."""
+        self._set_vertices(vertices)
+        self._set_levels(nets)
+        self._set_rows(rows)
         self.corr[:] = 0
         n_tri = len(self.term)
         for lo in range(0, n_tri, CHUNK):
@@ -267,7 +290,7 @@ class ExchangeTable:
         self.best_g[:] = NONE
         self.best_u[:] = -1
         # slot runs that start at a vertex's first slot
-        n_slots = self._ptr[-1]
+        n_slots = int(self.ptr[-1])
         cut = self.ptr[self.ptr.searchsorted(np.arange(CHUNK, n_slots, CHUNK))].tolist()
         bounds = [0, *cut, n_slots]
         return [
@@ -275,38 +298,32 @@ class ExchangeTable:
             for best in self._settle(np.arange(lo, hi), [])
         ]
 
-    def refresh(self, whole, hot, rows: dict, moved: list) -> list[tuple[int, int | None, int]]:
-        """Bring corrections and best partners up to date after a commit,
-        once the other mirrors hold its state.
-
-        `whole` lists the nets all of whose triples' terms may have
-        changed, `hot` (net, member position) pairs whose triples' terms
-        may have.  `rows` holds the move rows {v: row or None} that
-        changed: the pairs of v with a partner on an FPGA where v's row
-        changed, changed.  All the pairs of a vertex in `moved` changed
-        (it moved, or gained or lost its row).  Returns (v, gain or None,
-        partner) of every vertex whose best changed."""
-        ptr = self._ptr
-        changed = self._retally(whole, hot)
-        if rows:
-            vs = np.fromiter(rows, np.intp, len(rows))
-            old = self.move[vs]
-            self.set_rows(rows)
-            at = old != self.move[vs]  # per row, the FPGAs where it changed
-            seg, row = _ranges(self.ptr[vs], self.ptr[vs + 1])
-            seg = seg[at[row, self.orig[self.partner[seg]]]]
-            changed += (seg, self.rev[seg])
-        # every neighbour's slot to a vertex that moved
-        changed += [self.rev[ptr[v]:ptr[v + 1]] for v in moved]
-        if not changed:
+    def commit(self, vertices: dict, nets: dict, rows: dict) -> list[tuple[int, int | None]]:
+        """Bring terms, corrections and best partners up to date after a
+        commit, given what it changed: `vertices` {v: (original, host set,
+        nearest-host row, nearest-replica row or None)} of the touched
+        vertices, `nets` {e: drain counts {f: count}} of every net with a
+        touched member, and `rows` {v: move row or None} of every rebuilt
+        vertex.  Returns (v, gain or None) of every vertex whose best
+        changed."""
+        touched = self._set_vertices(vertices)
+        es, flip = self._set_levels(nets)
+        changed = self._retally(self._hot(touched, es, flip))
+        vs, at, moved = self._set_rows(rows)
+        # a pair of v with a partner on an FPGA where v's row changed
+        seg, row = _ranges(self.ptr[vs], self.ptr[vs + 1])
+        seg = seg[at[row, self.orig[self.partner[seg]]]]
+        # every pair of a vertex that moved
+        every, _ = _ranges(self.ptr[moved], self.ptr[moved + 1])
+        slots = _dedupe(np.concatenate((*changed, seg, self.rev[seg], self.rev[every])))
+        if not len(slots):
             return []
-        slots = _dedupe(np.concatenate(changed))
         owners = self.owner[slots].astype(np.intp)
         # a vertex whose stored partner's pair changed rescans its segment
         stale = owners[self.partner[slots] == self.best_u[owners]]
-        full = np.fromiter(set(moved).union(stale.tolist()), np.intp)
+        full = _dedupe(np.concatenate((moved, stale)))
         if len(full):
-            mark = self._full
+            mark = self._mark
             mark[full] = True
             keep = ~mark[owners]
             mark[full] = False
@@ -315,20 +332,31 @@ class ExchangeTable:
             slots.sort(kind="stable")
         return self._settle(slots, full)
 
-    def _retally(self, whole, hot) -> list[np.ndarray]:
-        """Recompute the terms of every triple of the `whole` nets and of
-        the `hot` (net, member position) pairs; add the nonzero deltas to
-        their pairs and return the slots of the pairs that changed."""
-        tri_ptr, pin_ptr, mem_ptr = self._tri_ptr, self._pin_ptr, self._mem_ptr
-        parts = [np.arange(tri_ptr[e], tri_ptr[e + 1]) for e in whole]
-        if hot:
-            at = [pin_ptr[e] + i for e, i in hot]
-            t = np.concatenate([self.mem_tri[mem_ptr[p]:mem_ptr[p + 1]] for p in at])
-            # a triple of two hot members is listed twice
-            parts.append((_dedupe(t) if len(at) > 1 else t).astype(np.intp))
-        if not parts:
-            return []
-        t = np.concatenate(parts)
+    def _hot(self, touched: np.ndarray, es: np.ndarray, flip: np.ndarray) -> np.ndarray:
+        """The triples of the nets `es` whose terms a commit can alter, from
+        the touched vertices and, per net and FPGA, whether its level
+        changed: every triple of a net whose source was touched, otherwise
+        those of a touched member or of one whose original holds a changed
+        level (see the module docstring)."""
+        mark = self._mark
+        mark[touched] = True
+        whole = mark[self.source[es]]
+        ws, ps = es[whole], es[~whole]
+        t, _ = _ranges(self.tri_ptr[ws], self.tri_ptr[ws + 1])
+        pos, row = _ranges(self.pin_ptr[ps], self.pin_ptr[ps + 1])
+        members = self.pins[pos]
+        hot = pos[mark[members] | flip[~whole][row, self.orig[members]]]
+        mark[touched] = False
+        if not len(hot):
+            return t
+        at, _ = _ranges(self.mem_ptr[hot], self.mem_ptr[hot + 1])
+        at = self.mem_tri[at]
+        # a triple of two hot members is listed twice
+        return np.concatenate((t, _dedupe(at) if len(hot) > 1 else at))
+
+    def _retally(self, t: np.ndarray) -> list[np.ndarray]:
+        """Recompute the terms of triples t, add the nonzero deltas to their
+        pairs and return the slots of the pairs that changed."""
         out = []
         for lo in range(0, len(t), CHUNK):
             chunk = t[lo:lo + CHUNK]
@@ -344,11 +372,11 @@ class ExchangeTable:
                 out.append(self.pair_slots[pairs].reshape(-1))
         return out
 
-    def _settle(self, slots: np.ndarray, rescan) -> list[tuple[int, int | None, int]]:
+    def _settle(self, slots: np.ndarray, rescan) -> list[tuple[int, int | None]]:
         """Score the sorted `slots` against the stored best of their
         owners, of which those in `rescan` forget their stored best first
-        (all their slots are given); store and return the bests that
-        changed, as (v, gain or None, partner).  A vertex without slots
+        (all their slots are given); store the bests and return (v, gain
+        or None) of each owner whose best changed.  A vertex without slots
         has no pairs, so no entry, before and after.  Slots are scored in
         runs of about CHUNK, split between owners, which bounds the
         temporaries of a bank build on a level with millions of pairs."""
@@ -358,7 +386,7 @@ class ExchangeTable:
         runs = np.split(slots, owners.searchsorted(owners[CHUNK::CHUNK]))
         return [best for run in runs for best in self._settle_run(run, rescan)]
 
-    def _settle_run(self, slots: np.ndarray, rescan) -> list[tuple[int, int | None, int]]:
+    def _settle_run(self, slots: np.ndarray, rescan) -> list[tuple[int, int | None]]:
         """`_settle` on slots that hold every given slot of their owners."""
         if not len(slots):
             return []
@@ -366,7 +394,7 @@ class ExchangeTable:
         old_g = self.best_g[vs]
         old_u = self.best_u[vs]
         if len(rescan):
-            mark = self._full
+            mark = self._mark
             mark[rescan] = True
             forget = mark[vs]
             mark[rescan] = False
@@ -381,6 +409,6 @@ class ExchangeTable:
         self.best_u[vs] = u
         diff = ((g != old_g) | (u != old_u)).nonzero()[0]
         return [
-            (v, None if x == NONE else x, y)
-            for v, x, y in zip(vs[diff].tolist(), g[diff].tolist(), u[diff].tolist())
+            (v, None if x == NONE else x)
+            for v, x in zip(vs[diff].tolist(), g[diff].tolist())
         ]

@@ -109,25 +109,13 @@ def compute_heats(h: Hypergraph, t: MfsTopology, hm: HopMatrix) -> HeatScores:
     )
 
 
-PERTURB_VARIANTS = ("nodes", "fpgas")  # the heat family `perturb_heats` jitters
-
-
-def perturb_heats(heats: HeatScores, seed: int, variant: str = "nodes") -> HeatScores:
-    """Multiplicative jitter, uniform in [0.9, 1.1], on one heat family."""
-    rng = np.random.default_rng(seed)
-    if variant == "nodes":
-        jitter = rng.uniform(0.9, 1.1, size=len(heats.node_heat))
-        return HeatScores(
-            fpga_heat=list(heats.fpga_heat),
-            node_heat=[h * j for h, j in zip(heats.node_heat, jitter)],
-        )
-    if variant == "fpgas":
-        jitter = rng.uniform(0.9, 1.1, size=len(heats.fpga_heat))
-        return HeatScores(
-            fpga_heat=[h * j for h, j in zip(heats.fpga_heat, jitter)],
-            node_heat=list(heats.node_heat),
-        )
-    raise ValueError(f"unknown perturbation variant '{variant}'")
+def perturb_heats(heats: HeatScores, seed: int) -> HeatScores:
+    """Multiplicative jitter, uniform in [0.9, 1.1], on the node heats."""
+    jitter = np.random.default_rng(seed).uniform(0.9, 1.1, size=len(heats.node_heat))
+    return HeatScores(
+        fpga_heat=list(heats.fpga_heat),
+        node_heat=[h * j for h, j in zip(heats.node_heat, jitter)],
+    )
 
 
 def should_deep_backtrack(thd_prev: int, thd_new: int, delta: float) -> bool:
@@ -416,7 +404,6 @@ def parallel_assign(
     hm: HopMatrix,
     budget: SearchBudget,
     seeds: list[int],
-    variant: str = "nodes",
     *,
     deadline: float | None = None,
 ) -> AssignResult:
@@ -447,7 +434,7 @@ def parallel_assign(
     for idx, seed in enumerate(seeds):
         if idx and deadline is not None and time.monotonic() >= deadline:
             break
-        res = dfs_assign(h, t, hm, budget, perturb_heats(base, seed, variant), deadline=deadline)
+        res = dfs_assign(h, t, hm, budget, perturb_heats(base, seed), deadline=deadline)
         total_nodes += res.nodes
         total_solutions += res.solutions
         total_rows += res.rows

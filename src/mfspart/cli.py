@@ -26,13 +26,13 @@ import time
 from dataclasses import dataclass
 
 from . import io as mio
-from .assign import PERTURB_VARIANTS, SearchBudget, parallel_assign
+from .assign import SearchBudget, parallel_assign
 from .coarsen import CoarseningConfig, build_hierarchy
 from .metrics import report as metrics_report
 from .metrics import total_hop_distance, validate
 from .model import Hypergraph, Placement
 from .oracle import exhaustive_partition
-from .refine import ALL_OPS, OP_ALIASES, op_kinds, project_to_finer, refine_level
+from .refine import ALL_OPS, op_kinds, project_to_finer, refine_level
 from .seeds import TAG_ASSIGN, TAG_COARSEN, TAG_GEN, sub_seed
 from .topology import MfsTopology, compute_hop_matrix
 
@@ -44,16 +44,12 @@ EXIT_VIOLATIONS = 5
 
 
 def parse_ops(text: str) -> tuple[str, ...]:
+    """The op kinds of an --ops or --arms text: comma-separated names,
+    'none' or nothing for no ops; `refine.op_kinds` resolves and checks
+    the names."""
     if text.strip().lower() in ("none", ""):
         return ()
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
-        kind = OP_ALIASES.get(tok, tok)
-        if kind not in ALL_OPS:
-            raise ValueError(f"unknown op '{tok}' (use mv,ex,rep,del or none)")
-        out.append(kind)
-    return tuple(out)
+    return op_kinds(tok.strip().lower() for tok in text.split(","))
 
 
 @dataclass
@@ -77,7 +73,6 @@ def run_pipeline(
     assign_max_nodes: int | None = SearchBudget.max_nodes,
     stall_delta: float = SearchBudget.stall_delta,
     rho: float = SearchBudget.rho,
-    assign_variant: str = "nodes",
     ops: tuple[str, ...] = ALL_OPS,
     max_replicas: int | None = None,
     allow_zero_gain: bool = False,
@@ -108,8 +103,8 @@ def run_pipeline(
     4 searches of 200k nodes, the defaults before.  More nodes lower the
     coarsest graph's THD a little; refinement evens most of that out.
 
-    The numeric arguments, the assignment variant and the op kinds are
-    checked before the hop matrix is built.
+    The numeric arguments and the op kinds are checked before the hop
+    matrix is built.
     """
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
         raise ValueError("time_limit must be finite and non-negative")
@@ -117,8 +112,6 @@ def run_pipeline(
         raise ValueError("max_replicas must be non-negative")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
-    if assign_variant not in PERTURB_VARIANTS:
-        raise ValueError(f"unknown perturbation variant '{assign_variant}'")
     op_kinds(ops)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     # both configurations check their fields here, before any phase runs
@@ -141,7 +134,7 @@ def run_pipeline(
 
     seeds = [sub_seed(seed, TAG_ASSIGN, i) for i in range(n_seeds)]
     floor = None if deadline is None else max(deadline, time.monotonic() + 0.1)
-    res = parallel_assign(coarsest, t, hm, budget, seeds, assign_variant, deadline=floor)
+    res = parallel_assign(coarsest, t, hm, budget, seeds, deadline=floor)
     if res.placement is None:
         proven = res.status == "complete" and not levels
         return PipelineResult(None, "infeasible" if proven else "budget")
@@ -244,7 +237,6 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, ops: bool = True, **default
                     help=f"max DFS nodes per search (default {default['assign_max_nodes']})")
     sp.add_argument("--stall-delta", type=float)
     sp.add_argument("--rho", type=float)
-    sp.add_argument("--assign-variant", choices=PERTURB_VARIANTS)
     if ops:
         sp.add_argument("--ops", help="refinement ops subset, or 'none'")
     sp.add_argument("--max-replicas", type=int, help="cap on replicates per level")
@@ -320,6 +312,7 @@ def cmd_bench(args) -> int:
     arms = [a.strip() for a in args.arms.split(";") if a.strip()]
     if not arms:
         raise ValueError(f"--arms {args.arms!r} names no arm")
+    arm_ops = [parse_ops(arm) for arm in arms]
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     suite = _given(args, GEN_KEYWORDS)
@@ -330,11 +323,9 @@ def cmd_bench(args) -> int:
         bundle = mio.gen_instance(
             gen_seed, args.vertices, args.edges, args.fpgas, args.types, **suite
         )
-        for arm in arms:
+        for arm, ops in zip(arms, arm_ops):
             t0 = time.monotonic()
-            res = run_pipeline(
-                bundle.hypergraph, bundle.topology, ops=parse_ops(arm), **pipeline
-            )
+            res = run_pipeline(bundle.hypergraph, bundle.topology, ops=ops, **pipeline)
             dt = time.monotonic() - t0
             row = (f"gen{idx:03d}", args.seed, arm)
             if res.placement is None:

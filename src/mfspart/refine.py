@@ -43,21 +43,13 @@ entries (delete: without replicas), and a bank slot is pushed only when
 its gain changed.
 
 An exchange gain is the two endpoints' move gains, read from their rows,
-plus a correction over the nets they share: corr(v, u) is a sum of one
-term per shared net, symmetric.  One array table per level, an
-`ExchangeTable` the state owns, keeps every exchange entry: each member
-pair of each net as a triple with its term, each neighbour pair's
-correction, each vertex's move row, and each vertex's best (gain,
-partner).  It holds no reference back to the state; a commit installs
-what the terms read (hosts, originals, drain counts capped at 2) and
-hands it the triples whose term can change, found by the same count
-transitions as the rows (see `_transitions`), and the move rows that
-changed.  The table applies the nonzero term deltas, so no correction
-is ever rebuilt, and re-scores only the pairs whose gain changed against
-each endpoint's stored best: a row that changed at FPGAs F changes the
-pairs with a partner on F, and a vertex that moved, or gained or lost
-its row, changes all its pairs.  A vertex scans all its neighbours only
-then, or when its stored partner's pair changed.
+plus a correction over the nets they share.  One array table per level,
+an `ExchangeTable` the state owns, keeps every exchange entry's gain and
+each vertex's best partner.  It holds no reference back to the state:
+after a commit the state makes one call, `ExchangeTable.commit`, with the
+touched vertices' originals, host sets and hop rows, the changed nets'
+drain counts and the rebuilt move rows, and the table alone works out
+which terms, pairs and partners to redo (see `_exchange`).
 
 Selection shelves an acceptable top it cannot take now: the entry leaves
 heap order but stays live, in a bucket named by when it returns.  A move,
@@ -89,11 +81,11 @@ FPGA_KINDS = ("move", "replicate", "delete")  # banked per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
 
 
-def op_kinds(ops) -> frozenset:
-    """The op kinds named by `ops`, aliases resolved; an unknown name is a
-    ValueError."""
-    kinds = frozenset(OP_ALIASES.get(o, o) for o in ops)
-    unknown = kinds - set(ALL_OPS)
+def op_kinds(ops) -> tuple[str, ...]:
+    """The op kinds named by `ops`, in order, aliases resolved; an unknown
+    name is a ValueError."""
+    kinds = tuple(OP_ALIASES.get(o, o) for o in ops)
+    unknown = set(kinds) - set(ALL_OPS)
     if unknown:
         raise ValueError(f"unknown op kinds: {sorted(unknown)}")
     return kinds
@@ -272,7 +264,7 @@ class RefineState:
         self.t = t
         self.hm = hm
         self.p = p.copy()
-        self.enabled = op_kinds(ops)
+        self.enabled = frozenset(op_kinds(ops))
         if max_replicas is not None and max_replicas < 0:
             raise ValueError("max_replicas must be non-negative")
         self.max_replicas = max_replicas
@@ -364,14 +356,13 @@ class RefineState:
         # `_base`).  A vertex's gains of each kind are also kept as one row,
         # None for a vertex without entries (delete: without replicas), so
         # a rebuild pushes only the slots that changed.  Exchange entries
-        # are per vertex, with the best partner in ex_partner; the exchange
-        # table scores them from move_row[v], v's move gain to every FPGA
-        # (None at its own).
+        # are per vertex, with the best partner in the exchange table's
+        # best_u; the table scores them from move_row[v], v's move gain to
+        # every FPGA (None at its own).
         self.bank = AddressableMaxHeap()
         self.move_row: list[list | None] = [None] * n
         self.rep_row: list[list | None] = [None] * n
         self.del_row: list[list | None] = [None] * n
-        self.ex_partner: dict[int, int] = {}
         tables = (self.move_row, self.rep_row, self.del_row)
         done = 0
         while done < n and not _past(deadline):
@@ -385,17 +376,26 @@ class RefineState:
             for f, g in enumerate(row) if g is not None
         }
         if done == n and self.exchange is not None and not _past(deadline):
-            p = self.p
-            self.exchange.install(
-                p.original, self.hosts, self.host_hop,
-                {v: self.hm.nearest(r)[0] for v, r in enumerate(p.replicas) if r},
-                self.edge_drain_cnt, self.move_row,
-            )
             base = self._base["exchange"]
-            for v, g, u in self.exchange.build():
+            for v, g in self.exchange.build(
+                {v: self._exchange_facts(v) for v in range(n)},
+                dict(enumerate(self.edge_drain_cnt)),
+                dict(enumerate(self.move_row)),
+            ):
                 entries[base + v * self.kf] = g
-                self.ex_partner[v] = u
         self.bank.fill(entries)
+
+    def _exchange_facts(self, v: int) -> tuple:
+        """What the exchange table reads of v: its original, host set, and
+        nearest-host and nearest-replica rows (None without a replica)."""
+        reps = self.p.replicas[v]
+        rep_hop = self.hm.nearest(reps)[0] if reps else None
+        return self.p.original[v], self.hosts[v], self.host_hop[v], rep_hop
+
+    def _partner(self, v: int) -> int | None:
+        """v's stored exchange partner, None without one."""
+        u = -1 if self.exchange is None else int(self.exchange.best_u[v])
+        return None if u < 0 else u
 
     # -- gain bookkeeping -------------------------------------------------
 
@@ -560,7 +560,7 @@ class RefineState:
             return False
         if (v, dest) in left:
             return True
-        return kind == "exchange" and (self.ex_partner[v], self.p.original[v]) in left
+        return kind == "exchange" and (self._partner(v), self.p.original[v]) in left
 
     def peek_best(self) -> tuple[str, int, int, int] | None:
         """Best acceptable entry that fits its destination's resources, as
@@ -605,7 +605,7 @@ class RefineState:
         rank, rest = divmod(item, self._span)
         v, dest = divmod(rest, self.kf)
         if rank == KIND_RANK["exchange"]:
-            dest = self.p.original[self.ex_partner[v]]
+            dest = self.p.original[self._partner(v)]
         return BY_RANK[rank], v, dest
 
     def hold(self) -> None:
@@ -623,7 +623,7 @@ class RefineState:
         for item, g in self.bank.items().items():
             kind, v, dest = self._decode(item)
             if kind == "exchange":
-                u = self.ex_partner[v]
+                u = self._partner(v)
                 ops.append(((self.kf, v), Op(kind, v, dest, u, orig[v], gain=g)))
             else:
                 ops.append(((dest, FPGA_KINDS.index(kind), v), Op(kind, v, dest, gain=g)))
@@ -631,7 +631,7 @@ class RefineState:
 
     def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
         """`_change` of a bank entry; an exchange takes its stored partner."""
-        partner = self.ex_partner.get(v) if kind == "exchange" else None
+        partner = self._partner(v) if kind == "exchange" else None
         return _change(self.p, kind, v, dest, partner)
 
     def _resource_deltas(self, change: dict[int, frozenset]) -> dict[int, list[int]]:
@@ -703,26 +703,17 @@ class RefineState:
                     return None
 
         # commit
-        dirty, triples, levels = (
-            self._transitions(change, after) if self.incremental else ((), (), ())
-        )
-        partner = self.ex_partner.get(v) if kind == "exchange" else None
+        dirty = self._transitions(change, after) if self.incremental else ()
+        partner = self._partner(v) if kind == "exchange" else None
         source = p.original[v]
         partner_dest = None if partner is None else source
         op = Op(kind, v, dest, partner, partner_dest, gain)
         apply_op(p, op)
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
-        table = self.exchange if self.incremental else None
         for x, hosts in change.items():
             self.hosts[x] = hosts
             self.host_hop[x] = self.hm.nearest(hosts)[0]
-            if table is not None:
-                reps = p.replicas[x]
-                rep_hop = self.hm.nearest(reps)[0] if reps else None
-                table.set_vertex(x, p.original[x], hosts, self.host_hop[x], rep_hop)
-        if table is not None:
-            table.set_levels(*levels)
         for f, dv in deltas.items():
             row = self.usage[f]
             for i in range(self.krt):
@@ -746,7 +737,7 @@ class RefineState:
             if self.allow_zero_gain:
                 self.zero_gain_left -= 1
         self.applied.append(op)
-        self._refresh_after(dirty, triples)
+        self._refresh_after(dirty, change, after)
         return op
 
     def _drop_replicates(self) -> None:
@@ -757,42 +748,29 @@ class RefineState:
         self.enabled -= {"replicate"}
         self._base.pop("replicate", None)
 
-    def _transitions(
-        self, change: dict[int, frozenset], after: dict
-    ) -> tuple[set, tuple, tuple]:
-        """What a commit of `change` alters, read in one pass over the
-        changed nets' drain counts before (installed) and after (`after`)
-        it: the vertices whose move/replicate/delete entries it can alter,
-        the exchange triples whose correction term it can alter, as (the
-        nets all of whose triples can, (net, member position) pairs whose
-        triples with every other member can), see `ExchangeTable.refresh`,
-        and the (nets, FPGAs, levels) where a count's min(count, 2), all a
-        term reads of it, changed.  The same pass patches the kept
-        aggregates by each changed net's terms before and after, and drops
-        the cached sourced-net terms of the vertices whose hosts or src_w
-        change.
+    def _transitions(self, change: dict[int, frozenset], after: dict) -> set[int]:
+        """The vertices whose move/replicate/delete entries a commit of
+        `change` can alter, read in one pass over the changed nets' drain
+        counts before (installed) and after (`after`) it.  The same pass
+        patches the kept aggregates by each changed net's terms before and
+        after, and drops the cached sourced-net terms of the vertices whose
+        hosts or src_w change.
 
         Those entries read, per incident edge, only the source's hosts
         and, of the drain counts, what the vertex's own copies do not
         account for: for the source the covered FPGAs, for a drain d the
         FPGAs that other drains cover, {f : cnt[f] - [f in hosts(d)] > 0}.
-        A term reads e's source row, the two members' hosts and, of the
-        counts at either member's FPGA, only whether each is zero and
-        whether it is at most one.  So when the source is touched, every
-        drain is dirty and every triple of e is hot.  Otherwise what
-        matters is the FPGAs where a count crosses 0|1 or 1|2: the source
-        is dirty when the covered set changed; a drain is dirty when a 0|1
-        crossing is at an FPGA it does not host, or a 1|2 crossing at one
-        it does; and a member's triples are hot when it is touched or on a
-        crossing.  A touched drain is dirty anyway, but what other drains
-        cover can change for it with no count changing (an exchange of two
-        drains of one net), so its copy_cost is patched at every FPGA e
-        covers.
+        So when the source is touched, every drain is dirty.  Otherwise
+        what matters is the FPGAs where a count crosses 0|1 or 1|2: the
+        source is dirty when the covered set changed, and a drain when a
+        0|1 crossing is at an FPGA it does not host, or a 1|2 crossing at
+        one it does.  A touched drain is dirty anyway, but what other
+        drains cover can change for it with no count changing (an exchange
+        of two drains of one net), so its copy_cost is patched at every
+        FPGA e covers.
         """
         h = self.h
-        orig = self.p.original
         hosts = self.hosts
-        pairs = self.exchange is not None  # whether to list hot triples
         host_hop = self.host_hop
         copy_cost = self.copy_cost
         src_w = self.src_w
@@ -801,18 +779,15 @@ class RefineState:
         dirty = set(change)
         for x in change:
             src_terms[x] = None
-        whole, hot = [], []
-        level_at = level_nets, level_fpgas, level_values = [], [], []
         for e, (src_hosts, new) in after.items():
             edge = h.edges[e]
             s = edge.source
             w = edge.weight
-            members = edge.members
             old = self.edge_drain_cnt[e]
             was_local = _local(hosts[s], old)
             if was_local != _local(src_hosts, new):
                 step = 1 if was_local else -1
-                for x in members:
+                for x in edge.members:
                     cut[x] += step
             spread = old.keys() | new.keys()
             outside = set()  # 0|1 crossings: reach drains not hosting f
@@ -823,10 +798,6 @@ class RefineState:
                     outside.add(f)
                 if (a > 1) != (b > 1):
                     inside.add(f)
-                if pairs and min(a, 2) != min(b, 2):
-                    level_nets.append(e)
-                    level_fpgas.append(f)
-                    level_values.append(min(b, 2))
             if outside:  # the covered set changed
                 dirty.add(s)
                 sw = src_w[s]
@@ -855,8 +826,6 @@ class RefineState:
                     for f, c in new.items():
                         if c > (f in now):
                             cc[f] -= w * hop_new[f]
-                if pairs:
-                    whole.append(e)
             else:
                 hop = host_hop[s]
                 flips = outside | inside
@@ -879,43 +848,29 @@ class RefineState:
                             dirty.add(d)
                             if cc is not None:
                                 cc[f] += w * hop[f] if uncovered else -w * hop[f]
-                if pairs and flips:
-                    hot += (
-                        (e, i) for i, x in enumerate(members) if x in change or orig[x] in flips
-                    )
-                elif pairs:
-                    hot += ((e, members.index(x)) for x in change if x in members)
-        return dirty, (whole, hot), level_at
+        return dirty
 
-    def _refresh_after(self, dirty: set[int], triples: tuple) -> None:
+    def _refresh_after(self, dirty: set[int], change: dict, after: dict) -> None:
         """Rebuild the dirty vertices' entries, then hand the exchange
-        table the `triples` whose term can change (see `_transitions`),
-        the move rows that changed and, of those, the vertices that moved
-        or gained or lost their row, and install the exchange entries
-        whose best changed."""
+        table what the commit of `change` changed: the touched vertices'
+        facts, the changed nets' drain counts (`after`) and the dirty
+        vertices' move rows; install the exchange entries whose best
+        changed."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self._build_bank()
             return
-        rows = self.move_row
-        old_rows = {v: rows[v] for v in dirty}
         for v in sorted(dirty):
             self._rebuild_mrd(v)
         if self.exchange is None:
             return
-        orig = self.p.original
-        changed = {d: rows[d] for d, old in old_rows.items() if rows[d] != old}
-        moved = [
-            d for d, new in changed.items()
-            if new is None or old_rows[d] is None or old_rows[d][orig[d]] is not None
-        ]
         base = self._base["exchange"]
-        for v, g, u in self.exchange.refresh(*triples, changed, moved):
+        for v, g in self.exchange.commit(
+            {x: self._exchange_facts(x) for x in change},
+            {e: cnt for e, (_, cnt) in after.items()},
+            {v: self.move_row[v] for v in dirty},
+        ):
             self.bank.update(base + v * self.kf, g)
-            if g is None:
-                del self.ex_partner[v]
-            else:
-                self.ex_partner[v] = u
 
 
 def _local(src_hosts, cnt: dict[int, int]) -> bool:

@@ -405,7 +405,7 @@ def test_parallel_single_seed_equals_dfs():
     b = gen_instance(5, 12, 18, 3, 1, spare=0.5)
     hm = compute_hop_matrix(b.topology)
     budget = SearchBudget()
-    heats = perturb_heats(compute_heats(b.hypergraph, b.topology, hm), 77, "nodes")
+    heats = perturb_heats(compute_heats(b.hypergraph, b.topology, hm), 77)
     solo = dfs_assign(b.hypergraph, b.topology, hm, budget, heats)
     par = parallel_assign(b.hypergraph, b.topology, hm, budget, [77])
     assert par.thd == solo.thd
@@ -419,7 +419,7 @@ def test_parallel_picks_strictly_better():
     results = {
         s: dfs_assign(
             b.hypergraph, b.topology, hm, budget,
-            perturb_heats(compute_heats(b.hypergraph, b.topology, hm), s, "nodes"),
+            perturb_heats(compute_heats(b.hypergraph, b.topology, hm), s),
         )
         for s in (1, 2, 3, 4)
     }
@@ -434,7 +434,7 @@ def test_parallel_tie_breaks_to_lower_seed():
     hm = compute_hop_matrix(t)
     par = parallel_assign(h, t, hm, SearchBudget(), [9, 4])
     solo = dfs_assign(h, t, hm, SearchBudget(),
-                      perturb_heats(compute_heats(h, t, hm), 4, "nodes"))
+                      perturb_heats(compute_heats(h, t, hm), 4))
     assert par.placement == solo.placement
 
 
@@ -442,14 +442,9 @@ def test_perturb_variants():
     b = gen_instance(2, 10, 15, 3, 1)
     hm = compute_hop_matrix(b.topology)
     base = compute_heats(b.hypergraph, b.topology, hm)
-    nodes = perturb_heats(base, 5, "nodes")
-    fpgas = perturb_heats(base, 5, "fpgas")
+    nodes = perturb_heats(base, 5)
     assert nodes.fpga_heat == base.fpga_heat
-    assert fpgas.node_heat == base.node_heat
     assert nodes.node_heat != base.node_heat
-    assert fpgas.fpga_heat != base.fpga_heat
-    with pytest.raises(ValueError):
-        perturb_heats(base, 5, "bogus")
 
 
 def test_deterministic_dfs():

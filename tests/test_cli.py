@@ -328,16 +328,14 @@ def test_partition_bad_flag_refused_before_any_phase(tmp_path, instance, capsys,
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"assign_variant": "bogus"}, "unknown perturbation variant 'bogus'"),
         ({"ops": ("bogus",)}, "unknown op kinds: ['bogus']"),
         ({"ops": ("mv", "swap")}, "unknown op kinds: ['swap']"),
     ],
-    ids=["variant", "op", "op-after-alias"],
+    ids=["op", "op-after-alias"],
 )
 def test_run_pipeline_bad_name_refused_before_any_phase(monkeypatch, kwargs, message):
-    # an unknown assignment variant was refused only once the hop matrix
-    # was built, and an unknown op only once coarsening and assignment had
-    # run; the library call refuses both first
+    # an unknown op was refused only once coarsening and assignment had
+    # run; the library call refuses it first
     import mfspart.cli as cli
 
     ran = []
@@ -352,6 +350,24 @@ def test_run_pipeline_bad_name_refused_before_any_phase(monkeypatch, kwargs, mes
     # no ops at all is a valid request: the assigned placement, unrefined
     res = run_pipeline(b.hypergraph, b.topology, ops=())
     assert res.status == "ok" and ran == ["compute_hop_matrix", "build_hierarchy"]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["partition", "{hg}", "{topo}", "-o", "{dir}/x.sol", "--ops", "mv,bogus"], "x.sol"),
+        (["bench", "--out", "{dir}/b.csv", "--count", 1, "--arms", "none;bogus"], "b.csv"),
+    ],
+    ids=["partition-ops", "bench-arms"],
+)
+def test_cli_unknown_op_refused_with_the_library_message(tmp_path, instance, capsys, argv, out):
+    # --ops and --arms names are resolved and checked by the library's one
+    # rule, so the CLI and run_pipeline refuse an unknown name alike
+    hg, topo = instance
+    args = [str(a).format(hg=hg, topo=topo, dir=tmp_path) for a in argv]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: unknown op kinds: ['bogus']\n"
+    assert not (tmp_path / out).exists()
 
 
 def test_coarsened_search_failure_is_budget_not_infeasible():

@@ -923,10 +923,31 @@ def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
     h = Hypergraph.build([[1]] * 5, [(1, 0, [1, 2, 3, 4])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 0, 1, 0, 1]))
-    assert state.ex_partner[1] == 2
+
+    def partner_of_1():
+        [op] = [op for op in state.entries() if op.kind == "exchange" and op.v == 1]
+        return op.partner
+
+    assert partner_of_1() == 2
     cnt = _drain_cnt_change(state, 0, "move", 2, 0)
     assert cnt == ({0: 2, 1: 2}, {0: 3, 1: 1})
-    assert state.ex_partner[1] == 4
+    assert partner_of_1() == 4
+
+
+def test_exchange_without_a_partner_is_refused_and_changes_nothing():
+    # vertices 0 and 1 share one net that lies wholly on FPGA 0 and have no
+    # replica, so neither has an exchange entry: the table stores no
+    # partner for them, and an exchange of either applies nowhere
+    h = Hypergraph.build([[1]] * 4, [(1, 0, [1]), (1, 2, [3])])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 0, 0, 1]))
+    assert {op.v for op in state.entries() if op.kind == "exchange"} == {2, 3}
+    before = bank_snapshot(state), state.p.copy(), state.thd
+    for v in (0, 1):
+        for f in range(t.k_fpgas):
+            assert state.try_apply("exchange", v, f) is None
+            assert (bank_snapshot(state), state.p, state.thd) == before
+    assert not state.applied
 
 
 def _reference_corr_term(state, e, a, b):

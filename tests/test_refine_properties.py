@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -99,8 +100,10 @@ def test_refine_loop_bank_equals_fresh_bank_after_every_op(seed, bounded):
 def _walk_checking_corr_and_rows(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
     kept correction between two FPGAs must equal the exchange gain less
-    the two move gains, in both orders, and every move row must equal the
-    move heaps, the move gains and the exchange table's copy of it.
+    the two move gains, in both orders, every move row must equal the
+    move heaps, the move gains and the exchange table's copy of it, every
+    stored triple term must equal a fresh one, and the table's levels
+    must be the drain counts capped at 2.
     Returns how many applied ops had a touched vertex sourcing a net, and
     how many checked pairs share more than one net."""
     h, hm = state.h, state.hm
@@ -115,7 +118,15 @@ def _walk_checking_corr_and_rows(state, picks):
         p = state.p
         touched = {op.v, op.partner} - {None}
         sourcing_ops += any(e.source in touched for e in h.edges)
-        corr = pair_corrections(state.exchange)
+        table = state.exchange
+        fresh = table._terms(np.arange(len(table.term)))
+        assert (table.term == fresh).all(), (table.term != fresh).nonzero()[0]
+        levels = np.zeros_like(table.level)
+        for e, cnt in enumerate(state.edge_drain_cnt):
+            for f, c in cnt.items():
+                levels[e, f] = min(c, 2)
+        assert (table.level == levels).all(), (table.level != levels).nonzero()
+        corr = pair_corrections(table)
         assert corr
         for (a, b), c in corr.items():
             assert corr[b, a] == c
