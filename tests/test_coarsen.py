@@ -15,6 +15,7 @@ from mfspart.coarsen import (
 )
 from mfspart.io import gen_instance
 from mfspart.model import Hypergraph, ResourceVector
+from mfspart.seeds import TAG_COARSEN, sub_seed
 from mfspart.topology import MfsTopology, mean_capacity
 
 from conftest import path_topology
@@ -232,3 +233,72 @@ def test_zero_mean_capacity_rejected():
     t = MfsTopology(caps, [(0, 1)])
     with pytest.raises(ValueError, match="zero mean capacity"):
         build_hierarchy(h, t, CoarseningConfig(n_final=16))
+
+
+def _brute_force_mapping(h, t, cfg, level, n_init):
+    """The documented matching rule written out pair by pair: visit in the
+    seeded shuffle; score a free pair by its shared nets, w / (|e| - 1)
+    summed in ascending net id; skip pairs over the largest per-type
+    capacity; rank zero-penalty pairs first by score, the rest by score
+    over penalty, ties to the lower id; number coarse vertices in fine-id
+    order."""
+    n = h.num_vertices
+    alpha = alpha_at_level(cfg, n_init, level, n_final=cfg.resolved_n_final(t.k_fpgas))
+    mean_caps = [float(c) for c in mean_capacity(t)]
+    types = range(h.num_resource_types)
+    max_caps = [max(c[i] for c in t.capacities) for i in types]
+    nets = [set(h.incidence[v]) for v in range(n)]
+    order = list(range(n))
+    random.Random(sub_seed(cfg.seed, TAG_COARSEN, level)).shuffle(order)
+    match = [-1] * n
+    for u in order:
+        if match[u] != -1:
+            continue
+        wu = h.vertices[u].weight
+        best, best_v = None, -1
+        for v in range(n):
+            shared = sorted(nets[u] & nets[v])
+            if v == u or match[v] != -1 or not shared:
+                continue
+            wv = h.vertices[v].weight
+            if any(wu[i] + wv[i] > max_caps[i] for i in types):
+                continue
+            r = 0.0
+            for e in shared:
+                r += h.edges[e].weight / (len(h.edges[e]) - 1)
+            p = heavy_node_penalty(wu, wv, alpha, mean_caps)
+            key = (True, r) if p == 0.0 else (False, r / p)
+            if best is None or key > best:
+                best, best_v = key, v
+        if best_v >= 0:
+            match[u], match[best_v] = best_v, u
+    mapping = [-1] * n
+    next_id = 0
+    for v in range(n):
+        if mapping[v] == -1:
+            mapping[v] = next_id
+            if match[v] != -1:
+                mapping[match[v]] = next_id
+            next_id += 1
+    return mapping
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+@pytest.mark.parametrize("seed", range(6))
+def test_hierarchy_matches_brute_force_rule(seed, deep):
+    # deep: every fifth vertex weightless, so zero-penalty pairs compete,
+    # and coarsening down to 2, so late merges meet the capacity filter
+    b = gen_instance(seed, 300, 360, 4, 2, spare=0.4)
+    h = b.hypergraph
+    if deep:
+        h = Hypergraph.build(
+            [[0, 0] if v % 5 == 0 else x.weight.values for v, x in enumerate(h.vertices)],
+            [(e.weight, e.source, e.drains) for e in h.edges],
+        )
+    cfg = CoarseningConfig(n_final=2 if deep else 32, seed=seed)
+    levels = build_hierarchy(h, b.topology, cfg)
+    assert len(levels) >= 3
+    cur = h
+    for lv in levels:
+        assert lv.mapping == _brute_force_mapping(cur, b.topology, cfg, lv.index, h.num_vertices)
+        cur = lv.hypergraph
