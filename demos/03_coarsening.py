@@ -1,8 +1,9 @@
 """The multilevel hierarchy and the adaptive penalty exponent.
 
-The merge priority is connectivity over balance penalty; the penalty
-exponent ramps up level by level, so early merges chase heavy edges and
-late merges keep hypernodes assignable.
+Each vertex merges with its `best_partner`: merges that cost no balance
+penalty first, by connectivity, then the rest by connectivity over
+penalty.  The penalty exponent ramps up level by level, so early merges
+chase heavy edges and late merges keep hypernodes assignable.
 """
 
 from mfspart import CoarseningConfig, alpha_at_level, build_hierarchy, gen_instance

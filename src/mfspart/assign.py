@@ -82,10 +82,6 @@ class AssignResult:
     nodes: int = 0
     rows: int = 0  # candidate rows computed; the rest of the depth entries hit the memo
 
-    @property
-    def feasible(self) -> bool:
-        return self.placement is not None
-
 
 def fpga_heat(t: MfsTopology, hm: HopMatrix, f: int) -> float:
     """Squared capacity mass over hop-sum; larger means big and central."""

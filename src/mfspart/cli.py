@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--types", type=int, default=2)
     _add_gen_flags(sp)
     # --seed also seeds the generated suite; --arms chooses the ops
-    _add_pipeline_flags(sp, ops=False, n_seeds=2, assign_budget=16, assign_max_nodes=20_000)
+    _add_pipeline_flags(sp, ops=False, n_seeds=2, assign_budget=16)
     sp.set_defaults(func=cmd_bench, spare=0.3, hub_fraction=0.15, hub_fanout=12)
     return ap
 

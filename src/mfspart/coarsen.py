@@ -1,10 +1,14 @@
 """Multilevel coarsening: FPGA-aware greedy pairwise matching.
 
-Merge priority combines a connectivity score (heavy shared edges, small
-pins) with a balance penalty on the product of the two vertices' resource
-usage, normalized by mean FPGA capacity.  The penalty exponent grows with
-the level index so early levels chase connectivity and late levels enforce
-balance.
+One function, `best_partner`, is the whole matching rule.  A vertex
+scores each unmatched neighbour by the nets they share (heavy edges,
+small pins), skips a neighbour whose combined weight exceeds the largest
+per-type FPGA capacity, and weighs the rest by a balance penalty on the
+product of the two vertices' resource usage, normalized by mean FPGA
+capacity.  Zero-penalty merges come first, ordered by score; the others
+follow by score over penalty; ties go to the lower id.  The penalty
+exponent grows with the level index so early levels chase connectivity
+and late levels enforce balance.
 """
 
 from __future__ import annotations
@@ -51,19 +55,6 @@ class Level:
     index: int
 
 
-def heavy_edge_score(h: Hypergraph, u: int, v: int) -> float:
-    """Sum over shared edges of w_e / (|e| - 1); 0 when nothing is shared."""
-    if u == v:
-        raise ValueError("heavy_edge_score needs two distinct vertices")
-    eu = set(h.incidence[u])
-    score = 0.0
-    for e in h.incidence[v]:
-        if e in eu:
-            edge = h.edges[e]
-            score += edge.weight / (len(edge) - 1)
-    return score
-
-
 def heavy_node_penalty(
     wu: ResourceVector, wv: ResourceVector, alpha: float, mean_caps: tuple
 ) -> float:
@@ -106,17 +97,38 @@ def merge_priority(r: float, p: float) -> tuple[int, float]:
     return (1, r) if p == 0.0 else (0, r / p)
 
 
-def rating(h: Hypergraph, u: int, v: int, alpha: float, mean_caps: tuple) -> float:
-    """Merge priority r/p; infinite when the balance penalty is zero."""
-    r = heavy_edge_score(h, u, v)
-    p = heavy_node_penalty(h.vertices[u].weight, h.vertices[v].weight, alpha, mean_caps)
-    zero_penalty, score = merge_priority(r, p)
-    return math.inf if zero_penalty else score
+def best_partner(
+    h: Hypergraph, u: int, match: list[int], alpha: float, mean_caps: list[float],
+    max_caps: list[int],
+) -> int:
+    """The neighbour vertex u merges with, or -1 for none.
 
-
-def _max_caps(t: MfsTopology) -> list[int]:
-    k = t.num_resource_types
-    return [max(c[i] for c in t.capacities) for i in range(k)]
+    Every neighbour v with match[v] == -1 is scored by the sum of
+    w_e / (|e| - 1) over the nets it shares with u.  A pair whose combined
+    weight exceeds `max_caps` in some type is skipped; the rest rank by
+    `merge_priority` of that score and `heavy_node_penalty`, ties to the
+    lower id.
+    """
+    scores: dict[int, float] = {}
+    for e in h.incidence[u]:
+        edge = h.edges[e]
+        contrib = edge.weight / (len(edge) - 1)
+        for m in edge.members:
+            if m != u and match[m] == -1:
+                scores[m] = scores.get(m, 0.0) + contrib
+    vertices = h.vertices
+    wu = vertices[u].weight.values
+    best_key = None
+    best_v = -1
+    for v, r in scores.items():
+        wv = vertices[v].weight.values
+        if any(a + b > c for a, b, c in zip(wu, wv, max_caps)):
+            continue
+        key = (*merge_priority(r, heavy_node_penalty(wu, wv, alpha, mean_caps)), -v)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_v = v
+    return best_v
 
 
 def coarsen_level(
@@ -129,87 +141,54 @@ def coarsen_level(
     """One pairwise-matching pass.
 
     Vertices are visited in seeded random order; each unmatched vertex
-    merges with its best-rated unmatched neighbor (ties to the lower id).
-    Merges whose combined weight cannot fit the largest per-type FPGA
-    capacity are skipped.  Single-pin coarse edges are dropped and parallel
-    coarse edges merged with summed weights.
+    merges with its `best_partner`.  Coarse ids are dense, in fine-id
+    order.  Single-pin coarse edges are dropped and parallel coarse edges
+    merged with summed weights.
     """
     n = h.num_vertices
-    if n_init is None:
-        n_init = n
-    n_final = cfg.resolved_n_final(t.k_fpgas)
-    alpha = alpha_at_level(cfg, n_init, level, n_final=n_final)
+    alpha = alpha_at_level(
+        cfg, n if n_init is None else n_init, level, n_final=cfg.resolved_n_final(t.k_fpgas)
+    )
     mean_caps = [float(c) for c in mean_capacity(t)]
-    max_caps = _max_caps(t)
-    k = h.num_resource_types
-    weights = [v.weight.values for v in h.vertices]
+    max_caps = [max(c[i] for c in t.capacities) for i in range(t.num_resource_types)]
 
     order = list(range(n))
     random.Random(sub_seed(cfg.seed, TAG_COARSEN, level)).shuffle(order)
     match = [-1] * n
     for u in order:
-        if match[u] != -1:
-            continue
-        wu = weights[u]
-        # connectivity scores for every unmatched neighbor in one pass
-        scores: dict[int, float] = {}
-        for e in h.incidence[u]:
-            edge = h.edges[e]
-            contrib = edge.weight / (len(edge) - 1)
-            for m in edge.members:
-                if m != u and match[m] == -1:
-                    scores[m] = scores.get(m, 0.0) + contrib
-        best_key = None
-        best_v = -1
-        for v_cand, r in scores.items():
-            wv = weights[v_cand]
-            if any(wu[i] + wv[i] > max_caps[i] for i in range(k)):
-                continue
-            p = heavy_node_penalty(wu, wv, alpha, mean_caps)
-            key = (*merge_priority(r, p), -v_cand)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_v = v_cand
-        if best_v >= 0:
-            match[u] = best_v
-            match[best_v] = u
+        if match[u] == -1:
+            v = best_partner(h, u, match, alpha, mean_caps, max_caps)
+            if v >= 0:
+                match[u], match[v] = v, u
 
-    # dense coarse ids in fine-id order
     mapping = [-1] * n
-    next_id = 0
+    n_coarse = 0
     for v in range(n):
-        if mapping[v] != -1:
-            continue
-        mapping[v] = next_id
-        if match[v] != -1 and mapping[match[v]] == -1:
-            mapping[match[v]] = next_id
-        next_id += 1
-
-    coarse_w = [[0] * k for _ in range(next_id)]
-    for v in range(n):
-        cw = coarse_w[mapping[v]]
-        wv = weights[v]
-        for i in range(k):
-            cw[i] += wv[i]
-    coarse_vertices = [Vertex(i, ResourceVector(w)) for i, w in enumerate(coarse_w)]
+        if mapping[v] == -1:
+            mapping[v] = n_coarse
+            if match[v] != -1:
+                mapping[match[v]] = n_coarse
+            n_coarse += 1
+    coarse_w = [[0] * h.num_resource_types for _ in range(n_coarse)]
+    for v, c in enumerate(mapping):
+        cw = coarse_w[c]
+        for i, x in enumerate(h.vertices[v].weight.values):
+            cw[i] += x
 
     merged: dict[tuple[int, tuple[int, ...]], int] = {}
-    keys_in_order: list[tuple[int, tuple[int, ...]]] = []
     for e in h.edges:
         src = mapping[e.source]
         drains = tuple(sorted({mapping[d] for d in e.drains} - {src}))
-        if not drains:
-            continue
-        key = (src, drains)
-        if key in merged:
-            merged[key] += e.weight
-        else:
-            merged[key] = e.weight
-            keys_in_order.append(key)
-    coarse_edges = [
-        Hyperedge(j, merged[key], key[0], key[1]) for j, key in enumerate(keys_in_order)
-    ]
-    return Level(Hypergraph(coarse_vertices, coarse_edges), mapping, level)
+        if drains:
+            merged[src, drains] = merged.get((src, drains), 0) + e.weight
+    return Level(
+        Hypergraph(
+            [Vertex(i, ResourceVector(w)) for i, w in enumerate(coarse_w)],
+            [Hyperedge(j, w, src, drains) for j, ((src, drains), w) in enumerate(merged.items())],
+        ),
+        mapping,
+        level,
+    )
 
 
 def build_hierarchy(h: Hypergraph, t: MfsTopology, cfg: CoarseningConfig) -> list[Level]:
@@ -240,13 +219,3 @@ def build_hierarchy(h: Hypergraph, t: MfsTopology, cfg: CoarseningConfig) -> lis
         cur = lv.hypergraph
         level += 1
     return levels
-
-
-def compose_mappings(levels: list[Level]) -> list[int]:
-    """Map each original vertex to its coarsest hypernode."""
-    if not levels:
-        return []
-    acc = list(levels[0].mapping)
-    for lv in levels[1:]:
-        acc = [lv.mapping[c] for c in acc]
-    return acc

@@ -64,7 +64,6 @@ class InstanceBundle:
 
     hypergraph: Hypergraph
     topology: MfsTopology
-    names: list[str] | None = None
 
     def __post_init__(self):
         hk = self.hypergraph.num_resource_types

@@ -27,10 +27,6 @@ class ResourceVector:
             raise ValueError(f"resource amounts must be non-negative, got {vals}")
         object.__setattr__(self, "values", vals)
 
-    @staticmethod
-    def zeros(k: int) -> "ResourceVector":
-        return ResourceVector((0,) * k)
-
     def __len__(self) -> int:
         return len(self.values)
 

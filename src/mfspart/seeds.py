@@ -13,7 +13,6 @@ _MASK = (1 << 64) - 1
 TAG_COARSEN = 1
 TAG_ASSIGN = 2
 TAG_GEN = 3
-TAG_BENCH = 4
 
 
 def splitmix64(x: int) -> int:

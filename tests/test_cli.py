@@ -432,7 +432,7 @@ PINNED_BENCH_ROWS = [
 ]
 
 
-def test_bench_keeps_its_defaults_and_passes_pipeline_flags(tmp_path, monkeypatch):
+def test_bench_keeps_its_defaults_and_passes_pipeline_flags(tmp_path, monkeypatch, capsys):
     import mfspart.cli as cli
 
     out = tmp_path / "bench.csv"
@@ -456,8 +456,12 @@ def test_bench_keeps_its_defaults_and_passes_pipeline_flags(tmp_path, monkeypatc
     kwargs = seen[0]
     assert (kwargs["rho"], kwargs["n_final"], kwargs["max_replicas"]) == (0.45, 40, 2)
     assert kwargs["ops"] == ("move", "exchange")
-    assert (kwargs["n_seeds"], kwargs["assign_budget"], kwargs["assign_max_nodes"]) == (
-        2, 16, 20_000)
+    assert (kwargs["n_seeds"], kwargs["assign_budget"]) == (2, 16)
+    # bench's node budget is the library's own default, which --help shows
+    assert "assign_max_nodes" not in kwargs
+    with pytest.raises(SystemExit):
+        run(["bench", "--help"])
+    assert "max DFS nodes per search (default 20000)" in " ".join(capsys.readouterr().out.split())
     with pytest.raises(SystemExit):
         run(["bench", "--out", out, "--count", 1, "--ops", "mv"])
 

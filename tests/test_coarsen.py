@@ -6,12 +6,10 @@ import pytest
 from mfspart.coarsen import (
     CoarseningConfig,
     alpha_at_level,
+    best_partner,
     build_hierarchy,
     coarsen_level,
-    compose_mappings,
-    heavy_edge_score,
     heavy_node_penalty,
-    rating,
 )
 from mfspart.io import gen_instance
 from mfspart.model import Hypergraph, ResourceVector
@@ -36,22 +34,42 @@ def test_config_rejects_non_finite_alpha(kwargs, message):
         CoarseningConfig(n_final=128, **kwargs)
 
 
-def test_heavy_edge_score_no_shared():
+def _caps(t):
+    mean_caps = [float(c) for c in mean_capacity(t)]
+    return mean_caps, [max(c[i] for c in t.capacities) for i in range(t.num_resource_types)]
+
+
+def _partner(h, u, t=None, match=None, alpha=1.0):
+    t = t or path_topology(2, cap=100)
+    match = match or [-1] * h.num_vertices
+    return best_partner(h, u, match, alpha, *_caps(t))
+
+
+def test_best_partner_needs_a_shared_free_neighbour():
     h = Hypergraph.build([[1]] * 4, [(1, 0, [1]), (1, 2, [3])])
-    assert heavy_edge_score(h, 0, 2) == 0.0
+    assert _partner(h, 0) == 1
+    assert _partner(h, 0, match=[-1, 3, -1, 1]) == -1  # 2 and 3 share no net with 0
 
 
-def test_heavy_edge_score_single_shared():
-    h = Hypergraph.build([[1]] * 3, [(2, 0, [1, 2])])
-    assert heavy_edge_score(h, 0, 1) == 1.0
+# a net's share of a pair's score is w_e / (|e| - 1); the pairs below tie
+# at equal scores, so the lower id wins and a miscounted share would not
 
 
-def test_heavy_edge_score_two_shared():
-    h = Hypergraph.build(
-        [[1]] * 4,
-        [(1, 0, [1]), (3, 0, [1, 2, 3])],
-    )
-    assert heavy_edge_score(h, 0, 1) == 1.0 + 1.0
+def test_best_partner_net_share_is_weight_over_pins_minus_one():
+    # a 3-pin net of weight 2 and a 2-pin net of weight 1 both give 1.0
+    first = Hypergraph.build([[0]] * 4, [(2, 0, [1, 2]), (1, 0, [3])])
+    last = Hypergraph.build([[0]] * 4, [(1, 0, [1]), (2, 0, [2, 3])])
+    assert _partner(first, 0) == 1
+    assert _partner(last, 0) == 1
+
+
+def test_best_partner_scores_sum_over_shared_nets():
+    # a 2-pin net of weight 1 plus a 4-pin net of weight 3 give 2.0, as
+    # does a 2-pin net of weight 2
+    summed_first = Hypergraph.build([[0]] * 5, [(1, 0, [1]), (3, 0, [1, 3, 4]), (2, 0, [2])])
+    summed_last = Hypergraph.build([[0]] * 5, [(2, 0, [1]), (1, 0, [2]), (3, 0, [2, 3, 4])])
+    assert _partner(summed_first, 0) == 1
+    assert _partner(summed_last, 0) == 1
 
 
 def test_heavy_node_penalty_zero_weight():
@@ -94,25 +112,38 @@ def test_alpha_degenerate_rejected():
         alpha_at_level(cfg, 100, 1)
 
 
-def test_rating_basic_and_infinite():
-    h = Hypergraph.build([[10], [10], [0], [0]], [(2, 0, [1]), (1, 2, [3])])
-    t = path_topology(2, cap=10)
-    caps = [float(c) for c in mean_capacity(t)]
-    # r = 2, p = (10*10/100)^1 = 1
-    assert rating(h, 0, 1, 1.0, caps) == pytest.approx(2.0)
-    assert rating(h, 2, 3, 1.0, caps) == math.inf
-    # random pairs match an independent recomputation
+def test_best_partner_ranks_zero_penalty_first_then_score_over_penalty():
+    t = path_topology(2, cap=20)  # mean and largest capacity 20
+    # vertex 0 weighs 10.  Vertex 1: r = 2, p = 10*10/20^2 = 0.25, r/p = 8.
+    # Vertex 2: r = 1, p = 10*2/20^2 = 0.05, r/p = 20.  Vertex 3: r = 5 but
+    # 10 + 15 exceeds the capacity.  Vertex 4: r = 1, weightless, p = 0.
+    h = Hypergraph.build(
+        [[10], [10], [2], [15], [0]],
+        [(2, 0, [1]), (1, 0, [2]), (5, 0, [3]), (1, 4, [0])],
+    )
+    assert _partner(h, 0, t) == 4
+    assert _partner(h, 0, t, match=[-1, -1, -1, -1, 0]) == 2
+    assert _partner(h, 0, t, match=[-1, -1, 0, -1, 0]) == 1
+    assert _partner(h, 0, t, match=[-1, 0, 0, -1, 0]) == -1
+
+
+def test_best_partner_zero_penalty_pairs_by_score():
+    # both merges cost no balance; the higher score wins, at the higher id
+    h = Hypergraph.build([[0], [5], [5]], [(1, 0, [1]), (2, 0, [2])])
+    assert _partner(h, 0) == 2
+    assert _partner(h, 0, match=[-1, -1, 0]) == 1
+
+
+def test_best_partner_matches_brute_force_on_random_states():
     rng = random.Random(5)
     b = gen_instance(9, 20, 30, 3, 2, spare=0.5)
-    caps2 = [float(c) for c in mean_capacity(b.topology)]
+    caps = _caps(b.topology)
     for _ in range(30):
-        u, v = rng.sample(range(20), 2)
-        r = heavy_edge_score(b.hypergraph, u, v)
-        p = heavy_node_penalty(
-            b.hypergraph.vertices[u].weight, b.hypergraph.vertices[v].weight, 1.7, caps2
+        match = [rng.choice([-1, -1, 0]) for _ in range(20)]
+        u = rng.randrange(20)
+        assert best_partner(b.hypergraph, u, match, 1.7, *caps) == _brute_force_partner(
+            b.hypergraph, u, match, 1.7, *caps
         )
-        expect = math.inf if p == 0 else r / p
-        assert rating(b.hypergraph, u, v, 1.7, caps2) == pytest.approx(expect)
 
 
 def _clique_edges(members, offset):
@@ -186,12 +217,15 @@ def test_weight_conservation_and_composition():
         assert len(lv.mapping) == cur.num_vertices
         assert max(lv.mapping) == lv.hypergraph.num_vertices - 1
         cur = lv.hypergraph
-    comp = compose_mappings(levels)
-    assert len(comp) == b.hypergraph.num_vertices
-    step = list(range(b.hypergraph.num_vertices))
+    comp = list(range(b.hypergraph.num_vertices))
     for lv in levels:
-        step = [lv.mapping[c] for c in step]
-    assert comp == step
+        comp = [lv.mapping[c] for c in comp]
+    # each coarsest vertex weighs what the original vertices mapped to it do
+    coarsest = levels[-1].hypergraph
+    sums = [[0] * len(total) for _ in range(coarsest.num_vertices)]
+    for v, c in enumerate(comp):
+        sums[c] = [a + w for a, w in zip(sums[c], b.hypergraph.vertices[v].weight)]
+    assert sums == [list(x.weight.values) for x in coarsest.vertices]
 
 
 def test_hierarchy_empty_for_small_graph():
@@ -235,43 +269,44 @@ def test_zero_mean_capacity_rejected():
         build_hierarchy(h, t, CoarseningConfig(n_final=16))
 
 
+def _brute_force_partner(h, u, match, alpha, mean_caps, max_caps):
+    """The documented partner rule written out pair by pair: score a free
+    pair by its shared nets, w / (|e| - 1) summed in ascending net id;
+    skip pairs over the largest per-type capacity; rank zero-penalty pairs
+    first by score, the rest by score over penalty, ties to the lower id."""
+    nets_u = set(h.incidence[u])
+    wu = h.vertices[u].weight
+    best, best_v = None, -1
+    for v in range(h.num_vertices):
+        shared = sorted(nets_u & set(h.incidence[v]))
+        if v == u or match[v] != -1 or not shared:
+            continue
+        wv = h.vertices[v].weight
+        if any(wu[i] + wv[i] > max_caps[i] for i in range(len(wu))):
+            continue
+        r = 0.0
+        for e in shared:
+            r += h.edges[e].weight / (len(h.edges[e]) - 1)
+        p = heavy_node_penalty(wu, wv, alpha, mean_caps)
+        key = (True, r) if p == 0.0 else (False, r / p)
+        if best is None or key > best:
+            best, best_v = key, v
+    return best_v
+
+
 def _brute_force_mapping(h, t, cfg, level, n_init):
-    """The documented matching rule written out pair by pair: visit in the
-    seeded shuffle; score a free pair by its shared nets, w / (|e| - 1)
-    summed in ascending net id; skip pairs over the largest per-type
-    capacity; rank zero-penalty pairs first by score, the rest by score
-    over penalty, ties to the lower id; number coarse vertices in fine-id
-    order."""
+    """Visit in the seeded shuffle, match each free vertex to its brute
+    force partner, and number coarse vertices in fine-id order."""
     n = h.num_vertices
     alpha = alpha_at_level(cfg, n_init, level, n_final=cfg.resolved_n_final(t.k_fpgas))
-    mean_caps = [float(c) for c in mean_capacity(t)]
-    types = range(h.num_resource_types)
-    max_caps = [max(c[i] for c in t.capacities) for i in types]
-    nets = [set(h.incidence[v]) for v in range(n)]
     order = list(range(n))
     random.Random(sub_seed(cfg.seed, TAG_COARSEN, level)).shuffle(order)
     match = [-1] * n
     for u in order:
-        if match[u] != -1:
-            continue
-        wu = h.vertices[u].weight
-        best, best_v = None, -1
-        for v in range(n):
-            shared = sorted(nets[u] & nets[v])
-            if v == u or match[v] != -1 or not shared:
-                continue
-            wv = h.vertices[v].weight
-            if any(wu[i] + wv[i] > max_caps[i] for i in types):
-                continue
-            r = 0.0
-            for e in shared:
-                r += h.edges[e].weight / (len(h.edges[e]) - 1)
-            p = heavy_node_penalty(wu, wv, alpha, mean_caps)
-            key = (True, r) if p == 0.0 else (False, r / p)
-            if best is None or key > best:
-                best, best_v = key, v
-        if best_v >= 0:
-            match[u], match[best_v] = best_v, u
+        if match[u] == -1:
+            v = _brute_force_partner(h, u, match, alpha, *_caps(t))
+            if v >= 0:
+                match[u], match[v] = v, u
     mapping = [-1] * n
     next_id = 0
     for v in range(n):
