@@ -39,10 +39,10 @@ def _caps(t):
     return mean_caps, [max(c[i] for c in t.capacities) for i in range(t.num_resource_types)]
 
 
-def _partner(h, u, t=None, match=None, alpha=1.0):
+def _partner(h, u, t=None, match=None):
     t = t or path_topology(2, cap=100)
     match = match or [-1] * h.num_vertices
-    return best_partner(h, u, match, alpha, *_caps(t))
+    return best_partner(h, u, match, 1.0, *_caps(t))
 
 
 def test_best_partner_needs_a_shared_free_neighbour():
