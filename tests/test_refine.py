@@ -815,6 +815,36 @@ def test_exchange_only_bank_exact_after_each_op():
     assert seen >= 10
 
 
+@pytest.mark.parametrize("ops", [
+    ("move", "replicate", "delete"),
+    ("move", "exchange", "delete"),
+    ("move", "exchange", "replicate"),
+], ids=["no-exchange", "no-replicate", "no-delete"])
+def test_bank_with_a_kind_disabled_exact_after_each_op(ops):
+    # a disabled kind's gains are never banked, and without exchange no
+    # pair table is built: after every op only enabled kinds are offered,
+    # each at its from-scratch gain, and the bank is a fresh one
+    seen = 0
+    for seed in range(4):
+        h, t, hm, p = tight_state(seed, n=24, m=44)
+        state = RefineState(h, t, hm, p, ops=ops)
+        assert (state.exchange is None) == ("exchange" not in ops)
+
+        def check(op, pl, thd):
+            nonlocal seen
+            seen += 1
+            entries = list(state.entries())
+            assert {e.kind for e in entries} <= set(ops)
+            for e in entries:
+                assert e.gain == full_gain_recompute(h, state.p, hm, e), e
+            fresh = RefineState(h, t, hm, state.p, ops=ops)
+            assert bank_snapshot(state) == bank_snapshot(fresh)
+
+        run_refine_loop(state, observer=check)
+        assert {op.kind for op in state.applied} <= set(ops)
+    assert seen >= 30
+
+
 # -- selection and the transition-driven refresh -----------------------------
 
 

@@ -15,8 +15,10 @@ from mfspart.model import drain_fpgas
 from mfspart.refine import (
     RefineState,
     apply_op,
+    gain_delete,
     gain_exchange,
     gain_move,
+    gain_replicate,
     run_refine_loop,
 )
 
@@ -102,6 +104,7 @@ def _walk_checking_corr_and_rows(state, picks):
     kept correction between two FPGAs must equal the exchange gain less
     the two move gains, in both orders, every move row must equal the
     move heaps, the move gains and the exchange table's copy of it, every
+    replicate and delete row the heaps and gains of its kind, every
     stored triple term must equal a fresh one, and the table's levels
     must be the drain counts capped at 2.
     Returns how many applied ops had a touched vertex sourcing a net, and
@@ -148,6 +151,22 @@ def _walk_checking_corr_and_rows(state, picks):
             if row is not None:
                 assert row == [
                     None if f == p.original[v] else gain_move(h, p, hm, v, f)
+                    for f in range(state.kf)
+                ], v
+        for v, row in enumerate(state.rep_row):
+            heaps = [state.bank.get(state.item("replicate", v, f)) for f in range(state.kf)]
+            assert heaps == (row or [None] * state.kf), v
+            if row is not None:
+                assert row == [
+                    None if f in p.hosts(v) else gain_replicate(h, p, hm, v, f)
+                    for f in range(state.kf)
+                ], v
+        for v, row in enumerate(state.del_row):
+            heaps = [state.bank.get(state.item("delete", v, f)) for f in range(state.kf)]
+            assert heaps == (row or [None] * state.kf), v
+            if row is not None:
+                assert row == [
+                    gain_delete(h, p, hm, v, f) if f in p.replicas[v] else None
                     for f in range(state.kf)
                 ], v
     return sourcing_ops, multi_net_pairs
