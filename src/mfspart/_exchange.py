@@ -11,21 +11,23 @@ shared net.  The table holds, per level:
   triples); each triple's neighbour pair; and every neighbour pair as two
   directed slots in CSR by vertex, each vertex's slots sorted by partner
   id;
-- what a term or a pair gain reads, as the state last handed it over:
+- what a term or a pair gain reads: as the state last handed it over,
   the originals, the host sets as a boolean matrix, the nearest-host and
-  nearest-replica hop rows, each net's level per FPGA, and the move rows
-  as an n x K array;
+  nearest-replica hop rows and each net's level per FPGA; and the move
+  rows, read in place from the state's n x K array of move gains (OUT
+  where there is no move), of which the table holds a view;
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
   gain first, then the lower partner id.  best_u holds the partner, -1
-  for a vertex without an entry (it has no row, or no partner off its
-  FPGA).
+  for a vertex without an entry (its move row is all OUT, or it has no
+  partner off its FPGA).
 
 The refinement state hands over only facts it owns: `build` takes every
-vertex's original, host set and hop rows, every net's drain counts and
-every move row, and fills the rest in a few array passes; `commit` takes
-the same of the vertices a commit touched, the nets with a touched
-member and the vertices it rebuilt, and works out what to redo itself:
+vertex's original, host set and hop rows and every net's drain counts,
+and fills the rest in a few array passes; `commit` takes the same of the
+vertices a commit touched and the nets with a touched member, plus the
+vertices whose move rows it rebuilt and those rows as they were before
+it, and works out what to redo itself:
 
 - levels: a term reads of net e's drain count at FPGA f only whether it
   is zero and whether it is at most one, so the table keeps the level
@@ -40,13 +42,14 @@ member and the vertices it rebuilt, and works out what to redo itself:
   vertex v whose move row changed at FPGAs F, the pairs of v with a
   partner on F;
 - rescans: a pair gain reads each endpoint's row at the other's
-  original, so every pair of a vertex that moved, or gained or lost its
-  row, changed; such a vertex, and one whose stored partner's pair
-  changed, forgets its best and scans its whole segment.  Every other
-  changed pair is scored against the stored best of each endpoint.
+  original, so every pair of a vertex that moved, or whose row became
+  or stopped being all OUT, changed; such a vertex, and one whose stored
+  partner's pair changed, forgets its best and scans its whole segment.
+  Every other changed pair is scored against the stored best of each
+  endpoint.
 
 The table holds no reference to the refinement state: what it reads is
-what was handed to it.
+what was handed to it, the move rows through the view it was built with.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ from __future__ import annotations
 import numpy as np
 
 NONE = np.iinfo(np.int64).min  # the best gain of a vertex without an entry
-# the move gain at a vertex's own FPGA, and at every FPGA of a vertex
-# without a row; a pair gain that reads one lies below OUT // 2
+# the "no entry" gain of the refinement state's rows: a move's at the
+# vertex's own FPGA, and every FPGA's of a vertex without entries; a pair
+# gain that reads one lies below OUT // 2
 OUT = -(1 << 60)
 FAR = np.iinfo(np.int32).max  # the hop row of an empty replica set
 CHUNK = 1 << 18  # triples or slots per array pass: bounds the temporaries of big levels
@@ -83,7 +87,7 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
 class ExchangeTable:
     """The exchange pairs of one hypergraph level (see the module docstring)."""
 
-    def __init__(self, h, dist, kf: int):
+    def __init__(self, h, dist, kf: int, move: np.ndarray):
         n, m = h.num_vertices, h.num_edges
         sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
         pin_ptr = np.zeros(m + 1, np.intp)
@@ -161,7 +165,7 @@ class ExchangeTable:
         self.host_hop = np.zeros((n, kf), np.int64)
         self.rep_hop = np.full((n, kf), FAR, np.int64)
         self.level = np.zeros((m, kf), np.int64)
-        self.move = np.full((n, kf), OUT, np.int64)
+        self.move = move  # the state's n x K move rows, read in place
         self.term = np.zeros(n_tri, np.int64)
         self.corr = np.zeros(n_pairs, np.int64)
         self.best_g = np.full(n, NONE, np.int64)
@@ -201,24 +205,6 @@ class ExchangeTable:
         self.level[es] = new
         return es, flip
 
-    def _set_rows(self, rows: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Install the move rows {v: row or None}; returns the vertices
-        whose row changed, per such vertex the FPGAs where it did, and the
-        vertices whose out places changed: they moved, or gained or lost
-        their row."""
-        vs = np.fromiter(rows, np.intp, len(rows))
-        out = [OUT] * self.kf
-        new = np.reshape(
-            [[OUT if g is None else g for g in row] if row else out for row in rows.values()],
-            (len(vs), self.kf),
-        )
-        old = self.move[vs]
-        self.move[vs] = new
-        at = old != new
-        hit = at.any(1)
-        moved = vs[((old == OUT) != (new == OUT)).any(1)]
-        return vs[hit], at[hit], moved
-
     # -- terms and scores -------------------------------------------------------
 
     def _terms(self, t: np.ndarray) -> np.ndarray:
@@ -254,8 +240,8 @@ class ExchangeTable:
     def _best(self, slots: np.ndarray):
         """Per owner of the sorted `slots`: (owners, best gain, partner),
         higher gain first, then the lower partner id; the gain is NONE for
-        an owner whose slots are all out: it has no row, or shares each
-        partner's FPGA."""
+        an owner whose slots are all out: its row is all OUT, or it shares
+        each partner's FPGA."""
         owners = self.owner[slots].astype(np.intp)
         u = self.partner[slots].astype(np.intp)
         g = self.move[owners, self.orig[u]]
@@ -273,14 +259,13 @@ class ExchangeTable:
 
     # -- build and commit ---------------------------------------------------
 
-    def build(self, vertices: dict, nets: dict, rows: dict) -> list[tuple[int, int]]:
+    def build(self, vertices: dict, nets: dict) -> list[tuple[int, int]]:
         """Install the whole state, in `commit`'s form with every vertex and
         net, then fill every term, correction and best partner; returns
         (v, gain) of each vertex with an entry.  Works in runs of about
         CHUNK triples, then CHUNK slots."""
         self._set_vertices(vertices)
         self._set_levels(nets)
-        self._set_rows(rows)
         self.corr[:] = 0
         n_tri = len(self.term)
         for lo in range(0, n_tri, CHUNK):
@@ -298,20 +283,27 @@ class ExchangeTable:
             for best in self._settle(np.arange(lo, hi), [])
         ]
 
-    def commit(self, vertices: dict, nets: dict, rows: dict) -> list[tuple[int, int | None]]:
+    def commit(
+        self, vertices: dict, nets: dict, rebuilt: np.ndarray, old: np.ndarray
+    ) -> list[tuple[int, int | None]]:
         """Bring terms, corrections and best partners up to date after a
         commit, given what it changed: `vertices` {v: (original, host set,
         nearest-host row, nearest-replica row or None)} of the touched
         vertices, `nets` {e: drain counts {f: count}} of every net with a
-        touched member, and `rows` {v: move row or None} of every rebuilt
-        vertex.  Returns (v, gain or None) of every vertex whose best
+        touched member, and the `rebuilt` vertices, whose move rows the
+        state has stored, with those rows as they were before (`old`, one
+        per vertex).  Returns (v, gain or None) of every vertex whose best
         changed."""
         touched = self._set_vertices(vertices)
         es, flip = self._set_levels(nets)
         changed = self._retally(self._hot(touched, es, flip))
-        vs, at, moved = self._set_rows(rows)
+        new = self.move[rebuilt]
+        at = old != new  # per rebuilt vertex, the FPGAs where its row changed
+        # the vertices whose OUT places changed: they moved, or their row
+        # became or stopped being all OUT
+        moved = rebuilt[((old == OUT) != (new == OUT)).any(1)]
         # a pair of v with a partner on an FPGA where v's row changed
-        seg, row = _ranges(self.ptr[vs], self.ptr[vs + 1])
+        seg, row = _ranges(self.ptr[rebuilt], self.ptr[rebuilt + 1])
         seg = seg[at[row, self.orig[self.partner[seg]]]]
         # every pair of a vertex that moved
         every, _ = _ranges(self.ptr[moved], self.ptr[moved + 1])

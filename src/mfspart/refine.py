@@ -37,19 +37,25 @@ first use and from then on kept by per-net deltas, as an FM gain table
 is: the commit patches them from each changed edge's counts and source
 row, before and after.  The terms that read only src_w and the vertex's
 hosts are cached until either changes, so a rebuild reads no edge and
-costs O(K).  Its move, replicate and delete gains are kept as rows,
-`move_row`, `rep_row` and `del_row`, None exactly for a vertex without
-entries (delete: without replicas), and a bank slot is pushed only when
-its gain changed.
+costs O(K).  Every vertex's move, replicate and delete gains live in one
+int64 array, `gains`, indexed by kind (in `FPGA_KINDS` order), vertex and
+destination FPGA.  `OUT` is its one "no entry" value: at the vertex's own
+FPGA, for a replicate onto a host, for a delete of a copy that is not a
+replica, at every slot of a vertex without entries, and at every slot of
+a disabled replicate or delete.  A commit stores the rebuilt vertices'
+rows with one diff against `gains` (`_store_rows`), and only the slots
+whose gain changed are pushed to the bank.
 
-An exchange gain is the two endpoints' move gains, read from their rows,
-plus a correction over the nets they share.  One array table per level,
-an `ExchangeTable` the state owns, keeps every exchange entry's gain and
-each vertex's best partner.  It holds no reference back to the state:
-after a commit the state makes one call, `ExchangeTable.commit`, with the
-touched vertices' originals, host sets and hop rows, the changed nets'
-drain counts and the rebuilt move rows, and the table alone works out
-which terms, pairs and partners to redo (see `_exchange`).
+An exchange gain is the two endpoints' move gains plus a correction over
+the nets they share.  One array table per level, an `ExchangeTable` the
+state owns, keeps every exchange entry's gain and each vertex's best
+partner.  It reads the move gains in place, through the view `gains[0]`
+it was built with, and holds no reference back to the state: after a
+commit the state makes one call, `ExchangeTable.commit`, with the touched
+vertices' originals, host sets and hop rows, the changed nets' drain
+counts, and the rebuilt vertices with their move rows from before the
+commit, and the table alone works out which terms, pairs and partners to
+redo (see `_exchange`).
 
 Selection shelves an acceptable top it cannot take now: the entry leaves
 heap order but stays live, in a bucket named by when it returns.  A move,
@@ -59,7 +65,7 @@ on f falls; an exchange that does not fit, a zero-gain return
 in "commit", until the next commit.  So `try_apply` sees only entries
 that fit, and the bank always holds every entry a fresh bank would.  Once
 `max_replicas` binds, replicate is no longer an enabled kind: its entries
-leave the bank and its rows are no longer built.
+leave the bank and its rows stay OUT.
 """
 
 from __future__ import annotations
@@ -68,7 +74,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from ._exchange import ExchangeTable
+import numpy as np
+
+from ._exchange import OUT, ExchangeTable
 from ._heap import AddressableMaxHeap
 from .metrics import fpga_usage, net_terms
 from .model import Hypergraph, Placement
@@ -313,7 +321,6 @@ class RefineState:
             for d in e.drains:
                 self.drained[d].append((e.id, e.weight, e.source))
         self._capped: list[dict] = [{None: col} for col in zip(*hm.dist)]
-        self._no_gains = (None,) * self.kf  # the row of a vertex without entries
         # a bank item id is _base[kind] + v * K + dest (see `item`)
         self._span = n * self.kf
         self._base = {kind: KIND_RANK[kind] * self._span for kind in self.enabled}
@@ -323,19 +330,25 @@ class RefineState:
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
-        # the exchange pairs of this level; it holds no reference back here
-        self.exchange = ExchangeTable(h, hm.dist, self.kf) if "exchange" in self.enabled else None
+        # every vertex's move, replicate and delete rows (see the module
+        # docstring); and the exchange pairs of this level, whose table
+        # reads the move rows in place and holds no reference back here
+        self.gains = np.full((len(FPGA_KINDS), n, self.kf), OUT, np.int64)
+        self.exchange = (
+            ExchangeTable(h, hm.dist, self.kf, self.gains[0])
+            if "exchange" in self.enabled else None
+        )
 
         # past `deadline` the bank stays partial; the loop, which checks
         # the same deadline, then applies nothing
         self._build_bank(deadline)
 
     def _build_bank(self, deadline: float | None = None) -> None:
-        """Build the bank from scratch: every vertex's rows, then the
-        exchange entries, which read the move rows, then the heap at once
-        from them.  Stops at the first vertex that starts past `deadline`,
-        and builds no exchange entry once it has passed.  Every aggregate
-        and cache starts empty."""
+        """Build the bank from scratch: every vertex's rows, stored into an
+        all-OUT `gains`, then the exchange entries, which read the move
+        rows, then the heap at once from them.  Stops at the first vertex
+        that starts past `deadline`, and builds no exchange entry once it
+        has passed.  Every aggregate and cache starts empty."""
         n = self.h.num_vertices
         # per vertex, built by `_aggregates` on first use and from then on
         # kept by per-net deltas (see `_transitions`): copy_cost[v][f], the
@@ -353,34 +366,22 @@ class RefineState:
                 for x in e.members:
                     self.cut[x] += 1
         # the bank holds every enabled kind's entries, by item id (see
-        # `_base`).  A vertex's gains of each kind are also kept as one row,
-        # None for a vertex without entries (delete: without replicas), so
-        # a rebuild pushes only the slots that changed.  Exchange entries
-        # are per vertex, with the best partner in the exchange table's
-        # best_u; the table scores them from move_row[v], v's move gain to
-        # every FPGA (None at its own).
+        # `_base`): a slot of `gains` that is not OUT, for move, replicate
+        # and delete.  Exchange entries are per vertex, with the best
+        # partner in the exchange table's best_u; the table scores them
+        # from gains[0], each vertex's move gain to every FPGA
         self.bank = AddressableMaxHeap()
-        self.move_row: list[list | None] = [None] * n
-        self.rep_row: list[list | None] = [None] * n
-        self.del_row: list[list | None] = [None] * n
-        tables = (self.move_row, self.rep_row, self.del_row)
-        done = 0
-        while done < n and not _past(deadline):
-            for table, row in zip(tables, self._mrd_rows(done)):
-                table[done] = row
-            done += 1
-        entries = {
-            self._base[kind] + v * self.kf + f: g
-            for kind, table in zip(FPGA_KINDS, tables) if kind in self._base
-            for v, row in enumerate(table) if row
-            for f, g in enumerate(row) if g is not None
-        }
-        if done == n and self.exchange is not None and not _past(deadline):
+        self.gains.fill(OUT)
+        rows = []
+        while len(rows) < n and not _past(deadline):
+            rows.append(self._mrd_rows(len(rows)))
+        # from all-OUT rows, every slot that changed is an entry
+        entries = dict(self._store_rows(np.arange(len(rows)), rows))
+        if len(rows) == n and self.exchange is not None and not _past(deadline):
             base = self._base["exchange"]
             for v, g in self.exchange.build(
                 {v: self._exchange_facts(v) for v in range(n)},
                 dict(enumerate(self.edge_drain_cnt)),
-                dict(enumerate(self.move_row)),
             ):
                 entries[base + v * self.kf] = g
         self.bank.fill(entries)
@@ -476,9 +477,9 @@ class RefineState:
         terms = self.src_terms[v] = (src_now, tuple(move_col), tuple(rep_col), tuple(falls))
         return terms
 
-    def _mrd_rows(self, v: int) -> tuple[list | None, list | None, list | None]:
+    def _mrd_rows(self, v: int) -> tuple[list, list, list]:
         """v's move, replicate and delete rows: per destination FPGA, the
-        gain, or None where the op does not apply.
+        gain, or OUT where the op does not apply.
 
         Every candidate changes only v's host set H, so its gain is a
         closed form in v's kept aggregates (see `_aggregates` and
@@ -486,13 +487,14 @@ class RefineState:
         those of the copies it adds, plus the fall of the sourced cost.
         The aggregates are built on v's first use and from then on patched
         by each commit's changed nets, so this reads no net and costs
-        O(K).  A row is None for a vertex without entries, and for a
-        disabled kind.
+        O(K).  A row is all OUT for a vertex without entries, and for a
+        disabled replicate or delete.
         """
         p = self.p
         reps = p.replicas[v]
+        out = [OUT] * self.kf
         if not (reps or self.cut[v]):  # v has no entries
-            return None, None, None
+            return out, out, out
         copy_cost = self.copy_cost[v] or self._aggregates(v)
         src_now, move_col, rep_col, falls = self.src_terms[v] or self._sourced_terms(v)
         o = p.original[v]
@@ -500,41 +502,37 @@ class RefineState:
         move = [keep - c - x for c, x in zip(copy_cost, move_col)]
         for r in reps:  # a move onto a replica adds no copy
             move[r] += copy_cost[r]
-        move[o] = None
-        rep = dele = None
+        move[o] = OUT
+        rep = dele = out
         if "replicate" in self.enabled:
             rep = [src_now - c - x for c, x in zip(copy_cost, rep_col)]
-            rep[o] = None
+            rep[o] = OUT
             for r in reps:
-                rep[r] = None
+                rep[r] = OUT
         if reps and "delete" in self.enabled:
-            dele = [None] * self.kf
+            dele = [OUT] * self.kf
             for r, fall in falls:
                 dele[r] = copy_cost[r] + fall
         return move, rep, dele
 
-    def _rebuild_mrd(self, v: int) -> None:
-        """Refresh the move/replicate/delete entries of one vertex from
-        its rows (see `_mrd_rows`).  A slot is pushed to the bank only
-        when its gain changed, so an unchanged entry keeps its place,
-        shelved or not."""
-        move, rep, dele = self._mrd_rows(v)
-        self._set_row(self.move_row, "move", v, move)
-        self._set_row(self.rep_row, "replicate", v, rep)
-        self._set_row(self.del_row, "delete", v, dele)
-
-    def _set_row(self, rows: list, kind: str, v: int, new: list | None) -> None:
-        """Store v's row of `kind` gains and push the slots that changed."""
-        old = rows[v]
-        rows[v] = new
-        base = self._base.get(kind)
-        if base is None or old is new:  # disabled, or None before and after
-            return
-        item = base + v * self.kf
-        none = self._no_gains
-        for f, (a, b) in enumerate(zip(old or none, new or none)):
-            if a != b:
-                self.bank.update(item + f, b)
+    def _store_rows(self, vs: np.ndarray, rows: list) -> list[tuple[int, int | None]]:
+        """Store `rows`, the `_mrd_rows` of the vertices vs, in `gains`;
+        returns (item, gain or None) of every banked slot whose gain
+        changed, found in one diff against the stored rows.  So an
+        unchanged entry keeps its place in the bank, shelved or not."""
+        new = np.array(rows, np.int64).reshape(len(vs), len(FPGA_KINDS), self.kf).swapaxes(0, 1)
+        old = self.gains[:, vs]
+        self.gains[:, vs] = new
+        kind, i, f = (old != new).nonzero()
+        bases = [self._base.get(k) for k in FPGA_KINDS]
+        kf = self.kf
+        return [
+            (bases[k] + v * kf + dest, None if g == OUT else g)
+            for k, v, dest, g in zip(
+                kind.tolist(), vs[i].tolist(), f.tolist(), new[kind, i, f].tolist()
+            )
+            if bases[k] is not None
+        ]
 
     # -- selection and application ----------------------------------------
 
@@ -742,11 +740,13 @@ class RefineState:
 
     def _drop_replicates(self) -> None:
         """Disable replicate, whose cap binds: every live replicate slot
-        leaves the bank, and no replicate row is built again."""
-        for v in range(self.h.num_vertices):
-            self._set_row(self.rep_row, "replicate", v, None)
+        leaves the bank, and the replicate rows stay OUT."""
+        base = self._base.pop("replicate", None)
+        # a disabled kind's rows are all OUT, so without a base no slot is live
+        for i in np.flatnonzero(self.gains[1] != OUT).tolist():
+            self.bank.update(base + i, None)
+        self.gains[1] = OUT
         self.enabled -= {"replicate"}
-        self._base.pop("replicate", None)
 
     def _transitions(self, change: dict[int, frozenset], after: dict) -> set[int]:
         """The vertices whose move/replicate/delete entries a commit of
@@ -851,24 +851,27 @@ class RefineState:
         return dirty
 
     def _refresh_after(self, dirty: set[int], change: dict, after: dict) -> None:
-        """Rebuild the dirty vertices' entries, then hand the exchange
-        table what the commit of `change` changed: the touched vertices'
-        facts, the changed nets' drain counts (`after`) and the dirty
-        vertices' move rows; install the exchange entries whose best
-        changed."""
+        """Rebuild the dirty vertices' rows and push the bank slots that
+        changed, then hand the exchange table what the commit of `change`
+        changed: the touched vertices' facts, the changed nets' drain
+        counts (`after`) and the dirty vertices with their old move rows;
+        install the exchange entries whose best changed."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self._build_bank()
             return
-        for v in sorted(dirty):
-            self._rebuild_mrd(v)
+        vs = np.fromiter(dirty, np.intp, len(dirty))
+        old = self.gains[0, vs]
+        for item, g in self._store_rows(vs, [self._mrd_rows(v) for v in vs.tolist()]):
+            self.bank.update(item, g)
         if self.exchange is None:
             return
         base = self._base["exchange"]
         for v, g in self.exchange.commit(
             {x: self._exchange_facts(x) for x in change},
             {e: cnt for e, (_, cnt) in after.items()},
-            {v: self.move_row[v] for v in dirty},
+            vs,
+            old,
         ):
             self.bank.update(base + v * self.kf, g)
 

@@ -13,6 +13,7 @@ from mfspart._exchange import OUT
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import drain_fpgas
 from mfspart.refine import (
+    FPGA_KINDS,
     RefineState,
     apply_op,
     gain_delete,
@@ -99,14 +100,50 @@ def test_refine_loop_bank_equals_fresh_bank_after_every_op(seed, bounded):
     run_refine_loop(state)
 
 
+_SCRATCH_GAINS = {"move": gain_move, "replicate": gain_replicate, "delete": gain_delete}
+
+
+def _check_rows(state):
+    """Every slot of `state.gains` from scratch and against the bank.  A
+    vertex has entries when it has a replica or a net whose members do not
+    all sit on one FPGA; its slot of an enabled kind then holds the op's
+    gain where the op applies, and every other slot is OUT.  A slot is OUT
+    exactly when the bank has no live entry for it, and otherwise holds
+    that entry's gain.  A disabled replicate or delete is all OUT."""
+    h, hm, p = state.h, state.hm, state.p
+    applies = {
+        "move": lambda v, f: f != p.original[v],
+        "replicate": lambda v, f: f not in p.hosts(v),
+        "delete": lambda v, f: f in p.replicas[v],
+    }
+    for k, kind in enumerate(FPGA_KINDS):
+        rows = state.gains[k].tolist()
+        if kind not in state.enabled:
+            if kind != "move":  # the exchange table reads the move rows
+                assert all(g == OUT for row in rows for g in row), kind
+            continue
+        for v, row in enumerate(rows):
+            entries = bool(p.replicas[v]) or any(
+                len(set().union(*(p.hosts(x) for x in h.edges[e].members))) > 1
+                for e in h.incidence[v]
+            )
+            for f, g in enumerate(row):
+                expected = (
+                    _SCRATCH_GAINS[kind](h, p, hm, v, f)
+                    if entries and applies[kind](v, f) else OUT
+                )
+                assert g == expected, (kind, v, f)
+                live = state.bank.get(state.item(kind, v, f))
+                assert live == (None if g == OUT else g), (kind, v, f)
+
+
 def _walk_checking_corr_and_rows(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
     kept correction between two FPGAs must equal the exchange gain less
-    the two move gains, in both orders, every move row must equal the
-    move heaps, the move gains and the exchange table's copy of it, every
-    replicate and delete row the heaps and gains of its kind, every
-    stored triple term must equal a fresh one, and the table's levels
-    must be the drain counts capped at 2.
+    the two move gains, in both orders, the gain rows must hold the bank's
+    entries at their from-scratch gains (`_check_rows`), every stored
+    triple term must equal a fresh one, and the table's levels must be
+    the drain counts capped at 2.
     Returns how many applied ops had a touched vertex sourcing a net, and
     how many checked pairs share more than one net."""
     h, hm = state.h, state.hm
@@ -143,32 +180,7 @@ def _walk_checking_corr_and_rows(state, picks):
             )
             assert c == expected, (a, b)
             multi_net_pairs += len(set(h.incidence[a]) & set(h.incidence[b])) > 1
-        for v, row in enumerate(state.move_row):
-            heaps = [state.bank.get(state.item("move", v, f)) for f in range(state.kf)]
-            assert heaps == (row or [None] * state.kf), v
-            kept = state.exchange.move[v].tolist()
-            assert kept == [OUT if g is None else g for g in (row or [None] * state.kf)], v
-            if row is not None:
-                assert row == [
-                    None if f == p.original[v] else gain_move(h, p, hm, v, f)
-                    for f in range(state.kf)
-                ], v
-        for v, row in enumerate(state.rep_row):
-            heaps = [state.bank.get(state.item("replicate", v, f)) for f in range(state.kf)]
-            assert heaps == (row or [None] * state.kf), v
-            if row is not None:
-                assert row == [
-                    None if f in p.hosts(v) else gain_replicate(h, p, hm, v, f)
-                    for f in range(state.kf)
-                ], v
-        for v, row in enumerate(state.del_row):
-            heaps = [state.bank.get(state.item("delete", v, f)) for f in range(state.kf)]
-            assert heaps == (row or [None] * state.kf), v
-            if row is not None:
-                assert row == [
-                    gain_delete(h, p, hm, v, f) if f in p.replicas[v] else None
-                    for f in range(state.kf)
-                ], v
+        _check_rows(state)
     return sourcing_ops, multi_net_pairs
 
 
@@ -199,6 +211,30 @@ def test_corr_walk_covers_sourced_and_multi_net_pairs():
         sourcing_ops += counts[0]
         multi_net_pairs += counts[1]
     assert sourcing_ops >= 20 and multi_net_pairs >= 100
+
+
+@pytest.mark.parametrize("options", [
+    {"max_replicas": 1},
+    {"ops": ("move", "exchange", "replicate")},
+    {"ops": ("move", "replicate", "delete")},
+], ids=["replicate-capped", "no-delete", "no-exchange"])
+def test_gain_rows_exact_with_a_kind_disabled(options):
+    # the gain rows stay exact, and a disabled replicate or delete stays
+    # all OUT, whether the kind is left out from the start or the
+    # replicate cap binds partway through the loop
+    checked = capped = 0
+    for seed in range(3):
+        state = RefineState(*tight_state(seed, n=20, m=36), **options)
+
+        def check(op, pl, thd):
+            nonlocal checked
+            _check_rows(state)
+            checked += 1
+
+        run_refine_loop(state, observer=check)
+        capped += "replicate" not in state.enabled
+    assert checked >= 10
+    assert capped == (3 if "max_replicas" in options else 0)
 
 
 def _scratch_aggregates(state, v):
