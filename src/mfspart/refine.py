@@ -517,8 +517,8 @@ class RefineState:
 
     def _store_rows(self, vs: np.ndarray, rows: list) -> list[tuple[int, int | None]]:
         """Store `rows`, the `_mrd_rows` of the vertices vs, in `gains`;
-        returns (item, gain or None) of every banked slot whose gain
-        changed, found in one diff against the stored rows.  So an
+        returns (item, gain or None) of every slot of an enabled kind whose
+        gain changed, found in one diff against the stored rows.  So an
         unchanged entry keeps its place in the bank, shelved or not."""
         new = np.array(rows, np.int64).reshape(len(vs), len(FPGA_KINDS), self.kf).swapaxes(0, 1)
         old = self.gains[:, vs]
