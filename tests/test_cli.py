@@ -552,6 +552,12 @@ PINNED_PARTITIONS = [
      ["--seeds", "1", "--assign-max-nodes", "2000"],
      "f9907b735070f3e4b9fd5f8c8700313b3b4f1de394e11c5f444066cb49921e10",
      "1f9d7d46a6c9ce0518329a3d6e71de44027721bdb9fa9cae5efa3fcdc175a1f1"),
+    # the 3k rung of the instance ladder under lean flags: refinement's
+    # selection scans about 72k gain slots per op at the finest level
+    ("lean-3k", (5, 3000, 3600, 8, 2), {"spare": 0.4},
+     ["--seeds", "1", "--assign-max-nodes", "2000"],
+     "c9a468fc235ba4ab88116272953a46df030ce15ca63eee9b923f392b1269417f",
+     "af8f8c0e292e1f3b72001a6cdb20d0eff3d63c0280124aa5fd875b6b4b4e5f31"),
 ]
 
 

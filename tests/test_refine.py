@@ -902,6 +902,155 @@ def test_loop_applies_what_reference_selection_applies(bounded):
         assert attempts == applied
 
 
+def _brute_force_pick(state, rejected):
+    """The entry selection must offer, from `entries()` and the state's own
+    rules: the best by higher gain, then delete > move > exchange >
+    replicate, then lower vertex and destination ids, of the entries whose
+    gain is acceptable, that `try_apply` has not rejected since the last
+    commit (`rejected`), that `_returns` does not flag at gain 0 and whose
+    resource deltas fit.  Returns it as (kind, v, dest, gain), or None,
+    and a Counter of why each better acceptable entry was passed over."""
+    passed = Counter()
+    acceptable = sorted(
+        ((-op.gain, KIND_RANK[op.kind], op.v, op.dest), op)
+        for op in state.entries() if state._acceptable(op.kind, op.gain)
+    )
+    for _, op in acceptable:
+        key = (op.kind, op.v, op.dest)
+        if key in rejected:
+            passed["rejected"] += 1
+        elif op.gain == 0 and state._returns(*key):
+            passed["returns"] += 1
+        elif not state._fits(state._resource_deltas(state._op_change(*key))):
+            passed["fit"] += 1
+        else:
+            return (*key, op.gain), passed
+    return None, passed
+
+
+def check_selection_before_every_attempt(state):
+    """Make every `peek_best` on `state` assert that it returns the brute
+    force pick, keeping the entries `try_apply` rejected since the last
+    commit.  Returns a Counter of the picks made ("picks") and of why
+    better entries were passed over ("fit", "rejected", "returns")."""
+    counts = Counter()
+    rejected = set()
+    peek, tried = state.peek_best, state.try_apply
+
+    def checked_peek():
+        want, passed = _brute_force_pick(state, rejected)
+        got = peek()
+        assert got == want, (got, want)
+        counts.update(passed)
+        counts["picks"] += 1
+        return got
+
+    def checked_try(kind, v, dest):
+        op = tried(kind, v, dest)
+        if op is None:
+            rejected.add((kind, v, dest))
+        else:
+            rejected.clear()
+        return op
+
+    state.peek_best = checked_peek
+    state.try_apply = checked_try
+    return counts
+
+
+def _selection_cases(name):
+    if name == "tight":
+        return [RefineState(*tight_state(seed, n=20, m=36)) for seed in range(6)]
+    if name == "shaken-bounded":  # seed 19 rejects on I/O grounds
+        cases = (shaken_bounded_state(seed) for seed in (*range(6), 19))
+        return [RefineState(*args) for args in cases if args is not None]
+    if name == "zero-gain-capped":
+        return [
+            RefineState(*args, allow_zero_gain=True, max_replicas=2)
+            for args in (*map(_random_feasible_hm, (5, 6, 7)),
+                         *(tight_state(seed, n=20, m=36) for seed in range(3)))
+        ]
+    left_out = name.removeprefix("no-")
+    ops = tuple(k for k in ALL_OPS if k != left_out)
+    return [RefineState(*tight_state(seed, n=24, m=44), ops=ops) for seed in range(4)]
+
+
+@pytest.mark.parametrize("name", [
+    "tight", "shaken-bounded", "zero-gain-capped",
+    "no-move", "no-exchange", "no-replicate", "no-delete",
+])
+def test_peek_best_is_the_brute_force_pick_before_every_attempt(name):
+    counts = Counter()
+    for state in _selection_cases(name):
+        seen = check_selection_before_every_attempt(state)
+        run_refine_loop(state)
+        assert seen["picks"] > len(state.applied)  # the last peek finds none
+        counts += seen
+    assert counts["picks"] >= 20
+    assert counts["fit"] >= 1, counts
+    if name == "shaken-bounded":
+        assert counts["rejected"] >= 1, counts
+    if name == "zero-gain-capped":
+        assert counts["returns"] >= 1, counts
+
+
+def _full_exchange_pair():
+    # FPGAs 0 and 1 are full.  Vertices 0 and 1 share a net, and each
+    # drives a vertex on the other's FPGA: swapping them makes both nets
+    # local.  No move fits, and the exchange's deltas cancel on both FPGAs
+    h = Hypergraph.build([[1]] * 4, [(1, 0, [2]), (1, 1, [3]), (1, 0, [1])])
+    return h, path_topology(2, cap=2), Placement([0, 1, 1, 0]), ("exchange", 0, 1, 2)
+
+
+def _move_onto_own_replica():
+    # vertex 0 sits on FPGA 0 with a replica on full FPGA 1, where its
+    # driver sits: moving there adds no copy, so it fits, and it ties the
+    # replicate of the driver onto FPGA 0 at gain 1, which ranks below it
+    h = Hypergraph.build([[1]] * 2, [(1, 1, [0])])
+    p = Placement([0, 1], [{1}, set()])
+    return h, path_topology(2, cap=2), p, ("move", 0, 1, 1)
+
+
+def _exchange_with_a_replica_on_the_vertex_fpga():
+    # vertex 0 (weight 1) on full FPGA 0 drives vertex 2 on full FPGA 1;
+    # vertex 1 (weight 2) on FPGA 1 has a replica on FPGA 0.  Exchanging
+    # 0 and 1 absorbs that replica, so FPGA 0 only loses vertex 0's weight
+    # and FPGA 1 nets 1 - 2: it fits, where counting vertex 1's weight on
+    # FPGA 0 would not
+    h = Hypergraph.build([[1], [2], [1]], [(3, 0, [2]), (1, 1, [0])])
+    caps = [ResourceVector([3]), ResourceVector([3])]
+    t = MfsTopology(caps, [(0, 1)])
+    p = Placement([0, 1, 1], [set(), {0}, set()])
+    return h, t, p, ("exchange", 0, 1, 2)
+
+
+def _one_type_overflows():
+    # moving vertex 0 onto FPGA 1 and moving vertex 1 onto FPGA 0 tie at
+    # gain 2; FPGA 1 has room for vertex 0's first resource type but not
+    # its second, so the lower id does not fit and the move of 1 wins
+    h = Hypergraph.build([[1, 2], [1, 1]], [(2, 1, [0])])
+    caps = [ResourceVector([3, 3]), ResourceVector([5, 1])]
+    t = MfsTopology(caps, [(0, 1)])
+    return h, t, Placement([0, 1]), ("move", 1, 0, 2)
+
+
+@pytest.mark.parametrize("make", [
+    _full_exchange_pair,
+    _move_onto_own_replica,
+    _exchange_with_a_replica_on_the_vertex_fpga,
+    _one_type_overflows,
+], ids=["full-pair-exchange", "move-onto-replica", "exchange-onto-replica", "one-type-overflows"])
+def test_peek_best_resource_fit_on_hand_built_states(make):
+    h, t, p, expected = make()
+    hm = compute_hop_matrix(t)
+    assert validate(h, t, p, hm) == []
+    state = RefineState(h, t, hm, p)
+    assert _brute_force_pick(state, set())[0] == expected
+    assert state.peek_best() == expected
+    assert state.try_apply(*expected[:3]) is not None
+    assert validate(h, t, state.p, hm) == []
+
+
 def _drain_cnt_change(state, e, kind, v, dest):
     before = dict(state.edge_drain_cnt[e])
     assert state.try_apply(kind, v, dest) is not None
