@@ -12,10 +12,10 @@ shared net.  The table holds, per level:
   directed slots in CSR by vertex, each vertex's slots sorted by partner
   id;
 - what a term or a pair gain reads: as the state last handed it over,
-  the originals, the host sets as a boolean matrix, the nearest-host and
-  nearest-replica hop rows and each net's level per FPGA; and the move
-  rows, read in place from the state's n x K array of move gains (OUT
-  where there is no move), of which the table holds a view;
+  the originals, the nearest-host and nearest-replica hop rows and each
+  net's level per FPGA; and, read in place through views of the state's
+  arrays, the host sets as an n x K boolean matrix and the move rows, an
+  n x K array of move gains (OUT where there is no move);
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
   gain first, then the lower partner id.  best_u holds the partner, -1
@@ -23,11 +23,11 @@ shared net.  The table holds, per level:
   partner off its FPGA).
 
 The refinement state hands over only facts it owns: `build` takes every
-vertex's original, host set and hop rows and every net's drain counts,
-and fills the rest in a few array passes; `commit` takes the same of the
-vertices a commit touched and the nets with a touched member, plus the
-vertices whose move rows it rebuilt and those rows as they were before
-it, and works out what to redo itself:
+vertex's original and hop rows and every net's drain counts, and fills
+the rest in a few array passes; `commit` takes the same of the vertices a
+commit touched and the nets with a touched member, plus the vertices
+whose move rows it rebuilt and those rows as they were before it, and
+works out what to redo itself:
 
 - levels: a term reads of net e's drain count at FPGA f only whether it
   is zero and whether it is at most one, so the table keeps the level
@@ -48,8 +48,10 @@ it, and works out what to redo itself:
   Every other changed pair is scored against the stored best of each
   endpoint.
 
-The table holds no reference to the refinement state: what it reads is
-what was handed to it, the move rows through the view it was built with.
+Neither returns anything: the state's selection reads each vertex's best
+from `best_g` and `best_u` in place.  The table holds no reference to the
+refinement state: what it reads is what was handed to it, the host sets
+and move rows through the views it was built with.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
 class ExchangeTable:
     """The exchange pairs of one hypergraph level (see the module docstring)."""
 
-    def __init__(self, h, dist, kf: int, move: np.ndarray):
+    def __init__(self, h, dist, kf: int, move: np.ndarray, host: np.ndarray):
         n, m = h.num_vertices, h.num_edges
         sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
         pin_ptr = np.zeros(m + 1, np.intp)
@@ -161,7 +163,7 @@ class ExchangeTable:
         del where
 
         self.orig = np.zeros(n, np.intp)
-        self.host = np.zeros((n, kf), bool)
+        self.host = host  # the state's n x K host sets, read in place
         self.host_hop = np.zeros((n, kf), np.int64)
         self.rep_hop = np.full((n, kf), FAR, np.int64)
         self.level = np.zeros((m, kf), np.int64)
@@ -175,18 +177,13 @@ class ExchangeTable:
     # -- the state a term or a pair gain reads ------------------------------
 
     def _set_vertices(self, vertices: dict) -> np.ndarray:
-        """Install {v: (original, host set, nearest-host row, nearest-replica
-        row or None)}; returns the vertices."""
+        """Install {v: (original, nearest-host row, nearest-replica row or
+        None)}; returns the vertices."""
         vs = np.fromiter(vertices, np.intp, len(vertices))
         shape = len(vs), self.kf
         facts = vertices.values()
-        self.orig[vs] = [o for o, _, _, _ in facts]
-        self.host[vs] = False
-        self.host[
-            [v for v, (_, hs, _, _) in vertices.items() for _ in hs],
-            [f for _, hs, _, _ in facts for f in hs],
-        ] = True
-        self.host_hop[vs] = np.reshape([hop for _, _, hop, _ in facts], shape)
+        self.orig[vs] = [o for o, _, _ in facts]
+        self.host_hop[vs] = np.reshape([hop for _, hop, _ in facts], shape)
         far = [FAR] * self.kf
         self.rep_hop[vs] = np.reshape([far if rep is None else rep for *_, rep in facts], shape)
         return vs
@@ -259,11 +256,10 @@ class ExchangeTable:
 
     # -- build and commit ---------------------------------------------------
 
-    def build(self, vertices: dict, nets: dict) -> list[tuple[int, int]]:
+    def build(self, vertices: dict, nets: dict) -> None:
         """Install the whole state, in `commit`'s form with every vertex and
-        net, then fill every term, correction and best partner; returns
-        (v, gain) of each vertex with an entry.  Works in runs of about
-        CHUNK triples, then CHUNK slots."""
+        net, then fill every term, correction and best partner.  Works in
+        runs of about CHUNK triples, then CHUNK slots."""
         self._set_vertices(vertices)
         self._set_levels(nets)
         self.corr[:] = 0
@@ -278,22 +274,17 @@ class ExchangeTable:
         n_slots = int(self.ptr[-1])
         cut = self.ptr[self.ptr.searchsorted(np.arange(CHUNK, n_slots, CHUNK))].tolist()
         bounds = [0, *cut, n_slots]
-        return [
-            best for lo, hi in zip(bounds, bounds[1:])
-            for best in self._settle(np.arange(lo, hi), [])
-        ]
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._settle(np.arange(lo, hi), [])
 
-    def commit(
-        self, vertices: dict, nets: dict, rebuilt: np.ndarray, old: np.ndarray
-    ) -> list[tuple[int, int | None]]:
+    def commit(self, vertices: dict, nets: dict, rebuilt: np.ndarray, old: np.ndarray) -> None:
         """Bring terms, corrections and best partners up to date after a
-        commit, given what it changed: `vertices` {v: (original, host set,
+        commit, given what it changed: `vertices` {v: (original,
         nearest-host row, nearest-replica row or None)} of the touched
-        vertices, `nets` {e: drain counts {f: count}} of every net with a
-        touched member, and the `rebuilt` vertices, whose move rows the
-        state has stored, with those rows as they were before (`old`, one
-        per vertex).  Returns (v, gain or None) of every vertex whose best
-        changed."""
+        vertices, whose host sets the state has stored, `nets` {e: drain
+        counts {f: count}} of every net with a touched member, and the
+        `rebuilt` vertices, whose move rows the state has stored, with
+        those rows as they were before (`old`, one per vertex)."""
         touched = self._set_vertices(vertices)
         es, flip = self._set_levels(nets)
         changed = self._retally(self._hot(touched, es, flip))
@@ -309,7 +300,7 @@ class ExchangeTable:
         every, _ = _ranges(self.ptr[moved], self.ptr[moved + 1])
         slots = _dedupe(np.concatenate((*changed, seg, self.rev[seg], self.rev[every])))
         if not len(slots):
-            return []
+            return
         owners = self.owner[slots].astype(np.intp)
         # a vertex whose stored partner's pair changed rescans its segment
         stale = owners[self.partner[slots] == self.best_u[owners]]
@@ -322,7 +313,7 @@ class ExchangeTable:
             seg, _ = _ranges(self.ptr[full], self.ptr[full + 1])
             slots = np.concatenate((slots[keep], seg))
             slots.sort(kind="stable")
-        return self._settle(slots, full)
+        self._settle(slots, full)
 
     def _hot(self, touched: np.ndarray, es: np.ndarray, flip: np.ndarray) -> np.ndarray:
         """The triples of the nets `es` whose terms a commit can alter, from
@@ -364,43 +355,37 @@ class ExchangeTable:
                 out.append(self.pair_slots[pairs].reshape(-1))
         return out
 
-    def _settle(self, slots: np.ndarray, rescan) -> list[tuple[int, int | None]]:
+    def _settle(self, slots: np.ndarray, rescan) -> None:
         """Score the sorted `slots` against the stored best of their
         owners, of which those in `rescan` forget their stored best first
-        (all their slots are given); store the bests and return (v, gain
-        or None) of each owner whose best changed.  A vertex without slots
-        has no pairs, so no entry, before and after.  Slots are scored in
-        runs of about CHUNK, split between owners, which bounds the
-        temporaries of a bank build on a level with millions of pairs."""
+        (all their slots are given), and store the bests.  A vertex
+        without slots has no pairs, so no entry, before and after.  Slots
+        are scored in runs of about CHUNK, split between owners, which
+        bounds the temporaries of a build on a level with millions of
+        pairs."""
         if len(slots) <= CHUNK:
-            return self._settle_run(slots, rescan)
+            self._settle_run(slots, rescan)
+            return
         owners = self.owner[slots]
-        runs = np.split(slots, owners.searchsorted(owners[CHUNK::CHUNK]))
-        return [best for run in runs for best in self._settle_run(run, rescan)]
+        for run in np.split(slots, owners.searchsorted(owners[CHUNK::CHUNK])):
+            self._settle_run(run, rescan)
 
-    def _settle_run(self, slots: np.ndarray, rescan) -> list[tuple[int, int | None]]:
+    def _settle_run(self, slots: np.ndarray, rescan) -> None:
         """`_settle` on slots that hold every given slot of their owners."""
         if not len(slots):
-            return []
+            return
         vs, g, u = self._best(slots)
-        old_g = self.best_g[vs]
-        old_u = self.best_u[vs]
+        base_g = self.best_g[vs]
+        base_u = self.best_u[vs]
         if len(rescan):
             mark = self._mark
             mark[rescan] = True
             forget = mark[vs]
             mark[rescan] = False
-            base_g = np.where(forget, NONE, old_g)
-            base_u = np.where(forget, -1, old_u)
-        else:
-            base_g, base_u = old_g, old_u
+            base_g = np.where(forget, NONE, base_g)
+            base_u = np.where(forget, -1, base_u)
         better = (g > base_g) | ((g == base_g) & (u < base_u))
         g = np.where(better, g, base_g)
         u = np.where(better, u, base_u)
         self.best_g[vs] = g
         self.best_u[vs] = u
-        diff = ((g != old_g) | (u != old_u)).nonzero()[0]
-        return [
-            (v, None if x == NONE else x)
-            for v, x in zip(vs[diff].tolist(), g[diff].tolist())
-        ]

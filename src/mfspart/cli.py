@@ -88,7 +88,7 @@ def run_pipeline(
     `time_limit` (wall-clock seconds, finite and non-negative) fixes one
     deadline at the call.  The hop matrix and coarsening run to
     completion; assignment stops at the deadline but gets at least 0.1 s;
-    refinement stops at the first bank-build step or op that would start
+    refinement stops at the first entry-build step or op that would start
     past it, keeping the placement valid.
 
     Status "infeasible" means the search exhausted the uncoarsened graph's

@@ -1,14 +1,14 @@
-"""Refinement: move, exchange, replicate, and delete driven by one gain heap.
+"""Refinement: move, exchange, replicate, and delete, selected from the gain arrays.
 
-The bank is one addressable max-heap of every enabled kind's entries:
-move, replicate and delete per vertex and destination FPGA, exchange per
-vertex with its best partner alongside.  Item ids make the heap's order
-the tie order (see `RefineState.item`).  The loop applies the best
-operation whose gain passes its acceptance rule (delete runs at zero
-gain to free resources, everything else needs strictly positive gain)
-and that fits its destination's resources, re-checks the I/O and hop
-bounds at application time, and then refreshes only the entries the
-operation can have changed.
+Every enabled kind's entries live in arrays, one copy each: move,
+replicate and delete per vertex and destination FPGA in `gains`, and
+exchange per vertex, with its best partner alongside, in the exchange
+table's `best_g` and `best_u`.  The loop applies the best operation whose
+gain passes its acceptance rule (delete runs at zero gain to free
+resources, everything else needs strictly positive gain) and that fits
+its destination's resources, re-checks the I/O and hop bounds at
+application time, and then refreshes only the entries the operation can
+have changed.
 
 A prospective operation is a map {vertex: frozenset of its new hosts},
 built by `_change`, which holds each kind's precondition; a commit
@@ -41,10 +41,10 @@ costs O(K).  Every vertex's move, replicate and delete gains live in one
 int64 array, `gains`, indexed by kind (in `FPGA_KINDS` order), vertex and
 destination FPGA.  `OUT` is its one "no entry" value: at the vertex's own
 FPGA, for a replicate onto a host, for a delete of a copy that is not a
-replica, at every slot of a vertex without entries, and at every slot of
-a disabled replicate or delete.  A commit stores the rebuilt vertices'
-rows with one diff against `gains` (`_store_rows`), and only the slots
-whose gain changed are pushed to the bank.
+replica, at every slot of a vertex without entries, at every slot of a
+disabled replicate or delete, and at every move slot when neither move
+nor exchange is enabled.  A commit writes the rebuilt vertices' rows into
+`gains` (`_store_rows`).
 
 An exchange gain is the two endpoints' move gains plus a correction over
 the nets they share.  One array table per level, an `ExchangeTable` the
@@ -57,15 +57,17 @@ counts, and the rebuilt vertices with their move rows from before the
 commit, and the table alone works out which terms, pairs and partners to
 redo (see `_exchange`).
 
-Selection shelves an acceptable top it cannot take now: the entry leaves
-heap order but stays live, in a bucket named by when it returns.  A move,
-replicate or delete to f that does not fit waits in bucket f, until usage
-on f falls; an exchange that does not fit, a zero-gain return
-(`_returns`) and an entry `try_apply` rejects on I/O or hop grounds wait
-in "commit", until the next commit.  So `try_apply` sees only entries
-that fit, and the bank always holds every entry a fresh bank would.  Once
-`max_replicas` binds, replicate is no longer an enabled kind: its entries
-leave the bank and its rows stay OUT.
+Selection is one masked argmax over those arrays (`peek_best`).  Of the
+entries whose gain is acceptable, it keeps those whose resource deltas
+fit the free room of their FPGAs, worked out as arrays from per-level
+weights, capacities, usage and an n x K host mask, and takes the highest
+gain, then the lowest item id, which orders kind, vertex and destination
+as the tie order does.  Only the winner is checked in Python: an entry
+`try_apply` rejected on I/O or hop grounds since the last commit (see
+`hold`), or a zero-gain return (`_returns`), is masked out and the next
+one taken.  So `try_apply` sees only entries that fit, and every entry
+stays exact whether it is taken or not.  Once `max_replicas` binds,
+replicate is no longer an enabled kind: its rows stay OUT.
 """
 
 from __future__ import annotations
@@ -76,8 +78,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._exchange import OUT, ExchangeTable
-from ._heap import AddressableMaxHeap
+from ._exchange import NONE, OUT, ExchangeTable
 from .metrics import fpga_usage, net_terms
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
@@ -85,7 +86,7 @@ from .topology import HopMatrix, MfsTopology
 KIND_RANK = {"delete": 0, "move": 1, "exchange": 2, "replicate": 3}
 BY_RANK = sorted(KIND_RANK, key=KIND_RANK.get)
 ALL_OPS = ("move", "exchange", "replicate", "delete")
-FPGA_KINDS = ("move", "replicate", "delete")  # banked per destination FPGA
+FPGA_KINDS = ("move", "replicate", "delete")  # entries per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
 
 
@@ -249,10 +250,10 @@ def apply_op(p: Placement, op: Op) -> None:
 
 
 class RefineState:
-    """Incrementally maintained placement state plus the gain-heap bank.
+    """Incrementally maintained placement state plus the gain arrays.
 
-    Every live heap entry's gain equals the from-scratch gain of that
-    operation under the current placement; the test suite leans on this.
+    Every entry's gain equals the from-scratch gain of that operation
+    under the current placement; the test suite leans on this.
     """
 
     def __init__(
@@ -286,19 +287,25 @@ class RefineState:
         )
         self.incremental = incremental
 
+        n = h.num_vertices
         self.kf = t.k_fpgas
         self.krt = t.num_resource_types
-        self.caps = [list(c.values) for c in t.capacities]
+        self.caps = np.array([c.values for c in t.capacities], np.int64).reshape(self.kf, self.krt)
         self.io_limits = list(t.io_limits)
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
-        self.weights = [v.weight.values for v in h.vertices]
+        self.weights = np.array([v.weight.values for v in h.vertices], np.int64).reshape(n, self.krt)
 
         # every vertex's host set, replaced at each commit by the one
-        # `_change` gave; and per-edge counts of drain copies per FPGA, kept
-        # current so gain rebuilds never rescan (possibly huge) drain lists
-        n = h.num_vertices
+        # `_change` gave, and as an n x K mask; and per-edge counts of
+        # drain copies per FPGA, kept current so gain rebuilds never
+        # rescan (possibly huge) drain lists
         self.hosts = [frozenset(self.p.hosts(v)) for v in range(n)]
+        self.hosted = np.zeros((n, self.kf), bool)
+        self.hosted[
+            [v for v, hs in enumerate(self.hosts) for _ in hs],
+            [f for hs in self.hosts for f in hs],
+        ] = True
         self.edge_drain_cnt = [_drain_counts(h, self.hosts, e.id) for e in h.edges]
         self.thd = 0
         self.io = [0] * self.kf
@@ -321,34 +328,39 @@ class RefineState:
             for d in e.drains:
                 self.drained[d].append((e.id, e.weight, e.source))
         self._capped: list[dict] = [{None: col} for col in zip(*hm.dist)]
-        # a bank item id is _base[kind] + v * K + dest (see `item`)
+        # an entry's item id is (KIND_RANK[kind] * n + v) * K + dest, dest 0
+        # for an exchange: its order is the tie order
         self._span = n * self.kf
-        self._base = {kind: KIND_RANK[kind] * self._span for kind in self.enabled}
         # (vertex, FPGA) pairs a vertex left by a zero-gain move or
         # exchange since the last positive-gain commit
         self.left_at_zero: set[tuple[int, int]] = set()
+        # the item ids `try_apply` rejected since the last commit, and the
+        # item id `peek_best` last returned
+        self.held: set[int] = set()
+        self._peeked: int | None = None
 
         self.applied: list[Op] = []
         self.replicates_applied = 0
         # every vertex's move, replicate and delete rows (see the module
         # docstring); and the exchange pairs of this level, whose table
-        # reads the move rows in place and holds no reference back here
+        # reads the move rows and host mask in place and holds no
+        # reference back here
         self.gains = np.full((len(FPGA_KINDS), n, self.kf), OUT, np.int64)
         self.exchange = (
-            ExchangeTable(h, hm.dist, self.kf, self.gains[0])
+            ExchangeTable(h, hm.dist, self.kf, self.gains[0], self.hosted)
             if "exchange" in self.enabled else None
         )
 
-        # past `deadline` the bank stays partial; the loop, which checks
+        # past `deadline` the entries stay partial; the loop, which checks
         # the same deadline, then applies nothing
-        self._build_bank(deadline)
+        self._build_entries(deadline)
 
-    def _build_bank(self, deadline: float | None = None) -> None:
-        """Build the bank from scratch: every vertex's rows, stored into an
-        all-OUT `gains`, then the exchange entries, which read the move
-        rows, then the heap at once from them.  Stops at the first vertex
-        that starts past `deadline`, and builds no exchange entry once it
-        has passed.  Every aggregate and cache starts empty."""
+    def _build_entries(self, deadline: float | None = None) -> None:
+        """Build every entry from scratch: every vertex's rows, stored into
+        an all-OUT `gains`, then the exchange entries, which read the move
+        rows.  Stops at the first vertex that starts past `deadline`, and
+        builds no exchange entry once it has passed.  Every aggregate and
+        cache starts empty."""
         n = self.h.num_vertices
         # per vertex, built by `_aggregates` on first use and from then on
         # kept by per-net deltas (see `_transitions`): copy_cost[v][f], the
@@ -365,33 +377,27 @@ class RefineState:
             if not _local(self.hosts[e.source], cnt):
                 for x in e.members:
                     self.cut[x] += 1
-        # the bank holds every enabled kind's entries, by item id (see
-        # `_base`): a slot of `gains` that is not OUT, for move, replicate
-        # and delete.  Exchange entries are per vertex, with the best
-        # partner in the exchange table's best_u; the table scores them
-        # from gains[0], each vertex's move gain to every FPGA
-        self.bank = AddressableMaxHeap()
+        # an entry of an enabled kind is a slot of `gains` that is not
+        # OUT, for move, replicate and delete, and a vertex whose best_g
+        # in the exchange table is not NONE, for exchange; the table scores
+        # those from gains[0], each vertex's move gain to every FPGA
         self.gains.fill(OUT)
         rows = []
         while len(rows) < n and not _past(deadline):
             rows.append(self._mrd_rows(len(rows)))
-        # from all-OUT rows, every slot that changed is an entry
-        entries = dict(self._store_rows(np.arange(len(rows)), rows))
+        self._store_rows(np.arange(len(rows)), rows)
         if len(rows) == n and self.exchange is not None and not _past(deadline):
-            base = self._base["exchange"]
-            for v, g in self.exchange.build(
+            self.exchange.build(
                 {v: self._exchange_facts(v) for v in range(n)},
                 dict(enumerate(self.edge_drain_cnt)),
-            ):
-                entries[base + v * self.kf] = g
-        self.bank.fill(entries)
+            )
 
     def _exchange_facts(self, v: int) -> tuple:
-        """What the exchange table reads of v: its original, host set, and
+        """What the exchange table is handed of v: its original and its
         nearest-host and nearest-replica rows (None without a replica)."""
         reps = self.p.replicas[v]
         rep_hop = self.hm.nearest(reps)[0] if reps else None
-        return self.p.original[v], self.hosts[v], self.host_hop[v], rep_hop
+        return self.p.original[v], self.host_hop[v], rep_hop
 
     def _partner(self, v: int) -> int | None:
         """v's stored exchange partner, None without one."""
@@ -487,8 +493,9 @@ class RefineState:
         those of the copies it adds, plus the fall of the sourced cost.
         The aggregates are built on v's first use and from then on patched
         by each commit's changed nets, so this reads no net and costs
-        O(K).  A row is all OUT for a vertex without entries, and for a
-        disabled replicate or delete.
+        O(K).  A row is all OUT for a vertex without entries, for a
+        disabled replicate or delete, and for move when neither move nor
+        exchange, which reads the move rows, is enabled.
         """
         p = self.p
         reps = p.replicas[v]
@@ -498,12 +505,13 @@ class RefineState:
         copy_cost = self.copy_cost[v] or self._aggregates(v)
         src_now, move_col, rep_col, falls = self.src_terms[v] or self._sourced_terms(v)
         o = p.original[v]
-        keep = copy_cost[o] + src_now  # H's cost less R's copy costs
-        move = [keep - c - x for c, x in zip(copy_cost, move_col)]
-        for r in reps:  # a move onto a replica adds no copy
-            move[r] += copy_cost[r]
-        move[o] = OUT
-        rep = dele = out
+        move = rep = dele = out
+        if self.enabled & {"move", "exchange"}:
+            keep = copy_cost[o] + src_now  # H's cost less R's copy costs
+            move = [keep - c - x for c, x in zip(copy_cost, move_col)]
+            for r in reps:  # a move onto a replica adds no copy
+                move[r] += copy_cost[r]
+            move[o] = OUT
         if "replicate" in self.enabled:
             rep = [src_now - c - x for c, x in zip(copy_cost, rep_col)]
             rep[o] = OUT
@@ -515,24 +523,10 @@ class RefineState:
                 dele[r] = copy_cost[r] + fall
         return move, rep, dele
 
-    def _store_rows(self, vs: np.ndarray, rows: list) -> list[tuple[int, int | None]]:
-        """Store `rows`, the `_mrd_rows` of the vertices vs, in `gains`;
-        returns (item, gain or None) of every slot of an enabled kind whose
-        gain changed, found in one diff against the stored rows.  So an
-        unchanged entry keeps its place in the bank, shelved or not."""
-        new = np.array(rows, np.int64).reshape(len(vs), len(FPGA_KINDS), self.kf).swapaxes(0, 1)
-        old = self.gains[:, vs]
-        self.gains[:, vs] = new
-        kind, i, f = (old != new).nonzero()
-        bases = [self._base.get(k) for k in FPGA_KINDS]
-        kf = self.kf
-        return [
-            (bases[k] + v * kf + dest, None if g == OUT else g)
-            for k, v, dest, g in zip(
-                kind.tolist(), vs[i].tolist(), f.tolist(), new[kind, i, f].tolist()
-            )
-            if bases[k] is not None
-        ]
+    def _store_rows(self, vs: np.ndarray, rows: list) -> None:
+        """Store `rows`, the `_mrd_rows` of the vertices vs, in `gains`."""
+        new = np.array(rows, np.int64).reshape(len(vs), len(FPGA_KINDS), self.kf)
+        self.gains[:, vs] = new.swapaxes(0, 1)
 
     # -- selection and application ----------------------------------------
 
@@ -564,42 +558,75 @@ class RefineState:
         """Best acceptable entry that fits its destination's resources, as
         (kind, vertex, dest, gain), or None.
 
-        The bank's order is the tie order: higher gain, then delete > move
-        > exchange > replicate, then lower vertex id, then lower
-        destination id.  The acceptable entries come first in it (every
-        positive gain, then at gain 0 the deletes and, under
-        `allow_zero_gain` with budget left, the moves and exchanges), so
-        the first unacceptable top ends the search.  A top that does not
-        fit, or a zero-gain top that `_returns` flags, is shelved until it
-        can be taken (see the module docstring).  So the result is the
-        entry the loop would reach by popping and rejecting every better
-        acceptable one that does not fit or returns.
+        The order is the tie order: higher gain, then delete > move >
+        exchange > replicate, then lower vertex id, then lower destination
+        id, which is higher gain, then lower item id.  Every acceptable
+        entry that fits is a candidate (`_offers`); the best one is taken
+        unless `try_apply` rejected it since the last commit (`hold`) or,
+        at gain 0, `_returns` flags it, in which case the next is.  So the
+        result is the entry the loop would reach by trying every better
+        acceptable one and rejecting those that do not fit or return.
         """
-        bank = self.bank
-        while True:
-            entry = bank.peek()
-            if entry is None:
-                return None
-            gain, item = entry
+        gains, items = self._offers()
+        while len(gains):
+            at = np.flatnonzero(gains == gains.max())
+            i = at[items[at].argmin()]
+            item, gain = int(items[i]), int(gains[i])
             kind, v, dest = self._decode(item)
-            if not self._acceptable(kind, gain):
-                return None
-            if not gain and self._returns(kind, v, dest):
-                bank.shelve("commit")
-            elif self._fits(self._resource_deltas(self._op_change(kind, v, dest))):
-                return kind, v, dest, gain
-            else:
-                bank.shelve("commit" if kind == "exchange" else dest)
+            if item in self.held or (not gain and self._returns(kind, v, dest)):
+                gains = np.delete(gains, i)
+                items = np.delete(items, i)
+                continue
+            self._peeked = item
+            return kind, v, dest, gain
+        return None
 
-    def item(self, kind: str, v: int, dest: int = 0) -> int:
-        """The bank's item id of (kind, v, dest), dest 0 for an exchange:
-        (KIND_RANK[kind] * n + v) * K + dest, so that the heap's order,
-        higher gain then lower id, is the tie order."""
-        return self._base[kind] + v * self.kf + dest
+    def _offers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gains and item ids of every entry of an enabled kind whose gain
+        is acceptable and whose resource deltas fit, as arrays: the rule of
+        `_acceptable` and of `_fits` on `_resource_deltas`, over all entries
+        at once.  A move or replicate adds v's weight on dest, unless a
+        move goes onto a replica of v; a delete always fits; an exchange of
+        v on pv with u on pu adds w_v [pu not a host of v] - w_u on pu and
+        w_u [pv not a host of u] - w_v on pv."""
+        kf = self.kf
+        zero = self.allow_zero_gain and self.zero_gain_left > 0
+        # a delta fits where it is at most the room left, and one that is
+        # not positive always does
+        free = self.caps - np.array(self.usage, np.int64).reshape(kf, self.krt)
+        np.maximum(free, 0, out=free)
+        weights = self.weights
+        hosted = self.hosted
+        gains, items = [], []
+        for k, kind in enumerate(FPGA_KINDS):
+            if kind not in self.enabled:
+                continue
+            row = self.gains[k].reshape(-1)
+            at = np.flatnonzero(row >= (0 if kind == "delete" or zero and kind == "move" else 1))
+            if kind != "delete":
+                v, f = np.divmod(at, kf)
+                add = weights[v]
+                if kind == "move":  # a move onto a replica adds no copy
+                    add = add * ~hosted[v, f][:, None]
+                at = at[(add <= free[f]).all(1)]
+            gains.append(row[at])
+            items.append(at + KIND_RANK[kind] * self._span)
+        if self.exchange is not None:
+            table = self.exchange
+            v = np.flatnonzero(table.best_g >= (0 if zero else 1))
+            u = table.best_u[v]
+            pv, pu = table.orig[v], table.orig[u]
+            wv, wu = weights[v], weights[u]
+            at_pu = wv * ~hosted[v, pu][:, None] - wu
+            at_pv = wu * ~hosted[u, pv][:, None] - wv
+            v = v[(at_pu <= free[pu]).all(1) & (at_pv <= free[pv]).all(1)]
+            gains.append(table.best_g[v])
+            items.append(v * kf + KIND_RANK["exchange"] * self._span)
+        return np.concatenate(gains), np.concatenate(items)
 
     def _decode(self, item: int) -> tuple[str, int, int]:
-        """(kind, vertex, dest) of a bank item id; an exchange's dest is
-        its stored partner's FPGA."""
+        """(kind, vertex, dest) of an item id; an exchange's dest is its
+        stored partner's FPGA."""
         rank, rest = divmod(item, self._span)
         v, dest = divmod(rest, self.kf)
         if rank == KIND_RANK["exchange"]:
@@ -607,56 +634,53 @@ class RefineState:
         return BY_RANK[rank], v, dest
 
     def hold(self) -> None:
-        """Shelve the entry `peek_best` just returned, which `try_apply`
-        rejected on I/O or hop grounds: it is the bank's top.  It stays
-        live, and the next commit puts it back in heap order."""
-        self.bank.shelve("commit")
+        """Pass over the entry `peek_best` just returned, which `try_apply`
+        rejected on I/O or hop grounds, until the next commit.  It stays
+        exact and listed meanwhile."""
+        self.held.add(self._peeked)
 
     def entries(self) -> Iterator[Op]:
-        """All live entries of the enabled kinds as ops (gains filled in):
-        by destination FPGA, then kind in `FPGA_KINDS` order, then vertex,
-        and the exchanges last, by vertex."""
-        orig = self.p.original
+        """All entries of the enabled kinds as ops (gains filled in): by
+        destination FPGA, then kind in `FPGA_KINDS` order, then vertex, and
+        the exchanges last, by vertex."""
+        kinds = [(k, kind) for k, kind in enumerate(FPGA_KINDS) if kind in self.enabled]
         ops = []
-        for item, g in self.bank.items().items():
-            kind, v, dest = self._decode(item)
-            if kind == "exchange":
-                u = self._partner(v)
-                ops.append(((self.kf, v), Op(kind, v, dest, u, orig[v], gain=g)))
-            else:
-                ops.append(((dest, FPGA_KINDS.index(kind), v), Op(kind, v, dest, gain=g)))
-        return (op for _, op in sorted(ops, key=lambda x: x[0]))
+        for f in range(self.kf):
+            for k, kind in kinds:
+                col = self.gains[k, :, f]
+                vs = np.flatnonzero(col != OUT)
+                ops += [Op(kind, v, f, gain=g) for v, g in zip(vs.tolist(), col[vs].tolist())]
+        if self.exchange is not None:
+            orig = self.p.original
+            best_g = self.exchange.best_g
+            vs = np.flatnonzero(best_g != NONE)
+            for v, u, g in zip(vs.tolist(), self.exchange.best_u[vs].tolist(), best_g[vs].tolist()):
+                ops.append(Op("exchange", v, orig[u], u, orig[v], gain=g))
+        return iter(ops)
 
     def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
-        """`_change` of a bank entry; an exchange takes its stored partner."""
+        """`_change` of an entry; an exchange takes its stored partner."""
         partner = self._partner(v) if kind == "exchange" else None
         return _change(self.p, kind, v, dest, partner)
 
-    def _resource_deltas(self, change: dict[int, frozenset]) -> dict[int, list[int]]:
+    def _resource_deltas(self, change: dict[int, frozenset]) -> dict[int, np.ndarray]:
         """Net per-FPGA resource deltas of a host-set change."""
-        deltas: dict[int, list[int]] = {}
+        deltas: dict[int, np.ndarray] = {}
         for tv, new_hosts in change.items():
             old_hosts = self.hosts[tv]
             wv = self.weights[tv]
             for f in new_hosts - old_hosts:
-                row = deltas.setdefault(f, [0] * self.krt)
-                for i in range(self.krt):
-                    row[i] += wv[i]
+                deltas[f] = deltas.get(f, 0) + wv
             for f in old_hosts - new_hosts:
-                row = deltas.setdefault(f, [0] * self.krt)
-                for i in range(self.krt):
-                    row[i] -= wv[i]
+                deltas[f] = deltas.get(f, 0) - wv
         return deltas
 
-    def _fits(self, deltas: dict[int, list[int]]) -> bool:
+    def _fits(self, deltas: dict[int, np.ndarray]) -> bool:
         """Whether every FPGA has room for its positive deltas."""
-        for f, dv in deltas.items():
-            row = self.usage[f]
-            cap = self.caps[f]
-            for i in range(self.krt):
-                if dv[i] > 0 and row[i] + dv[i] > cap[i]:
-                    return False
-        return True
+        return all(
+            ((dv <= 0) | (self.usage[f] + dv <= self.caps[f])).all()
+            for f, dv in deltas.items()
+        )
 
     def try_apply(self, kind: str, v: int, dest: int) -> Op | None:
         """Constraint-check and apply one operation; None if infeasible.
@@ -712,13 +736,13 @@ class RefineState:
         for x, hosts in change.items():
             self.hosts[x] = hosts
             self.host_hop[x] = self.hm.nearest(hosts)[0]
+            self.hosted[x] = False
+            self.hosted[x, list(hosts)] = True
         for f, dv in deltas.items():
             row = self.usage[f]
-            for i in range(self.krt):
-                row[i] += dv[i]
-            if min(dv) < 0:  # room on f grew: shelved entries may fit now
-                self.bank.unshelve(f)
-        self.bank.unshelve("commit")
+            for i, d in enumerate(dv.tolist()):
+                row[i] += d
+        self.held.clear()
         for f, d in io_delta.items():
             self.io[f] += d
         self.thd -= gain
@@ -739,12 +763,7 @@ class RefineState:
         return op
 
     def _drop_replicates(self) -> None:
-        """Disable replicate, whose cap binds: every live replicate slot
-        leaves the bank, and the replicate rows stay OUT."""
-        base = self._base.pop("replicate", None)
-        # a disabled kind's rows are all OUT, so without a base no slot is live
-        for i in np.flatnonzero(self.gains[1] != OUT).tolist():
-            self.bank.update(base + i, None)
+        """Disable replicate, whose cap binds: its rows stay OUT."""
         self.gains[1] = OUT
         self.enabled -= {"replicate"}
 
@@ -851,29 +870,24 @@ class RefineState:
         return dirty
 
     def _refresh_after(self, dirty: set[int], change: dict, after: dict) -> None:
-        """Rebuild the dirty vertices' rows and push the bank slots that
-        changed, then hand the exchange table what the commit of `change`
-        changed: the touched vertices' facts, the changed nets' drain
-        counts (`after`) and the dirty vertices with their old move rows;
-        install the exchange entries whose best changed."""
+        """Rebuild and store the dirty vertices' rows, then hand the
+        exchange table what the commit of `change` changed: the touched
+        vertices' facts, the changed nets' drain counts (`after`) and the
+        dirty vertices with their old move rows."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
-            self._build_bank()
+            self._build_entries()
             return
         vs = np.fromiter(dirty, np.intp, len(dirty))
         old = self.gains[0, vs]
-        for item, g in self._store_rows(vs, [self._mrd_rows(v) for v in vs.tolist()]):
-            self.bank.update(item, g)
-        if self.exchange is None:
-            return
-        base = self._base["exchange"]
-        for v, g in self.exchange.commit(
-            {x: self._exchange_facts(x) for x in change},
-            {e: cnt for e, (_, cnt) in after.items()},
-            vs,
-            old,
-        ):
-            self.bank.update(base + v * self.kf, g)
+        self._store_rows(vs, [self._mrd_rows(v) for v in vs.tolist()])
+        if self.exchange is not None:
+            self.exchange.commit(
+                {x: self._exchange_facts(x) for x in change},
+                {e: cnt for e, (_, cnt) in after.items()},
+                vs,
+                old,
+            )
 
 
 def _local(src_hosts, cnt: dict[int, int]) -> bool:
@@ -931,9 +945,10 @@ def run_refine_loop(
 ) -> int:
     """Drive a RefineState to a fixed point; returns the op count applied.
 
-    An entry that `try_apply` rejects stays in the bank, shelved until the
-    next commit (see `RefineState.hold`), so the bank holds what a fresh
-    bank would after every attempt.  With a `deadline` (a
+    An entry that `try_apply` rejects is passed over until the next commit
+    (see `RefineState.hold`); it stays exact and listed meanwhile, so
+    after every attempt the entries are those a fresh state builds.  With
+    a `deadline` (a
     `time.monotonic()` value) the loop stops at the first iteration that
     starts past it.
     """

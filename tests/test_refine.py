@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 from mfspart._exchange import ExchangeTable
-from mfspart._heap import AddressableMaxHeap
 from mfspart.cli import run_pipeline
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
@@ -17,6 +16,7 @@ from mfspart.model import Hypergraph, Placement, ResourceVector
 from mfspart.oracle import best_single_replication, full_gain_recompute
 from mfspart.refine import (
     ALL_OPS,
+    FPGA_KINDS,
     KIND_RANK,
     Op,
     RefineState,
@@ -1058,6 +1058,11 @@ def _drain_cnt_change(state, e, kind, v, dest):
     return before, state.edge_drain_cnt[e]
 
 
+def _gain(state, kind, v, f):
+    """The stored gain of (kind, v, f): its slot of `state.gains`."""
+    return int(state.gains[FPGA_KINDS.index(kind), v, f])
+
+
 def test_refresh_drain_whose_own_copy_takes_a_count_from_2_to_1():
     # drains 1 and 2 share FPGA 2; 2 leaves for FPGA 1, where drain 3 sits.
     # No count crosses 0|1, and only drain 1's own copy keeps FPGA 2 covered
@@ -1065,10 +1070,10 @@ def test_refresh_drain_whose_own_copy_takes_a_count_from_2_to_1():
     h = Hypergraph.build([[1]] * 4, [(2, 0, [1, 2, 3])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2, 1]))
-    before = state.bank.get(state.item("move", 1, 1))
+    before = _gain(state, "move", 1, 1)
     cnt = _drain_cnt_change(state, 0, "move", 2, 1)
     assert cnt == ({2: 2, 1: 1}, {2: 1, 1: 2})
-    assert state.bank.get(state.item("move", 1, 1)) != before
+    assert _gain(state, "move", 1, 1) != before
 
 
 def test_refresh_net_whose_source_moves():
@@ -1076,10 +1081,10 @@ def test_refresh_net_whose_source_moves():
     h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2]), (1, 2, [0])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2]))
-    before = state.bank.get(state.item("move", 1, 1))
+    before = _gain(state, "move", 1, 1)
     cnt = _drain_cnt_change(state, 0, "move", 0, 1)
     assert cnt == ({2: 2}, {2: 2})
-    assert state.bank.get(state.item("move", 1, 1)) != before
+    assert _gain(state, "move", 1, 1) != before
 
 
 def test_refresh_count_from_0_to_1_where_the_source_has_a_replica():
@@ -1089,10 +1094,10 @@ def test_refresh_count_from_0_to_1_where_the_source_has_a_replica():
     t = path_topology(3)
     p = Placement([0, 1, 0], [{2}, set(), set()])
     state = RefineState(h, t, compute_hop_matrix(t), p)
-    before = state.bank.get(state.item("delete", 0, 2))
+    before = _gain(state, "delete", 0, 2)
     cnt = _drain_cnt_change(state, 0, "move", 1, 2)
     assert cnt == ({1: 1, 0: 1}, {2: 1, 0: 1})
-    assert state.bank.get(state.item("delete", 0, 2)) != before
+    assert _gain(state, "delete", 0, 2) != before
 
 
 def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
@@ -1217,67 +1222,6 @@ def test_refine_state_freed_with_its_last_reference():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_heap_update_keeps_unchanged_entries_in_place():
-    heap = AddressableMaxHeap()
-    heap.push(1, 5)
-    heap.push(2, 3)
-    heap.shelve()  # item 1 leaves heap order
-    heap.update(1, 5)  # unchanged: stays shelved
-    assert heap.peek() == (3, 2) and heap.get(1) == 5
-    heap.update(2, 7)
-    assert heap.peek() == (7, 2)
-    heap.update(2, None)
-    assert heap.peek() is None and 2 not in heap
-    heap.unshelve()
-    assert heap.peek() == (5, 1)
-
-
-def test_heap_shelve_takes_every_copy_of_the_top():
-    # re-keying 1 from 5 to 3 and back leaves two heap copies of (5, 1);
-    # shelving must take both out of heap order, or the loop would offer a
-    # rejected entry again before the next commit
-    heap = AddressableMaxHeap()
-    heap.push(1, 5)
-    heap.push(2, 4)
-    heap.update(1, 3)
-    heap.update(1, 5)
-    heap.shelve()
-    assert heap.peek() == (4, 2) and heap.get(1) == 5
-    heap.unshelve()
-    assert heap.peek() == (5, 1)
-
-
-def test_heap_unshelve_returns_only_its_bucket():
-    heap = AddressableMaxHeap()
-    heap.push(1, 5)
-    heap.push(2, 4)
-    heap.push(3, 3)
-    heap.shelve(0)  # item 1
-    heap.shelve("commit")  # item 2
-    assert heap.peek() == (3, 3) and len(heap) == 3
-    heap.unshelve("commit")
-    assert heap.peek() == (4, 2)
-    heap.unshelve(1)  # nothing shelved there
-    assert heap.peek() == (4, 2)
-    heap.unshelve(0)
-    assert heap.peek() == (5, 1)
-
-
-def test_heap_item_rekeyed_while_shelved_surfaces_once_at_its_new_gain():
-    heap = AddressableMaxHeap()
-    heap.push(1, 5)
-    heap.push(2, 3)
-    heap.shelve(0)  # item 1 at gain 5
-    heap.push(1, 4)  # re-keyed: back in heap order at once
-    assert heap.peek() == (4, 1)
-    heap.unshelve(0)  # the shelved copy at gain 5 is stale
-    assert heap.peek() == (4, 1)
-    heap.update(1, None)
-    assert heap.peek() == (3, 2)
-    heap.update(2, None)
-    assert heap.peek() is None
 
 
 def test_exchange_upkeep_work_on_lean_600(monkeypatch):

@@ -104,23 +104,27 @@ _SCRATCH_GAINS = {"move": gain_move, "replicate": gain_replicate, "delete": gain
 
 
 def _check_rows(state):
-    """Every slot of `state.gains` from scratch and against the bank.  A
-    vertex has entries when it has a replica or a net whose members do not
-    all sit on one FPGA; its slot of an enabled kind then holds the op's
-    gain where the op applies, and every other slot is OUT.  A slot is OUT
-    exactly when the bank has no live entry for it, and otherwise holds
-    that entry's gain.  A disabled replicate or delete is all OUT."""
+    """Every slot of `state.gains` from scratch and against `entries()`.
+    A vertex has entries when it has a replica or a net whose members do
+    not all sit on one FPGA; its slot of a kept kind then holds the op's
+    gain where the op applies, and every other slot is OUT.  A kept kind
+    is an enabled one, or move while exchange, which reads the move rows,
+    is enabled; any other kind is all OUT.  A slot of an enabled kind is
+    not OUT exactly when `entries()` lists it, at that gain."""
     h, hm, p = state.h, state.hm, state.p
     applies = {
         "move": lambda v, f: f != p.original[v],
         "replicate": lambda v, f: f not in p.hosts(v),
         "delete": lambda v, f: f in p.replicas[v],
     }
+    listed = {
+        (op.kind, op.v, op.dest): op.gain for op in state.entries() if op.kind != "exchange"
+    }
+    slots = 0
     for k, kind in enumerate(FPGA_KINDS):
         rows = state.gains[k].tolist()
-        if kind not in state.enabled:
-            if kind != "move":  # the exchange table reads the move rows
-                assert all(g == OUT for row in rows for g in row), kind
+        if kind not in state.enabled and not (kind == "move" and "exchange" in state.enabled):
+            assert all(g == OUT for row in rows for g in row), kind
             continue
         for v, row in enumerate(rows):
             entries = bool(p.replicas[v]) or any(
@@ -133,15 +137,17 @@ def _check_rows(state):
                     if entries and applies[kind](v, f) else OUT
                 )
                 assert g == expected, (kind, v, f)
-                live = state.bank.get(state.item(kind, v, f))
-                assert live == (None if g == OUT else g), (kind, v, f)
+                if kind in state.enabled and g != OUT:
+                    assert listed[kind, v, f] == g, (kind, v, f)
+                    slots += 1
+    assert len(listed) == slots
 
 
 def _walk_checking_corr_and_rows(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
     kept correction between two FPGAs must equal the exchange gain less
-    the two move gains, in both orders, the gain rows must hold the bank's
-    entries at their from-scratch gains (`_check_rows`), every stored
+    the two move gains, in both orders, the gain rows must hold their
+    from-scratch gains, as `entries()` lists them (`_check_rows`), every stored
     triple term must equal a fresh one, and the table's levels must be
     the drain counts capped at 2.
     Returns how many applied ops had a touched vertex sourcing a net, and
@@ -217,11 +223,14 @@ def test_corr_walk_covers_sourced_and_multi_net_pairs():
     {"max_replicas": 1},
     {"ops": ("move", "exchange", "replicate")},
     {"ops": ("move", "replicate", "delete")},
-], ids=["replicate-capped", "no-delete", "no-exchange"])
+    {"ops": ("exchange", "replicate", "delete")},
+    {"ops": ("replicate", "delete")},
+], ids=["replicate-capped", "no-delete", "no-exchange", "no-move", "no-move-or-exchange"])
 def test_gain_rows_exact_with_a_kind_disabled(options):
     # the gain rows stay exact, and a disabled replicate or delete stays
     # all OUT, whether the kind is left out from the start or the
-    # replicate cap binds partway through the loop
+    # replicate cap binds partway through the loop; the move rows are
+    # kept for the exchange table, and all OUT without move or exchange
     checked = capped = 0
     for seed in range(3):
         state = RefineState(*tight_state(seed, n=20, m=36), **options)
