@@ -1,7 +1,7 @@
 """The four-operator refinement loop on a real instance.
 
-Watch the gain-heap bank apply moves, exchanges, replicates, and deletes
-in pure highest-gain order, and compare against a moves-only run.
+Watch refinement apply moves, exchanges, replicates, and deletes in pure
+highest-gain order, and compare against a moves-only run.
 """
 
 from collections import Counter

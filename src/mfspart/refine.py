@@ -88,6 +88,8 @@ BY_RANK = sorted(KIND_RANK, key=KIND_RANK.get)
 ALL_OPS = ("move", "exchange", "replicate", "delete")
 FPGA_KINDS = ("move", "replicate", "delete")  # entries per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
+_FPGA_RANKS = np.array([KIND_RANK[k] for k in FPGA_KINDS])
+_NEVER = np.iinfo(np.int64).max  # above every gain
 
 
 def op_kinds(ops) -> tuple[str, ...]:
@@ -294,7 +296,10 @@ class RefineState:
         self.io_limits = list(t.io_limits)
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
-        self.weights = np.array([v.weight.values for v in h.vertices], np.int64).reshape(n, self.krt)
+        # per resource type, every vertex's weight
+        self.weights = np.array(
+            [v.weight.values for v in h.vertices], np.int64
+        ).reshape(n, self.krt).T.copy()
 
         # every vertex's host set, replaced at each commit by the one
         # `_change` gave, and as an n x K mask; and per-edge counts of
@@ -585,43 +590,51 @@ class RefineState:
         """Gains and item ids of every entry of an enabled kind whose gain
         is acceptable and whose resource deltas fit, as arrays: the rule of
         `_acceptable` and of `_fits` on `_resource_deltas`, over all entries
-        at once.  A move or replicate adds v's weight on dest, unless a
-        move goes onto a replica of v; a delete always fits; an exchange of
-        v on pv with u on pu adds w_v [pu not a host of v] - w_u on pu and
-        w_u [pv not a host of u] - w_v on pv."""
-        kf = self.kf
+        at once.
+
+        A move, replicate or delete of v to f adds v's weight on f exactly
+        when f does not host v: a replicate's f never does and a delete's
+        always does, so only a move onto a replica of v adds nothing.  An
+        exchange of v on pv with u on pu adds w_v [pu not a host of v] - w_u
+        on pu and w_u [pv not a host of u] - w_v on pv."""
+        kf, span = self.kf, self._span
         zero = self.allow_zero_gain and self.zero_gain_left > 0
-        # a delta fits where it is at most the room left, and one that is
-        # not positive always does
+        # per resource type, the room left on each FPGA: a delta fits where
+        # it is at most that, and one that is not positive always does
         free = self.caps - np.array(self.usage, np.int64).reshape(kf, self.krt)
         np.maximum(free, 0, out=free)
-        weights = self.weights
-        hosted = self.hosted
-        gains, items = [], []
-        for k, kind in enumerate(FPGA_KINDS):
-            if kind not in self.enabled:
-                continue
-            row = self.gains[k].reshape(-1)
-            at = np.flatnonzero(row >= (0 if kind == "delete" or zero and kind == "move" else 1))
-            if kind != "delete":
-                v, f = np.divmod(at, kf)
-                add = weights[v]
-                if kind == "move":  # a move onto a replica adds no copy
-                    add = add * ~hosted[v, f][:, None]
-                at = at[(add <= free[f]).all(1)]
-            gains.append(row[at])
-            items.append(at + KIND_RANK[kind] * self._span)
+        rooms = list(zip(self.weights, free.T))
+        hosted = self.hosted.reshape(-1)
+        # the lowest acceptable gain of each kind, above every gain for a
+        # disabled one
+        floor = np.array([
+            _NEVER if kind not in self.enabled
+            else 0 if kind == "delete" or zero and kind == "move" else 1
+            for kind in FPGA_KINDS
+        ]).reshape(-1, 1, 1)
+        at = np.flatnonzero(self.gains >= floor)
+        k, vf = np.divmod(at, span)
+        v, f = np.divmod(vf, kf)
+        adds = ~hosted[vf]
+        ok = np.ones(len(at), bool)
+        for w, room in rooms:
+            ok &= w[v] * adds <= room[f]
+        gains = [self.gains.reshape(-1)[at[ok]]]
+        items = [_FPGA_RANKS[k[ok]] * span + vf[ok]]
         if self.exchange is not None:
             table = self.exchange
             v = np.flatnonzero(table.best_g >= (0 if zero else 1))
             u = table.best_u[v]
             pv, pu = table.orig[v], table.orig[u]
-            wv, wu = weights[v], weights[u]
-            at_pu = wv * ~hosted[v, pu][:, None] - wu
-            at_pv = wu * ~hosted[u, pv][:, None] - wv
-            v = v[(at_pu <= free[pu]).all(1) & (at_pv <= free[pv]).all(1)]
+            v_adds, u_adds = ~hosted[v * kf + pu], ~hosted[u * kf + pv]
+            ok = np.ones(len(v), bool)
+            for w, room in rooms:
+                wv, wu = w[v], w[u]
+                ok &= wv * v_adds - wu <= room[pu]
+                ok &= wu * u_adds - wv <= room[pv]
+            v = v[ok]
             gains.append(table.best_g[v])
-            items.append(v * kf + KIND_RANK["exchange"] * self._span)
+            items.append(KIND_RANK["exchange"] * span + v * kf)
         return np.concatenate(gains), np.concatenate(items)
 
     def _decode(self, item: int) -> tuple[str, int, int]:
@@ -668,7 +681,7 @@ class RefineState:
         deltas: dict[int, np.ndarray] = {}
         for tv, new_hosts in change.items():
             old_hosts = self.hosts[tv]
-            wv = self.weights[tv]
+            wv = self.weights[:, tv]
             for f in new_hosts - old_hosts:
                 deltas[f] = deltas.get(f, 0) + wv
             for f in old_hosts - new_hosts:

@@ -849,9 +849,9 @@ def test_bank_with_a_kind_disabled_exact_after_each_op(ops):
 
 
 def _reference_loop(state):
-    """Selection as the loop made it before entries that do not fit were
-    shelved: the best acceptable entry of `entries()` goes to `try_apply`,
-    and a rejected entry is passed over until the next commit."""
+    """Selection stated on `entries()` alone: the best acceptable entry
+    goes to `try_apply`, and a rejected entry is passed over until the
+    next commit."""
     excluded = set()
     rejected = 0
     while True:
