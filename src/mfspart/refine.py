@@ -595,21 +595,19 @@ class RefineState:
         A move, replicate or delete of v to f adds v's weight on f exactly
         when f does not host v: a replicate's f never does and a delete's
         always does, so only a move onto a replica of v adds nothing.  An
-        exchange of v on pv with u on pu adds w_v [pu not a host of v] - w_u
-        on pu and w_u [pv not a host of u] - w_v on pv."""
+        exchange of v on pv with u on pu changes pu by w_v [pu not a host
+        of v] - w_u and pv by w_u [pv not a host of u] - w_v."""
         kf, span = self.kf, self._span
-        zero = self.allow_zero_gain and self.zero_gain_left > 0
         # per resource type, the room left on each FPGA: a delta fits where
         # it is at most that, and one that is not positive always does
         free = self.caps - np.array(self.usage, np.int64).reshape(kf, self.krt)
         np.maximum(free, 0, out=free)
         rooms = list(zip(self.weights, free.T))
         hosted = self.hosted.reshape(-1)
-        # the lowest acceptable gain of each kind, above every gain for a
-        # disabled one
+        # the lowest acceptable gain of each kind (every positive gain is),
+        # above every gain for a disabled one
         floor = np.array([
-            _NEVER if kind not in self.enabled
-            else 0 if kind == "delete" or zero and kind == "move" else 1
+            1 - self._acceptable(kind, 0) if kind in self.enabled else _NEVER
             for kind in FPGA_KINDS
         ]).reshape(-1, 1, 1)
         at = np.flatnonzero(self.gains >= floor)
@@ -623,16 +621,17 @@ class RefineState:
         items = [_FPGA_RANKS[k[ok]] * span + vf[ok]]
         if self.exchange is not None:
             table = self.exchange
-            v = np.flatnonzero(table.best_g >= (0 if zero else 1))
-            u = table.best_u[v]
-            pv, pu = table.orig[v], table.orig[u]
-            v_adds, u_adds = ~hosted[v * kf + pu], ~hosted[u * kf + pv]
-            ok = np.ones(len(v), bool)
+            v = np.flatnonzero(table.best_g >= 1 - self._acceptable("exchange", 0))
+            # the two FPGAs of each exchange: on y's FPGA, x arrives and y
+            # leaves, for (x, y) = (v, u) and (u, v)
+            x = np.concatenate((v, table.best_u[v]))
+            y = np.concatenate((x[len(v):], v))
+            at = table.orig[y]
+            adds = ~hosted[x * kf + at]
+            ok = np.ones(len(x), bool)
             for w, room in rooms:
-                wv, wu = w[v], w[u]
-                ok &= wv * v_adds - wu <= room[pu]
-                ok &= wu * u_adds - wv <= room[pv]
-            v = v[ok]
+                ok &= w[x] * adds - w[y] <= room[at]
+            v = v[ok[:len(v)] & ok[len(v):]]
             gains.append(table.best_g[v])
             items.append(KIND_RANK["exchange"] * span + v * kf)
         return np.concatenate(gains), np.concatenate(items)

@@ -172,7 +172,7 @@ def test_gain_delete_requires_replica():
         gain_delete(h, Placement([0, 1]), hm, 1, 1)
 
 
-# -- heap bank exactness (the module's central property) -----------------
+# -- entry exactness (the module's central property) ---------------------
 
 
 def _all_entry_gains_match(state, h, hm):
