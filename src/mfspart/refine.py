@@ -600,7 +600,7 @@ class RefineState:
         kf, span = self.kf, self._span
         # per resource type, the room left on each FPGA: a delta fits where
         # it is at most that, and one that is not positive always does
-        free = self.caps - np.array(self.usage, np.int64).reshape(kf, self.krt)
+        free = self.caps - np.array(self.usage, np.int64)
         np.maximum(free, 0, out=free)
         rooms = list(zip(self.weights, free.T))
         hosted = self.hosted.reshape(-1)

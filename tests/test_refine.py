@@ -437,6 +437,15 @@ def test_refine_empty_ops_is_identity():
     assert refine_level(h, p, t, hm, ops=()) == p
 
 
+def test_refine_empty_hypergraph_is_identity():
+    # no vertex, so no usage row has an entry: selection still finds none
+    h = Hypergraph.build([], [])
+    t = path_topology(3)
+    hm = compute_hop_matrix(t)
+    assert RefineState(h, t, hm, Placement([])).peek_best() is None
+    assert refine_level(h, Placement([]), t, hm) == Placement([])
+
+
 def test_max_replicas_cap():
     h, t, p = fanout_story(src_fpga=1)
     hm = compute_hop_matrix(t)
