@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from mfspart._exchange import ExchangeTable
+from mfspart._exchange import NONE, OUT, ExchangeTable
 from mfspart.cli import run_pipeline
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
@@ -1125,6 +1125,40 @@ def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
     cnt = _drain_cnt_change(state, 0, "move", 2, 0)
     assert cnt == ({0: 2, 1: 2}, {0: 3, 1: 1})
     assert partner_of_1() == 4
+
+
+def test_settle_vertex_that_moved_and_held_its_partner_on_a_changed_pair():
+    # vertex 0 exchanges with its stored partner 1: it moves, so every pair
+    # of it changed, and its move row changes at 1's new FPGA, so the pair
+    # it stored changed too; it is rescanned for both reasons and must end
+    # at the partner a fresh table picks
+    h = Hypergraph.build([[1]] * 4, [(1, 0, [1]), (1, 2, [0]), (1, 1, [3])])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2, 0]))
+    table = state.exchange
+    assert table.best_u[0] == 1
+    old = state.gains[0, 0].copy()
+    assert state.try_apply("exchange", 0, 2) is not None
+    assert state.p.original[:2] == [2, 0]
+    new = state.gains[0, 0]
+    assert ((old == OUT) != (new == OUT)).any() and old[0] != new[0]
+    assert (table.best_g[0], table.best_u[0]) == (-4, 1)
+    assert bank_snapshot(state) == fresh_bank(state)
+
+
+def test_settle_rescanned_vertex_whose_move_row_turns_all_out():
+    # vertex 0's one net goes local when its drain 1 moves onto FPGA 0, so
+    # its move row turns all OUT: it is rescanned, and its only pair, with
+    # 1, is now out, so it ends without an entry
+    h = Hypergraph.build([[1]] * 3, [(1, 0, [1]), (1, 1, [2])])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 1, 2]))
+    table = state.exchange
+    assert (table.best_g[0], table.best_u[0]) == (-1, 1)
+    assert state.try_apply("move", 1, 0) is not None
+    assert (state.gains[0, 0] == OUT).all()
+    assert (table.best_g[0], table.best_u[0]) == (NONE, -1)
+    assert bank_snapshot(state) == fresh_bank(state)
 
 
 def test_exchange_without_a_partner_is_refused_and_changes_nothing():
