@@ -332,6 +332,7 @@ def gen_instance(
     # random draws or, for a NaN fraction or a window or link count out of
     # range, not at all
     for name, value, low in (
+        ("n_edges", n_edges, 0),
         ("max_fanout", max_fanout, 1),
         ("hub_fanout", hub_fanout, 2),
         ("locality", locality, 1),

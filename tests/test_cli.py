@@ -71,9 +71,10 @@ def test_non_finite_spare_exit_code(tmp_path, capsys, command, spare):
         ("--locality", 0, "locality must be at least 1, got 0"),
         ("--locality", -5, "locality must be at least 1, got -5"),
         ("--extra-links", -1, "extra_links must be at least 0, got -1"),
+        ("--edges", -3, "n_edges must be at least 0, got -3"),
     ],
     ids=["hub-fanout", "max-vertex-weight", "max-fanout", "hub-fraction",
-         "locality-zero", "locality-negative", "extra-links"],
+         "locality-zero", "locality-negative", "extra-links", "edges"],
 )
 def test_gen_shape_flag_exit_code(tmp_path, capsys, flag, value, message):
     assert run(["gen", tmp_path / "x", flag, value]) == 2

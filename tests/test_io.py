@@ -245,20 +245,21 @@ def test_gen_spare_not_finite_and_non_negative_rejected(spare):
         ({"locality": 0}, "locality must be at least 1, got 0"),
         ({"locality": -5}, "locality must be at least 1, got -5"),
         ({"extra_links": -1}, "extra_links must be at least 0, got -1"),
+        ({"n_edges": -3}, "n_edges must be at least 0, got -3"),
     ],
     ids=["hub-fanout", "max-fanout", "max-vertex-weight", "max-edge-weight",
          "hub-fraction", "driver-fraction", "locality-zero", "locality-negative",
-         "extra-links"],
+         "extra-links", "n-edges"],
 )
 def test_gen_shape_argument_rejected(kwargs, message):
     # before, a hub fanout of 1 or a vertex weight cap of 0 failed in
     # random's "empty range", an edge weight cap of 0 in the first net's
     # weight check, a fanout cap of 0 ran as 1, a NaN hub fraction
     # dropped every hub net, a locality below 1 ran as an unbounded window
-    # and a negative extra link count as 0; each is now refused under its
-    # own name
+    # and a negative extra link count as 0, and a negative net count made
+    # an instance without nets; each is now refused under its own name
     with pytest.raises(ValueError) as err:
-        gen_instance(1, 10, 12, 2, **kwargs)
+        gen_instance(**{"seed": 1, "n_vertices": 10, "n_edges": 12, "k_fpgas": 2, **kwargs})
     assert str(err.value) == message
 
 
