@@ -11,23 +11,23 @@ shared net.  The table holds, per level:
   triples); each triple's neighbour pair; and every neighbour pair as two
   directed slots in CSR by vertex, each vertex's slots sorted by partner
   id;
-- what a term or a pair gain reads: as the state last handed it over,
-  the originals, the nearest-host and nearest-replica hop rows and each
-  net's level per FPGA; and, read in place through views of the state's
-  arrays, the host sets as an n x K boolean matrix and the move rows, an
-  n x K array of move gains (OUT where there is no move);
+- what a term or a pair gain reads, as the refinement state's own
+  objects, read in place: each vertex's original, its nearest-host and
+  nearest-replica hop rows (FAR without a replica), the host sets as an
+  n x K boolean matrix, the move rows, an n x K array of move gains (OUT
+  where there is no move), and each net's drain counts per FPGA; and,
+  kept here, each net's level per FPGA;
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
   gain first, then the lower partner id.  best_u holds the partner, -1
   for a vertex without an entry (its move row is all OUT, or it has no
   partner off its FPGA).
 
-The refinement state hands over only facts it owns: `build` takes every
-vertex's original and hop rows and every net's drain counts, and fills
-the rest in a few array passes; `commit` takes the same of the vertices a
-commit touched and the nets with a touched member, plus the vertices
-whose move rows it rebuilt and those rows as they were before it, and
-works out what to redo itself:
+The state writes every fact itself, so a commit only names what changed:
+`commit(touched, es, rebuilt, old)` takes the vertices the commit
+touched, the nets with a touched member, and the vertices whose move rows
+it rebuilt with those rows as they were before it, and works out what to
+redo itself:
 
 - levels: a term reads of net e's drain count at FPGA f only whether it
   is zero and whether it is at most one, so the table keeps the level
@@ -44,14 +44,17 @@ works out what to redo itself:
 - rescans: a pair gain reads each endpoint's row at the other's
   original, so every pair of a vertex that moved, or whose row became
   or stopped being all OUT, changed; such a vertex, and one whose stored
-  partner's pair changed, forgets its best and scans its whole segment.
-  Every other changed pair is scored against the stored best of each
-  endpoint.
+  partner's pair changed, has its best reset to none and is given its
+  whole segment.
+
+Then one rule settles every best: each changed slot is scored against
+its owner's stored best.  `build` takes the same steps over every net,
+triple and slot, from zero terms and no bests.
 
 Neither returns anything: the state's selection reads each vertex's best
 from `best_g` and `best_u` in place.  The table holds no reference to the
-refinement state: what it reads is what was handed to it, the host sets
-and move rows through the views it was built with.
+refinement state, only the arrays and the list of drain counts it was
+built with.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
 class ExchangeTable:
     """The exchange pairs of one hypergraph level (see the module docstring)."""
 
-    def __init__(self, h, dist, kf: int, move: np.ndarray, host: np.ndarray):
+    def __init__(self, h, dist, orig, host_hop, rep_hop, host, move, drain_cnt: list):
         n, m = h.num_vertices, h.num_edges
+        kf = move.shape[1]
         sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
         pin_ptr = np.zeros(m + 1, np.intp)
         np.cumsum(sizes, out=pin_ptr[1:])
@@ -155,57 +159,40 @@ class ExchangeTable:
         order %= max(n_pairs, 1)
         self.slot_pair = order.astype(I32)
         del order
-        # each pair's two slots, and the other slot of each slot's pair
-        self.pair_slots = where.reshape(2, n_pairs).T.copy()
-        self.rev = np.empty(2 * n_pairs, I32)
-        self.rev[where[:n_pairs]] = where[n_pairs:]
-        self.rev[where[n_pairs:]] = where[:n_pairs]
+        self.pair_slots = where.reshape(2, n_pairs).T.copy()  # each pair's two slots
         del where
 
-        self.orig = np.zeros(n, np.intp)
-        self.host = host  # the state's n x K host sets, read in place
-        self.host_hop = np.zeros((n, kf), np.int64)
-        self.rep_hop = np.full((n, kf), FAR, np.int64)
+        # the state's facts, read in place (see the module docstring)
+        self.orig = orig
+        self.host_hop = host_hop
+        self.rep_hop = rep_hop
+        self.host = host
+        self.move = move
+        self.drain_cnt = drain_cnt
         self.level = np.zeros((m, kf), np.int64)
-        self.move = move  # the state's n x K move rows, read in place
         self.term = np.zeros(n_tri, np.int64)
         self.corr = np.zeros(n_pairs, np.int64)
         self.best_g = np.full(n, NONE, np.int64)
         self.best_u = np.full(n, -1, np.intp)
         self._mark = np.zeros(n, bool)  # scratch vertex marks
 
-    # -- the state a term or a pair gain reads ------------------------------
+    # -- levels, terms and scores -------------------------------------------
 
-    def _set_vertices(self, vertices: dict) -> np.ndarray:
-        """Install {v: (original, nearest-host row, nearest-replica row or
-        None)}; returns the vertices."""
-        vs = np.fromiter(vertices, np.intp, len(vertices))
-        shape = len(vs), self.kf
-        facts = vertices.values()
-        self.orig[vs] = [o for o, _, _ in facts]
-        self.host_hop[vs] = np.reshape([hop for _, hop, _ in facts], shape)
-        far = [FAR] * self.kf
-        self.rep_hop[vs] = np.reshape([far if rep is None else rep for *_, rep in facts], shape)
-        return vs
-
-    def _set_levels(self, nets: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Install the levels of the nets {e: drain counts {f: count}};
-        returns the nets and, per net and FPGA, whether its level changed."""
-        es = np.fromiter(nets, np.intp, len(nets))
+    def _set_levels(self, es: np.ndarray) -> np.ndarray:
+        """Set the levels of the nets es from their drain counts; returns,
+        per net and FPGA, whether its level changed."""
+        cnts = [self.drain_cnt[e] for e in es.tolist()]
         new = np.zeros((len(es), self.kf), np.int64)
-        cnts = nets.values()
         new[
             [i for i, cnt in enumerate(cnts) for _ in cnt],
             [f for cnt in cnts for f in cnt],
         ] = [min(c, 2) for cnt in cnts for c in cnt.values()]
         flip = new != self.level[es]
         self.level[es] = new
-        return es, flip
-
-    # -- terms and scores -------------------------------------------------------
+        return flip
 
     def _terms(self, t: np.ndarray) -> np.ndarray:
-        """The correction terms of triples t, from the mirrors.
+        """The correction terms of triples t.
 
         Written as a mixed second difference over the two host sets, the
         net's cost delta cancels everywhere except at the two originals
@@ -256,64 +243,46 @@ class ExchangeTable:
 
     # -- build and commit ---------------------------------------------------
 
-    def build(self, vertices: dict, nets: dict) -> None:
-        """Install the whole state, in `commit`'s form with every vertex and
-        net, then fill every term, correction and best partner.  Works in
-        runs of about CHUNK triples, then CHUNK slots."""
-        self._set_vertices(vertices)
-        self._set_levels(nets)
+    def build(self) -> None:
+        """Fill every level, term, correction and best partner from the
+        state's facts: `commit`'s steps over every net, triple and slot,
+        from zero terms and no bests."""
+        self._set_levels(np.arange(len(self.level)))
+        self.term[:] = 0
         self.corr[:] = 0
-        n_tri = len(self.term)
-        for lo in range(0, n_tri, CHUNK):
-            hi = min(lo + CHUNK, n_tri)
-            terms = self.term[lo:hi] = self._terms(np.arange(lo, hi))
-            np.add.at(self.corr, self.pair[lo:hi], terms)
+        self._retally(np.arange(len(self.term), dtype=I32))
         self.best_g[:] = NONE
         self.best_u[:] = -1
-        # slot runs that start at a vertex's first slot
-        n_slots = int(self.ptr[-1])
-        cut = self.ptr[self.ptr.searchsorted(np.arange(CHUNK, n_slots, CHUNK))].tolist()
-        bounds = [0, *cut, n_slots]
-        for lo, hi in zip(bounds, bounds[1:]):
-            self._settle(np.arange(lo, hi), [])
+        self._settle(np.arange(len(self.owner), dtype=I32))
 
-    def commit(self, vertices: dict, nets: dict, rebuilt: np.ndarray, old: np.ndarray) -> None:
-        """Bring terms, corrections and best partners up to date after a
-        commit, given what it changed: `vertices` {v: (original,
-        nearest-host row, nearest-replica row or None)} of the touched
-        vertices, whose host sets the state has stored, `nets` {e: drain
-        counts {f: count}} of every net with a touched member, and the
-        `rebuilt` vertices, whose move rows the state has stored, with
-        those rows as they were before (`old`, one per vertex)."""
-        touched = self._set_vertices(vertices)
-        es, flip = self._set_levels(nets)
-        changed = self._retally(self._hot(touched, es, flip))
+    def commit(self, touched: np.ndarray, es: np.ndarray, rebuilt: np.ndarray, old: np.ndarray) -> None:
+        """Bring levels, terms, corrections and best partners up to date
+        after a commit whose facts the state has installed, given what it
+        changed: the `touched` vertices, the nets `es` with a touched
+        member, and the `rebuilt` vertices, whose move rows the state has
+        stored, with those rows as they were before (`old`, one per
+        vertex)."""
+        changed = self._retally(self._hot(touched, es, self._set_levels(es)))
         new = self.move[rebuilt]
         at = old != new  # per rebuilt vertex, the FPGAs where its row changed
         # the vertices whose OUT places changed: they moved, or their row
         # became or stopped being all OUT
         moved = rebuilt[((old == OUT) != (new == OUT)).any(1)]
-        # a pair of v with a partner on an FPGA where v's row changed
+        # a pair of v with a partner on an FPGA where v's row changed, and
+        # every pair of a vertex that moved
         seg, row = _ranges(self.ptr[rebuilt], self.ptr[rebuilt + 1])
         seg = seg[at[row, self.orig[self.partner[seg]]]]
-        # every pair of a vertex that moved
         every, _ = _ranges(self.ptr[moved], self.ptr[moved + 1])
-        slots = _dedupe(np.concatenate((*changed, seg, self.rev[seg], self.rev[every])))
-        if not len(slots):
-            return
+        pairs = self.slot_pair[np.concatenate((seg, every))]
+        slots = np.concatenate((*changed, self.pair_slots[pairs].reshape(-1)))
+        # a vertex that moved, or whose stored partner's pair changed,
+        # forgets its best and is given its whole segment
         owners = self.owner[slots].astype(np.intp)
-        # a vertex whose stored partner's pair changed rescans its segment
-        stale = owners[self.partner[slots] == self.best_u[owners]]
-        full = _dedupe(np.concatenate((moved, stale)))
-        if len(full):
-            mark = self._mark
-            mark[full] = True
-            keep = ~mark[owners]
-            mark[full] = False
-            seg, _ = _ranges(self.ptr[full], self.ptr[full + 1])
-            slots = np.concatenate((slots[keep], seg))
-            slots.sort(kind="stable")
-        self._settle(slots, full)
+        full = _dedupe(np.concatenate((moved, owners[self.partner[slots] == self.best_u[owners]])))
+        self.best_g[full] = NONE
+        self.best_u[full] = -1
+        seg, _ = _ranges(self.ptr[full], self.ptr[full + 1])
+        self._settle(_dedupe(np.concatenate((slots, seg))))
 
     def _hot(self, touched: np.ndarray, es: np.ndarray, flip: np.ndarray) -> np.ndarray:
         """The triples of the nets `es` whose terms a commit can alter, from
@@ -355,37 +324,23 @@ class ExchangeTable:
                 out.append(self.pair_slots[pairs].reshape(-1))
         return out
 
-    def _settle(self, slots: np.ndarray, rescan) -> None:
-        """Score the sorted `slots` against the stored best of their
-        owners, of which those in `rescan` forget their stored best first
-        (all their slots are given), and store the bests.  A vertex
-        without slots has no pairs, so no entry, before and after.  Slots
-        are scored in runs of about CHUNK, split between owners, which
-        bounds the temporaries of a build on a level with millions of
-        pairs."""
-        if len(slots) <= CHUNK:
-            self._settle_run(slots, rescan)
-            return
-        owners = self.owner[slots]
-        for run in np.split(slots, owners.searchsorted(owners[CHUNK::CHUNK])):
-            self._settle_run(run, rescan)
-
-    def _settle_run(self, slots: np.ndarray, rescan) -> None:
-        """`_settle` on slots that hold every given slot of their owners."""
-        if not len(slots):
-            return
-        vs, g, u = self._best(slots)
-        base_g = self.best_g[vs]
-        base_u = self.best_u[vs]
-        if len(rescan):
-            mark = self._mark
-            mark[rescan] = True
-            forget = mark[vs]
-            mark[rescan] = False
-            base_g = np.where(forget, NONE, base_g)
-            base_u = np.where(forget, -1, base_u)
-        better = (g > base_g) | ((g == base_g) & (u < base_u))
-        g = np.where(better, g, base_g)
-        u = np.where(better, u, base_u)
-        self.best_g[vs] = g
-        self.best_u[vs] = u
+    def _settle(self, slots: np.ndarray) -> None:
+        """Score the sorted distinct `slots` against the stored best of
+        their owners, and store the better.  An owner whose best was reset
+        must be given all of its slots; a vertex without slots has no
+        pairs, so no entry.  Slots are scored in runs of about CHUNK, split
+        between owners, which bounds the temporaries of a build on a level
+        with millions of pairs."""
+        runs = [slots]
+        if len(slots) > CHUNK:
+            owners = self.owner[slots]
+            runs = np.split(slots, owners.searchsorted(owners[CHUNK::CHUNK]))
+        for run in runs:
+            if not len(run):
+                continue
+            vs, g, u = self._best(run)
+            base_g = self.best_g[vs]
+            base_u = self.best_u[vs]
+            better = (g > base_g) | ((g == base_g) & (u < base_u))
+            self.best_g[vs] = np.where(better, g, base_g)
+            self.best_u[vs] = np.where(better, u, base_u)

@@ -49,13 +49,15 @@ nor exchange is enabled.  A commit writes the rebuilt vertices' rows into
 An exchange gain is the two endpoints' move gains plus a correction over
 the nets they share.  One array table per level, an `ExchangeTable` the
 state owns, keeps every exchange entry's gain and each vertex's best
-partner.  It reads the move gains in place, through the view `gains[0]`
-it was built with, and holds no reference back to the state: after a
-commit the state makes one call, `ExchangeTable.commit`, with the touched
-vertices' originals, host sets and hop rows, the changed nets' drain
-counts, and the rebuilt vertices with their move rows from before the
-commit, and the table alone works out which terms, pairs and partners to
-redo (see `_exchange`).
+partner.  Every fact it reads is the state's own, read in place: the
+arrays `orig`, `hop` and `rep_hop` (each vertex's original and
+nearest-host and nearest-replica rows), which `_install` writes with the
+host sets, the host mask `hosted`, the move rows `gains[0]` and the list
+of drain counts.  It holds no reference back to the state: after a
+commit the state makes one call, `ExchangeTable.commit`, naming the
+touched vertices, the changed nets, and the rebuilt vertices with their
+move rows from before the commit, and the table alone works out which
+terms, pairs and partners to redo (see `_exchange`).
 
 Selection is one masked argmax over those arrays (`peek_best`).  Of the
 entries whose gain is acceptable, it keeps those whose resource deltas
@@ -78,7 +80,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._exchange import NONE, OUT, ExchangeTable
+from ._exchange import FAR, NONE, OUT, ExchangeTable
 from .metrics import fpga_usage, net_terms
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
@@ -291,26 +293,24 @@ class RefineState:
 
         n = h.num_vertices
         self.kf = t.k_fpgas
-        self.krt = t.num_resource_types
-        self.caps = np.array([c.values for c in t.capacities], np.int64).reshape(self.kf, self.krt)
+        self.caps = t.capacity_matrix()
         self.io_limits = list(t.io_limits)
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
-        # per resource type, every vertex's weight
-        self.weights = np.array(
-            [v.weight.values for v in h.vertices], np.int64
-        ).reshape(n, self.krt).T.copy()
+        self.weights = h.weight_matrix().T  # per resource type, every vertex's weight
 
         # every vertex's host set, replaced at each commit by the one
-        # `_change` gave, and as an n x K mask; and per-edge counts of
-        # drain copies per FPGA, kept current so gain rebuilds never
-        # rescan (possibly huge) drain lists
-        self.hosts = [frozenset(self.p.hosts(v)) for v in range(n)]
+        # `_change` gave, and the facts read from it (see `_install`); and
+        # per-edge counts of drain copies per FPGA, kept current so gain
+        # rebuilds never rescan (possibly huge) drain lists
+        self.hosts: list[frozenset] = [frozenset()] * n
+        self.host_hop: list[tuple[int, ...]] = [()] * n
+        self.orig = np.zeros(n, np.intp)
+        self.hop = np.zeros((n, self.kf), np.int64)
+        self.rep_hop = np.full((n, self.kf), FAR, np.int64)
         self.hosted = np.zeros((n, self.kf), bool)
-        self.hosted[
-            [v for v, hs in enumerate(self.hosts) for _ in hs],
-            [f for hs in self.hosts for f in hs],
-        ] = True
+        for x in range(n):
+            self._install(x, frozenset(self.p.hosts(x)))
         self.edge_drain_cnt = [_drain_counts(h, self.hosts, e.id) for e in h.edges]
         self.thd = 0
         self.io = [0] * self.kf
@@ -321,11 +321,9 @@ class RefineState:
                 self.io[f] += e.weight
         self.usage = [list(u.values) for u in fpga_usage(h, self.p, self.kf)]
 
-        # nearest-copy hop row of every vertex's host set; the nets each
-        # vertex sources, as (e, weight), and drains, as (e, weight,
-        # source); and per drain FPGA g and cap c, the hops min(c,
+        # the nets each vertex sources, as (e, weight), and drains, as (e,
+        # weight, source); and per drain FPGA g and cap c, the hops min(c,
         # dist[f][g]) over f, filled as asked for
-        self.host_hop = [hm.nearest(hs)[0] for hs in self.hosts]
         self.sourced: list[list[tuple[int, int]]] = [[] for _ in h.vertices]
         self.drained: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
         for e in h.edges:
@@ -348,11 +346,14 @@ class RefineState:
         self.replicates_applied = 0
         # every vertex's move, replicate and delete rows (see the module
         # docstring); and the exchange pairs of this level, whose table
-        # reads the move rows and host mask in place and holds no
-        # reference back here
+        # reads the vertex facts, the move rows and the drain counts in
+        # place and holds no reference back here
         self.gains = np.full((len(FPGA_KINDS), n, self.kf), OUT, np.int64)
         self.exchange = (
-            ExchangeTable(h, hm.dist, self.kf, self.gains[0], self.hosted)
+            ExchangeTable(
+                h, hm.dist, self.orig, self.hop, self.rep_hop, self.hosted, self.gains[0],
+                self.edge_drain_cnt,
+            )
             if "exchange" in self.enabled else None
         )
 
@@ -392,17 +393,21 @@ class RefineState:
             rows.append(self._mrd_rows(len(rows)))
         self._store_rows(np.arange(len(rows)), rows)
         if len(rows) == n and self.exchange is not None and not _past(deadline):
-            self.exchange.build(
-                {v: self._exchange_facts(v) for v in range(n)},
-                dict(enumerate(self.edge_drain_cnt)),
-            )
+            self.exchange.build()
 
-    def _exchange_facts(self, v: int) -> tuple:
-        """What the exchange table is handed of v: its original and its
-        nearest-host and nearest-replica rows (None without a replica)."""
-        reps = self.p.replicas[v]
-        rep_hop = self.hm.nearest(reps)[0] if reps else None
-        return self.p.original[v], self.host_hop[v], rep_hop
+    def _install(self, x: int, hosts: frozenset) -> None:
+        """Store x's host set, which the placement already holds, and every
+        fact read from it: `hosts[x]`, its nearest-host row as a tuple
+        (`host_hop[x]`) and as an array row (`hop[x]`), its nearest-replica
+        row (`rep_hop[x]`, FAR without a replica), its original
+        (`orig[x]`) and its row of the host mask (`hosted[x]`)."""
+        reps = self.p.replicas[x]
+        self.hosts[x] = hosts
+        self.host_hop[x] = self.hop[x] = self.hm.nearest(hosts)[0]
+        self.rep_hop[x] = self.hm.nearest(reps)[0] if reps else FAR
+        self.orig[x] = self.p.original[x]
+        self.hosted[x] = False
+        self.hosted[x, list(hosts)] = True
 
     def _partner(self, v: int) -> int | None:
         """v's stored exchange partner, None without one."""
@@ -626,7 +631,7 @@ class RefineState:
             # leaves, for (x, y) = (v, u) and (u, v)
             x = np.concatenate((v, table.best_u[v]))
             y = np.concatenate((x[len(v):], v))
-            at = table.orig[y]
+            at = self.orig[y]
             adds = ~hosted[x * kf + at]
             ok = np.ones(len(x), bool)
             for w, room in rooms:
@@ -746,10 +751,7 @@ class RefineState:
         for e, (_, cnt) in after.items():
             self.edge_drain_cnt[e] = cnt
         for x, hosts in change.items():
-            self.hosts[x] = hosts
-            self.host_hop[x] = self.hm.nearest(hosts)[0]
-            self.hosted[x] = False
-            self.hosted[x, list(hosts)] = True
+            self._install(x, hosts)
         for f, dv in deltas.items():
             row = self.usage[f]
             for i, d in enumerate(dv.tolist()):
@@ -882,10 +884,11 @@ class RefineState:
         return dirty
 
     def _refresh_after(self, dirty: set[int], change: dict, after: dict) -> None:
-        """Rebuild and store the dirty vertices' rows, then hand the
-        exchange table what the commit of `change` changed: the touched
-        vertices' facts, the changed nets' drain counts (`after`) and the
-        dirty vertices with their old move rows."""
+        """Rebuild and store the dirty vertices' rows, then name to the
+        exchange table, whose facts `_install` and the drain counts already
+        hold, what the commit of `change` changed: the touched vertices,
+        the changed nets (those of `after`) and the dirty vertices with
+        their old move rows."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self._build_entries()
@@ -895,8 +898,8 @@ class RefineState:
         self._store_rows(vs, [self._mrd_rows(v) for v in vs.tolist()])
         if self.exchange is not None:
             self.exchange.commit(
-                {x: self._exchange_facts(x) for x in change},
-                {e: cnt for e, (_, cnt) in after.items()},
+                np.fromiter(change, np.intp, len(change)),
+                np.fromiter(after, np.intp, len(after)),
                 vs,
                 old,
             )

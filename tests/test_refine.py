@@ -5,9 +5,10 @@ import time
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from mfspart._exchange import NONE, OUT, ExchangeTable
+from mfspart._exchange import FAR, NONE, OUT, ExchangeTable
 from mfspart.cli import run_pipeline
 from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
@@ -1247,6 +1248,32 @@ def test_exchange_table_in_runs_of_a_few_slots(monkeypatch):
     assert bank_snapshot(state) == first
     run_refine_loop(state)
     assert state.applied == whole.applied and state.p == whole.p
+
+
+def test_exchange_table_reads_the_state_facts_in_place():
+    # the state owns every fact a term or a pair gain reads and writes it
+    # at each commit; the table was built with views of those arrays and
+    # with the state's list of drain counts, so it keeps no copy that a
+    # commit would have to hand over
+    state = RefineState(*tight_state(4, n=20, m=36))
+    table = state.exchange
+    for mine, theirs in (
+        (table.orig, state.orig),
+        (table.host_hop, state.hop),
+        (table.rep_hop, state.rep_hop),
+        (table.host, state.hosted),
+        (table.move, state.gains),
+    ):
+        assert np.shares_memory(mine, theirs)
+    assert table.drain_cnt is state.edge_drain_cnt
+    run_refine_loop(state)
+    assert state.applied
+    p, hm, n = state.p, state.hm, state.h.num_vertices
+    assert state.orig.tolist() == p.original
+    assert state.hop.tolist() == [list(hm.nearest(p.hosts(v))[0]) for v in range(n)]
+    far = [FAR] * state.kf
+    reps = [list(hm.nearest(r)[0]) if r else far for r in p.replicas]
+    assert any(p.replicas) and state.rep_hop.tolist() == reps
 
 
 def test_refine_state_freed_with_its_last_reference():
