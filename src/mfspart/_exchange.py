@@ -92,7 +92,7 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
 class ExchangeTable:
     """The exchange pairs of one hypergraph level (see the module docstring)."""
 
-    def __init__(self, h, dist, orig, host_hop, rep_hop, host, move, drain_cnt: list):
+    def __init__(self, h, dist, orig, host_hop, rep_hop, host, move, drain_cnt):
         n, m = h.num_vertices, h.num_edges
         kf = move.shape[1]
         sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
@@ -255,7 +255,9 @@ class ExchangeTable:
         self.best_u[:] = -1
         self._settle(np.arange(len(self.owner), dtype=I32))
 
-    def commit(self, touched: np.ndarray, es: np.ndarray, rebuilt: np.ndarray, old: np.ndarray) -> None:
+    def commit(
+        self, touched: np.ndarray, es: np.ndarray, rebuilt: np.ndarray, old: np.ndarray
+    ) -> None:
         """Bring levels, terms, corrections and best partners up to date
         after a commit whose facts the state has installed, given what it
         changed: the `touched` vertices, the nets `es` with a touched
