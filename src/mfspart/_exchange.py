@@ -12,11 +12,12 @@ shared net.  The table holds, per level:
   directed slots in CSR by vertex, each vertex's slots sorted by partner
   id;
 - what a term or a pair gain reads, as the refinement state's own
-  objects, read in place: each vertex's original, its nearest-host and
-  nearest-replica hop rows (FAR without a replica), the host sets as an
-  n x K boolean matrix, the move rows, an n x K array of move gains (OUT
-  where there is no move), and each net's drain counts per FPGA; and,
-  kept here, each net's level per FPGA;
+  objects, read in place: the level's pin index (`PinIndex`: each net's
+  members, source first, its source and its weight), each vertex's
+  original, its nearest-host and nearest-replica hop rows (FAR without a
+  replica), the host sets as an n x K boolean matrix, the move rows, an
+  n x K array of move gains (OUT where there is no move), and the m x K
+  matrix of each net's drain counts per FPGA;
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
   gain first, then the lower partner id.  best_u holds the partner, -1
@@ -24,18 +25,19 @@ shared net.  The table holds, per level:
   partner off its FPGA).
 
 The state writes every fact itself, so a commit only names what changed:
-`commit(touched, es, rebuilt, old)` takes the vertices the commit
-touched, the nets with a touched member, and the vertices whose move rows
-it rebuilt with those rows as they were before it, and works out what to
+`commit(touched, es, flip, rebuilt, old)` takes the vertices the commit
+touched, the nets with a touched member, per such net and FPGA whether
+its drain count crossed 0|1 or 1|2, and the vertices whose move rows it
+rebuilt with those rows as they were before it, and works out what to
 redo itself:
 
-- levels: a term reads of net e's drain count at FPGA f only whether it
-  is zero and whether it is at most one, so the table keeps the level
-  min(2, count), and a count that crosses 0|1 or 1|2 changes a level;
+- crossings: a term reads of net e's drain count at FPGA f only whether
+  it is zero and whether it is at most one, so only a count that crosses
+  0|1 or 1|2 can change a term through it;
 - hot triples: a term reads e's source row, the two members' originals
-  and hosts, and the levels at their originals.  So every triple of a
+  and hosts, and the counts at their originals.  So every triple of a
   net whose source was touched is hot; otherwise those of a touched
-  member, or of a member whose original holds a changed level, found in
+  member, or of a member whose original holds a crossing, found in
   one array pass over the nets' pins.  A hot triple's term is
   recomputed, and a nonzero delta added to its pair's correction;
 - changed pairs: those of a hot triple whose term changed, and, for a
@@ -53,8 +55,7 @@ triple and slot, from zero terms and no bests.
 
 Neither returns anything: the state's selection reads each vertex's best
 from `best_g` and `best_u` in place.  The table holds no reference to the
-refinement state, only the arrays and the list of drain counts it was
-built with.
+refinement state, only the arrays it was built with.
 """
 
 from __future__ import annotations
@@ -89,23 +90,41 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
 
 
+class PinIndex:
+    """One hypergraph level's pins as arrays, built once by the refinement
+    state and read by its exchange table: every net's members in CSR
+    (`pin_ptr`, `pins`), source first; each net's `source` and `weight`;
+    and every vertex's nets, drained or sourced, in CSR by vertex
+    (`inc_ptr`, `inc`), in ascending net order."""
+
+    def __init__(self, h):
+        n, m = h.num_vertices, h.num_edges
+        sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
+        self.pin_ptr = np.zeros(m + 1, np.intp)
+        np.cumsum(sizes, out=self.pin_ptr[1:])
+        n_pins = int(self.pin_ptr[-1])
+        self.pins = np.fromiter((x for e in h.edges for x in e.members), I32, n_pins)
+        self.source = self.pins[self.pin_ptr[:-1]].astype(np.intp)
+        self.weight = np.fromiter((e.weight for e in h.edges), np.int64, m)
+        self.inc_ptr = np.zeros(n + 1, np.intp)
+        np.cumsum(np.bincount(self.pins, minlength=n), out=self.inc_ptr[1:])
+        pin_net = np.repeat(np.arange(m, dtype=I32), sizes)
+        self.inc = pin_net[np.argsort(self.pins, kind="stable")]
+
+
 class ExchangeTable:
     """The exchange pairs of one hypergraph level (see the module docstring)."""
 
-    def __init__(self, h, dist, orig, host_hop, rep_hop, host, move, drain_cnt):
-        n, m = h.num_vertices, h.num_edges
-        kf = move.shape[1]
-        sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
-        pin_ptr = np.zeros(m + 1, np.intp)
-        np.cumsum(sizes, out=pin_ptr[1:])
-        n_pins = int(pin_ptr[-1])
-        pins = np.fromiter((x for e in h.edges for x in e.members), I32, n_pins)
-        pin_net = np.repeat(np.arange(m, dtype=I32), sizes)
-        self.source = pins[pin_ptr[:-1]].astype(np.intp)
-        self.weight = np.fromiter((e.weight for e in h.edges), np.int64, m)
-        self.dist = np.array(dist, np.int64).reshape(kf, kf)
-        self.kf = kf
-        self.tri_ptr = np.zeros(m + 1, np.intp)
+    def __init__(self, index, dist, orig, host_hop, rep_hop, host, move, cnt):
+        n = len(orig)
+        pin_ptr, pins = index.pin_ptr, index.pins
+        sizes = np.diff(pin_ptr)
+        n_pins = len(pins)
+        pin_net = np.repeat(np.arange(len(sizes), dtype=I32), sizes)
+        self.source = index.source
+        self.weight = index.weight
+        self.dist = dist
+        self.tri_ptr = np.zeros(len(pin_ptr), np.intp)
         np.cumsum(sizes * (sizes - 1) // 2, out=self.tri_ptr[1:])
         self.pin_ptr = pin_ptr
         self.pins = pins
@@ -168,28 +187,14 @@ class ExchangeTable:
         self.rep_hop = rep_hop
         self.host = host
         self.move = move
-        self.drain_cnt = drain_cnt
-        self.level = np.zeros((m, kf), np.int64)
+        self.cnt = cnt
         self.term = np.zeros(n_tri, np.int64)
         self.corr = np.zeros(n_pairs, np.int64)
         self.best_g = np.full(n, NONE, np.int64)
         self.best_u = np.full(n, -1, np.intp)
         self._mark = np.zeros(n, bool)  # scratch vertex marks
 
-    # -- levels, terms and scores -------------------------------------------
-
-    def _set_levels(self, es: np.ndarray) -> np.ndarray:
-        """Set the levels of the nets es from their drain counts; returns,
-        per net and FPGA, whether its level changed."""
-        cnts = [self.drain_cnt[e] for e in es.tolist()]
-        new = np.zeros((len(es), self.kf), np.int64)
-        new[
-            [i for i, cnt in enumerate(cnts) for _ in cnt],
-            [f for cnt in cnts for f in cnt],
-        ] = [min(c, 2) for cnt in cnts for c in cnt.values()]
-        flip = new != self.level[es]
-        self.level[es] = new
-        return flip
+    # -- terms and scores ---------------------------------------------------
 
     def _terms(self, t: np.ndarray) -> np.ndarray:
         """The correction terms of triples t.
@@ -210,13 +215,13 @@ class ExchangeTable:
         from_src = a == s
         pa = self.orig[a]
         pb = self.orig[b]
-        level = self.level
+        cnt = self.cnt
         hop = self.host_hop
-        at_b = ((level[e, pb] <= 1) & (from_src | ~self.host[a, pb])) * hop[s, pb]
+        at_b = ((cnt[e, pb] <= 1) & (from_src | ~self.host[a, pb])) * hop[s, pb]
         hop_a = np.where(from_src, np.minimum(self.dist[pb, pa], self.rep_hop[s, pa]), hop[s, pa])
         # no other drain covers pa: a count of 1 at a drain's FPGA, 0 at
         # the source's
-        at_a = ((level[e, pa] == ~from_src) & ~self.host[b, pa]) * hop_a
+        at_a = ((cnt[e, pa] == ~from_src) & ~self.host[b, pa]) * hop_a
         at_a += at_b
         at_a *= -self.weight[e]
         return at_a
@@ -244,10 +249,9 @@ class ExchangeTable:
     # -- build and commit ---------------------------------------------------
 
     def build(self) -> None:
-        """Fill every level, term, correction and best partner from the
-        state's facts: `commit`'s steps over every net, triple and slot,
-        from zero terms and no bests."""
-        self._set_levels(np.arange(len(self.level)))
+        """Fill every term, correction and best partner from the state's
+        facts: `commit`'s steps over every triple and slot, from zero terms
+        and no bests."""
         self.term[:] = 0
         self.corr[:] = 0
         self._retally(np.arange(len(self.term), dtype=I32))
@@ -256,15 +260,21 @@ class ExchangeTable:
         self._settle(np.arange(len(self.owner), dtype=I32))
 
     def commit(
-        self, touched: np.ndarray, es: np.ndarray, rebuilt: np.ndarray, old: np.ndarray
+        self,
+        touched: np.ndarray,
+        es: np.ndarray,
+        flip: np.ndarray,
+        rebuilt: np.ndarray,
+        old: np.ndarray,
     ) -> None:
-        """Bring levels, terms, corrections and best partners up to date
-        after a commit whose facts the state has installed, given what it
-        changed: the `touched` vertices, the nets `es` with a touched
-        member, and the `rebuilt` vertices, whose move rows the state has
-        stored, with those rows as they were before (`old`, one per
-        vertex)."""
-        changed = self._retally(self._hot(touched, es, self._set_levels(es)))
+        """Bring terms, corrections and best partners up to date after a
+        commit whose facts the state has installed, given what it changed:
+        the `touched` vertices, the nets `es` with a touched member, per
+        such net and FPGA whether its count crossed 0|1 or 1|2 (`flip`,
+        one row per net), and the `rebuilt` vertices, whose move rows the
+        state has stored, with those rows as they were before (`old`, one
+        per vertex)."""
+        changed = self._retally(self._hot(touched, es, flip))
         new = self.move[rebuilt]
         at = old != new  # per rebuilt vertex, the FPGAs where its row changed
         # the vertices whose OUT places changed: they moved, or their row
@@ -288,10 +298,10 @@ class ExchangeTable:
 
     def _hot(self, touched: np.ndarray, es: np.ndarray, flip: np.ndarray) -> np.ndarray:
         """The triples of the nets `es` whose terms a commit can alter, from
-        the touched vertices and, per net and FPGA, whether its level
-        changed: every triple of a net whose source was touched, otherwise
-        those of a touched member or of one whose original holds a changed
-        level (see the module docstring)."""
+        the touched vertices and, per net and FPGA, whether its count
+        crossed 0|1 or 1|2: every triple of a net whose source was touched,
+        otherwise those of a touched member or of one whose original holds
+        a crossing (see the module docstring)."""
         mark = self._mark
         mark[touched] = True
         whole = mark[self.source[es]]

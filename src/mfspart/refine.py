@@ -12,52 +12,56 @@ have changed.
 
 A prospective operation is a map {vertex: frozenset of its new hosts},
 built by `_change`, which holds each kind's precondition; a commit
-installs those sets in `hosts[v]`.  The state also keeps, per edge, the
-count of drain copies on each FPGA; an operation is
-evaluated by applying its host changes to copies of the affected edges'
-counts and calling `metrics.net_terms` on each changed edge before and
-after, which gives its units (so the gain), worst hop and I/O ports.  On
-commit those same counts are installed.
+installs those sets in `hosts[v]`.  The state also keeps one m x K count
+matrix, `cnt`: per net and FPGA, the number of the net's drains with a
+copy there.  An operation is evaluated by applying its host changes to
+list copies of the affected nets' rows and calling `metrics.net_terms`
+on each changed net's covered FPGAs before and after, which gives its
+units (so the gain), worst hop and I/O ports.  On commit those rows are
+written back in one assignment.
+
+A vertex's move, replicate and delete entries are a closed form in two
+per-FPGA sums over its nets and in its own hop rows (see `_rows`):
+copy_cost, the cost of a copy of it on each FPGA as a drain, and src_w,
+the weight of the nets it sources whose drains cover each FPGA.  The
+sourced cost after a copy is added on f is a sum of src_w times hops
+capped at f's, by the vertex's nearest-replica row for a move and by its
+nearest-host row for a replicate; a delete's fall comes from the
+nearest-host row without that replica.  `_rows` computes all of it for
+any vertex set in a few array passes over the level's pin index
+(`PinIndex`), the count matrix and the host arrays, and keeps nothing
+between calls: the entry build calls it in runs of `RUN` vertices, and
+every commit on the vertices the commit made dirty.
 
 The refresh is driven by count transitions, as in FM-style delta gain
-updates.  A vertex's move, replicate and delete entries read, per incident
-edge, the source's hosts and only the part of the drain counts its own
-copies do not account for.  So the commit compares each changed edge's
-counts before and after, and rebuilds the touched vertices, every drain of
-an edge whose source was touched, the source of an edge whose covered
-FPGAs changed, and a drain for which the FPGAs other drains cover changed
-(a count crossing 0|1 at an FPGA it does not host, or 1|2 at one it
-does); see `_transitions`.
-
-A rebuilt vertex's entries come in closed form from two per-FPGA
-aggregates of its incident edges, copy_cost (the cost of a copy of it on
-each FPGA, as a drain) and src_w (the weight of the edges it sources that
-drain on each FPGA); see `_mrd_rows`.  They are built on the vertex's
-first use and from then on kept by per-net deltas, as an FM gain table
-is: the commit patches them from each changed edge's counts and source
-row, before and after.  The terms that read only src_w and the vertex's
-hosts are cached until either changes, so a rebuild reads no edge and
-costs O(K).  Every vertex's move, replicate and delete gains live in one
-int64 array, `gains`, indexed by kind (in `FPGA_KINDS` order), vertex and
-destination FPGA.  `OUT` is its one "no entry" value: at the vertex's own
-FPGA, for a replicate onto a host, for a delete of a copy that is not a
-replica, at every slot of a vertex without entries, at every slot of a
-disabled replicate or delete, and at every move slot when neither move
-nor exchange is enabled.  A commit writes the rebuilt vertices' rows into
-`gains` (`_store_rows`).
+updates.  A vertex's entries read, per incident net, the source's hosts
+and only the part of the drain counts its own copies do not account
+for.  So the commit compares each changed net's count row before and
+after, as arrays, and rebuilds the touched vertices, every drain of a
+net whose source was touched, the source of a net whose covered FPGAs
+changed, and a drain d for which cnt == [f in hosts(d)] flips at some
+FPGA f: a count crossing 0|1 at an FPGA d does not host, or 1|2 at one
+it does; see `_dirty`.  Every vertex's move, replicate and delete gains
+live in one int64 array, `gains`, indexed by kind (in `FPGA_KINDS`
+order), vertex and destination FPGA.  `OUT` is its one "no entry"
+value: at the vertex's own FPGA, for a replicate onto a host, for a
+delete of a copy that is not a replica, at every slot of a vertex
+without entries, at every slot of a disabled replicate or delete, and
+at every move slot when neither move nor exchange is enabled.
 
 An exchange gain is the two endpoints' move gains plus a correction over
 the nets they share.  One array table per level, an `ExchangeTable` the
 state owns, keeps every exchange entry's gain and each vertex's best
 partner.  Every fact it reads is the state's own, read in place: the
-arrays `orig`, `hop` and `rep_hop` (each vertex's original and
-nearest-host and nearest-replica rows), which `_install` writes with the
-host sets, the host mask `hosted`, the move rows `gains[0]` and the list
-of drain counts.  It holds no reference back to the state: after a
-commit the state makes one call, `ExchangeTable.commit`, naming the
-touched vertices, the changed nets, and the rebuilt vertices with their
-move rows from before the commit, and the table alone works out which
-terms, pairs and partners to redo (see `_exchange`).
+pin index, the arrays `orig`, `hop` and `rep_hop` (each vertex's
+original and nearest-host and nearest-replica rows), which `_install`
+writes with the host sets, the host mask `hosted`, the move rows
+`gains[0]` and the count matrix.  It holds no reference back to the
+state: after a commit the state makes one call, `ExchangeTable.commit`,
+naming the touched vertices, the changed nets with their count
+crossings, and the rebuilt vertices with their move rows from before
+the commit, and the table alone works out which terms, pairs and
+partners to redo (see `_exchange`).
 
 Selection is one masked argmax over those arrays (`peek_best`).  Of the
 entries whose gain is acceptable, it keeps those whose resource deltas
@@ -76,11 +80,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ._exchange import FAR, NONE, OUT, ExchangeTable
+from ._exchange import FAR, NONE, OUT, ExchangeTable, PinIndex, _dedupe, _ranges
 from .metrics import fpga_usage, net_terms
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
@@ -92,6 +97,7 @@ FPGA_KINDS = ("move", "replicate", "delete")  # entries per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
 _FPGA_RANKS = np.array([KIND_RANK[k] for k in FPGA_KINDS])
 _NEVER = np.iinfo(np.int64).max  # above every gain
+RUN = 1 << 12  # vertices per `_rows` pass: bounds its (run, K, K) temporaries
 
 
 def op_kinds(ops) -> tuple[str, ...]:
@@ -143,42 +149,37 @@ def _change(
     raise ValueError(f"unknown op kind '{kind}'")
 
 
-def _drain_counts(h: Hypergraph, hosts, e: int) -> dict[int, int]:
-    """Per FPGA, the number of net e's drains d with it in `hosts[d]`."""
-    cnt: dict[int, int] = {}
-    for d in h.edges[e].drains:
-        for f in hosts[d]:
-            cnt[f] = cnt.get(f, 0) + 1
-    return cnt
+def _drain_counts(h: Hypergraph, hosts, e: int, kf: int) -> np.ndarray:
+    """Net e's row of the count matrix: per FPGA, the number of its drains
+    d with it in `hosts[d]`."""
+    return np.bincount([f for d in h.edges[e].drains for f in hosts[d]], minlength=kf)
+
+
+def _covered(row) -> list[int]:
+    """The FPGAs a count row covers: those with a nonzero count."""
+    return list(compress(range(len(row)), row))
 
 
 def _changed_nets(
-    h: Hypergraph,
-    hosts,
-    change: dict[int, frozenset],
-    drain_cnt: list[dict[int, int]] | dict[int, dict[int, int]],
-) -> dict[int, tuple[frozenset, dict[int, int]]]:
-    """Source hosts and drain-host counts, after a prospective change
+    h: Hypergraph, hosts, change: dict[int, frozenset], drain_cnt
+) -> dict[int, tuple[frozenset, list[int]]]:
+    """Source hosts and drain count rows, after a prospective change
     {vertex: new host set}, of every net with a changed member, from the
-    current `hosts[v]` and `drain_cnt[e]` (copied, not edited)."""
-    after: dict[int, tuple[frozenset, dict[int, int]]] = {}
+    current `hosts[v]` and count rows `drain_cnt[e]`, copied as lists."""
+    after: dict[int, tuple[frozenset, list[int]]] = {}
     for v, new in change.items():
         old = hosts[v]
         for e in h.incidence[v]:
             src = h.edges[e].source
             if e not in after:
-                after[e] = (change.get(src, hosts[src]), dict(drain_cnt[e]))
+                after[e] = (change.get(src, hosts[src]), drain_cnt[e].tolist())
             if src == v:
                 continue
             cnt = after[e][1]
             for f in old:
-                c = cnt[f] - 1
-                if c:
-                    cnt[f] = c
-                else:
-                    del cnt[f]
+                cnt[f] -= 1
             for f in new:
-                cnt[f] = cnt.get(f, 0) + 1
+                cnt[f] += 1
     return after
 
 
@@ -207,12 +208,12 @@ def _gain_of(
     # changed vertices themselves (an isolated one reaches no net)
     nets = {e for x in change for e in h.incidence[x]}
     hosts = {x: p.hosts(x) for x in (*change, *(m for e in nets for m in h.edges[e].members))}
-    cnts = {e: _drain_counts(h, hosts, e) for e in nets}
+    cnts = {e: _drain_counts(h, hosts, e, hm.k_fpgas) for e in nets}
     g = 0
     for e, (src_hosts, cnt) in _changed_nets(h, hosts, change, cnts).items():
         edge = h.edges[e]
-        before = net_terms(hm, hosts[edge.source], cnts[e])[0]
-        g += edge.weight * (before - net_terms(hm, src_hosts, cnt)[0])
+        before = net_terms(hm, hosts[edge.source], _covered(cnts[e]))[0]
+        g += edge.weight * (before - net_terms(hm, src_hosts, _covered(cnt))[0])
     return g
 
 
@@ -292,48 +293,52 @@ class RefineState:
         self.incremental = incremental
 
         n = h.num_vertices
-        self.kf = t.k_fpgas
+        kf = self.kf = t.k_fpgas
         self.caps = t.capacity_matrix()
         self.io_limits = list(t.io_limits)
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
         self.weights = h.weight_matrix().T  # per resource type, every vertex's weight
+        self.index = ix = PinIndex(h)
+        self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
 
         # every vertex's host set, replaced at each commit by the one
-        # `_change` gave, and the facts read from it (see `_install`); and
-        # per-edge counts of drain copies per FPGA, kept current so gain
-        # rebuilds never rescan (possibly huge) drain lists
-        self.hosts: list[frozenset] = [frozenset()] * n
-        self.host_hop: list[tuple[int, ...]] = [()] * n
-        self.orig = np.zeros(n, np.intp)
-        self.hop = np.zeros((n, self.kf), np.int64)
-        self.rep_hop = np.full((n, self.kf), FAR, np.int64)
-        self.hosted = np.zeros((n, self.kf), bool)
-        for x in range(n):
-            self._install(x, frozenset(self.p.hosts(x)))
-        self.edge_drain_cnt = [_drain_counts(h, self.hosts, e.id) for e in h.edges]
+        # `_change` gave, and the facts read from it (see `_install`): set
+        # for every vertex at once as if it had no replica, then installed
+        # one by one for those that have one
+        single = [frozenset((f,)) for f in range(kf)]
+        self.hosts: list[frozenset] = [single[f] for f in self.p.original]
+        self.orig = np.array(self.p.original, np.intp).reshape(n)
+        # the nearest-host and nearest-replica rows, in one array so that
+        # `_sums` reads both of a vertex set in one pass
+        self._hops = np.full((2, n, kf), FAR, np.int64)
+        self.hop, self.rep_hop = self._hops
+        self.hop[:] = self.dist[self.orig]
+        self.hosted = np.zeros((n, kf), bool)
+        self.hosted[np.arange(n), self.orig] = True
+        for x, reps in enumerate(self.p.replicas):
+            if reps:
+                self._install(x, frozenset(reps | {self.p.original[x]}))
+        # per net and FPGA, the number of the net's drains with a copy
+        # there: one scatter over the drain pins' copies
+        m = h.num_edges
+        drains = np.ones(len(ix.pins), bool)
+        drains[ix.pin_ptr[:-1]] = False
+        net = np.repeat(np.arange(m), np.diff(ix.pin_ptr))[drains]
+        pin, f = np.nonzero(self.hosted[ix.pins[drains]])
+        self.cnt = np.bincount(net[pin] * kf + f, minlength=m * kf).reshape(m, kf)
         self.thd = 0
-        self.io = [0] * self.kf
-        for e, cnt in zip(h.edges, self.edge_drain_cnt):
-            units, _, ports = net_terms(hm, self.hosts[e.source], cnt)
+        self.io = [0] * kf
+        for e, row in zip(h.edges, self.cnt.tolist()):
+            units, _, ports = net_terms(hm, self.hosts[e.source], _covered(row))
             self.thd += e.weight * units
             for f in ports:
                 self.io[f] += e.weight
-        self.usage = [list(u.values) for u in fpga_usage(h, self.p, self.kf)]
+        self.usage = [list(u.values) for u in fpga_usage(h, self.p, kf)]
 
-        # the nets each vertex sources, as (e, weight), and drains, as (e,
-        # weight, source); and per drain FPGA g and cap c, the hops min(c,
-        # dist[f][g]) over f, filled as asked for
-        self.sourced: list[list[tuple[int, int]]] = [[] for _ in h.vertices]
-        self.drained: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
-        for e in h.edges:
-            self.sourced[e.source].append((e.id, e.weight))
-            for d in e.drains:
-                self.drained[d].append((e.id, e.weight, e.source))
-        self._capped: list[dict] = [{None: col} for col in zip(*hm.dist)]
         # an entry's item id is (KIND_RANK[kind] * n + v) * K + dest, dest 0
         # for an exchange: its order is the tie order
-        self._span = n * self.kf
+        self._span = n * kf
         # (vertex, FPGA) pairs a vertex left by a zero-gain move or
         # exchange since the last positive-gain commit
         self.left_at_zero: set[tuple[int, int]] = set()
@@ -346,13 +351,13 @@ class RefineState:
         self.replicates_applied = 0
         # every vertex's move, replicate and delete rows (see the module
         # docstring); and the exchange pairs of this level, whose table
-        # reads the vertex facts, the move rows and the drain counts in
-        # place and holds no reference back here
-        self.gains = np.full((len(FPGA_KINDS), n, self.kf), OUT, np.int64)
+        # reads the pin index, the vertex facts, the move rows and the
+        # count matrix in place and holds no reference back here
+        self.gains = np.full((len(FPGA_KINDS), n, kf), OUT, np.int64)
         self.exchange = (
             ExchangeTable(
-                h, hm.dist, self.orig, self.hop, self.rep_hop, self.hosted, self.gains[0],
-                self.edge_drain_cnt,
+                ix, self.dist, self.orig, self.hop, self.rep_hop, self.hosted, self.gains[0],
+                self.cnt,
             )
             if "exchange" in self.enabled else None
         )
@@ -363,47 +368,38 @@ class RefineState:
 
     def _build_entries(self, deadline: float | None = None) -> None:
         """Build every entry from scratch: every vertex's rows, stored into
-        an all-OUT `gains`, then the exchange entries, which read the move
-        rows.  Stops at the first vertex that starts past `deadline`, and
-        builds no exchange entry once it has passed.  Every aggregate and
-        cache starts empty."""
+        an all-OUT `gains` in runs of `RUN` vertices, then the exchange
+        entries, which read the move rows.  Stops at the first run that
+        starts past `deadline`, and builds no exchange entry once it has
+        passed."""
         n = self.h.num_vertices
-        # per vertex, built by `_aggregates` on first use and from then on
-        # kept by per-net deltas (see `_transitions`): copy_cost[v][f], the
-        # cost of a copy of v on f as a drain, and src_w[v], per FPGA f the
-        # weight of the nets v sources whose drains cover f; src_terms[v]
-        # caches what `_mrd_rows` reads of src_w[v] and v's hosts
-        self.copy_cost: list[list[int] | None] = [None] * n
-        self.src_w: list[dict[int, int] | None] = [None] * n
-        self.src_terms: list[tuple | None] = [None] * n
+        ix = self.index
         # v has entries exactly when it has a replica or cut[v] > 0: the
         # count of its nets that do not lie wholly on one FPGA (`_local`)
-        self.cut = [0] * n
-        for e, cnt in zip(self.h.edges, self.edge_drain_cnt):
-            if not _local(self.hosts[e.source], cnt):
-                for x in e.members:
-                    self.cut[x] += 1
+        held = self.hosted[ix.source]
+        cut = ((self.cnt > 0) != held).any(1) | (held.sum(1) != 1)
+        self.cut = np.bincount(ix.pins[np.repeat(cut, np.diff(ix.pin_ptr))], minlength=n)
         # an entry of an enabled kind is a slot of `gains` that is not
         # OUT, for move, replicate and delete, and a vertex whose best_g
         # in the exchange table is not NONE, for exchange; the table scores
         # those from gains[0], each vertex's move gain to every FPGA
         self.gains.fill(OUT)
-        rows = []
-        while len(rows) < n and not _past(deadline):
-            rows.append(self._mrd_rows(len(rows)))
-        self._store_rows(np.arange(len(rows)), rows)
-        if len(rows) == n and self.exchange is not None and not _past(deadline):
+        done = 0
+        while done < n and not _past(deadline):
+            vs = np.arange(done, min(done + RUN, n))
+            self.gains[:, vs] = self._rows(vs)
+            done += len(vs)
+        if done == n and self.exchange is not None and not _past(deadline):
             self.exchange.build()
 
     def _install(self, x: int, hosts: frozenset) -> None:
         """Store x's host set, which the placement already holds, and every
-        fact read from it: `hosts[x]`, its nearest-host row as a tuple
-        (`host_hop[x]`) and as an array row (`hop[x]`), its nearest-replica
-        row (`rep_hop[x]`, FAR without a replica), its original
-        (`orig[x]`) and its row of the host mask (`hosted[x]`)."""
+        fact read from it: `hosts[x]`, its nearest-host row (`hop[x]`), its
+        nearest-replica row (`rep_hop[x]`, FAR without a replica), its
+        original (`orig[x]`) and its row of the host mask (`hosted[x]`)."""
         reps = self.p.replicas[x]
         self.hosts[x] = hosts
-        self.host_hop[x] = self.hop[x] = self.hm.nearest(hosts)[0]
+        self.hop[x] = self.hm.nearest(hosts)[0]
         self.rep_hop[x] = self.hm.nearest(reps)[0] if reps else FAR
         self.orig[x] = self.p.original[x]
         self.hosted[x] = False
@@ -416,127 +412,85 @@ class RefineState:
 
     # -- gain bookkeeping -------------------------------------------------
 
-    def _capped_col(self, g: int, cap: int | None) -> tuple[int, ...]:
-        """Per FPGA f, min(cap, dist[f][g]): the hop to g from the nearer of
-        f and a host set `cap` hops away from g (None: from f alone)."""
-        cols = self._capped[g]
-        col = cols.get(cap)
-        if col is None:
-            col = cols[cap] = tuple(x if x < cap else cap for x in cols[None])
-        return col
+    def _sums(self, vs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The terms of the rows of the vertices vs, each a (len(vs), K)
+        array but src_now, one value per vertex:
 
-    def _aggregates(self, v: int) -> list[int]:
-        """Build v's aggregates from its incident nets, on its first use;
-        returns copy_cost[v].
+        - copy_cost[f], the cost of a copy of v on f as a drain: over the
+          nets v drains, the weight times the source's hop to f where no
+          other drain covers f, that is where the count is at most [f in
+          H], H the hosts of v;
+        - src_w[f], the weight of the nets v sources whose drains cover f;
+        - src_now, the cost of v's sourced nets, src_w times v's hop row;
+        - move_col[f] and rep_col[f], that cost once a copy on f is added
+          to v's replicas R (a move) or to H (a replicate): src_w times the
+          hops from f capped by the row of R (FAR without a replica) or of
+          H."""
+        ix = self.index
+        caps = np.take(self._hops, vs, 1)
+        hop = caps[0]
+        # every net of every vertex v of vs: as a drain v adds its copy
+        # cost, as the source its sourced weight
+        starts, stops = ix.inc_ptr[vs], ix.inc_ptr[vs + 1]
+        pos, row = _ranges(starts, stops)
+        es = ix.inc[pos]
+        src = ix.source[es]
+        v = vs[row]
+        cnt = np.take(self.cnt, es, 0)  # np.take: a faster row gather
+        w = ix.weight[es]
+        sourced = np.flatnonzero(src == v)
+        src_w = _run_sums(
+            (cnt[sourced] > 0) * w[sourced, None], np.bincount(row[sourced], minlength=len(vs))
+        )
+        w[sourced] = 0
+        cost = np.take(self.hop, src, 0)
+        cost *= w[:, None]
+        cost *= cnt <= np.take(self.hosted, v, 0)
+        copy_cost = _run_sums(cost, stops - starts)
+        src_now = (src_w * hop).sum(1)
+        # the capped hops of a replicate, then of a move, times src_w
+        rep_col, move_col = (np.minimum(self.dist, caps[:, :, None]) @ src_w[:, :, None])[..., 0]
+        return copy_cost, src_w, src_now, move_col, rep_col
 
-        A net draining at v costs what its other drains cost plus, per f
-        in v's hosts H that no other drain covers, its weight times the
-        source's row at f: copy_cost[f] sums those terms over all f.  Drain
-        nets are visited only at the FPGAs they cover, and their rows are
-        summed once per distinct source row.  src_w[f] is the weight of
-        the nets v sources whose drains cover f."""
-        host_hop = self.host_hop
-        cnts = self.edge_drain_cnt
-        v_hosts = self.hosts[v]
-        src_w: dict[int, int] = {}
-        for e, w in self.sourced[v]:
-            for f in cnts[e]:
-                src_w[f] = src_w.get(f, 0) + w
-        by_row: dict[tuple, int] = {}  # weight of nets draining at v, per source row
-        covered = [0] * self.kf  # weighted hops at FPGAs other drains cover
-        for e, w, s in self.drained[v]:
-            hop = host_hop[s]
-            by_row[hop] = by_row.get(hop, 0) + w
-            for f, c in cnts[e].items():
-                if c > (f in v_hosts):
-                    covered[f] += w * hop[f]
-        copy_cost = [-c for c in covered]
-        for hop, w in by_row.items():
-            copy_cost = [c + w * x for c, x in zip(copy_cost, hop)]
-        self.src_w[v] = src_w
-        self.copy_cost[v] = copy_cost
-        return copy_cost
-
-    def _sourced_terms(self, v: int) -> tuple:
-        """The terms of v's gains that read only src_w[v] and v's hosts H
-        (replicas R), cached in src_terms[v] until either changes:
-        (src_now, move_col, rep_col, falls).
-
-        src_now is the cost of v's sourced nets, src_w[g] times the row of
-        H at g summed over g.  Adding a copy on f caps each FPGA's hop at
-        f's, so the sourced cost after a move (hosts R + {f}) or a
-        replicate (H + {f}) is, per f, a capped-column sum over the drain
-        FPGAs, with R's row or H's as the cap: move_col[f] and rep_col[f].
-        falls holds (r, the fall of the sourced cost when replica r goes)."""
-        src_w = self.src_w[v]
-        v_hop = self.host_hop[v]
-        reps = self.p.replicas[v]
-        r_hop = self.hm.nearest(reps)[0] if reps else None
-        src_now = 0
-        move_col = rep_col = [0] * self.kf
-        for g, w in src_w.items():
-            cap = v_hop[g]
-            if cap:
-                src_now += w * cap
-                col = self._capped_col(g, cap)
-                rep_col = [a + w * x for a, x in zip(rep_col, col)]
-            cap = r_hop[g] if r_hop else None
-            if cap != 0:
-                col = self._capped_col(g, cap)
-                move_col = [a + w * x for a, x in zip(move_col, col)]
-        falls = []
-        if reps:
-            v_hosts = self.hosts[v]
-            for r in reps:
-                hop = self.hm.nearest(v_hosts - {r})[0]
-                falls.append((r, src_now - sum(w * hop[g] for g, w in src_w.items())))
-        terms = self.src_terms[v] = (src_now, tuple(move_col), tuple(rep_col), tuple(falls))
-        return terms
-
-    def _mrd_rows(self, v: int) -> tuple[list, list, list]:
-        """v's move, replicate and delete rows: per destination FPGA, the
-        gain, or OUT where the op does not apply.
+    def _rows(self, vs: np.ndarray) -> np.ndarray:
+        """The move, replicate and delete rows of the vertices vs, as a
+        (3, len(vs), K) array: per destination FPGA, the gain, or OUT
+        where the op does not apply.
 
         Every candidate changes only v's host set H, so its gain is a
-        closed form in v's kept aggregates (see `_aggregates` and
-        `_sourced_terms`): the copy costs of the copies it drops less
-        those of the copies it adds, plus the fall of the sourced cost.
-        The aggregates are built on v's first use and from then on patched
-        by each commit's changed nets, so this reads no net and costs
-        O(K).  A row is all OUT for a vertex without entries, for a
+        closed form in the terms of `_sums`: the copy costs of the copies
+        it drops less those of the copies it adds, plus the fall of the
+        sourced cost.  A move onto a replica adds no copy, and a delete of
+        replica r drops r's copy and the sourced cost falls to that of H
+        less r.  A row is all OUT for a vertex without entries, for a
         disabled replicate or delete, and for move when neither move nor
-        exchange, which reads the move rows, is enabled.
-        """
-        p = self.p
-        reps = p.replicas[v]
-        out = [OUT] * self.kf
-        if not (reps or self.cut[v]):  # v has no entries
-            return out, out, out
-        copy_cost = self.copy_cost[v] or self._aggregates(v)
-        src_now, move_col, rep_col, falls = self.src_terms[v] or self._sourced_terms(v)
-        o = p.original[v]
-        move = rep = dele = out
+        exchange, which reads the move rows, is enabled."""
+        copy_cost, src_w, src_now, move_col, rep_col = self._sums(vs)
+        at = np.arange(len(vs))
+        o = self.orig[vs]
+        held = self.hosted[vs]
+        reps = held.copy()
+        reps[at, o] = False
+        rows = np.full((len(FPGA_KINDS), len(vs), self.kf), OUT, np.int64)
         if self.enabled & {"move", "exchange"}:
-            keep = copy_cost[o] + src_now  # H's cost less R's copy costs
-            move = [keep - c - x for c, x in zip(copy_cost, move_col)]
-            for r in reps:  # a move onto a replica adds no copy
-                move[r] += copy_cost[r]
-            move[o] = OUT
+            move = rows[0]
+            np.subtract((copy_cost[at, o] + src_now)[:, None], move_col, out=move)
+            move -= copy_cost * ~reps
+            move[at, o] = OUT
         if "replicate" in self.enabled:
-            rep = [src_now - c - x for c, x in zip(copy_cost, rep_col)]
-            rep[o] = OUT
-            for r in reps:
-                rep[r] = OUT
-        if reps and "delete" in self.enabled:
-            dele = [OUT] * self.kf
-            for r, fall in falls:
-                dele[r] = copy_cost[r] + fall
-        return move, rep, dele
-
-    def _store_rows(self, vs: np.ndarray, rows: list) -> None:
-        """Store `rows`, the `_mrd_rows` of the vertices vs, in `gains`."""
-        new = np.array(rows, np.int64).reshape(len(vs), len(FPGA_KINDS), self.kf)
-        self.gains[:, vs] = new.swapaxes(0, 1)
+            rep = rows[1]
+            np.subtract(src_now[:, None], copy_cost, out=rep)
+            rep -= rep_col
+            rep[held] = OUT
+        at, r = np.nonzero(reps)
+        if len(r) and "delete" in self.enabled:
+            without = held[at]
+            without[np.arange(len(r)), r] = False
+            hop = np.where(without[:, :, None], self.dist, FAR).min(1)
+            fall = src_now[at] - (src_w[at] * hop).sum(1)
+            rows[2, at, r] = copy_cost[at, r] + fall
+        rows[:, (self.cut[vs] == 0) & ~reps.any(1)] = OUT
+        return rows
 
     # -- selection and application ----------------------------------------
 
@@ -716,20 +670,27 @@ class RefineState:
         if not self._fits(deltas):
             return None
 
-        # every changed edge's terms after the op, and before it from the
+        # every changed net's terms after the op, and before it from the
         # installed counts: the gain, the worst hop and the I/O delta
-        after = _changed_nets(h, self.hosts, change, self.edge_drain_cnt)
+        after = _changed_nets(h, self.hosts, change, self.cnt)
+        es = np.fromiter(after, np.intp, len(after))
+        old = self.cnt[es]
         gain = 0
         io_delta: dict[int, int] = {}
-        for e, (src_hosts, cnt) in after.items():
+        cut_steps = []  # (net, +1 if it stops lying on one FPGA, -1 if it starts)
+        for (e, (src_hosts, cnt)), was in zip(after.items(), old.tolist()):
             edge = h.edges[e]
             w = edge.weight
-            units, worst, ports = net_terms(self.hm, src_hosts, cnt)
+            covered = _covered(cnt)
+            units, worst, ports = net_terms(self.hm, src_hosts, covered)
             if self.hop_max is not None and worst > self.hop_max:
                 return None
-            old_units, _, old_ports = net_terms(
-                self.hm, self.hosts[edge.source], self.edge_drain_cnt[e]
-            )
+            old_src = self.hosts[edge.source]
+            was_covered = _covered(was)
+            old_units, _, old_ports = net_terms(self.hm, old_src, was_covered)
+            step = _local(old_src, was_covered) - _local(src_hosts, covered)
+            if step:
+                cut_steps.append((e, step))
             gain += w * (old_units - units)
             for f in old_ports:
                 io_delta[f] = io_delta.get(f, 0) - w
@@ -742,14 +703,13 @@ class RefineState:
                     return None
 
         # commit
-        dirty = self._transitions(change, after) if self.incremental else ()
+        new = np.array([cnt for _, cnt in after.values()], np.int64).reshape(-1, self.kf)
         partner = self._partner(v) if kind == "exchange" else None
         source = p.original[v]
         partner_dest = None if partner is None else source
         op = Op(kind, v, dest, partner, partner_dest, gain)
         apply_op(p, op)
-        for e, (_, cnt) in after.items():
-            self.edge_drain_cnt[e] = cnt
+        self.cnt[es] = new
         for x, hosts in change.items():
             self._install(x, hosts)
         for f, dv in deltas.items():
@@ -773,7 +733,7 @@ class RefineState:
             if self.allow_zero_gain:
                 self.zero_gain_left -= 1
         self.applied.append(op)
-        self._refresh_after(dirty, change, after)
+        self._refresh_after(np.fromiter(change, np.intp, len(change)), es, old, new, cut_steps)
         return op
 
     def _drop_replicates(self) -> None:
@@ -781,135 +741,90 @@ class RefineState:
         self.gains[1] = OUT
         self.enabled -= {"replicate"}
 
-    def _transitions(self, change: dict[int, frozenset], after: dict) -> set[int]:
-        """The vertices whose move/replicate/delete entries a commit of
-        `change` can alter, read in one pass over the changed nets' drain
-        counts before (installed) and after (`after`) it.  The same pass
-        patches the kept aggregates by each changed net's terms before and
-        after, and drops the cached sourced-net terms of the vertices whose
-        hosts or src_w change.
+    def _dirty(
+        self,
+        touched: np.ndarray,
+        es: np.ndarray,
+        old: np.ndarray,
+        new: np.ndarray,
+        crossed: np.ndarray,
+    ) -> np.ndarray:
+        """The vertices whose move/replicate/delete entries a commit can
+        alter, sorted, from the `touched` vertices, the changed nets `es`
+        with their count rows before (`old`) and after (`new`) it, and per
+        net and FPGA whether its count crossed 0|1 or 1|2 (`crossed`).
 
-        Those entries read, per incident edge, only the source's hosts
-        and, of the drain counts, what the vertex's own copies do not
-        account for: for the source the covered FPGAs, for a drain d the
-        FPGAs that other drains cover, {f : cnt[f] - [f in hosts(d)] > 0}.
-        So when the source is touched, every drain is dirty.  Otherwise
-        what matters is the FPGAs where a count crosses 0|1 or 1|2: the
-        source is dirty when the covered set changed, and a drain when a
-        0|1 crossing is at an FPGA it does not host, or a 1|2 crossing at
-        one it does.  A touched drain is dirty anyway, but what other
-        drains cover can change for it with no count changing (an exchange
-        of two drains of one net), so its copy_cost is patched at every
-        FPGA e covers.
-        """
-        h = self.h
-        hosts = self.hosts
-        host_hop = self.host_hop
-        copy_cost = self.copy_cost
-        src_w = self.src_w
-        src_terms = self.src_terms
-        cut = self.cut
-        dirty = set(change)
-        for x in change:
-            src_terms[x] = None
-        for e, (src_hosts, new) in after.items():
-            edge = h.edges[e]
-            s = edge.source
-            w = edge.weight
-            old = self.edge_drain_cnt[e]
-            was_local = _local(hosts[s], old)
-            if was_local != _local(src_hosts, new):
-                step = 1 if was_local else -1
-                for x in edge.members:
-                    cut[x] += step
-            spread = old.keys() | new.keys()
-            outside = set()  # 0|1 crossings: reach drains not hosting f
-            inside = set()  # 1|2 crossings: reach drains hosting f
-            for f in spread:
-                a, b = old.get(f, 0), new.get(f, 0)
-                if (a == 0) != (b == 0):
-                    outside.add(f)
-                if (a > 1) != (b > 1):
-                    inside.add(f)
-            if outside:  # the covered set changed
-                dirty.add(s)
-                sw = src_w[s]
-                if sw is not None:
-                    src_terms[s] = None
-                    for f in outside:
-                        x = sw.get(f, 0) + (w if f in new else -w)
-                        if x:
-                            sw[f] = x
-                        else:
-                            del sw[f]
-            if s in change:
-                dirty.update(edge.drains)
-                hop_old = host_hop[s]
-                hop_new = self.hm.nearest(src_hosts)[0]
-                shift = [w * (b - a) for a, b in zip(hop_old, hop_new)]
-                for d in edge.drains:
-                    cc = copy_cost[d]
-                    if cc is None:
-                        continue
-                    was, now = hosts[d], change.get(d, hosts[d])
-                    cc = copy_cost[d] = [c + x for c, x in zip(cc, shift)]
-                    for f, c in old.items():
-                        if c > (f in was):  # another drain covers f
-                            cc[f] += w * hop_old[f]
-                    for f, c in new.items():
-                        if c > (f in now):
-                            cc[f] -= w * hop_new[f]
-            else:
-                hop = host_hop[s]
-                flips = outside | inside
-                for d in edge.drains:
-                    cc = copy_cost[d]
-                    if d in change:
-                        if cc is None:  # touched, so dirty already
-                            continue
-                        fpgas = spread
-                    elif not flips or (cc is None and d in dirty):
-                        continue
-                    else:
-                        fpgas = flips
-                    was, now = hosts[d], change.get(d, hosts[d])
-                    for f in fpgas:
-                        held = f in was
-                        # whether no other drain covers f, before and after
-                        uncovered = new.get(f, 0) == (f in now)
-                        if (old.get(f, 0) == held) != uncovered:
-                            dirty.add(d)
-                            if cc is not None:
-                                cc[f] += w * hop[f] if uncovered else -w * hop[f]
-        return dirty
+        Those entries read, per incident net, only the source's hosts and,
+        of the counts, what the vertex's own copies do not account for:
+        for the source the covered FPGAs, for a drain d whether other
+        drains cover f, that is whether cnt[f] > [f in hosts(d)].  So when
+        the source is touched, every drain is dirty.  Otherwise the source
+        is dirty when the covered set changed, and an untouched drain when
+        cnt == [f in hosts(d)] flips at some FPGA f, which only a 0|1 or
+        1|2 crossing can do.  A touched vertex is dirty anyway."""
+        ix = self.index
+        src = ix.source[es]
+        whole = (src[:, None] == touched).any(1)
+        look = whole | crossed.any(1)
+        seen = es[look]
+        pos, row = _ranges(ix.pin_ptr[seen] + 1, ix.pin_ptr[seen + 1])
+        drains = ix.pins[pos]
+        held = np.take(self.hosted, drains, 0)
+        flips = (old[look][row] == held) != (new[look][row] == held)
+        return _dedupe(np.concatenate((
+            touched,
+            src[((old > 0) != (new > 0)).any(1)],
+            drains[whole[look][row] | flips.any(1)],
+        )))
 
-    def _refresh_after(self, dirty: set[int], change: dict, after: dict) -> None:
-        """Rebuild and store the dirty vertices' rows, then name to the
-        exchange table, whose facts `_install` and the drain counts already
-        hold, what the commit of `change` changed: the touched vertices,
-        the changed nets (those of `after`) and the dirty vertices with
-        their old move rows."""
+    def _refresh_after(
+        self,
+        touched: np.ndarray,
+        es: np.ndarray,
+        old: np.ndarray,
+        new: np.ndarray,
+        cut_steps: list[tuple[int, int]],
+    ) -> None:
+        """After a commit that touched the vertices `touched` and changed
+        the count rows of the nets es from `old` to `new`: add each (net,
+        step) of `cut_steps` to its members' cut-net counts, rebuild and
+        store the dirty vertices' rows, then name to the exchange table,
+        whose facts `_install` and the count matrix already hold, what the
+        commit changed: the touched vertices, the changed nets with their
+        count crossings and the dirty vertices with their old move rows."""
         if not self.incremental:
             # the full variant is the from-scratch reference: no reuse
             self._build_entries()
             return
-        vs = np.fromiter(dirty, np.intp, len(dirty))
-        old = self.gains[0, vs]
-        self._store_rows(vs, [self._mrd_rows(v) for v in vs.tolist()])
+        ix = self.index
+        for e, step in cut_steps:  # a net's members are distinct
+            self.cut[ix.pins[ix.pin_ptr[e]:ix.pin_ptr[e + 1]]] += step
+        crossed = np.minimum(old, 2) != np.minimum(new, 2)
+        vs = self._dirty(touched, es, old, new, crossed)
+        prev = self.gains[0, vs]
+        for lo in range(0, len(vs), RUN):
+            run = vs[lo:lo + RUN]
+            self.gains[:, run] = self._rows(run)
         if self.exchange is not None:
-            self.exchange.commit(
-                np.fromiter(change, np.intp, len(change)),
-                np.fromiter(after, np.intp, len(after)),
-                vs,
-                old,
-            )
+            self.exchange.commit(touched, es, crossed, vs, prev)
 
 
-def _local(src_hosts, cnt: dict[int, int]) -> bool:
-    """Whether a net lies wholly on one FPGA: its source has one copy and
-    every drain copy sits with it.  A vertex none of whose nets is cut
-    this way, and that has no replica, has no entries."""
-    return len(cnt) == 1 and len(src_hosts) == 1 and not src_hosts.isdisjoint(cnt)
+def _local(src_hosts, covered: list[int]) -> bool:
+    """Whether a net lies wholly on one FPGA, from its source's hosts and
+    the FPGAs its drains cover: the source has one copy and every drain
+    copy sits with it.  A vertex none of whose nets is cut this way, and
+    that has no replica, has no entries."""
+    return len(covered) == 1 and len(src_hosts) == 1 and covered[0] in src_hosts
+
+
+def _run_sums(vals: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of the rows of vals, lens[i] rows in run
+    i; an empty run sums to zero."""
+    out = np.zeros((len(lens), *vals.shape[1:]), vals.dtype)
+    full = np.flatnonzero(lens)
+    if len(full):
+        out[full] = np.add.reduceat(vals, (lens.cumsum() - lens)[full], 0)
+    return out
 
 
 def _past(deadline: float | None) -> bool:

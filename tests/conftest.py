@@ -139,17 +139,34 @@ def pair_corrections(table):
     ))
 
 
+def drain_counts(state):
+    """The count matrix of `state`'s hypergraph under its placement: per
+    net and FPGA, the number of the net's drains with a copy there."""
+    h, p = state.h, state.p
+    return [
+        [sum(f in p.hosts(d) for d in e.drains) for f in range(state.kf)]
+        for e in h.edges
+    ]
+
+
 def check_bank_after_every_attempt(state):
     """Make every `try_apply` on `state` assert, whether it applies its op
-    or rejects it, that the bank then equals a fresh one.  Returns a
-    Counter of the attempts, by "applied" and "rejected"."""
+    or rejects it, that the bank then equals a fresh one, that the count
+    matrix holds the placement's drain counts and that the cut-net counts
+    equal a fresh count.  Returns a Counter of the attempts, by "applied"
+    and "rejected"."""
+    from mfspart.refine import RefineState
+
     counts = Counter()
     tried = state.try_apply
 
     def checked(kind, v, dest):
         op = tried(kind, v, dest)
         counts["rejected" if op is None else "applied"] += 1
-        assert bank_snapshot(state) == fresh_bank(state), (kind, v, dest, op)
+        fresh = RefineState(state.h, state.t, state.hm, state.p)
+        assert bank_snapshot(state) == bank_snapshot(fresh), (kind, v, dest, op)
+        assert state.cnt.tolist() == drain_counts(state), (kind, v, dest, op)
+        assert state.cut.tolist() == fresh.cut.tolist(), (kind, v, dest, op)
         return op
 
     state.try_apply = checked

@@ -380,6 +380,7 @@ def test_bank_build_checks_deadline_every_vertex(monkeypatch):
     full = {op.v for op in RefineState(h, t, hm, p).entries() if op.kind != "exchange"}
     clock = Clock()
     monkeypatch.setattr(refine, "time", clock)
+    monkeypatch.setattr(refine, "RUN", 1)
     state = RefineState(h, t, hm, p, deadline=3.5)
     # readings 1-3 each build one vertex's entries, reading 4 stops the build
     assert clock.now == 4.0
@@ -1062,15 +1063,70 @@ def test_peek_best_resource_fit_on_hand_built_states(make):
 
 
 def _drain_cnt_change(state, e, kind, v, dest):
-    before = dict(state.edge_drain_cnt[e])
+    before = {f: c for f, c in enumerate(state.cnt[e].tolist()) if c}
     assert state.try_apply(kind, v, dest) is not None
     assert bank_snapshot(state) == fresh_bank(state)
-    return before, state.edge_drain_cnt[e]
+    return before, {f: c for f, c in enumerate(state.cnt[e].tolist()) if c}
 
 
 def _gain(state, kind, v, f):
     """The stored gain of (kind, v, f): its slot of `state.gains`."""
     return int(state.gains[FPGA_KINDS.index(kind), v, f])
+
+
+def test_rows_commit_that_changes_no_net():
+    # vertex 2 is isolated: moving it, or deleting its replica, changes no
+    # net, so the commit hands the array passes no count rows at all
+    h = Hypergraph.build([[1]] * 3, [(1, 0, [1])])
+    t = path_topology(3)
+    p = Placement([0, 1, 0], [set(), set(), {2}])
+    state = RefineState(h, t, compute_hop_matrix(t), p)
+    check_bank_after_every_attempt(state)
+    assert state.try_apply("move", 2, 1).gain == 0
+    assert state.try_apply("delete", 2, 2).gain == 0
+    assert state.p == Placement([0, 1, 1])
+
+
+def test_rows_level_without_nets():
+    # a level of isolated vertices: the count matrix has no row, and only
+    # the vertex with a replica has entries, all at zero gain
+    h = Hypergraph.build([[1]] * 3, [])
+    t = path_topology(3)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 1, 2], [{1}, set(), set()]))
+    assert state.cnt.shape == (0, 3)
+    assert {(op.v, op.gain) for op in state.entries()} == {(0, 0)}
+    assert bank_snapshot(state) == fresh_bank(state)
+    check_bank_after_every_attempt(state)
+    run_refine_loop(state)
+    assert state.p == Placement([0, 1, 2]) and not list(state.entries())
+
+
+def test_rows_single_fpga():
+    # K = 1: every net lies wholly on the one FPGA and no replica can
+    # exist, so every row is OUT and the loop applies nothing
+    h = Hypergraph.build([[1]] * 4, [(1, 0, [1, 2]), (2, 3, [0])])
+    t = path_topology(1)
+    state = RefineState(h, t, compute_hop_matrix(t), Placement([0] * 4))
+    assert state.gains.shape == (len(FPGA_KINDS), 4, 1) and (state.gains == OUT).all()
+    assert bank_snapshot(state) == fresh_bank(state) == []
+    assert run_refine_loop(state) == 0
+
+
+def test_rows_vertex_hosted_on_every_fpga():
+    # vertex 0 has a copy on every FPGA: there is nowhere to replicate it,
+    # its delete row holds K - 1 entries, and its move row the K - 1 moves
+    # onto its replicas, each absorbing one
+    h = Hypergraph.build([[1]] * 4, [(1, 0, [1, 2, 3]), (1, 1, [0])])
+    t = path_topology(4)
+    p = Placement([0, 1, 2, 3], [{1, 2, 3}, set(), set(), set()])
+    state = RefineState(h, t, compute_hop_matrix(t), p)
+    assert (state.gains[FPGA_KINDS.index("replicate"), 0] == OUT).all()
+    for kind in ("move", "delete"):
+        row = state.gains[FPGA_KINDS.index(kind), 0]
+        assert (row != OUT).tolist() == [False, True, True, True], kind
+    check_bank_after_every_attempt(state)
+    run_refine_loop(state)
+    assert state.applied
 
 
 def test_refresh_drain_whose_own_copy_takes_a_count_from_2_to_1():
@@ -1183,19 +1239,19 @@ def _reference_corr_term(state, e, a, b):
     the state's counts and host sets, one Python branch per case."""
     edge = state.h.edges[e]
     s = edge.source
-    cnt = state.edge_drain_cnt[e]
+    cnt = state.cnt[e]
     orig = state.p.original
     if s in (a, b):
         d = b if s == a else a
         ps, pd = orig[s], orig[d]
-        term = state.host_hop[s][pd] if cnt[pd] <= 1 else 0
-        if ps not in cnt and ps not in state.hosts[d]:
+        term = state.hop[s][pd] if cnt[pd] <= 1 else 0
+        if cnt[ps] == 0 and ps not in state.hosts[d]:
             term += min(state.hm.dist[r][ps] for r in state.p.replicas[s] | {pd})
         return -edge.weight * term
     term = 0
     for x, y in ((a, b), (b, a)):
         if cnt[orig[x]] <= 1 and orig[x] not in state.hosts[y]:
-            term += state.host_hop[s][orig[x]]
+            term += state.hop[s][orig[x]]
     return -edge.weight * term
 
 
@@ -1252,9 +1308,9 @@ def test_exchange_table_in_runs_of_a_few_slots(monkeypatch):
 
 def test_exchange_table_reads_the_state_facts_in_place():
     # the state owns every fact a term or a pair gain reads and writes it
-    # at each commit; the table was built with views of those arrays and
-    # with the state's list of drain counts, so it keeps no copy that a
-    # commit would have to hand over
+    # at each commit; the table was built with views of those arrays, the
+    # state's count matrix and its pin index among them, so it keeps no
+    # copy that a commit would have to hand over
     state = RefineState(*tight_state(4, n=20, m=36))
     table = state.exchange
     for mine, theirs in (
@@ -1263,9 +1319,12 @@ def test_exchange_table_reads_the_state_facts_in_place():
         (table.rep_hop, state.rep_hop),
         (table.host, state.hosted),
         (table.move, state.gains),
+        (table.cnt, state.cnt),
+        (table.pins, state.index.pins),
+        (table.pin_ptr, state.index.pin_ptr),
+        (table.source, state.index.source),
     ):
         assert np.shares_memory(mine, theirs)
-    assert table.drain_cnt is state.edge_drain_cnt
     run_refine_loop(state)
     assert state.applied
     p, hm, n = state.p, state.hm, state.h.num_vertices

@@ -27,6 +27,7 @@ from conftest import (
     bank_snapshot,
     bounded_state,
     check_bank_after_every_attempt,
+    drain_counts,
     fresh_bank,
     pair_corrections,
     shaken_bounded_state,
@@ -148,8 +149,8 @@ def _walk_checking_corr_and_rows(state, picks):
     kept correction between two FPGAs must equal the exchange gain less
     the two move gains, in both orders, the gain rows must hold their
     from-scratch gains, as `entries()` lists them (`_check_rows`), every stored
-    triple term must equal a fresh one, and the table's levels must be
-    the drain counts capped at 2.
+    triple term must equal a fresh one, and the state's count matrix
+    must hold the placement's drain counts.
     Returns how many applied ops had a touched vertex sourcing a net, and
     how many checked pairs share more than one net."""
     h, hm = state.h, state.hm
@@ -167,11 +168,7 @@ def _walk_checking_corr_and_rows(state, picks):
         table = state.exchange
         fresh = table._terms(np.arange(len(table.term)))
         assert (table.term == fresh).all(), (table.term != fresh).nonzero()[0]
-        levels = np.zeros_like(table.level)
-        for e, cnt in enumerate(state.edge_drain_cnt):
-            for f, c in cnt.items():
-                levels[e, f] = min(c, 2)
-        assert (table.level == levels).all(), (table.level != levels).nonzero()
+        assert state.cnt.tolist() == drain_counts(state)
         corr = pair_corrections(table)
         assert corr
         for (a, b), c in corr.items():
@@ -281,11 +278,11 @@ def _scratch_aggregates(state, v):
 
 def _walk_checking_aggregates(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
-    vertex's stored aggregates and cached sourced-net terms must equal
-    their definitions, and its cut-net count a fresh count.  Returns how
-    many applied ops touched the source of a net with a drain whose
-    aggregates are kept, exchanged two drains of one net, and deleted a
-    vertex's last replica."""
+    vertex's copy costs, sourced weights and sourced-net terms, as the
+    array pass computes them (the falls read off its delete rows), must
+    equal their definitions, and its cut-net count a fresh count.  Returns
+    how many applied ops touched the source of a net, exchanged two drains
+    of one net, and deleted a vertex's last replica."""
     h = state.h
     cases = Counter()
     for pick in picks:
@@ -293,12 +290,11 @@ def _walk_checking_aggregates(state, picks):
         if not entries:
             break
         op = entries[pick % len(entries)]
-        kept = [v for v, cc in enumerate(state.copy_cost) if cc is not None]
         if state.try_apply(op.kind, op.v, op.dest) is None:
             continue
         touched = {op.v, op.partner} - {None}
         for e in h.edges:
-            if e.source in touched and any(d in kept for d in e.drains):
+            if e.source in touched:
                 cases["touched source"] += 1
                 break
         if op.kind == "exchange" and any(
@@ -308,17 +304,14 @@ def _walk_checking_aggregates(state, picks):
         if op.kind == "delete" and not state.p.replicas[op.v]:
             cases["last replica deleted"] += 1
         fresh = RefineState(state.h, state.t, state.hm, state.p)
-        assert state.cut == fresh.cut
-        for v, cc in enumerate(state.copy_cost):
-            if cc is None:
-                continue
+        assert state.cut.tolist() == fresh.cut.tolist()
+        sums = state._sums(np.arange(h.num_vertices))
+        for v, (cc, sw, src_now, move_col, rep_col) in enumerate(zip(*(x.tolist() for x in sums))):
             copy_cost, src_w, terms = _scratch_aggregates(state, v)
             assert cc == copy_cost, v
-            assert state.src_w[v] == src_w, v
-            cached = state.src_terms[v]
-            if cached is not None:
-                src_now, move_col, rep_col, falls = cached
-                assert (src_now, list(move_col), list(rep_col), dict(falls)) == terms, v
+            assert {f: w for f, w in enumerate(sw) if w} == src_w, v
+            falls = {r: int(state.gains[2, v, r]) - cc[r] for r in state.p.replicas[v]}
+            assert (src_now, move_col, rep_col, falls) == terms, v
     return cases
 
 
