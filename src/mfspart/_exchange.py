@@ -21,8 +21,8 @@ shared net.  The table holds, per level:
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
   gain first, then the lower partner id.  best_u holds the partner, -1
-  for a vertex without an entry (its move row is all OUT, or it has no
-  partner off its FPGA).
+  for a vertex without an entry: its move row is all OUT (it has no net
+  and no replica, so no pair either), or it has no partner off its FPGA.
 
 The state writes every fact itself, so a commit only names what changed:
 `commit(touched, es, flip, rebuilt, old)` takes the vertices the commit
@@ -64,8 +64,8 @@ import numpy as np
 
 NONE = np.iinfo(np.int64).min  # the best gain of a vertex without an entry
 # the "no entry" gain of the refinement state's rows: a move's at the
-# vertex's own FPGA, and every FPGA's of a vertex without entries; a pair
-# gain that reads one lies below OUT // 2
+# vertex's own FPGA, and every FPGA's of a vertex without entries, one
+# with no net and no replica; a pair gain that reads one lies below OUT // 2
 OUT = -(1 << 60)
 FAR = np.iinfo(np.int32).max  # the hop row of an empty replica set
 CHUNK = 1 << 18  # triples or slots per array pass: bounds the temporaries of big levels

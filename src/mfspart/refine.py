@@ -47,7 +47,9 @@ order), vertex and destination FPGA.  `OUT` is its one "no entry"
 value: at the vertex's own FPGA, for a replicate onto a host, for a
 delete of a copy that is not a replica, at every slot of a vertex
 without entries, at every slot of a disabled replicate or delete, and
-at every move slot when neither move nor exchange is enabled.
+at every move slot when neither move nor exchange is enabled.  A vertex
+has entries exactly when it has a net or a replica, which `_rows` reads
+from the pin index and the host mask.
 
 An exchange gain is the two endpoints' move gains plus a correction over
 the nets they share.  One array table per level, an `ExchangeTable` the
@@ -97,7 +99,7 @@ FPGA_KINDS = ("move", "replicate", "delete")  # entries per destination FPGA
 OP_ALIASES = {"mv": "move", "ex": "exchange", "rep": "replicate", "del": "delete"}
 _FPGA_RANKS = np.array([KIND_RANK[k] for k in FPGA_KINDS])
 _NEVER = np.iinfo(np.int64).max  # above every gain
-RUN = 1 << 12  # vertices per `_rows` pass: bounds its (run, K, K) temporaries
+RUN = 1 << 7  # vertices per `_rows` pass: bounds its (run, K, K) temporaries
 
 
 def op_kinds(ops) -> tuple[str, ...]:
@@ -373,12 +375,6 @@ class RefineState:
         starts past `deadline`, and builds no exchange entry once it has
         passed."""
         n = self.h.num_vertices
-        ix = self.index
-        # v has entries exactly when it has a replica or cut[v] > 0: the
-        # count of its nets that do not lie wholly on one FPGA (`_local`)
-        held = self.hosted[ix.source]
-        cut = ((self.cnt > 0) != held).any(1) | (held.sum(1) != 1)
-        self.cut = np.bincount(ix.pins[np.repeat(cut, np.diff(ix.pin_ptr))], minlength=n)
         # an entry of an enabled kind is a slot of `gains` that is not
         # OUT, for move, replicate and delete, and a vertex whose best_g
         # in the exchange table is not NONE, for exchange; the table scores
@@ -462,9 +458,12 @@ class RefineState:
         it drops less those of the copies it adds, plus the fall of the
         sourced cost.  A move onto a replica adds no copy, and a delete of
         replica r drops r's copy and the sourced cost falls to that of H
-        less r.  A row is all OUT for a vertex without entries, for a
-        disabled replicate or delete, and for move when neither move nor
-        exchange, which reads the move rows, is enabled."""
+        less r.  A row is all OUT for a vertex without entries, one with
+        no net and no replica, for a disabled replicate or delete, and for
+        move when neither move nor exchange, which reads the move rows, is
+        enabled.  A vertex whose nets all lie wholly on its one FPGA keeps
+        its rows: every move gain is negative and every replicate gain at
+        most zero, so selection never takes one."""
         copy_cost, src_w, src_now, move_col, rep_col = self._sums(vs)
         at = np.arange(len(vs))
         o = self.orig[vs]
@@ -489,7 +488,8 @@ class RefineState:
             hop = np.where(without[:, :, None], self.dist, FAR).min(1)
             fall = src_now[at] - (src_w[at] * hop).sum(1)
             rows[2, at, r] = copy_cost[at, r] + fall
-        rows[:, (self.cut[vs] == 0) & ~reps.any(1)] = OUT
+        ptr = self.index.inc_ptr
+        rows[:, (ptr[vs + 1] == ptr[vs]) & ~reps.any(1)] = OUT
         return rows
 
     # -- selection and application ----------------------------------------
@@ -677,7 +677,6 @@ class RefineState:
         old = self.cnt[es]
         gain = 0
         io_delta: dict[int, int] = {}
-        cut_steps = []  # (net, +1 if it stops lying on one FPGA, -1 if it starts)
         for (e, (src_hosts, cnt)), was in zip(after.items(), old.tolist()):
             edge = h.edges[e]
             w = edge.weight
@@ -685,12 +684,7 @@ class RefineState:
             units, worst, ports = net_terms(self.hm, src_hosts, covered)
             if self.hop_max is not None and worst > self.hop_max:
                 return None
-            old_src = self.hosts[edge.source]
-            was_covered = _covered(was)
-            old_units, _, old_ports = net_terms(self.hm, old_src, was_covered)
-            step = _local(old_src, was_covered) - _local(src_hosts, covered)
-            if step:
-                cut_steps.append((e, step))
+            old_units, _, old_ports = net_terms(self.hm, self.hosts[edge.source], _covered(was))
             gain += w * (old_units - units)
             for f in old_ports:
                 io_delta[f] = io_delta.get(f, 0) - w
@@ -733,7 +727,7 @@ class RefineState:
             if self.allow_zero_gain:
                 self.zero_gain_left -= 1
         self.applied.append(op)
-        self._refresh_after(np.fromiter(change, np.intp, len(change)), es, old, new, cut_steps)
+        self._refresh_after(np.fromiter(change, np.intp, len(change)), es, old, new)
         return op
 
     def _drop_replicates(self) -> None:
@@ -783,11 +777,9 @@ class RefineState:
         es: np.ndarray,
         old: np.ndarray,
         new: np.ndarray,
-        cut_steps: list[tuple[int, int]],
     ) -> None:
         """After a commit that touched the vertices `touched` and changed
-        the count rows of the nets es from `old` to `new`: add each (net,
-        step) of `cut_steps` to its members' cut-net counts, rebuild and
+        the count rows of the nets es from `old` to `new`: rebuild and
         store the dirty vertices' rows, then name to the exchange table,
         whose facts `_install` and the count matrix already hold, what the
         commit changed: the touched vertices, the changed nets with their
@@ -796,9 +788,6 @@ class RefineState:
             # the full variant is the from-scratch reference: no reuse
             self._build_entries()
             return
-        ix = self.index
-        for e, step in cut_steps:  # a net's members are distinct
-            self.cut[ix.pins[ix.pin_ptr[e]:ix.pin_ptr[e + 1]]] += step
         crossed = np.minimum(old, 2) != np.minimum(new, 2)
         vs = self._dirty(touched, es, old, new, crossed)
         prev = self.gains[0, vs]
@@ -807,14 +796,6 @@ class RefineState:
             self.gains[:, run] = self._rows(run)
         if self.exchange is not None:
             self.exchange.commit(touched, es, crossed, vs, prev)
-
-
-def _local(src_hosts, covered: list[int]) -> bool:
-    """Whether a net lies wholly on one FPGA, from its source's hosts and
-    the FPGAs its drains cover: the source has one copy and every drain
-    copy sits with it.  A vertex none of whose nets is cut this way, and
-    that has no replica, has no entries."""
-    return len(covered) == 1 and len(src_hosts) == 1 and covered[0] in src_hosts
 
 
 def _run_sums(vals: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -151,10 +151,9 @@ def drain_counts(state):
 
 def check_bank_after_every_attempt(state):
     """Make every `try_apply` on `state` assert, whether it applies its op
-    or rejects it, that the bank then equals a fresh one, that the count
-    matrix holds the placement's drain counts and that the cut-net counts
-    equal a fresh count.  Returns a Counter of the attempts, by "applied"
-    and "rejected"."""
+    or rejects it, that the bank then equals a fresh one and that the count
+    matrix holds the placement's drain counts.  Returns a Counter of the
+    attempts, by "applied" and "rejected"."""
     from mfspart.refine import RefineState
 
     counts = Counter()
@@ -166,7 +165,6 @@ def check_bank_after_every_attempt(state):
         fresh = RefineState(state.h, state.t, state.hm, state.p)
         assert bank_snapshot(state) == bank_snapshot(fresh), (kind, v, dest, op)
         assert state.cnt.tolist() == drain_counts(state), (kind, v, dest, op)
-        assert state.cut.tolist() == fresh.cut.tolist(), (kind, v, dest, op)
         return op
 
     state.try_apply = checked

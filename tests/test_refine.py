@@ -1203,17 +1203,19 @@ def test_settle_vertex_that_moved_and_held_its_partner_on_a_changed_pair():
     assert bank_snapshot(state) == fresh_bank(state)
 
 
-def test_settle_rescanned_vertex_whose_move_row_turns_all_out():
-    # vertex 0's one net goes local when its drain 1 moves onto FPGA 0, so
-    # its move row turns all OUT: it is rescanned, and its only pair, with
-    # 1, is now out, so it ends without an entry
+def test_settle_vertex_whose_net_goes_local_ends_without_a_partner():
+    # vertex 0's one net goes local when its drain 1 moves onto FPGA 0: it
+    # keeps its rows, as it has a net, but every move now cuts that net
+    # and a replicate gains nothing; its only pair, with 1, shares its
+    # FPGA, so it ends without an exchange entry
     h = Hypergraph.build([[1]] * 3, [(1, 0, [1]), (1, 1, [2])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 1, 2]))
     table = state.exchange
     assert (table.best_g[0], table.best_u[0]) == (-1, 1)
     assert state.try_apply("move", 1, 0) is not None
-    assert (state.gains[0, 0] == OUT).all()
+    assert state.gains[0, 0].tolist() == [OUT, -1, -2]
+    assert state.gains[1, 0].tolist() == [OUT, 0, 0]
     assert (table.best_g[0], table.best_u[0]) == (NONE, -1)
     assert bank_snapshot(state) == fresh_bank(state)
 

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfspart._exchange import OUT
+from mfspart._exchange import NONE, OUT
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import drain_fpgas
 from mfspart.refine import (
@@ -22,6 +22,7 @@ from mfspart.refine import (
     gain_replicate,
     run_refine_loop,
 )
+from mfspart.topology import compute_hop_matrix
 
 from conftest import (
     bank_snapshot,
@@ -30,6 +31,7 @@ from conftest import (
     drain_counts,
     fresh_bank,
     pair_corrections,
+    random_feasible_state,
     shaken_bounded_state,
     tight_state,
 )
@@ -106,12 +108,12 @@ _SCRATCH_GAINS = {"move": gain_move, "replicate": gain_replicate, "delete": gain
 
 def _check_rows(state):
     """Every slot of `state.gains` from scratch and against `entries()`.
-    A vertex has entries when it has a replica or a net whose members do
-    not all sit on one FPGA; its slot of a kept kind then holds the op's
-    gain where the op applies, and every other slot is OUT.  A kept kind
-    is an enabled one, or move while exchange, which reads the move rows,
-    is enabled; any other kind is all OUT.  A slot of an enabled kind is
-    not OUT exactly when `entries()` lists it, at that gain."""
+    A vertex has entries when it has a replica or a net; its slot of a
+    kept kind then holds the op's gain where the op applies, and every
+    other slot is OUT.  A kept kind is an enabled one, or move while
+    exchange, which reads the move rows, is enabled; any other kind is
+    all OUT.  A slot of an enabled kind is not OUT exactly when
+    `entries()` lists it, at that gain."""
     h, hm, p = state.h, state.hm, state.p
     applies = {
         "move": lambda v, f: f != p.original[v],
@@ -128,10 +130,7 @@ def _check_rows(state):
             assert all(g == OUT for row in rows for g in row), kind
             continue
         for v, row in enumerate(rows):
-            entries = bool(p.replicas[v]) or any(
-                len(set().union(*(p.hosts(x) for x in h.edges[e].members))) > 1
-                for e in h.incidence[v]
-            )
+            entries = bool(p.replicas[v]) or bool(h.incidence[v])
             for f, g in enumerate(row):
                 expected = (
                     _SCRATCH_GAINS[kind](h, p, hm, v, f)
@@ -243,6 +242,57 @@ def test_gain_rows_exact_with_a_kind_disabled(options):
     assert capped == (3 if "max_replicas" in options else 0)
 
 
+def _check_local_vertices(state):
+    """Every vertex that has no replica and whose nets have every copy on
+    its FPGA lists no entry selection could take: each move gain is
+    negative, each replicate gain at most zero, and it has no exchange
+    entry.  Returns how many such vertices list a move entry."""
+    h, p = state.h, state.p
+    listed = 0
+    for v in range(h.num_vertices):
+        home = {p.original[v]}
+        if p.replicas[v] or not all(
+            p.hosts(x) == home for e in h.incidence[v] for x in h.edges[e].members
+        ):
+            continue
+        move, rep = (row[row != OUT] for row in state.gains[:2, v])
+        assert (move < 0).all() and (rep <= 0).all(), v
+        if state.exchange is not None:
+            assert state.exchange.best_g[v] == NONE, v
+        listed += len(move) > 0
+    return listed
+
+
+@pytest.mark.parametrize("options", [
+    {},
+    {"allow_zero_gain": True},
+    {"ops": ("move", "exchange")},
+    {"ops": ("move", "exchange"), "allow_zero_gain": True},
+], ids=["default", "zero-gain", "move-exchange", "move-exchange-zero-gain"])
+def test_vertex_whose_nets_lie_on_its_fpga_lists_nothing_selectable(options):
+    # a vertex with a net keeps its rows even when every one of its nets
+    # lies wholly on its FPGA: selection must never be able to take one,
+    # under zero-gain acceptance too, after every attempt of the loop; at
+    # half as many nets as vertices, such vertices occur on most seeds
+    listed = 0
+    for seed in range(3):
+        h, t, p = random_feasible_state(seed, n=30, m=15)
+        for state_args in ((h, t, compute_hop_matrix(t), p), tight_state(seed, n=30, m=15)):
+            state = RefineState(*state_args, **options)
+            listed += _check_local_vertices(state)
+            tried = state.try_apply
+
+            def checked(kind, v, dest, state=state, tried=tried):
+                nonlocal listed
+                op = tried(kind, v, dest)
+                listed += _check_local_vertices(state)
+                return op
+
+            state.try_apply = checked
+            run_refine_loop(state)
+    assert listed > 0
+
+
 def _scratch_aggregates(state, v):
     """copy_cost, src_w and the sourced-net terms of v, from their
     definitions under the current placement."""
@@ -280,9 +330,9 @@ def _walk_checking_aggregates(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
     vertex's copy costs, sourced weights and sourced-net terms, as the
     array pass computes them (the falls read off its delete rows), must
-    equal their definitions, and its cut-net count a fresh count.  Returns
-    how many applied ops touched the source of a net, exchanged two drains
-    of one net, and deleted a vertex's last replica."""
+    equal their definitions.  Returns how many applied ops touched the
+    source of a net, exchanged two drains of one net, and deleted a
+    vertex's last replica."""
     h = state.h
     cases = Counter()
     for pick in picks:
@@ -303,8 +353,6 @@ def _walk_checking_aggregates(state, picks):
             cases["exchanged drains"] += 1
         if op.kind == "delete" and not state.p.replicas[op.v]:
             cases["last replica deleted"] += 1
-        fresh = RefineState(state.h, state.t, state.hm, state.p)
-        assert state.cut.tolist() == fresh.cut.tolist()
         sums = state._sums(np.arange(h.num_vertices))
         for v, (cc, sw, src_now, move_col, rep_col) in enumerate(zip(*(x.tolist() for x in sums))):
             copy_cost, src_w, terms = _scratch_aggregates(state, v)
