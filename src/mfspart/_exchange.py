@@ -86,7 +86,7 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _dedupe(x: np.ndarray) -> np.ndarray:
     """The distinct values of x, sorted."""
     x = x.copy()
-    x.sort(kind="stable")
+    x.sort()
     return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
 
 

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from math import inf
 from operator import itemgetter
 
-import numpy as np
-
 from .model import Hypergraph, Placement
+from .seeds import pcg64_uniform
 from .topology import HopMatrix, MfsTopology, hop_sum
 
 
@@ -106,8 +105,14 @@ def compute_heats(h: Hypergraph, t: MfsTopology, hm: HopMatrix) -> HeatScores:
 
 
 def perturb_heats(heats: HeatScores, seed: int) -> HeatScores:
-    """Multiplicative jitter, uniform in [0.9, 1.1], on the node heats."""
-    jitter = np.random.default_rng(seed).uniform(0.9, 1.1, size=len(heats.node_heat))
+    """Multiplicative jitter, uniform in [0.9, 1.1], on the node heats.
+
+    The jitter is `seeds.pcg64_uniform`, the stream of numpy's
+    `default_rng(seed).uniform(0.9, 1.1, n)` written out in Python ints,
+    so a search imports no `numpy.random` and its visit order does not
+    depend on the installed numpy.
+    """
+    jitter = pcg64_uniform(seed, 0.9, 1.1, len(heats.node_heat))
     return HeatScores(
         fpga_heat=list(heats.fpga_heat),
         node_heat=[h * j for h, j in zip(heats.node_heat, jitter)],

@@ -83,7 +83,8 @@ def run_pipeline(
 
     `refine_observer`, when given, is called once per refinement pass with
     that pass's hypergraph and must return a per-op callback (or None);
-    test instrumentation hooks in through it.
+    test instrumentation hooks in through it.  The pipeline itself keeps
+    no coarse hypergraph past its pass.
 
     `time_limit` (wall-clock seconds, finite and non-negative) fixes one
     deadline at the call.  The hop matrix and coarsening run to
@@ -139,11 +140,13 @@ def run_pipeline(
         proven = res.status == "complete" and not levels
         return PipelineResult(None, "infeasible" if proven else "budget")
 
-    # refine the coarsest graph, then project onto each finer one and refine
+    # refine the coarsest graph, then project onto each finer one and refine;
+    # each coarse level is dropped once its placement is projected
     p = res.placement
+    del coarsest, res
     for i in range(len(levels), -1, -1):
         if i < len(levels):
-            p = project_to_finer(levels[i], p)
+            p = project_to_finer(levels.pop(), p)
         level_h = levels[i - 1].hypergraph if i > 0 else h
         p = refine_level(
             level_h, p, t, hm, ops=ops, max_replicas=max_replicas,

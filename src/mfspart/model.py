@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """Non-negative resource amounts, one integer per resource type."""
 
@@ -46,7 +46,7 @@ class ResourceVector:
         return all(a <= c for a, c in zip(self.values, cap.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A circuit unit: dense id plus its per-type resource usage."""
 
@@ -54,7 +54,7 @@ class Vertex:
     weight: ResourceVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperedge:
     """A net: one source vertex, a set of drains, and a signal count.
 

@@ -1,8 +1,10 @@
 import csv
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -500,21 +502,66 @@ def test_partition_budget_exhausted_exit_code(tmp_path):
                 "--seeds", 1]) == 4
 
 
-def test_python_dash_m_runs_the_cli():
-    # both the package and its cli module run as `python -m`, silently
+def _python(*argv):
+    """A fresh interpreter's run of `argv`, with this tree's package first
+    on its path."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    # both the package and its cli module run as `python -m`, silently
     for module in ("mfspart", "mfspart.cli"):
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "--help"],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _python("-m", module, "--help")
         assert proc.returncode == 0, (module, proc.stderr)
         assert proc.stdout.startswith("usage: mfspart"), module
         assert "RuntimeWarning" not in proc.stderr, module
+
+
+def test_partition_imports_no_numpy_random(tmp_path):
+    # the assignment jitter is drawn in Python ints, so a partition call
+    # leaves numpy.random unloaded, and its few MiB out of the peak RSS
+    probe = _python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
+    if probe.stdout.strip() != "False":
+        pytest.skip("importing numpy loads numpy.random on this numpy")
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    hg, topo = tmp_path / "inst.hg", tmp_path / "inst.topo"
+    hg.write_text(write_hypergraph(b.hypergraph))
+    topo.write_text(write_topology(b.topology))
+    code = ("import sys\n"
+            "from mfspart.cli import main\n"
+            "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+    proc = _python("-c", code, "partition", hg, topo, "-o", tmp_path / "out.sol",
+                   "--report", tmp_path / "out.report", "--seeds", 1, "--assign-max-nodes", 2000)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_coarse_levels_are_freed_once_projected():
+    # run_pipeline drops each coarse level once its placement is projected
+    # onto the finer graph, so no coarse hypergraph is alive at the finest pass
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    refs, alive = [], []
+
+    def observer(level_h):
+        if level_h is b.hypergraph:
+            gc.collect()
+            alive.append(sum(r() is not None for r in refs))
+        else:
+            refs.append(weakref.ref(level_h))
+        return None
+
+    res = run_pipeline(b.hypergraph, b.topology, assign_max_nodes=2000,
+                       refine_observer=observer)
+    assert res.status == "ok"
+    assert len(refs) == 3
+    assert alive == [0]
 
 
 # sha256 of the solution and report files that `partition` wrote for these
