@@ -12,12 +12,12 @@ shared net.  The table holds, per level:
   directed slots in CSR by vertex, each vertex's slots sorted by partner
   id;
 - what a term or a pair gain reads, as the refinement state's own
-  objects, read in place: the level's pin index (`PinIndex`: each net's
-  members, source first, its source and its weight), each vertex's
-  original, its nearest-host and nearest-replica hop rows (FAR without a
-  replica), the host sets as an n x K boolean matrix, the move rows, an
-  n x K array of move gains (OUT where there is no move), and the m x K
-  matrix of each net's drain counts per FPGA;
+  objects, read in place: the level's pin index (the hypergraph's own
+  `model.PinIndex`: each net's members, source first, its source and its
+  weight), each vertex's original, its nearest-host and nearest-replica
+  hop rows (FAR without a replica), the host sets as an n x K boolean
+  matrix, the move rows, an n x K array of move gains (OUT where there is
+  no move), and the m x K matrix of each net's drain counts per FPGA;
 - dynamic: each triple's term, each pair's correction (the sum of its
   triples' terms), and each vertex's best (gain, partner) key: higher
   gain first, then the lower partner id.  best_u holds the partner, -1
@@ -88,28 +88,6 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
     x = x.copy()
     x.sort()
     return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
-
-
-class PinIndex:
-    """One hypergraph level's pins as arrays, built once by the refinement
-    state and read by its exchange table: every net's members in CSR
-    (`pin_ptr`, `pins`), source first; each net's `source` and `weight`;
-    and every vertex's nets, drained or sourced, in CSR by vertex
-    (`inc_ptr`, `inc`), in ascending net order."""
-
-    def __init__(self, h):
-        n, m = h.num_vertices, h.num_edges
-        sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
-        self.pin_ptr = np.zeros(m + 1, np.intp)
-        np.cumsum(sizes, out=self.pin_ptr[1:])
-        n_pins = int(self.pin_ptr[-1])
-        self.pins = np.fromiter((x for e in h.edges for x in e.members), I32, n_pins)
-        self.source = self.pins[self.pin_ptr[:-1]].astype(np.intp)
-        self.weight = np.fromiter((e.weight for e in h.edges), np.int64, m)
-        self.inc_ptr = np.zeros(n + 1, np.intp)
-        np.cumsum(np.bincount(self.pins, minlength=n), out=self.inc_ptr[1:])
-        pin_net = np.repeat(np.arange(m, dtype=I32), sizes)
-        self.inc = pin_net[np.argsort(self.pins, kind="stable")]
 
 
 class ExchangeTable:

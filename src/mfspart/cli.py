@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import math
 import sys
@@ -367,7 +368,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every `main` call reads its own flags only."""
     ap = argparse.ArgumentParser(prog="mfspart", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     # partition, gen and bench leave a flag without a default below unset

@@ -10,14 +10,23 @@ Every per-net term comes from one kernel, `net_terms`, which reads the
 source's nearest-copy rows (`HopMatrix.nearest`) at the FPGAs hosting a
 drain: the net's units, its worst hop and its I/O ports.  The metrics here
 and refinement's application-time checks all go through it.
+
+A placement is evaluated in one pass, `tally`, over its host mask
+(`Placement.host_mask`) and the drain-count matrix the graph's pin index
+makes of it (`PinIndex.drain_counts`): the kernel on each net's covered
+FPGAs, the cut rule and the usage.  Every multi-net metric here reads
+that pass, and so does the refinement state when it is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
-from .model import Hypergraph, Placement, ResourceVector, drain_fpgas
+import numpy as np
+
+from .model import Hypergraph, PinIndex, Placement, ResourceVector, drain_fpgas
 from .topology import HopMatrix, MfsTopology, compute_hop_matrix
 
 
@@ -86,10 +95,52 @@ def net_terms(
     return units, worst, ports
 
 
-def _placed_terms(h: Hypergraph, p: Placement, hm: HopMatrix):
-    """(edge, units, worst hop, I/O ports) of every net under p."""
-    for e in h.edges:
-        yield (e, *net_terms(hm, p.hosts(e.source), drain_fpgas(h, e.id, p)))
+@dataclass
+class Tally:
+    """A placement's nets and FPGAs, from one pass over its drain counts."""
+
+    cnt: np.ndarray  # m x K: per net and FPGA, the net's drains with a copy there
+    thd: int
+    worst: list[int]  # per net, its worst hop
+    io: list[int]  # per FPGA, its I/O signal units
+    cut: int
+    usage: np.ndarray  # K x resource types: per FPGA, the weight of its copies
+
+
+def tally(h: Hypergraph, hosted: np.ndarray, hm: HopMatrix) -> Tally:
+    """Every net's terms and every FPGA's load under the n x K host mask
+    `hosted`, from the graph's pin index (`Hypergraph.pin_index`).
+
+    The count matrix comes from `PinIndex.drain_counts`.  Each net's units,
+    worst hop and ports are `net_terms` of its source's hosts at the FPGAs
+    its counts cover; a net is cut unless some host f of its source has
+    cnt[e, f] equal to its drain count; and the usage is the host mask
+    times the vertex weights."""
+    ix = h.pin_index()
+    cnt = ix.drain_counts(hosted)
+    thd = 0
+    worst = []
+    fpgas = range(hm.k_fpgas)
+    io = [0] * hm.k_fpgas
+    for w, hosts, row in zip(ix.weight.tolist(), hosted[ix.source].tolist(), cnt.tolist()):
+        units, x, ports = net_terms(hm, compress(fpgas, hosts), compress(fpgas, row))
+        thd += w * units
+        worst.append(x)
+        for f in ports:
+            io[f] += w
+    return Tally(cnt, thd, worst, io, _cut(ix, hosted, cnt), _usage(h, hosted))
+
+
+def _cut(ix: PinIndex, hosted: np.ndarray, cnt: np.ndarray) -> int:
+    """How many nets no host f of their source serves wholly: cnt[e, f]
+    is below the net's drain count at each of them."""
+    whole = cnt == np.diff(ix.pin_ptr)[:, None] - 1
+    return len(cnt) - int((hosted[ix.source] & whole).any(1).sum())
+
+
+def _usage(h: Hypergraph, hosted: np.ndarray) -> np.ndarray:
+    """Per FPGA and resource type, the weight of the copies it holds."""
+    return hosted.T.astype(np.int64) @ h.weight_matrix()
 
 
 def net_hop_distance(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> int:
@@ -100,7 +151,7 @@ def net_hop_distance(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> int:
 
 def total_hop_distance(h: Hypergraph, p: Placement, hm: HopMatrix) -> int:
     """Sum over nets of weight times net hop distance."""
-    return sum(e.weight * units for e, units, _, _ in _placed_terms(h, p, hm))
+    return tally(h, p.host_mask(hm.k_fpgas), hm).thd
 
 
 def cut_size(h: Hypergraph, p: Placement) -> int:
@@ -109,25 +160,14 @@ def cut_size(h: Hypergraph, p: Placement) -> int:
     A net is uncut iff some one FPGA hosts a copy of the source and a copy
     of every drain.
     """
-    cut = 0
-    for e in h.edges:
-        common = p.hosts(e.source)
-        for d in e.drains:
-            common = common & p.hosts(d)
-            if not common:
-                break
-        if not common:
-            cut += 1
-    return cut
+    ix = h.pin_index()
+    hosted = p.host_mask(1 + max((f for r in (p.original, *p.replicas) for f in r), default=0))
+    return _cut(ix, hosted, ix.drain_counts(hosted))
 
 
 def io_usage_all(h: Hypergraph, p: Placement, hm: HopMatrix) -> list[int]:
     """I/O signal units per FPGA, across all nets."""
-    io = [0] * hm.k_fpgas
-    for e, _, _, ports in _placed_terms(h, p, hm):
-        for f in ports:
-            io[f] += e.weight
-    return io
+    return tally(h, p.host_mask(hm.k_fpgas), hm).io
 
 
 def _placement_violations(p: Placement, k_fpgas: int) -> list[Violation]:
@@ -153,15 +193,7 @@ def _placement_violations(p: Placement, k_fpgas: int) -> list[Violation]:
 
 def fpga_usage(h: Hypergraph, p: Placement, k_fpgas: int) -> list[ResourceVector]:
     """Per-FPGA resource usage summed over every hosted copy."""
-    k = h.num_resource_types
-    usage = [[0] * k for _ in range(k_fpgas)]
-    for v in range(h.num_vertices):
-        w = h.vertices[v].weight
-        for f in p.hosts(v):
-            row = usage[f]
-            for i in range(k):
-                row[i] += w[i]
-    return [ResourceVector(row) for row in usage]
+    return [ResourceVector(u) for u in _usage(h, p.host_mask(k_fpgas)).tolist()]
 
 
 def validate(
@@ -175,27 +207,19 @@ def validate(
         return placement_bad
     if hm is None:
         hm = compute_hop_matrix(t)
+    facts = tally(h, p.host_mask(t.k_fpgas), hm)
     out: list[Violation] = []
-    usage = fpga_usage(h, p, t.k_fpgas)
-    for f in range(t.k_fpgas):
-        cap = t.capacities[f]
-        for i in range(t.num_resource_types):
-            if usage[f][i] > cap[i]:
-                out.append(
-                    Violation("resource", f, usage[f][i], cap[i], f"resource type {i}")
-                )
-    io = [0] * t.k_fpgas
-    hops: list[Violation] = []
-    for e, _, worst, ports in _placed_terms(h, p, hm):
-        for f in ports:
-            io[f] += e.weight
-        if t.hop_max is not None and worst > t.hop_max:
-            hops.append(Violation("hop", e.id, worst, t.hop_max))
-    for f in range(t.k_fpgas):
-        lim = t.io_limits[f]
-        if lim is not None and io[f] > lim:
-            out.append(Violation("io", f, io[f], lim))
-    return out + hops
+    for f, (used, cap) in enumerate(zip(facts.usage.tolist(), t.capacities)):
+        for i, (x, c) in enumerate(zip(used, cap)):
+            if x > c:
+                out.append(Violation("resource", f, x, c, f"resource type {i}"))
+    for f, (x, lim) in enumerate(zip(facts.io, t.io_limits)):
+        if lim is not None and x > lim:
+            out.append(Violation("io", f, x, lim))
+    if t.hop_max is not None:
+        out += [Violation("hop", e, x, t.hop_max)
+                for e, x in enumerate(facts.worst) if x > t.hop_max]
+    return out
 
 
 def report(
@@ -203,19 +227,12 @@ def report(
 ) -> MetricsReport:
     if hm is None:
         hm = compute_hop_matrix(t)
-    thd = 0
-    max_hop = 0
-    io = [0] * t.k_fpgas
-    for e, units, worst, ports in _placed_terms(h, p, hm):
-        thd += e.weight * units
-        max_hop = max(max_hop, worst)
-        for f in ports:
-            io[f] += e.weight
+    facts = tally(h, p.host_mask(t.k_fpgas), hm)
     return MetricsReport(
-        total_hop_distance=thd,
-        cut_size=cut_size(h, p),
-        fpga_usage=fpga_usage(h, p, t.k_fpgas),
-        fpga_io=io,
-        max_hop_used=max_hop,
+        total_hop_distance=facts.thd,
+        cut_size=facts.cut,
+        fpga_usage=[ResourceVector(u) for u in facts.usage.tolist()],
+        fpga_io=facts.io,
+        max_hop_used=max(facts.worst, default=0),
         replica_count=p.replica_count(),
     )

@@ -5,6 +5,12 @@ vertex (the signal producer) and a non-empty set of drain vertices (the
 consumers).  A placement maps each vertex to one original FPGA plus an
 optional set of replica FPGAs; a replica is a full copy of the vertex, so
 its outputs are available locally and all of its inputs must reach it.
+
+Each hypergraph also holds its pins as arrays, built once on first use
+(`Hypergraph.pin_index`, a `PinIndex`), which the metrics, the refinement
+state and its exchange table all read; with a placement's host mask
+(`Placement.host_mask`) it gives the matrix of each net's drain copies
+per FPGA (`PinIndex.drain_counts`).
 """
 
 from __future__ import annotations
@@ -120,6 +126,7 @@ class Hypergraph:
                 incidence[m].append(e.id)
         self.incidence = incidence
         self._weight_matrix: np.ndarray | None = None
+        self._pin_index: PinIndex | None = None
 
     @classmethod
     def build(
@@ -152,10 +159,47 @@ class Hypergraph:
             ).reshape(self.num_vertices, self.num_resource_types)
         return self._weight_matrix
 
+    def pin_index(self) -> "PinIndex":
+        """The pins as arrays (see `PinIndex`); cached."""
+        if self._pin_index is None:
+            self._pin_index = PinIndex(self)
+        return self._pin_index
+
     def total_weight(self) -> ResourceVector:
         if not self.vertices:
             return ResourceVector(())
         return ResourceVector(self.weight_matrix().sum(axis=0))
+
+
+class PinIndex:
+    """A hypergraph's pins as arrays, built once per graph and read by the
+    metrics, the refinement state and its exchange table: every net's
+    members in CSR (`pin_ptr`, `pins`), source first; each net's `source`
+    and `weight`; and every vertex's nets, drained or sourced, in CSR by
+    vertex (`inc_ptr`, `inc`), in ascending net order."""
+
+    def __init__(self, h: Hypergraph):
+        n, m = h.num_vertices, h.num_edges
+        sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
+        self.pin_ptr = np.zeros(m + 1, np.intp)
+        np.cumsum(sizes, out=self.pin_ptr[1:])
+        n_pins = int(self.pin_ptr[-1])
+        self.pins = np.fromiter((x for e in h.edges for x in e.members), np.int32, n_pins)
+        self.source = self.pins[self.pin_ptr[:-1]].astype(np.intp)
+        self.weight = np.fromiter((e.weight for e in h.edges), np.int64, m)
+        self.inc_ptr = np.zeros(n + 1, np.intp)
+        np.cumsum(np.bincount(self.pins, minlength=n), out=self.inc_ptr[1:])
+        pin_net = np.repeat(np.arange(m, dtype=np.int32), sizes)
+        self.inc = pin_net[np.argsort(self.pins, kind="stable")]
+
+    def drain_counts(self, hosted: np.ndarray) -> np.ndarray:
+        """Per net and FPGA, the number of the net's drains with a copy
+        there, as an m x K int64 matrix, given the n x K host mask `hosted`
+        (`Placement.host_mask`): one scatter over the drain pins' copies."""
+        m, kf = len(self.weight), hosted.shape[1]
+        net = np.repeat(np.arange(m), np.diff(self.pin_ptr) - 1)
+        pin, f = np.nonzero(hosted[np.delete(self.pins, self.pin_ptr[:-1])])
+        return np.bincount(net[pin] * kf + f, minlength=m * kf).reshape(m, kf)
 
 
 def incident_edges(h: Hypergraph, v: int) -> list[int]:
@@ -198,6 +242,14 @@ class Placement:
 
     def replica_count(self) -> int:
         return sum(len(r) for r in self.replicas)
+
+    def host_mask(self, k_fpgas: int) -> np.ndarray:
+        """The n x K bool matrix of which FPGAs hold a copy of each vertex."""
+        mask = np.zeros((self.num_vertices, k_fpgas), bool)
+        mask[np.arange(self.num_vertices), self.original] = True
+        rows = [v for v, r in enumerate(self.replicas) for _ in r]
+        mask[rows, [f for r in self.replicas for f in r]] = True
+        return mask
 
     def copy(self) -> "Placement":
         return Placement(self.original, self.replicas)

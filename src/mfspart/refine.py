@@ -14,11 +14,14 @@ A prospective operation is a map {vertex: frozenset of its new hosts},
 built by `_change`, which holds each kind's precondition; a commit
 installs those sets in `hosts[v]`.  The state also keeps one m x K count
 matrix, `cnt`: per net and FPGA, the number of the net's drains with a
-copy there.  An operation is evaluated by applying its host changes to
-list copies of the affected nets' rows and calling `metrics.net_terms`
-on each changed net's covered FPGAs before and after, which gives its
-units (so the gain), worst hop and I/O ports.  On commit those rows are
-written back in one assignment.
+copy there.  It takes that matrix, the THD, the I/O and the usage from
+the metrics' one pass over the host mask, `metrics.tally`.  An operation
+is evaluated by `_evaluate`, which applies its host changes to list
+copies of the affected nets' rows and calls `metrics.net_terms` on each
+changed net's covered FPGAs before and after, which gives its units (so
+the gain), worst hop and I/O ports.  On commit those rows are written
+back in one assignment.  The from-scratch gains (`gain_move` and the
+rest) run the same evaluation on a placement's own count matrix.
 
 A vertex's move, replicate and delete entries are a closed form in two
 per-FPGA sums over its nets and in its own hop rows (see `_rows`):
@@ -29,7 +32,7 @@ capped at f's, by the vertex's nearest-replica row for a move and by its
 nearest-host row for a replicate; a delete's fall comes from the
 nearest-host row without that replica.  `_rows` computes all of it for
 any vertex set in a few array passes over the level's pin index
-(`PinIndex`), the count matrix and the host arrays, and keeps nothing
+(`Hypergraph.pin_index`), the count matrix and the host arrays, and keeps nothing
 between calls: the entry build calls it in runs of `RUN` vertices, and
 every commit on the vertices the commit made dirty.
 
@@ -87,8 +90,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._exchange import FAR, NONE, OUT, ExchangeTable, PinIndex, _dedupe, _ranges
-from .metrics import fpga_usage, net_terms
+from ._exchange import FAR, NONE, OUT, ExchangeTable, _dedupe, _ranges
+from .metrics import net_terms, tally
 from .model import Hypergraph, Placement
 from .topology import HopMatrix, MfsTopology
 
@@ -151,38 +154,45 @@ def _change(
     raise ValueError(f"unknown op kind '{kind}'")
 
 
-def _drain_counts(h: Hypergraph, hosts, e: int, kf: int) -> np.ndarray:
-    """Net e's row of the count matrix: per FPGA, the number of its drains
-    d with it in `hosts[d]`."""
-    return np.bincount([f for d in h.edges[e].drains for f in hosts[d]], minlength=kf)
-
-
-def _covered(row) -> list[int]:
-    """The FPGAs a count row covers: those with a nonzero count."""
-    return list(compress(range(len(row)), row))
-
-
-def _changed_nets(
-    h: Hypergraph, hosts, change: dict[int, frozenset], drain_cnt
-) -> dict[int, tuple[frozenset, list[int]]]:
-    """Source hosts and drain count rows, after a prospective change
-    {vertex: new host set}, of every net with a changed member, from the
-    current `hosts[v]` and count rows `drain_cnt[e]`, copied as lists."""
-    after: dict[int, tuple[frozenset, list[int]]] = {}
+def _evaluate(h: Hypergraph, hm: HopMatrix, hosts, cnt: np.ndarray, change: dict[int, frozenset]):
+    """A prospective change {vertex: new host set} evaluated net by net,
+    from the current `hosts[v]` and count matrix: `(rows, gain, worst,
+    io_delta)`.  `rows` holds, per net with a changed member, its source's
+    hosts after the change and its count rows before and after, as lists;
+    then come the THD decrease, the worst hop of those nets after it, and
+    the I/O delta at every FPGA that is a port of one of them before or
+    after.  A net's terms are `net_terms` of its source's hosts at the
+    FPGAs its count row covers."""
+    rows: dict[int, tuple[frozenset, list[int], list[int]]] = {}
     for v, new in change.items():
         old = hosts[v]
         for e in h.incidence[v]:
             src = h.edges[e].source
-            if e not in after:
-                after[e] = (change.get(src, hosts[src]), drain_cnt[e].tolist())
-            if src == v:
-                continue
-            cnt = after[e][1]
-            for f in old:
-                cnt[f] -= 1
-            for f in new:
-                cnt[f] += 1
-    return after
+            if e not in rows:
+                was = cnt[e].tolist()
+                rows[e] = (change.get(src, hosts[src]), was, was.copy())
+            if src != v:
+                row = rows[e][2]
+                for f in old:
+                    row[f] -= 1
+                for f in new:
+                    row[f] += 1
+    fpgas = range(hm.k_fpgas)
+    gain = worst = 0
+    io_delta: dict[int, int] = {}
+    for e, (src_hosts, was, now) in rows.items():
+        edge = h.edges[e]
+        w = edge.weight
+        units, x, ports = net_terms(hm, src_hosts, compress(fpgas, now))
+        old_units, _, old_ports = net_terms(hm, hosts[edge.source], compress(fpgas, was))
+        gain += w * (old_units - units)
+        if x > worst:
+            worst = x
+        for f in old_ports:
+            io_delta[f] = io_delta.get(f, 0) - w
+        for f in ports:
+            io_delta[f] = io_delta.get(f, 0) + w
+    return rows, gain, worst, io_delta
 
 
 _INAPPLICABLE = {
@@ -202,21 +212,14 @@ def _gain_of(
     dest: int,
     partner: int | None = None,
 ) -> int:
-    """THD decrease of one op, from the nets whose members it changes."""
+    """THD decrease of one op, from the nets whose members it changes,
+    evaluated on the placement's drain counts."""
     change = _change(p, kind, v, dest, partner)
     if change is None:
         raise ValueError(_INAPPLICABLE[kind])
-    # the hosts of every member of the nets the op reaches, and of the
-    # changed vertices themselves (an isolated one reaches no net)
-    nets = {e for x in change for e in h.incidence[x]}
-    hosts = {x: p.hosts(x) for x in (*change, *(m for e in nets for m in h.edges[e].members))}
-    cnts = {e: _drain_counts(h, hosts, e, hm.k_fpgas) for e in nets}
-    g = 0
-    for e, (src_hosts, cnt) in _changed_nets(h, hosts, change, cnts).items():
-        edge = h.edges[e]
-        before = net_terms(hm, hosts[edge.source], _covered(cnts[e]))[0]
-        g += edge.weight * (before - net_terms(hm, src_hosts, _covered(cnt))[0])
-    return g
+    cnt = h.pin_index().drain_counts(p.host_mask(hm.k_fpgas))
+    hosts = [p.hosts(x) for x in range(p.num_vertices)]
+    return _evaluate(h, hm, hosts, cnt, change)[1]
 
 
 def gain_move(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
@@ -301,7 +304,7 @@ class RefineState:
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
         self.weights = h.weight_matrix().T  # per resource type, every vertex's weight
-        self.index = ix = PinIndex(h)
+        self.index = h.pin_index()
         self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
 
         # every vertex's host set, replaced at each commit by the one
@@ -316,27 +319,15 @@ class RefineState:
         self._hops = np.full((2, n, kf), FAR, np.int64)
         self.hop, self.rep_hop = self._hops
         self.hop[:] = self.dist[self.orig]
-        self.hosted = np.zeros((n, kf), bool)
-        self.hosted[np.arange(n), self.orig] = True
+        self.hosted = self.p.host_mask(kf)
         for x, reps in enumerate(self.p.replicas):
             if reps:
                 self._install(x, frozenset(reps | {self.p.original[x]}))
-        # per net and FPGA, the number of the net's drains with a copy
-        # there: one scatter over the drain pins' copies
-        m = h.num_edges
-        drains = np.ones(len(ix.pins), bool)
-        drains[ix.pin_ptr[:-1]] = False
-        net = np.repeat(np.arange(m), np.diff(ix.pin_ptr))[drains]
-        pin, f = np.nonzero(self.hosted[ix.pins[drains]])
-        self.cnt = np.bincount(net[pin] * kf + f, minlength=m * kf).reshape(m, kf)
-        self.thd = 0
-        self.io = [0] * kf
-        for e, row in zip(h.edges, self.cnt.tolist()):
-            units, _, ports = net_terms(hm, self.hosts[e.source], _covered(row))
-            self.thd += e.weight * units
-            for f in ports:
-                self.io[f] += e.weight
-        self.usage = [list(u.values) for u in fpga_usage(h, self.p, kf)]
+        # the count matrix (per net and FPGA, the number of the net's
+        # drains with a copy there), THD, I/O and usage, from the host mask
+        facts = tally(h, self.hosted, hm)
+        self.cnt, self.thd, self.io = facts.cnt, facts.thd, facts.io
+        self.usage = facts.usage.tolist()
 
         # an entry's item id is (KIND_RANK[kind] * n + v) * K + dest, dest 0
         # for an exchange: its order is the tie order
@@ -358,8 +349,8 @@ class RefineState:
         self.gains = np.full((len(FPGA_KINDS), n, kf), OUT, np.int64)
         self.exchange = (
             ExchangeTable(
-                ix, self.dist, self.orig, self.hop, self.rep_hop, self.hosted, self.gains[0],
-                self.cnt,
+                self.index, self.dist, self.orig, self.hop, self.rep_hop, self.hosted,
+                self.gains[0], self.cnt,
             )
             if "exchange" in self.enabled else None
         )
@@ -661,7 +652,6 @@ class RefineState:
         Resource deltas are net per FPGA, so a swap between two full FPGAs
         stays legal when the weights balance out.
         """
-        h = self.h
         p = self.p
         change = self._op_change(kind, v, dest)
         if change is None:
@@ -670,26 +660,11 @@ class RefineState:
         if not self._fits(deltas):
             return None
 
-        # every changed net's terms after the op, and before it from the
-        # installed counts: the gain, the worst hop and the I/O delta
-        after = _changed_nets(h, self.hosts, change, self.cnt)
-        es = np.fromiter(after, np.intp, len(after))
-        old = self.cnt[es]
-        gain = 0
-        io_delta: dict[int, int] = {}
-        for (e, (src_hosts, cnt)), was in zip(after.items(), old.tolist()):
-            edge = h.edges[e]
-            w = edge.weight
-            covered = _covered(cnt)
-            units, worst, ports = net_terms(self.hm, src_hosts, covered)
-            if self.hop_max is not None and worst > self.hop_max:
-                return None
-            old_units, _, old_ports = net_terms(self.hm, self.hosts[edge.source], _covered(was))
-            gain += w * (old_units - units)
-            for f in old_ports:
-                io_delta[f] = io_delta.get(f, 0) - w
-            for f in ports:
-                io_delta[f] = io_delta.get(f, 0) + w
+        # every changed net's terms before and after the op: the gain, the
+        # worst hop and the I/O delta
+        rows, gain, worst, io_delta = _evaluate(self.h, self.hm, self.hosts, self.cnt, change)
+        if self.hop_max is not None and worst > self.hop_max:
+            return None
         if self.io_limited:
             for f, d in io_delta.items():
                 lim = self.io_limits[f]
@@ -697,7 +672,9 @@ class RefineState:
                     return None
 
         # commit
-        new = np.array([cnt for _, cnt in after.values()], np.int64).reshape(-1, self.kf)
+        es = np.fromiter(rows, np.intp, len(rows))
+        old = self.cnt[es]
+        new = np.array([now for _, _, now in rows.values()], np.int64).reshape(-1, self.kf)
         partner = self._partner(v) if kind == "exchange" else None
         source = p.original[v]
         partner_dest = None if partner is None else source

@@ -128,6 +128,29 @@ def test_partition_adds_no_defaults_of_its_own(tmp_path):
     assert rep.read_text() == report(b.hypergraph, b.topology, res.placement).to_text()
 
 
+def test_consecutive_calls_parse_independently(tmp_path):
+    # the parser is built once per process; no flag of one call may reach
+    # the next, whichever subcommands the two run
+    import mfspart.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["gen", tmp_path / "a", "--seed", 4, "--vertices", 30, "--edges", 45,
+                "--fpgas", 3, "--spare", 0.9, "--hub-fanout", 6]) == 0
+    hg, topo = tmp_path / "a.hg", tmp_path / "a.topo"
+    sol, rep = tmp_path / "a.sol", tmp_path / "a.report"
+    assert run(["partition", hg, topo, "-o", sol, "--report", rep, "--seeds", 2,
+                "--ops", "mv", "--max-replicas", 0, "--allow-zero-gain"]) == 0
+    assert run(["evaluate", hg, topo, sol, "--report", tmp_path / "eval.report"]) == 0
+    assert (tmp_path / "eval.report").read_bytes() == rep.read_bytes()
+    assert run(["gen", tmp_path / "g", "--seed", 4]) == 0
+    b = gen_instance(sub_seed(4, TAG_GEN), 100, 200, 4, 2)
+    assert (tmp_path / "g.hg").read_text() == write_hypergraph(b.hypergraph)
+    assert (tmp_path / "g.topo").read_text() == write_topology(b.topology)
+    assert run(["partition", hg, topo, "-o", sol, "--report", rep]) == 0
+    h, t = parse_hypergraph(hg.read_text()), parse_topology(topo.read_text())
+    assert sol.read_text() == write_solution(run_pipeline(h, t).placement)
+
+
 def test_partition_evaluate_validate_round_trip(tmp_path, instance):
     hg, topo = instance
     sol = tmp_path / "out.sol"
@@ -562,6 +585,32 @@ def test_coarse_levels_are_freed_once_projected():
     assert res.status == "ok"
     assert len(refs) == 3
     assert alive == [0]
+
+
+def test_each_level_state_is_freed_before_the_next_is_built(monkeypatch):
+    # a level's refinement state, its exchange table with it, is gone by
+    # the time the next level's is built, even without the cycle collector
+    import mfspart.refine as refine
+
+    refs, alive = [], []
+
+    class Tracked(refine.RefineState):
+        def __init__(self, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(refine, "RefineState", Tracked)
+    b = gen_instance(5, 600, 720, 8, 2, spare=0.4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = run_pipeline(b.hypergraph, b.topology, n_seeds=1, assign_max_nodes=2000)
+    finally:
+        if enabled:
+            gc.enable()
+    assert res.status == "ok"
+    assert alive == [0, 0, 0, 0]
 
 
 # sha256 of the solution and report files that `partition` wrote for these

@@ -76,6 +76,18 @@ def _random_state(seed, n=8, m=14, k=3):
     return b.hypergraph, b.topology, hm, Placement(orig, reps)
 
 
+def _edge_states():
+    """States with the shapes the shared count pass must handle: a
+    net-less graph (an empty (0, K) count matrix), isolated vertices, and
+    a single FPGA (every net local)."""
+    for seed in range(5):
+        yield _random_state(seed, n=10, m=0, k=5)
+        h, t, hm, p = _random_state(seed, n=10, m=2, k=5)
+        assert not all(h.incidence)  # a vertex without a net
+        yield h, t, hm, p
+        yield _random_state(seed, n=10, m=18, k=1)
+
+
 def _brute_net_worst(h, p, hm):
     """Per net, the largest hop from its nearest source copy to a drain copy."""
     out = []
@@ -112,13 +124,18 @@ def _brute_io(h, p, hm, k):
 
 def test_report_matches_brute_force_with_replicas():
     replicated = 0
-    for seed in range(30):
-        h, t, hm, p = _random_state(seed, n=10, m=18, k=5)
+    states = [_random_state(seed, n=10, m=18, k=5) for seed in range(30)]
+    for h, t, hm, p in states + list(_edge_states()):
         replicated += p.replica_count()
         rep = report(h, t, p, hm)
         assert rep.total_hop_distance == _brute_thd(h, p, hm)
         assert rep.max_hop_used == _brute_max_hop(h, p, hm)
         assert rep.fpga_io == _brute_io(h, p, hm, t.k_fpgas)
+        usage = [[0] * h.num_resource_types for _ in range(t.k_fpgas)]
+        for v in h.vertices:
+            for f in {p.original[v.id]} | p.replicas[v.id]:
+                usage[f] = [a + b for a, b in zip(usage[f], v.weight)]
+        assert [list(u) for u in rep.fpga_usage] == usage
     assert replicated > 0
 
 
@@ -194,8 +211,7 @@ def test_cut_size_fanout_story():
 
 
 def test_cut_size_matches_brute_force():
-    for seed in range(15):
-        h, t, hm, p = _random_state(seed)
+    for h, t, hm, p in [_random_state(seed) for seed in range(15)] + list(_edge_states()):
         brute = 0
         for e in h.edges:
             common = {p.original[e.source]} | p.replicas[e.source]
@@ -287,6 +303,18 @@ def test_validate_bounds_match_brute_force_with_replicas():
         assert hops and ios
         checked += 1
     assert checked >= 20
+    # the edge shapes, under a hop bound of 1 and the same I/O limits
+    for h, t, hm, p in _edge_states():
+        worst = _brute_net_worst(h, p, hm)
+        io = _brute_io(h, p, hm, t.k_fpgas)
+        limits = [x - 1 if x and f % 2 == 0 else x for f, x in enumerate(io)]
+        bad = validate(h, MfsTopology(t.capacities, t.links, limits, 1), p, hm)
+        assert {(v.index, v.observed) for v in bad if v.kind == "hop"} == {
+            (e, w) for e, w in enumerate(worst) if w > 1
+        }
+        assert {(v.index, v.observed, v.limit) for v in bad if v.kind == "io"} == {
+            (f, x, x - 1) for f, x in enumerate(io) if x and f % 2 == 0
+        }
 
 
 def test_validate_malformed_placement():
