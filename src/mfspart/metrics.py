@@ -191,11 +191,6 @@ def _placement_violations(p: Placement, k_fpgas: int) -> list[Violation]:
     return out
 
 
-def fpga_usage(h: Hypergraph, p: Placement, k_fpgas: int) -> list[ResourceVector]:
-    """Per-FPGA resource usage summed over every hosted copy."""
-    return [ResourceVector(u) for u in _usage(h, p.host_mask(k_fpgas)).tolist()]
-
-
 def validate(
     h: Hypergraph, t: MfsTopology, p: Placement, hm: HopMatrix | None = None
 ) -> list[Violation]:

@@ -42,11 +42,6 @@ class ResourceVector:
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        if len(self) != len(other):
-            raise ValueError("resource vectors of different lengths")
-        return ResourceVector(a + b for a, b in zip(self.values, other.values))
-
     def fits_within(self, cap: "ResourceVector") -> bool:
         """True if every component is <= the corresponding capacity."""
         return all(a <= c for a, c in zip(self.values, cap.values))

@@ -55,18 +55,17 @@ has entries exactly when it has a net or a replica, which `_rows` reads
 from the pin index and the host mask.
 
 An exchange gain is the two endpoints' move gains plus a correction over
-the nets they share.  One array table per level, an `ExchangeTable` the
-state owns, keeps every exchange entry's gain and each vertex's best
-partner.  Every fact it reads is the state's own, read in place: the
-pin index, the arrays `orig`, `hop` and `rep_hop` (each vertex's
-original and nearest-host and nearest-replica rows), which `_install`
-writes with the host sets, the host mask `hosted`, the move rows
-`gains[0]` and the count matrix.  It holds no reference back to the
-state: after a commit the state makes one call, `ExchangeTable.commit`,
-naming the touched vertices, the changed nets with their count
-crossings, and the rebuilt vertices with their move rows from before
-the commit, and the table alone works out which terms, pairs and
-partners to redo (see `_exchange`).
+the nets they share.  One table per level, an `ExchangeTable` the state
+owns, keeps each vertex's best exchange (gain and partner), scored on
+demand from the pin index, and nothing per pair.  Every fact it reads is
+the state's own, read in place: the pin index, the arrays `orig`, `hop`
+and `rep_hop` (each vertex's original and nearest-host and
+nearest-replica rows), which `_install` writes with the host sets, the
+move rows `gains[0]` and the count matrix.  It holds no reference back
+to the state: after a commit the state makes one call,
+`ExchangeTable.commit`, naming the changed nets and the rebuilt vertices
+with their move rows from before the commit, and the table marks stale
+every best the commit can have changed (see `_exchange`).
 
 Selection is one masked argmax over those arrays (`peek_best`).  Of the
 entries whose gain is acceptable, it keeps those whose resource deltas
@@ -76,9 +75,13 @@ gain, then the lowest item id, which orders kind, vertex and destination
 as the tie order does.  Only the winner is checked in Python: an entry
 `try_apply` rejected on I/O or hop grounds since the last commit (see
 `hold`), or a zero-gain return (`_returns`), is masked out and the next
-one taken.  So `try_apply` sees only entries that fit, and every entry
-stays exact whether it is taken or not.  Once `max_replicas` binds,
-replicate is no longer an enabled kind: its rows stay OUT.
+one taken.  Then the stale exchange bests that could reach the winner's
+gain are settled, and the winner taken again from them and itself.  So
+`try_apply` sees only entries that fit, and every entry is exact whether
+it is taken or not: a stale best is settled before it is read, by
+selection, by `entries()` and by an exchange's partner lookup.  Once
+`max_replicas` binds, replicate is no longer an enabled kind: its rows
+stay OUT.
 """
 
 from __future__ import annotations
@@ -343,14 +346,13 @@ class RefineState:
         self.applied: list[Op] = []
         self.replicates_applied = 0
         # every vertex's move, replicate and delete rows (see the module
-        # docstring); and the exchange pairs of this level, whose table
+        # docstring); and the exchange bests of this level, whose table
         # reads the pin index, the vertex facts, the move rows and the
         # count matrix in place and holds no reference back here
         self.gains = np.full((len(FPGA_KINDS), n, kf), OUT, np.int64)
         self.exchange = (
             ExchangeTable(
-                self.index, self.dist, self.orig, self.hop, self.rep_hop, self.hosted,
-                self.gains[0], self.cnt,
+                self.index, self.dist, self.orig, self.hop, self.rep_hop, self.gains[0], self.cnt,
             )
             if "exchange" in self.enabled else None
         )
@@ -361,15 +363,15 @@ class RefineState:
 
     def _build_entries(self, deadline: float | None = None) -> None:
         """Build every entry from scratch: every vertex's rows, stored into
-        an all-OUT `gains` in runs of `RUN` vertices, then the exchange
-        entries, which read the move rows.  Stops at the first run that
-        starts past `deadline`, and builds no exchange entry once it has
-        passed."""
+        an all-OUT `gains` in runs of `RUN` vertices, then every exchange
+        best is marked stale, to be scored from the move rows when read.
+        Stops at the first run that starts past `deadline`, and lists no
+        exchange entry once it has passed."""
         n = self.h.num_vertices
         # an entry of an enabled kind is a slot of `gains` that is not
-        # OUT, for move, replicate and delete, and a vertex whose best_g
-        # in the exchange table is not NONE, for exchange; the table scores
-        # those from gains[0], each vertex's move gain to every FPGA
+        # OUT, for move, replicate and delete, and a vertex whose settled
+        # best_g in the exchange table is not NONE, for exchange; the table
+        # scores those from gains[0], each vertex's move gain to every FPGA
         self.gains.fill(OUT)
         done = 0
         while done < n and not _past(deadline):
@@ -377,7 +379,7 @@ class RefineState:
             self.gains[:, vs] = self._rows(vs)
             done += len(vs)
         if done == n and self.exchange is not None and not _past(deadline):
-            self.exchange.build()
+            self.exchange.reset()
 
     def _install(self, x: int, hosts: frozenset) -> None:
         """Store x's host set, which the placement already holds, and every
@@ -393,9 +395,8 @@ class RefineState:
         self.hosted[x, list(hosts)] = True
 
     def _partner(self, v: int) -> int | None:
-        """v's stored exchange partner, None without one."""
-        u = -1 if self.exchange is None else int(self.exchange.best_u[v])
-        return None if u < 0 else u
+        """v's best exchange partner, None without one."""
+        return None if self.exchange is None else self.exchange.partner(v)
 
     # -- gain bookkeeping -------------------------------------------------
 
@@ -520,9 +521,38 @@ class RefineState:
         unless `try_apply` rejected it since the last commit (`hold`) or,
         at gain 0, `_returns` flags it, in which case the next is.  So the
         result is the entry the loop would reach by trying every better
-        acceptable one and rejecting those that do not fit or return.
+        acceptable one and rejecting those that do not fit or return.  A
+        stale exchange best is not a candidate until settled: those that
+        reach the pick's gain, or the exchange floor without a pick, are
+        settled (`ExchangeTable.wake`; ties count, as an exchange outranks
+        a replicate) and the pick taken again.
         """
-        gains, items = self._offers()
+        rooms = self._rooms()
+        best = self._pick(*self._offers(rooms))
+        if self.exchange is not None:
+            # the stale bests that can beat the pick, each settled at its
+            # gain or above; one wake is enough, since the pick among them
+            # and the old pick gains no less.  None of them is held: a
+            # commit marks, and clears what is held
+            bar = 1 - self._acceptable("exchange", 0)
+            if best is not None:
+                bar = max(bar, best[1][3])
+            woken = self.exchange.wake(bar)
+            if len(woken):
+                gains, items = self._exchange_offers(woken, rooms)
+                if best is not None:
+                    gains = np.append(gains, best[1][3])
+                    items = np.append(items, best[0])
+                best = self._pick(gains, items)
+        if best is None:
+            return None
+        self._peeked = best[0]
+        return best[1]
+
+    def _pick(self, gains: np.ndarray, items: np.ndarray):
+        """The best of the offers (gains and item ids) that is not held and
+        not a zero-gain return, as (item id, (kind, vertex, dest, gain)),
+        or None."""
         while len(gains):
             at = np.flatnonzero(gains == gains.max())
             i = at[items[at].argmin()]
@@ -532,27 +562,27 @@ class RefineState:
                 gains = np.delete(gains, i)
                 items = np.delete(items, i)
                 continue
-            self._peeked = item
-            return kind, v, dest, gain
+            return item, (kind, v, dest, gain)
         return None
 
-    def _offers(self) -> tuple[np.ndarray, np.ndarray]:
+    def _rooms(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per resource type, every vertex's weight and the room left on
+        each FPGA: a delta fits where it is at most that, and one that is
+        not positive always does."""
+        free = self.caps - np.array(self.usage, np.int64)
+        np.maximum(free, 0, out=free)
+        return list(zip(self.weights, free.T))
+
+    def _offers(self, rooms) -> tuple[np.ndarray, np.ndarray]:
         """Gains and item ids of every entry of an enabled kind whose gain
-        is acceptable and whose resource deltas fit, as arrays: the rule of
-        `_acceptable` and of `_fits` on `_resource_deltas`, over all entries
-        at once.
+        is acceptable and whose resource deltas fit (`_rooms`), as arrays:
+        the rule of `_acceptable` and of `_fits` on `_resource_deltas`, over
+        all entries at once.
 
         A move, replicate or delete of v to f adds v's weight on f exactly
         when f does not host v: a replicate's f never does and a delete's
-        always does, so only a move onto a replica of v adds nothing.  An
-        exchange of v on pv with u on pu changes pu by w_v [pu not a host
-        of v] - w_u and pv by w_u [pv not a host of u] - w_v."""
+        always does, so only a move onto a replica of v adds nothing."""
         kf, span = self.kf, self._span
-        # per resource type, the room left on each FPGA: a delta fits where
-        # it is at most that, and one that is not positive always does
-        free = self.caps - np.array(self.usage, np.int64)
-        np.maximum(free, 0, out=free)
-        rooms = list(zip(self.weights, free.T))
         hosted = self.hosted.reshape(-1)
         # the lowest acceptable gain of each kind (every positive gain is),
         # above every gain for a disabled one
@@ -567,28 +597,35 @@ class RefineState:
         ok = np.ones(len(at), bool)
         for w, room in rooms:
             ok &= w[v] * adds <= room[f]
-        gains = [self.gains.reshape(-1)[at[ok]]]
-        items = [_FPGA_RANKS[k[ok]] * span + vf[ok]]
-        if self.exchange is not None:
-            table = self.exchange
-            v = np.flatnonzero(table.best_g >= 1 - self._acceptable("exchange", 0))
-            # the two FPGAs of each exchange: on y's FPGA, x arrives and y
-            # leaves, for (x, y) = (v, u) and (u, v)
-            x = np.concatenate((v, table.best_u[v]))
-            y = np.concatenate((x[len(v):], v))
-            at = self.orig[y]
-            adds = ~hosted[x * kf + at]
-            ok = np.ones(len(x), bool)
-            for w, room in rooms:
-                ok &= w[x] * adds - w[y] <= room[at]
-            v = v[ok[:len(v)] & ok[len(v):]]
-            gains.append(table.best_g[v])
-            items.append(KIND_RANK["exchange"] * span + v * kf)
-        return np.concatenate(gains), np.concatenate(items)
+        gains = self.gains.reshape(-1)[at[ok]]
+        items = _FPGA_RANKS[k[ok]] * span + vf[ok]
+        if self.exchange is None:
+            return gains, items
+        v = (self.exchange.best_g >= 1 - self._acceptable("exchange", 0)).nonzero()[0]
+        more = self._exchange_offers(v, rooms)
+        return np.concatenate((gains, more[0])), np.concatenate((items, more[1]))
+
+    def _exchange_offers(self, v: np.ndarray, rooms) -> tuple[np.ndarray, np.ndarray]:
+        """`_offers` of the settled exchange bests of the vertices v, whose
+        gains are acceptable.  An exchange of v on pv with u on pu changes
+        pu by w_v [pu not a host of v] - w_u and pv by w_u [pv not a host of
+        u] - w_v."""
+        table = self.exchange
+        # the two FPGAs of each exchange: on y's FPGA, x arrives and y
+        # leaves, for (x, y) = (v, u) and (u, v)
+        x = np.concatenate((v, table.best_u[v]))
+        y = np.concatenate((x[len(v):], v))
+        at = self.orig[y]
+        adds = ~self.hosted[x, at]
+        ok = np.ones(len(x), bool)
+        for w, room in rooms:
+            ok &= w[x] * adds - w[y] <= room[at]
+        v = v[ok[:len(v)] & ok[len(v):]]
+        return table.best_g[v], KIND_RANK["exchange"] * self._span + v * self.kf
 
     def _decode(self, item: int) -> tuple[str, int, int]:
         """(kind, vertex, dest) of an item id; an exchange's dest is its
-        stored partner's FPGA."""
+        best partner's FPGA."""
         rank, rest = divmod(item, self._span)
         v, dest = divmod(rest, self.kf)
         if rank == KIND_RANK["exchange"]:
@@ -613,6 +650,7 @@ class RefineState:
                 vs = np.flatnonzero(col != OUT)
                 ops += [Op(kind, v, f, gain=g) for v, g in zip(vs.tolist(), col[vs].tolist())]
         if self.exchange is not None:
+            self.exchange.wake()
             orig = self.p.original
             best_g = self.exchange.best_g
             vs = np.flatnonzero(best_g != NONE)
@@ -621,7 +659,7 @@ class RefineState:
         return iter(ops)
 
     def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
-        """`_change` of an entry; an exchange takes its stored partner."""
+        """`_change` of an entry; an exchange takes its best partner."""
         partner = self._partner(v) if kind == "exchange" else None
         return _change(self.p, kind, v, dest, partner)
 
@@ -772,7 +810,7 @@ class RefineState:
             run = vs[lo:lo + RUN]
             self.gains[:, run] = self._rows(run)
         if self.exchange is not None:
-            self.exchange.commit(touched, es, crossed, vs, prev)
+            self.exchange.commit(es, vs, prev)
 
 
 def _run_sums(vals: np.ndarray, lens: np.ndarray) -> np.ndarray:

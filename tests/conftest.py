@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mfspart.io import gen_instance
@@ -131,12 +132,32 @@ def fresh_bank(state):
 
 
 def pair_corrections(table):
-    """corr(v, u) of every neighbour pair an exchange table keeps, under
-    both orders, each read through its own directed slot."""
-    return dict(zip(
-        zip(table.owner.tolist(), table.partner.tolist()),
-        table.corr[table.slot_pair].tolist(),
-    ))
+    """corr(v, u) of every neighbour pair on two FPGAs, under both orders,
+    as an exchange table's settle kernel computes it on demand."""
+    v, u, gain, _ = table._pairs(np.arange(len(table.orig)))
+    corr = gain - table.move[v, table.orig[u]] - table.move[u, table.orig[v]]
+    return dict(zip(zip(v.tolist(), u.tolist()), corr.tolist()))
+
+
+def reference_corr_term(state, e, a, b):
+    """Net e's part of the exchange correction of members a and b, from
+    the state's counts and host sets, one Python branch per case."""
+    edge = state.h.edges[e]
+    s = edge.source
+    cnt = state.cnt[e]
+    orig = state.p.original
+    if s in (a, b):
+        d = b if s == a else a
+        ps, pd = orig[s], orig[d]
+        term = state.hop[s][pd] if cnt[pd] <= 1 else 0
+        if cnt[ps] == 0 and ps not in state.hosts[d]:
+            term += min(state.hm.dist[r][ps] for r in state.p.replicas[s] | {pd})
+        return -edge.weight * term
+    term = 0
+    for x, y in ((a, b), (b, a)):
+        if cnt[orig[x]] <= 1 and orig[x] not in state.hosts[y]:
+            term += state.hop[s][orig[x]]
+    return -edge.weight * term
 
 
 def drain_counts(state):

@@ -3,6 +3,7 @@ through `run_pipeline` under default flags, lean flags and a zero time
 limit, within a CPU bound of its own."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ CASES = [
     ("one-fpga", 200, 300, {"k_fpgas": 1}, "ok", 1),
     ("two-fpgas-three-types", 200, 300, {"k_fpgas": 2, "n_resource_types": 3}, "ok", 2),
     ("all-hub-nets", 150, 180, {"hub_fraction": 1.0, "hub_fanout": 64}, "ok", 8),
+    ("wide-nets", 600, 720, {"hub_fraction": 0.01, "hub_fanout": 500}, "ok", 4),
     ("two-pin-nets", 150, 180, {"max_fanout": 1}, "ok", 2),
     ("one-vertex", 1, 0, {}, "ok", 1),
     ("one-net-one-fpga", 2, 1, {"k_fpgas": 1}, "ok", 1),
@@ -50,3 +52,19 @@ def test_rare_input_ends_cleanly_within_its_cpu_bound(n, m, kwargs, status, cpu_
         assert res.thd == report(h, t, res.placement).total_hop_distance
     else:
         assert res.placement is None
+
+
+def test_wide_nets_lean_run_peaks_below_10_mib():
+    # nets of up to 494 pins: the exchange bests are scored on demand from
+    # the pin index, with nothing stored per member pair, so the traced
+    # peak of a lean run stays a few MiB
+    b = gen_instance(2, 600, 720, 8, 2, spare=0.4, hub_fraction=0.01, hub_fanout=500)
+    assert max(len(e) for e in b.hypergraph.edges) > 400
+    tracemalloc.start()
+    try:
+        res = run_pipeline(b.hypergraph, b.topology, **FLAGS["lean"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "ok"
+    assert peak < 10 * 2**20

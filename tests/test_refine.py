@@ -40,6 +40,7 @@ from conftest import (
     fresh_bank,
     pair_corrections,
     path_topology,
+    reference_corr_term,
     random_feasible_state,
     shaken_bounded_state,
     tight_state,
@@ -1062,6 +1063,58 @@ def test_peek_best_resource_fit_on_hand_built_states(make):
     assert validate(h, t, state.p, hm) == []
 
 
+def _exchange_bounds(state):
+    """ub(v) = max_f (move[v, f] + top[f, orig v]) of every vertex, top[f, g]
+    the largest move gain to g among the vertices on f, from the move
+    rows one vertex at a time."""
+    move, orig, kf = state.gains[0], state.p.original, state.kf
+    top = np.full((kf, kf), OUT)
+    for w, f in enumerate(orig):
+        top[f] = np.maximum(top[f], move[w])
+    return [max(move[v, f] + top[f, orig[v]] for f in range(kf)) for v in range(len(orig))]
+
+
+def _bound_edge_state():
+    # a fresh state, so every exchange best is stale: the best move,
+    # replicate or delete is vertex 2's replicate onto FPGA 2, at gain 3;
+    # vertex 1's exchange with vertex 2 gains 3 too, its bound exactly, and
+    # outranks the replicate at equal gain; the bound of vertices 0, 3 and
+    # 4 is 2, below the pick
+    h = Hypergraph.build([[1]] * 5, [(1, 2, [4]), (2, 2, [4, 0, 1]), (2, 3, [1, 0])])
+    t = path_topology(3)
+    p = Placement([1, 2, 1, 1, 2])
+    return RefineState(h, t, compute_hop_matrix(t), p)
+
+
+def test_stale_exchange_at_its_bound_ties_a_replicate_and_wins():
+    state = _bound_edge_state()
+    assert state.exchange.stale.all()
+    assert _exchange_bounds(state)[1] == 3
+    rows = [(int(g), -k, v, f) for (k, v, f), g in np.ndenumerate(state.gains)]
+    assert max(rows) == (3, -FPGA_KINDS.index("replicate"), 2, 2)
+    assert gain_exchange(state.h, state.p, state.hm, 1, 2) == 3
+    expected = ("exchange", 1, 1, 3)
+    assert state.peek_best() == expected
+    assert _brute_force_pick(state, set())[0] == expected
+    assert state.try_apply(*expected[:3]).partner == 2
+
+
+def test_stale_vertex_below_the_pick_is_never_scored(monkeypatch):
+    scored = []
+    best = ExchangeTable._best
+
+    def recording(self, vs, bar):
+        scored.extend(vs.tolist())
+        return best(self, vs, bar)
+
+    monkeypatch.setattr(ExchangeTable, "_best", recording)
+    state = _bound_edge_state()
+    ub = _exchange_bounds(state)
+    assert state.peek_best()[3] == 3
+    assert sorted(scored) == [v for v in range(5) if ub[v] >= 3] == [1, 2]
+    assert state.exchange.stale.tolist() == [True, False, False, True, True]
+
+
 def _drain_cnt_change(state, e, kind, v, dest):
     before = {f: c for f, c in enumerate(state.cnt[e].tolist()) if c}
     assert state.try_apply(kind, v, dest) is not None
@@ -1185,20 +1238,23 @@ def test_refresh_exchange_whose_stored_partner_becomes_ineligible():
 
 
 def test_settle_vertex_that_moved_and_held_its_partner_on_a_changed_pair():
-    # vertex 0 exchanges with its stored partner 1: it moves, so every pair
+    # vertex 0 exchanges with its best partner 1: it moves, so every pair
     # of it changed, and its move row changes at 1's new FPGA, so the pair
-    # it stored changed too; it is rescanned for both reasons and must end
-    # at the partner a fresh table picks
+    # it held changed too; it is marked stale for both reasons and, once
+    # settled, must end at the partner a fresh table picks
     h = Hypergraph.build([[1]] * 4, [(1, 0, [1]), (1, 2, [0]), (1, 1, [3])])
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 2, 2, 0]))
     table = state.exchange
+    table.wake()
     assert table.best_u[0] == 1
     old = state.gains[0, 0].copy()
     assert state.try_apply("exchange", 0, 2) is not None
     assert state.p.original[:2] == [2, 0]
     new = state.gains[0, 0]
     assert ((old == OUT) != (new == OUT)).any() and old[0] != new[0]
+    assert table.stale[0]
+    table.wake()
     assert (table.best_g[0], table.best_u[0]) == (-4, 1)
     assert bank_snapshot(state) == fresh_bank(state)
 
@@ -1212,10 +1268,13 @@ def test_settle_vertex_whose_net_goes_local_ends_without_a_partner():
     t = path_topology(3)
     state = RefineState(h, t, compute_hop_matrix(t), Placement([0, 1, 2]))
     table = state.exchange
+    table.wake()
     assert (table.best_g[0], table.best_u[0]) == (-1, 1)
     assert state.try_apply("move", 1, 0) is not None
     assert state.gains[0, 0].tolist() == [OUT, -1, -2]
     assert state.gains[1, 0].tolist() == [OUT, 0, 0]
+    assert table.stale[0]
+    table.wake()
     assert (table.best_g[0], table.best_u[0]) == (NONE, -1)
     assert bank_snapshot(state) == fresh_bank(state)
 
@@ -1236,74 +1295,56 @@ def test_exchange_without_a_partner_is_refused_and_changes_nothing():
     assert not state.applied
 
 
-def _reference_corr_term(state, e, a, b):
-    """Net e's part of the exchange correction of members a and b, from
-    the state's counts and host sets, one Python branch per case."""
-    edge = state.h.edges[e]
-    s = edge.source
-    cnt = state.cnt[e]
-    orig = state.p.original
-    if s in (a, b):
-        d = b if s == a else a
-        ps, pd = orig[s], orig[d]
-        term = state.hop[s][pd] if cnt[pd] <= 1 else 0
-        if cnt[ps] == 0 and ps not in state.hosts[d]:
-            term += min(state.hm.dist[r][ps] for r in state.p.replicas[s] | {pd})
-        return -edge.weight * term
-    term = 0
-    for x, y in ((a, b), (b, a)):
-        if cnt[orig[x]] <= 1 and orig[x] not in state.hosts[y]:
-            term += state.hop[s][orig[x]]
-    return -edge.weight * term
-
-
-def test_pair_corrections_cached_symmetrically_and_exact(monkeypatch):
-    # corr(v, u) == corr(u, v): a bank build computes each shared net's term
-    # of each pair once, and every kept correction, in both orders, stays
-    # the sum of the pair's shared-net terms under the current placement
-    computed = []
-    terms = ExchangeTable._terms
-
-    def counting(self, t):
-        computed.extend(t.tolist())
-        return terms(self, t)
-
-    monkeypatch.setattr(ExchangeTable, "_terms", counting)
+def test_pair_corrections_on_demand_symmetric_and_exact():
+    # corr(v, u) == corr(u, v), and after every op each correction the
+    # settle kernel computes is the sum of the pair's shared-net terms
+    # under the current placement, for every neighbour pair on two FPGAs
     checked = 0
     for seed in range(4):
         h, t, hm, p = tight_state(seed, n=20, m=36)
-        computed.clear()
         state = RefineState(h, t, hm, p)
-        n_triples = sum(len(e.drains) * (len(e.drains) + 1) // 2 for e in h.edges)
-        assert computed and sorted(computed) == list(range(n_triples))
 
         def check(op, pl, thd):
             nonlocal checked
             corr = pair_corrections(state.exchange)
+            orig = state.p.original
+            assert set(corr) == {
+                (v, u) for e in h.edges for v in e.members for u in e.members
+                if orig[v] != orig[u]
+            }
             for (v, u), c in corr.items():
                 assert corr[u, v] == c
                 shared = set(h.incidence[v]) & set(h.incidence[u])
-                assert c == sum(_reference_corr_term(state, e, v, u) for e in shared)
+                assert c == sum(reference_corr_term(state, e, v, u) for e in shared)
                 checked += 1
 
         run_refine_loop(state, observer=check)
     assert checked >= 100
 
 
-def test_exchange_table_in_runs_of_a_few_slots(monkeypatch):
-    # the table builds, retallies and scores in runs of CHUNK, split
-    # between vertices, so that a level with millions of pairs keeps its
-    # temporaries small; runs of three must refine exactly as one run
+def test_exchange_settles_in_runs_of_a_few_rows(monkeypatch):
+    # a settle scores its vertices in runs of at most CHUNK rows (the pins
+    # of their nets), or of one vertex with more, so that a level with
+    # millions of pairs keeps its temporaries small; small runs must refine
+    # exactly as one run
     import mfspart._exchange as exchange
 
     h, t, hm, p = tight_state(5, n=20, m=36)
     whole = RefineState(h, t, hm, p)
     first = bank_snapshot(whole)
     run_refine_loop(whole)
-    monkeypatch.setattr(exchange, "CHUNK", 3)
+    monkeypatch.setattr(exchange, "CHUNK", 40)
+    runs = []
+    best = ExchangeTable._best
+
+    def recording(self, vs, bar):  # the rows of a run of several vertices
+        runs.append(int(self.reach[vs].sum()) if len(vs) > 1 else 0)
+        return best(self, vs, bar)
+
+    monkeypatch.setattr(ExchangeTable, "_best", recording)
     state = RefineState(h, t, hm, p)
-    assert len(state.exchange.partner) > 3 * exchange.CHUNK
     assert bank_snapshot(state) == first
+    assert len(runs) > 3 and max(runs) <= exchange.CHUNK and max(runs) > 0
     run_refine_loop(state)
     assert state.applied == whole.applied and state.p == whole.p
 
@@ -1319,12 +1360,13 @@ def test_exchange_table_reads_the_state_facts_in_place():
         (table.orig, state.orig),
         (table.host_hop, state.hop),
         (table.rep_hop, state.rep_hop),
-        (table.host, state.hosted),
         (table.move, state.gains),
         (table.cnt, state.cnt),
         (table.pins, state.index.pins),
         (table.pin_ptr, state.index.pin_ptr),
         (table.source, state.index.source),
+        (table.inc, state.index.inc),
+        (table.inc_ptr, state.index.inc_ptr),
     ):
         assert np.shares_memory(mine, theirs)
     run_refine_loop(state)
@@ -1356,25 +1398,26 @@ def test_refine_state_freed_with_its_last_reference():
 
 
 def test_exchange_upkeep_work_on_lean_600(monkeypatch):
-    # pinned bytes cannot catch a change that keeps the output and redoes
-    # the pair terms or partner scans; these counts were recorded on the
-    # lean-600 partition of PINNED_PARTITIONS when the exchange pairs moved
-    # into one array table, and the upkeep may not do more work than that
+    # pinned bytes cannot catch a change that keeps the output and scores
+    # more vertices or more pair rows; these counts were recorded on
+    # the lean-600 partition of PINNED_PARTITIONS when exchange bests came
+    # to be settled on demand under the move-gain bound, and the upkeep may
+    # not do more work than that
     counts = Counter()
     terms = ExchangeTable._terms
     best = ExchangeTable._best
 
-    def counting_terms(self, t):
-        counts["terms"] += len(t)
-        return terms(self, t)
+    def counting_terms(self, e, *rest):
+        counts["rows"] += len(e)
+        return terms(self, e, *rest)
 
-    def counting_best(self, slots):
-        counts["slots"] += len(slots)
-        return best(self, slots)
+    def counting_best(self, vs, bar):
+        counts["scored"] += len(vs)
+        return best(self, vs, bar)
 
     monkeypatch.setattr(ExchangeTable, "_terms", counting_terms)
     monkeypatch.setattr(ExchangeTable, "_best", counting_best)
     b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
     run_pipeline(b.hypergraph, b.topology, n_seeds=1, assign_max_nodes=2000)
-    assert 0 < counts["terms"] <= 34_901
-    assert 0 < counts["slots"] <= 182_559
+    assert 0 < counts["rows"] <= 13_178
+    assert 0 < counts["scored"] <= 3_958

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfspart._exchange import NONE, OUT
+from mfspart._exchange import OUT
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import drain_fpgas
 from mfspart.refine import (
@@ -32,6 +32,7 @@ from conftest import (
     fresh_bank,
     pair_corrections,
     random_feasible_state,
+    reference_corr_term,
     shaken_bounded_state,
     tight_state,
 )
@@ -147,9 +148,10 @@ def _walk_checking_corr_and_rows(state, picks):
     """Apply the picked entries one by one.  After every applied op, each
     kept correction between two FPGAs must equal the exchange gain less
     the two move gains, in both orders, the gain rows must hold their
-    from-scratch gains, as `entries()` lists them (`_check_rows`), every stored
-    triple term must equal a fresh one, and the state's count matrix
-    must hold the placement's drain counts.
+    from-scratch gains, as `entries()` lists them (`_check_rows`), every
+    correction the settle kernel computes must equal the sum of the pair's
+    shared-net terms as `reference_corr_term` reads them, and the state's
+    count matrix must hold the placement's drain counts.
     Returns how many applied ops had a touched vertex sourcing a net, and
     how many checked pairs share more than one net."""
     h, hm = state.h, state.hm
@@ -164,24 +166,21 @@ def _walk_checking_corr_and_rows(state, picks):
         p = state.p
         touched = {op.v, op.partner} - {None}
         sourcing_ops += any(e.source in touched for e in h.edges)
-        table = state.exchange
-        fresh = table._terms(np.arange(len(table.term)))
-        assert (table.term == fresh).all(), (table.term != fresh).nonzero()[0]
         assert state.cnt.tolist() == drain_counts(state)
-        corr = pair_corrections(table)
+        corr = pair_corrections(state.exchange)
         assert corr
         for (a, b), c in corr.items():
             assert corr[b, a] == c
+            shared = set(h.incidence[a]) & set(h.incidence[b])
+            assert c == sum(reference_corr_term(state, e, a, b) for e in shared), (a, b)
             pa, pb = p.original[a], p.original[b]
-            if pa == pb:
-                continue
             expected = (
                 gain_exchange(h, p, hm, a, b)
                 - gain_move(h, p, hm, a, pb)
                 - gain_move(h, p, hm, b, pa)
             )
             assert c == expected, (a, b)
-            multi_net_pairs += len(set(h.incidence[a]) & set(h.incidence[b])) > 1
+            multi_net_pairs += len(shared) > 1
         _check_rows(state)
     return sourcing_ops, multi_net_pairs
 
@@ -248,6 +247,7 @@ def _check_local_vertices(state):
     negative, each replicate gain at most zero, and it has no exchange
     entry.  Returns how many such vertices list a move entry."""
     h, p = state.h, state.p
+    exchanges = {op.v for op in state.entries() if op.kind == "exchange"}
     listed = 0
     for v in range(h.num_vertices):
         home = {p.original[v]}
@@ -257,8 +257,7 @@ def _check_local_vertices(state):
             continue
         move, rep = (row[row != OUT] for row in state.gains[:2, v])
         assert (move < 0).all() and (rep <= 0).all(), v
-        if state.exchange is not None:
-            assert state.exchange.best_g[v] == NONE, v
+        assert v not in exchanges, v
         listed += len(move) > 0
     return listed
 
