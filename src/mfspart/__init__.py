@@ -8,7 +8,6 @@ from .model import (
     ResourceVector,
     Vertex,
     drain_fpgas,
-    incident_edges,
 )
 from .topology import HopMatrix, MfsTopology, compute_hop_matrix, hop_sum, mean_capacity
 from .metrics import MetricsReport, Violation, cut_size, io_usage_all, net_hop_distance, net_terms, report, total_hop_distance, validate

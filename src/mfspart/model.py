@@ -42,10 +42,6 @@ class ResourceVector:
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
-    def fits_within(self, cap: "ResourceVector") -> bool:
-        """True if every component is <= the corresponding capacity."""
-        return all(a <= c for a, c in zip(self.values, cap.values))
-
 
 @dataclass(frozen=True, slots=True)
 class Vertex:
@@ -197,19 +193,16 @@ class PinIndex:
         return np.bincount(net[pin] * kf + f, minlength=m * kf).reshape(m, kf)
 
 
-def incident_edges(h: Hypergraph, v: int) -> list[int]:
-    """Edge ids containing vertex v (as source or drain), ascending."""
-    if not (0 <= v < h.num_vertices):
-        raise IndexError(f"vertex id {v} out of range 0..{h.num_vertices - 1}")
-    return h.incidence[v]
-
-
 class Placement:
     """Per-vertex host FPGAs: one original plus a set of replicas.
 
-    The constructor is deliberately lenient (malformed placements are
-    detected by the metrics validator, not rejected here); the mutators
-    below do enforce well-formedness and are what the search code uses.
+    The constructor is deliberately lenient (malformed placements, such as
+    out-of-range ids or a replica on its original, are detected by the
+    metrics validator, not rejected here); the mutators below do enforce
+    well-formedness, and `oracle.apply_op` applies a refinement op with
+    them.  Refinement itself holds a placement as an array of originals
+    and a host mask (`refine.RefineState`) and builds one of these from
+    them when asked.
     """
 
     __slots__ = ("original", "replicas")
@@ -222,10 +215,6 @@ class Placement:
             if len(replicas) != len(self.original):
                 raise ValueError("replicas list length must match vertex count")
             self.replicas = [set(r) for r in replicas]
-
-    @classmethod
-    def all_on(cls, n: int, fpga: int) -> "Placement":
-        return cls([fpga] * n)
 
     @property
     def num_vertices(self) -> int:

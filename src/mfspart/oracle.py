@@ -2,8 +2,9 @@
 
 These deliberately avoid the search modules: the exhaustive enumerator
 carries its own vectorized objective and constraint arithmetic, and the
-gain reference is two complete metric evaluations.  Agreement with the
-incremental code is evidence, not tautology.
+gain reference is two complete metric evaluations around `apply_op`, the
+one op transform on a `Placement`, which the refinement state does not
+use.  Agreement with the incremental code is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -91,16 +92,6 @@ def exhaustive_partition(
     return Placement(digits), best_thd
 
 
-def _placement_with(p: Placement, v: int, new_original: int | None, add_replica: int | None) -> Placement:
-    q = p.copy()
-    if new_original is not None:
-        q.replicas[v].discard(new_original)
-        q.original[v] = new_original
-    if add_replica is not None:
-        q.replicas[v].add(add_replica)
-    return q
-
-
 def best_single_replication(
     h: Hypergraph, p: Placement, hm: HopMatrix, t: MfsTopology
 ) -> tuple[int, int, int] | None:
@@ -114,7 +105,8 @@ def best_single_replication(
         for f in range(t.k_fpgas):
             if f in hosted:
                 continue
-            q = _placement_with(p, v, None, f)
+            q = p.copy()
+            q.add_replica(v, f)
             if validate(h, t, q, hm):
                 continue
             gain = base - total_hop_distance(h, q, hm)
@@ -125,26 +117,26 @@ def best_single_replication(
     return best[0], best[1], best[2]
 
 
-def full_gain_recompute(h: Hypergraph, p: Placement, hm: HopMatrix, op) -> int:
-    """Reference gain: two complete THD evaluations around the op.
-
-    The op transform is re-derived here from the op description rather than
-    shared with the refinement code.
-    """
-    before = total_hop_distance(h, p, hm)
-    q = p.copy()
+def apply_op(p: Placement, op) -> None:
+    """Mutate a placement per the operation; no constraint checking."""
     if op.kind == "move":
-        q.replicas[op.v].discard(op.dest)
-        q.original[op.v] = op.dest
+        p.set_original(op.v, op.dest)
     elif op.kind == "exchange":
-        q.replicas[op.v].discard(op.dest)
-        q.original[op.v] = op.dest
-        q.replicas[op.partner].discard(op.partner_dest)
-        q.original[op.partner] = op.partner_dest
+        if op.partner is None or op.partner_dest is None:
+            raise ValueError("exchange op without a partner")
+        p.set_original(op.v, op.dest)
+        p.set_original(op.partner, op.partner_dest)
     elif op.kind == "replicate":
-        q.replicas[op.v].add(op.dest)
+        p.add_replica(op.v, op.dest)
     elif op.kind == "delete":
-        q.replicas[op.v].remove(op.dest)
+        p.remove_replica(op.v, op.dest)
     else:
         raise ValueError(f"unknown op kind '{op.kind}'")
-    return before - total_hop_distance(h, q, hm)
+
+
+def full_gain_recompute(h: Hypergraph, p: Placement, hm: HopMatrix, op) -> int:
+    """Reference gain: two complete THD evaluations around the op, which
+    `apply_op` applies to a copy of the placement."""
+    q = p.copy()
+    apply_op(q, op)
+    return total_hop_distance(h, p, hm) - total_hop_distance(h, q, hm)

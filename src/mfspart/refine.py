@@ -10,9 +10,13 @@ its destination's resources, re-checks the I/O and hop bounds at
 application time, and then refreshes only the entries the operation can
 have changed.
 
-A prospective operation is a map {vertex: frozenset of its new hosts},
-built by `_change`, which holds each kind's precondition; a commit
-installs those sets in `hosts[v]`.  The state also keeps one m x K count
+The state holds the placement one way: `orig`, every vertex's original
+FPGA, and the n x K host mask `hosted`, which FPGAs hold a copy of each
+vertex; `RefineState.p` builds a `Placement` from them when asked.  A
+prospective operation is a map {vertex: frozenset of its new hosts},
+built by `_change` from those arrays, which holds each kind's
+precondition; a commit writes the new originals into `orig` and the sets
+into the mask rows (`_install`).  The state also keeps one m x K count
 matrix, `cnt`: per net and FPGA, the number of the net's drains with a
 copy there.  It takes that matrix, the THD, the I/O and the usage from
 the metrics' one pass over the host mask, `metrics.tally`.  An operation
@@ -21,7 +25,8 @@ copies of the affected nets' rows and calls `metrics.net_terms` on each
 changed net's covered FPGAs before and after, which gives its units (so
 the gain), worst hop and I/O ports.  On commit those rows are written
 back in one assignment.  The from-scratch gains (`gain_move` and the
-rest) run the same evaluation on a placement's own count matrix.
+rest) run the same evaluation on a placement's own host mask and count
+matrix.
 
 A vertex's move, replicate and delete entries are a closed form in two
 per-FPGA sums over its nets and in its own hop rows (see `_rows`):
@@ -60,7 +65,7 @@ owns, keeps each vertex's best exchange (gain and partner), scored on
 demand from the pin index, and nothing per pair.  Every fact it reads is
 the state's own, read in place: the pin index, the arrays `orig`, `hop`
 and `rep_hop` (each vertex's original and nearest-host and
-nearest-replica rows), which `_install` writes with the host sets, the
+nearest-replica rows), which a commit writes with the host mask, the
 move rows `gains[0]` and the count matrix.  It holds no reference back
 to the state: after a commit the state makes one call,
 `ExchangeTable.commit`, naming the changed nets and the rebuilt vertices
@@ -130,64 +135,73 @@ class Op:
     gain: int = 0
 
 
+def _hosts(hosted: np.ndarray, v: int) -> frozenset:
+    """The FPGAs holding a copy of v, read off its row of the host mask."""
+    return frozenset(compress(range(hosted.shape[1]), hosted[v].tolist()))
+
+
 def _change(
-    p: Placement, kind: str, v: int, dest: int, partner: int | None = None
+    orig, hosted: np.ndarray, kind: str, v: int, dest: int, partner: int | None = None
 ) -> dict[int, frozenset] | None:
     """The host sets an op leaves its vertices with, {vertex: frozenset},
     or None when it does not apply: a move to v's own FPGA, an exchange
     whose partner is missing, not on `dest` or on v's FPGA, a replicate
     onto a host of v, or a delete of a copy v does not have.  Each kind's
     precondition lives here and nowhere else.  A move or exchange absorbs
-    a replica already on the destination."""
-    o = p.original[v]
-    reps = p.replicas[v]
+    a replica already on the destination.  `orig` holds every vertex's
+    original and `hosted` is the host mask."""
+    o = int(orig[v])
+    hosts = _hosts(hosted, v)
     if kind == "move":
-        return None if dest == o else {v: frozenset(reps | {dest})}
+        return None if dest == o else {v: hosts - {o} | {dest}}
     if kind == "exchange":
-        if partner is None or p.original[partner] != dest or dest == o:
+        if partner is None or orig[partner] != dest or dest == o:
             return None
-        return {
-            v: frozenset(reps | {dest}),
-            partner: frozenset(p.replicas[partner] | {o}),
-        }
+        return {v: hosts - {o} | {dest}, partner: _hosts(hosted, partner) - {dest} | {o}}
     if kind == "replicate":
-        return None if dest == o or dest in reps else {v: frozenset(reps | {o, dest})}
+        return None if dest in hosts else {v: hosts | {dest}}
     if kind == "delete":
-        return {v: frozenset(reps - {dest} | {o})} if dest in reps else None
+        return {v: hosts - {dest}} if dest in hosts and dest != o else None
     raise ValueError(f"unknown op kind '{kind}'")
 
 
-def _evaluate(h: Hypergraph, hm: HopMatrix, hosts, cnt: np.ndarray, change: dict[int, frozenset]):
+def _evaluate(
+    h: Hypergraph, hm: HopMatrix, hosted: np.ndarray, cnt: np.ndarray, change: dict[int, frozenset]
+):
     """A prospective change {vertex: new host set} evaluated net by net,
-    from the current `hosts[v]` and count matrix: `(rows, gain, worst,
-    io_delta)`.  `rows` holds, per net with a changed member, its source's
-    hosts after the change and its count rows before and after, as lists;
-    then come the THD decrease, the worst hop of those nets after it, and
-    the I/O delta at every FPGA that is a port of one of them before or
-    after.  A net's terms are `net_terms` of its source's hosts at the
-    FPGAs its count row covers."""
-    rows: dict[int, tuple[frozenset, list[int], list[int]]] = {}
+    from the current host mask and count matrix: `(rows, gain, worst,
+    io_delta)`.  `rows` holds, per net with a changed member, its source
+    and its count rows before and after the change, as lists; then come
+    the THD decrease, the worst hop of those nets after it, and the I/O
+    delta at every FPGA that is a port of one of them before or after.  A
+    net's terms are `net_terms` of its source's hosts at the FPGAs its
+    count row covers."""
+    fpgas = range(hm.k_fpgas)
+    # every changed vertex's hosts, and each other source's, before the
+    # change, read off its mask row once
+    before = {v: _hosts(hosted, v) for v in change}
+    rows: dict[int, tuple[int, list[int], list[int]]] = {}
     for v, new in change.items():
-        old = hosts[v]
+        old = before[v]
         for e in h.incidence[v]:
             src = h.edges[e].source
             if e not in rows:
                 was = cnt[e].tolist()
-                rows[e] = (change.get(src, hosts[src]), was, was.copy())
+                rows[e] = (src, was, was.copy())
             if src != v:
                 row = rows[e][2]
                 for f in old:
                     row[f] -= 1
                 for f in new:
                     row[f] += 1
-    fpgas = range(hm.k_fpgas)
     gain = worst = 0
     io_delta: dict[int, int] = {}
-    for e, (src_hosts, was, now) in rows.items():
-        edge = h.edges[e]
-        w = edge.weight
-        units, x, ports = net_terms(hm, src_hosts, compress(fpgas, now))
-        old_units, _, old_ports = net_terms(hm, hosts[edge.source], compress(fpgas, was))
+    for e, (src, was, now) in rows.items():
+        if src not in before:
+            before[src] = _hosts(hosted, src)
+        w = h.edges[e].weight
+        units, x, ports = net_terms(hm, change.get(src, before[src]), compress(fpgas, now))
+        old_units, _, old_ports = net_terms(hm, before[src], compress(fpgas, was))
         gain += w * (old_units - units)
         if x > worst:
             worst = x
@@ -217,12 +231,11 @@ def _gain_of(
 ) -> int:
     """THD decrease of one op, from the nets whose members it changes,
     evaluated on the placement's drain counts."""
-    change = _change(p, kind, v, dest, partner)
+    hosted = p.host_mask(hm.k_fpgas)
+    change = _change(p.original, hosted, kind, v, dest, partner)
     if change is None:
         raise ValueError(_INAPPLICABLE[kind])
-    cnt = h.pin_index().drain_counts(p.host_mask(hm.k_fpgas))
-    hosts = [p.hosts(x) for x in range(p.num_vertices)]
-    return _evaluate(h, hm, hosts, cnt, change)[1]
+    return _evaluate(h, hm, hosted, h.pin_index().drain_counts(hosted), change)[1]
 
 
 def gain_move(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
@@ -243,23 +256,6 @@ def gain_replicate(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -
 def gain_delete(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
     """THD decrease from removing the replica of v on FPGA f."""
     return _gain_of(h, p, hm, "delete", v, f)
-
-
-def apply_op(p: Placement, op: Op) -> None:
-    """Mutate a placement per the operation; no constraint checking."""
-    if op.kind == "move":
-        p.set_original(op.v, op.dest)
-    elif op.kind == "exchange":
-        if op.partner is None or op.partner_dest is None:
-            raise ValueError("exchange op without a partner")
-        p.set_original(op.v, op.dest)
-        p.set_original(op.partner, op.partner_dest)
-    elif op.kind == "replicate":
-        p.add_replica(op.v, op.dest)
-    elif op.kind == "delete":
-        p.remove_replica(op.v, op.dest)
-    else:
-        raise ValueError(f"unknown op kind '{op.kind}'")
 
 
 class RefineState:
@@ -285,7 +281,6 @@ class RefineState:
         self.h = h
         self.t = t
         self.hm = hm
-        self.p = p.copy()
         self.enabled = frozenset(op_kinds(ops))
         if max_replicas is not None and max_replicas < 0:
             raise ValueError("max_replicas must be non-negative")
@@ -310,22 +305,20 @@ class RefineState:
         self.index = h.pin_index()
         self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
 
-        # every vertex's host set, replaced at each commit by the one
-        # `_change` gave, and the facts read from it (see `_install`): set
-        # for every vertex at once as if it had no replica, then installed
-        # one by one for those that have one
-        single = [frozenset((f,)) for f in range(kf)]
-        self.hosts: list[frozenset] = [single[f] for f in self.p.original]
-        self.orig = np.array(self.p.original, np.intp).reshape(n)
+        # the placement, one way: every vertex's original and the host
+        # mask, with the facts read from them (see `_install`): set for
+        # every vertex at once as if it had no replica, then installed one
+        # by one for those that have one
+        self.orig = np.array(p.original, np.intp).reshape(n)
         # the nearest-host and nearest-replica rows, in one array so that
         # `_sums` reads both of a vertex set in one pass
         self._hops = np.full((2, n, kf), FAR, np.int64)
         self.hop, self.rep_hop = self._hops
         self.hop[:] = self.dist[self.orig]
-        self.hosted = self.p.host_mask(kf)
-        for x, reps in enumerate(self.p.replicas):
+        self.hosted = p.host_mask(kf)
+        for x, reps in enumerate(p.replicas):
             if reps:
-                self._install(x, frozenset(reps | {self.p.original[x]}))
+                self._install(x, frozenset(reps | {p.original[x]}))
         # the count matrix (per net and FPGA, the number of the net's
         # drains with a copy there), THD, I/O and usage, from the host mask
         facts = tally(h, self.hosted, hm)
@@ -381,16 +374,25 @@ class RefineState:
         if done == n and self.exchange is not None and not _past(deadline):
             self.exchange.reset()
 
+    @property
+    def p(self) -> Placement:
+        """The current placement, built from `orig` and the replica part of
+        `hosted`; a new object on every read."""
+        q = Placement(self.orig.tolist())
+        reps = self.hosted.copy()
+        reps[np.arange(len(reps)), self.orig] = False
+        for x, f in zip(*(a.tolist() for a in np.nonzero(reps))):
+            q.replicas[x].add(f)
+        return q
+
     def _install(self, x: int, hosts: frozenset) -> None:
-        """Store x's host set, which the placement already holds, and every
-        fact read from it: `hosts[x]`, its nearest-host row (`hop[x]`), its
-        nearest-replica row (`rep_hop[x]`, FAR without a replica), its
-        original (`orig[x]`) and its row of the host mask (`hosted[x]`)."""
-        reps = self.p.replicas[x]
-        self.hosts[x] = hosts
+        """Store x's host set, whose original `orig[x]` already holds, in
+        its row of the host mask (`hosted[x]`), with the facts read from
+        it: its nearest-host row (`hop[x]`) and its nearest-replica row
+        (`rep_hop[x]`, FAR without a replica)."""
+        reps = hosts - {self.orig[x]}
         self.hop[x] = self.hm.nearest(hosts)[0]
         self.rep_hop[x] = self.hm.nearest(reps)[0] if reps else FAR
-        self.orig[x] = self.p.original[x]
         self.hosted[x] = False
         self.hosted[x, list(hosts)] = True
 
@@ -508,7 +510,7 @@ class RefineState:
             return False
         if (v, dest) in left:
             return True
-        return kind == "exchange" and (self._partner(v), self.p.original[v]) in left
+        return kind == "exchange" and (self._partner(v), int(self.orig[v])) in left
 
     def peek_best(self) -> tuple[str, int, int, int] | None:
         """Best acceptable entry that fits its destination's resources, as
@@ -629,7 +631,7 @@ class RefineState:
         rank, rest = divmod(item, self._span)
         v, dest = divmod(rest, self.kf)
         if rank == KIND_RANK["exchange"]:
-            dest = self.p.original[self._partner(v)]
+            dest = int(self.orig[self._partner(v)])
         return BY_RANK[rank], v, dest
 
     def hold(self) -> None:
@@ -651,7 +653,7 @@ class RefineState:
                 ops += [Op(kind, v, f, gain=g) for v, g in zip(vs.tolist(), col[vs].tolist())]
         if self.exchange is not None:
             self.exchange.wake()
-            orig = self.p.original
+            orig = self.orig.tolist()
             best_g = self.exchange.best_g
             vs = np.flatnonzero(best_g != NONE)
             for v, u, g in zip(vs.tolist(), self.exchange.best_u[vs].tolist(), best_g[vs].tolist()):
@@ -661,13 +663,13 @@ class RefineState:
     def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
         """`_change` of an entry; an exchange takes its best partner."""
         partner = self._partner(v) if kind == "exchange" else None
-        return _change(self.p, kind, v, dest, partner)
+        return _change(self.orig, self.hosted, kind, v, dest, partner)
 
     def _resource_deltas(self, change: dict[int, frozenset]) -> dict[int, np.ndarray]:
         """Net per-FPGA resource deltas of a host-set change."""
         deltas: dict[int, np.ndarray] = {}
         for tv, new_hosts in change.items():
-            old_hosts = self.hosts[tv]
+            old_hosts = _hosts(self.hosted, tv)
             wv = self.weights[:, tv]
             for f in new_hosts - old_hosts:
                 deltas[f] = deltas.get(f, 0) + wv
@@ -690,7 +692,6 @@ class RefineState:
         Resource deltas are net per FPGA, so a swap between two full FPGAs
         stays legal when the weights balance out.
         """
-        p = self.p
         change = self._op_change(kind, v, dest)
         if change is None:
             return None
@@ -700,7 +701,7 @@ class RefineState:
 
         # every changed net's terms before and after the op: the gain, the
         # worst hop and the I/O delta
-        rows, gain, worst, io_delta = _evaluate(self.h, self.hm, self.hosts, self.cnt, change)
+        rows, gain, worst, io_delta = _evaluate(self.h, self.hm, self.hosted, self.cnt, change)
         if self.hop_max is not None and worst > self.hop_max:
             return None
         if self.io_limited:
@@ -714,10 +715,13 @@ class RefineState:
         old = self.cnt[es]
         new = np.array([now for _, _, now in rows.values()], np.int64).reshape(-1, self.kf)
         partner = self._partner(v) if kind == "exchange" else None
-        source = p.original[v]
+        source = int(self.orig[v])
         partner_dest = None if partner is None else source
         op = Op(kind, v, dest, partner, partner_dest, gain)
-        apply_op(p, op)
+        if kind in ("move", "exchange"):
+            self.orig[v] = dest
+        if partner is not None:
+            self.orig[partner] = source
         self.cnt[es] = new
         for x, hosts in change.items():
             self._install(x, hosts)

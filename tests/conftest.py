@@ -141,21 +141,23 @@ def pair_corrections(table):
 
 def reference_corr_term(state, e, a, b):
     """Net e's part of the exchange correction of members a and b, from
-    the state's counts and host sets, one Python branch per case."""
+    the state's counts, originals and host mask, one Python branch per
+    case."""
     edge = state.h.edges[e]
     s = edge.source
     cnt = state.cnt[e]
-    orig = state.p.original
+    orig, hosted = state.orig, state.hosted
     if s in (a, b):
         d = b if s == a else a
         ps, pd = orig[s], orig[d]
         term = state.hop[s][pd] if cnt[pd] <= 1 else 0
-        if cnt[ps] == 0 and ps not in state.hosts[d]:
-            term += min(state.hm.dist[r][ps] for r in state.p.replicas[s] | {pd})
+        if cnt[ps] == 0 and not hosted[d, ps]:
+            copies = {f for f in range(state.kf) if hosted[s, f] and f != ps} | {pd}
+            term += min(state.hm.dist[r][ps] for r in copies)
         return -edge.weight * term
     term = 0
     for x, y in ((a, b), (b, a)):
-        if cnt[orig[x]] <= 1 and orig[x] not in state.hosts[y]:
+        if cnt[orig[x]] <= 1 and not hosted[y, orig[x]]:
             term += state.hop[s][orig[x]]
     return -edge.weight * term
 

@@ -680,8 +680,9 @@ def test_pinned_partition_bytes(tmp_path, gen_args, gen_kwargs, flags, sol_sha, 
 def test_pinned_wide_net_partition_bytes(tmp_path):
     # one weight-1 net sourced at vertex 0 drains every other vertex: every
     # vertex is then a neighbour of every other, and each op touches a
-    # member of that net, so this is where the exchange upkeep's rule for
-    # which pair terms and partner scans a commit redoes decides the cost.
+    # member of that net, so every commit marks every vertex's exchange
+    # best stale (`ExchangeTable.commit`), and this is where the rule for
+    # which stale bests are scored again on demand decides the cost.
     # Recorded before the exchange pairs moved into one array table
     b = gen_instance(11, 300, 360, 8, 2, spare=0.4)
     h = b.hypergraph

@@ -212,7 +212,7 @@ def test_gen_all_on_one_fpga_feasibility_matches_arithmetic():
     b = gen_instance(5, 10, 12, 3, 1, spare=0.2)
     total = b.hypergraph.total_weight()
     cap = b.topology.capacities[0]
-    p = Placement.all_on(10, 0)
+    p = Placement([0] * 10)
     fits = all(total[i] <= cap[i] for i in range(len(cap)))
     resource_violations = [
         v for v in validate(b.hypergraph, b.topology, p) if v.kind == "resource"

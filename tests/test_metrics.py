@@ -19,7 +19,7 @@ from conftest import fanout_story, path_topology, ring_topology
 
 def test_net_hop_all_local():
     h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2])])
-    p = Placement.all_on(3, 1)
+    p = Placement([1] * 3)
     hm = compute_hop_matrix(path_topology(2))
     assert net_hop_distance(h, 0, p, hm) == 0
 
@@ -197,7 +197,7 @@ def test_relabel_invariance():
 
 def test_cut_size_all_local():
     h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2])])
-    assert cut_size(h, Placement.all_on(3, 0)) == 0
+    assert cut_size(h, Placement([0] * 3)) == 0
 
 
 def test_cut_size_fanout_story():
@@ -226,7 +226,7 @@ def test_io_all_local():
     h = Hypergraph.build([[1]] * 2, [(1, 0, [1])])
     t = path_topology(2)
     hm = compute_hop_matrix(t)
-    assert io_usage_all(h, Placement.all_on(2, 0), hm) == [0, 0]
+    assert io_usage_all(h, Placement([0] * 2), hm) == [0, 0]
 
 
 def test_io_symmetric_crossing():

@@ -7,20 +7,12 @@ from mfspart.model import (
     Placement,
     ResourceVector,
     drain_fpgas,
-    incident_edges,
 )
 
 
 def test_resource_vector_rejects_negative():
     with pytest.raises(ValueError):
         ResourceVector([1, -1])
-
-
-def test_resource_vector_ops():
-    a = ResourceVector([1, 2])
-    b = ResourceVector([3, 4])
-    assert a.fits_within(b)
-    assert not b.fits_within(a)
 
 
 def test_hyperedge_invariants():
@@ -35,26 +27,6 @@ def test_hyperedge_invariants():
     assert len(e) == 3
 
 
-def test_incident_edges_single_edge():
-    h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2])])
-    assert incident_edges(h, 0) == [0]
-    assert incident_edges(h, 1) == [0]
-
-
-def test_incident_edges_out_of_range():
-    h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2])])
-    with pytest.raises(IndexError):
-        incident_edges(h, 3)
-    with pytest.raises(IndexError):
-        incident_edges(h, -1)
-
-
-def test_incident_edges_star_count():
-    edges = [(1, 0, [i]) for i in range(1, 5)]
-    h = Hypergraph.build([[1]] * 5, edges)
-    assert len(incident_edges(h, 0)) == 4
-
-
 def test_incidence_is_inverse_of_membership():
     h = Hypergraph.build(
         [[1]] * 6,
@@ -63,7 +35,7 @@ def test_incidence_is_inverse_of_membership():
     for v in range(h.num_vertices):
         for e in range(h.num_edges):
             member = v in h.edges[e].members
-            listed = e in incident_edges(h, v)
+            listed = e in h.incidence[v]
             assert member == listed
 
 

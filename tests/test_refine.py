@@ -14,14 +14,13 @@ from mfspart.coarsen import CoarseningConfig, Level, build_hierarchy
 from mfspart.io import gen_instance
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import Hypergraph, Placement, ResourceVector
-from mfspart.oracle import best_single_replication, full_gain_recompute
+from mfspart.oracle import apply_op, best_single_replication, full_gain_recompute
 from mfspart.refine import (
     ALL_OPS,
     FPGA_KINDS,
     KIND_RANK,
     Op,
     RefineState,
-    apply_op,
     gain_delete,
     gain_exchange,
     gain_move,
@@ -449,6 +448,73 @@ def test_refine_empty_hypergraph_is_identity():
     assert refine_level(h, Placement([]), t, hm) == Placement([])
 
 
+def _start_with_replicas(seed, n, m, k):
+    """A generated instance with a random placement, a third of whose
+    vertices hold a replica when there is a second FPGA."""
+    rng = random.Random(seed)
+    b = gen_instance(seed, n, m, k, 1, spare=0.8)
+    orig = [rng.randrange(k) for _ in range(n)]
+    reps = [set() for _ in range(n)]
+    if k > 1:
+        for v in rng.sample(range(n), n // 3):
+            reps[v].add(rng.choice([f for f in range(k) if f != orig[v]]))
+    return b.hypergraph, b.topology, compute_hop_matrix(b.topology), Placement(orig, reps)
+
+
+_START_CASES = pytest.mark.parametrize(
+    "n, m, k", [(24, 40, 4), (12, 20, 1), (12, 0, 3)],
+    ids=["replicated", "single-fpga", "net-less"],
+)
+
+
+@_START_CASES
+def test_refinement_leaves_the_callers_placement_untouched(n, m, k):
+    # the state holds the placement as its own arrays and never writes
+    # the caller's object; each `state.p` is a new placement
+    h, t, hm, p = _start_with_replicas(1, n, m, k)
+    before = p.copy()
+    state = RefineState(h, t, hm, p)
+    assert state.p == p and state.p is not state.p
+    run_refine_loop(state)
+    assert p == before
+    out = state.p
+    if out.num_vertices:
+        out.original[0] = -1
+        assert state.p != out
+    refined = refine_level(h, p, t, hm)
+    assert p == before and refined is not p
+    assert refined == state.p
+
+
+@_START_CASES
+def test_state_placement_follows_the_oracle_op_transform(n, m, k):
+    # a walk that takes each kind in turn, a random entry of it that
+    # `try_apply` accepts whatever its gain: after every op the state's
+    # placement is the start with `oracle.apply_op` of each applied op
+    h, t, hm, p = _start_with_replicas(2, n, m, k)
+    state = RefineState(h, t, hm, p)
+    walked = p.copy()
+    rng = random.Random(k)
+    kinds = set()
+    for step in range(40):
+        kind = ALL_OPS[step % len(ALL_OPS)]
+        ops = [op for op in state.entries() if op.kind == kind]
+        rng.shuffle(ops)
+        for op in ops:
+            done = state.try_apply(op.kind, op.v, op.dest)
+            if done is not None:
+                apply_op(walked, done)
+                kinds.add(done.kind)
+                break
+        assert state.p == walked, (step, kind)
+    if k == 1:
+        assert not kinds and walked == p
+    elif m == 0:
+        assert {"move", "replicate", "delete"} <= kinds
+    else:
+        assert kinds == set(ALL_OPS)
+
+
 def test_max_replicas_cap():
     h, t, p = fanout_story(src_fpga=1)
     hm = compute_hop_matrix(t)
@@ -834,8 +900,9 @@ def test_exchange_only_bank_exact_after_each_op():
 ], ids=["no-exchange", "no-replicate", "no-delete"])
 def test_bank_with_a_kind_disabled_exact_after_each_op(ops):
     # a disabled kind's gains are never banked, and without exchange no
-    # pair table is built: after every op only enabled kinds are offered,
-    # each at its from-scratch gain, and the bank is a fresh one
+    # exchange table is built (`state.exchange` is None): after every op
+    # only enabled kinds are offered, each at its from-scratch gain, and
+    # the bank is a fresh one
     seen = 0
     for seed in range(4):
         h, t, hm, p = tight_state(seed, n=24, m=44)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mfspart._exchange import OUT
 from mfspart.metrics import report, total_hop_distance, validate
 from mfspart.model import drain_fpgas
+from mfspart.oracle import apply_op
 from mfspart.refine import (
     FPGA_KINDS,
     RefineState,
-    apply_op,
     gain_delete,
     gain_exchange,
     gain_move,
