@@ -1,5 +1,5 @@
 """Exchange partners: each vertex's best exchange, scored on demand from
-the pin index and kept until a commit can change it.
+the pin arrays and kept until a commit can change it.
 
 An exchange of v and u gains the two move gains g_v(pu) + g_u(pv) plus a
 correction over the nets they share, corr(v, u), a sum of one term per
@@ -10,7 +10,7 @@ move row is all OUT, or it has no partner off its FPGA), and whether that
 key is `stale`, that is unknown; a stale vertex's `best_g` is NONE.
 
 - Settle: `settle(vs)` scores every pair of the vertices vs from the pin
-  index, one row per (v, net, member u) with that net's term, summed per
+  arrays, one row per (v, net, member u) with that net's term, summed per
   (v, u), plus the two move gains, and stores each vertex's best.  It
   works in runs of at most CHUNK rows.
 - Marks: a commit marks stale every vertex whose best it can change
@@ -35,9 +35,9 @@ key is `stale`, that is unknown; a stale vertex's `best_g` is NONE.
   so that it stays an upper bound.
 
 What a term or a pair gain reads is the refinement state's own objects,
-read in place: the level's pin index (the hypergraph's own
-`model.PinIndex`: each net's members, source first, its source and its
-weight, and each vertex's nets), each vertex's original, its nearest-host
+read in place: the level's hypergraph, whose arrays hold each net's
+members, source first, its source and its weight, and each vertex's nets
+(`model.Hypergraph`), each vertex's original, its nearest-host
 and nearest-replica hop rows (FAR without a replica), the move rows, an
 n x K array of move gains (OUT where there is no move), and the m x K
 matrix of each net's drain counts per FPGA.  The table holds no reference
@@ -85,12 +85,12 @@ def _firsts(x: np.ndarray) -> np.ndarray:
 class ExchangeTable:
     """The exchange bests of one hypergraph level (see the module docstring)."""
 
-    def __init__(self, index, dist, orig, host_hop, rep_hop, move, cnt):
+    def __init__(self, h, dist, orig, host_hop, rep_hop, move, cnt):
         n, kf = move.shape
-        self.pin_ptr, self.pins = index.pin_ptr, index.pins
-        self.inc_ptr, self.inc = index.inc_ptr, index.inc
-        self.source = index.source
-        self.weight = index.weight
+        self.pin_ptr, self.pins = h.pin_ptr, h.pins
+        self.inc_ptr, self.inc = h.inc_ptr, h.inc
+        self.source = h.source
+        self.weight = h.weight
         # per vertex, the rows its settle scores: the pins of its nets
         pins = np.zeros(len(self.inc) + 1, np.intp)
         np.cumsum(np.diff(self.pin_ptr)[self.inc], out=pins[1:])

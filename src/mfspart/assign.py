@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from math import inf
 from operator import itemgetter
 
+import numpy as np
+
 from .model import Hypergraph, Placement
 from .seeds import pcg64_uniform
 from .topology import HopMatrix, MfsTopology, hop_sum
@@ -90,17 +92,24 @@ def fpga_heat(t: MfsTopology, hm: HopMatrix, f: int) -> float:
     return num / hop_sum(t, hm, f)
 
 
-def node_heat(h: Hypergraph, v: int) -> int:
-    """Connected signal volume times squared resource usage."""
-    w2 = sum(x * x for x in h.vertices[v].weight)
-    total_w = sum(h.edges[e].weight for e in h.incidence[v])
-    return total_w * w2
+def node_heats(h: Hypergraph) -> list[float]:
+    """Per vertex, connected signal volume times squared resource usage:
+    the weight of its nets times the sum of its squared weights, each
+    exact in a float (a bincount sums the weights)."""
+    w = h.weight_matrix()
+    volume = np.bincount(h.pins, np.repeat(h.weight, np.diff(h.pin_ptr)), h.num_vertices)
+    return (volume * (w * w).sum(1)).tolist()
+
+
+def node_heat(h: Hypergraph, v: int) -> float:
+    """The heat of vertex v (see `node_heats`)."""
+    return node_heats(h)[v]
 
 
 def compute_heats(h: Hypergraph, t: MfsTopology, hm: HopMatrix) -> HeatScores:
     return HeatScores(
         fpga_heat=[fpga_heat(t, hm, f) for f in range(t.k_fpgas)],
-        node_heat=[float(node_heat(h, v)) for v in range(h.num_vertices)],
+        node_heat=node_heats(h),
     )
 
 
@@ -176,7 +185,8 @@ def dfs_assign(
     # capacity and weight, so subtracting a packed weight borrows across no
     # field and leaves each field's top bit set exactly when that resource
     # still fits.
-    amounts = [x for c in t.capacities for x in c] + [x for u in h.vertices for x in u.weight]
+    weights = h.weight_matrix().tolist()
+    amounts = [x for c in t.capacities for x in c] + [x for w in weights for x in w]
     width = max(amounts, default=0).bit_length() + 1
 
     def pack(vals) -> int:
@@ -184,7 +194,7 @@ def dfs_assign(
 
     guard = pack([1 << (width - 1)] * krt)
     room = [pack(t.capacities[f]) + guard for f in fpga_order]
-    wts = [pack(h.vertices[v].weight) for v in order]  # per depth
+    wts = [pack(weights[v]) for v in order]  # per depth
 
     # A net is costed once, at the depth of its last member in `order`;
     # the entry keeps the drains other than the vertex placed there.  A
@@ -195,11 +205,12 @@ def dfs_assign(
     for i, v in enumerate(order):
         pos[v] = i
     completing: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for e in h.edges:
-        d = max(pos[m] for m in e.members)
+    pins, ptr = h.pins.tolist(), h.pin_ptr.tolist()
+    for src, w, a, b in zip(h.source.tolist(), h.weight.tolist(), ptr, ptr[1:]):
+        d = max(pos[m] for m in pins[a:b])
         v = order[d]
-        others = tuple(x for x in e.drains if x != v)
-        completing[d].append((e.source, others, e.weight))
+        others = tuple(x for x in pins[a + 1:b] if x != v)
+        completing[d].append((src, others, w))
     slots_read = []
     for d, v in enumerate(order):
         deps = sorted({x for src, others, _ in completing[d] for x in (src, *others)} - {v})

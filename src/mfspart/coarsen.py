@@ -1,4 +1,5 @@
-"""Multilevel coarsening: FPGA-aware greedy pairwise matching.
+"""Multilevel coarsening: FPGA-aware greedy pairwise matching, contracted
+in arrays.
 
 One function, `best_partner`, is the whole matching rule.  A vertex
 scores each unmatched neighbour by the nets they share (heavy edges,
@@ -9,6 +10,14 @@ capacity.  Zero-penalty merges come first, ordered by score; the others
 follow by score over penalty; ties go to the lower id.  The penalty
 exponent grows with the level index so early levels chase connectivity
 and late levels enforce balance.
+
+A level reads only the hypergraph's arrays and builds the next level's
+(`model.Hypergraph`); no `Vertex` or `Hyperedge` is made.  Within a level
+a pair's score, penalty and capacity test never change, only which
+vertices are matched, so `coarsen_level` ranks the candidates of many
+vertices in one array pass (`_ranked`) and the greedy pass takes each
+free vertex's first free candidate.  `_contract` maps the pins through
+the matching into the coarse graph's arrays.
 """
 
 from __future__ import annotations
@@ -17,9 +26,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import Hyperedge, Hypergraph, ResourceVector, Vertex
+import numpy as np
+
+from ._exchange import _dedupe, _ranges
+from .model import Hypergraph, ResourceVector
 from .seeds import TAG_COARSEN, sub_seed
 from .topology import MfsTopology, mean_capacity
+
+CHUNK = 1 << 12  # pair rows per ranking pass: bounds its temporaries
 
 
 @dataclass
@@ -65,14 +79,19 @@ def heavy_node_penalty(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    s = _usage_product(wu, wv, mean_caps)
+    return s**alpha if s else 0.0
+
+
+def _usage_product(wu, wv, mean_caps):
+    """sum_i w_i(u) * w_i(v) / mean_cap_i^2, added type by type from 0.0:
+    of one pair, or of many when wu and wv hold one array per type."""
     s = 0.0
-    for i in range(len(wu)):
-        c = float(mean_caps[i])
+    for a, b, c in zip(wu, wv, mean_caps):
+        c = float(c)
         if c > 0:
-            s += wu[i] * wv[i] / (c * c)
-    if s == 0.0:
-        return 0.0
-    return s**alpha
+            s += a * b / (c * c)
+    return s
 
 
 def alpha_at_level(
@@ -90,11 +109,44 @@ def alpha_at_level(
     return min(max(raw, cfg.alpha0), cfg.alpha0 + cfg.dalpha)
 
 
-def merge_priority(r: float, p: float) -> tuple[int, float]:
-    """Sort key of a merge with connectivity score r and balance penalty
-    p, higher first: every zero-penalty merge, by r, outranks every other,
-    by r/p (zero-cost merges are taken greedily)."""
-    return (1, r) if p == 0.0 else (0, r / p)
+def _ranked(
+    h: Hypergraph, us: np.ndarray, free: np.ndarray, alpha: float, mean_caps, max_caps
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of the vertices us, each vertex's in `best_partner`'s
+    order, as (ptr, cand): those of us[i] are cand[ptr[i]:ptr[i + 1]].  A
+    candidate of u is a vertex v != u with free[v] that shares a net with
+    u and fits with it under `max_caps`.
+
+    One array pass over the pins: a row per (u, net of u, member), in
+    ascending net order for each u, holds the net's share w_e / (|e| - 1).
+    A pair's score is the bincount of its rows' shares over np.unique's
+    inverse, which adds them one by one in that order, as `best_partner`'s
+    sum is defined.  The penalty is `heavy_node_penalty`'s, its power
+    Python's, taken once per distinct value."""
+    n = h.num_vertices
+    pos, row = _ranges(h.inc_ptr[us], h.inc_ptr[us + 1])
+    es = h.inc[pos]
+    pos, at = _ranges(h.pin_ptr[es], h.pin_ptr[es + 1])
+    lu, v = row[at], h.pins[pos]
+    keep = free[v] & (v != us[lu])
+    es, lu, v = es[at[keep]], lu[keep], v[keep]
+    share = h.weight[es] / (h.pin_ptr[es + 1] - h.pin_ptr[es] - 1)
+    pair, inv = np.unique(lu * n + v, return_inverse=True)
+    score = np.bincount(inv, share, len(pair))
+    lu, v = np.divmod(pair, n)
+    w = h.weight_matrix().T
+    wu, wv = w[:, us[lu]], w[:, v]
+    fit = (wu + wv <= np.array(max_caps)[:, None]).all(0)
+    lu, v, score = lu[fit], v[fit], score[fit]
+    s = _usage_product(wu[:, fit], wv[:, fit], mean_caps)
+    vals, inv = np.unique(s, return_inverse=True)
+    penalty = np.array([x**alpha if x else 0.0 for x in vals.tolist()])[inv]
+    # zero-penalty merges first, by score, then the rest by score over
+    # penalty; the sort is stable and the pairs come by vertex, then id
+    costly = penalty != 0.0
+    value = np.divide(score, penalty, out=score.astype(float), where=costly)
+    order = np.lexsort((-value, 2 * lu + costly))
+    return np.searchsorted(lu[order], np.arange(len(us) + 1)), v[order]
 
 
 def best_partner(
@@ -104,31 +156,47 @@ def best_partner(
     """The neighbour vertex u merges with, or -1 for none.
 
     Every neighbour v with match[v] == -1 is scored by the sum of
-    w_e / (|e| - 1) over the nets it shares with u.  A pair whose combined
-    weight exceeds `max_caps` in some type is skipped; the rest rank by
-    `merge_priority` of that score and `heavy_node_penalty`, ties to the
-    lower id.
+    w_e / (|e| - 1) over the nets it shares with u, added in ascending net
+    order.  A pair whose combined weight exceeds `max_caps` in some type
+    is skipped; the rest rank zero-`heavy_node_penalty` pairs first, by
+    score, then the others by score over penalty, ties to the lower id.
     """
-    scores: dict[int, float] = {}
-    for e in h.incidence[u]:
-        edge = h.edges[e]
-        contrib = edge.weight / (len(edge) - 1)
-        for m in edge.members:
-            if m != u and match[m] == -1:
-                scores[m] = scores.get(m, 0.0) + contrib
-    vertices = h.vertices
-    wu = vertices[u].weight.values
-    best_key = None
-    best_v = -1
-    for v, r in scores.items():
-        wv = vertices[v].weight.values
-        if any(a + b > c for a, b, c in zip(wu, wv, max_caps)):
-            continue
-        key = (*merge_priority(r, heavy_node_penalty(wu, wv, alpha, mean_caps)), -v)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_v = v
-    return best_v
+    cand = _ranked(h, np.array([u]), np.asarray(match) == -1, alpha, mean_caps, max_caps)[1]
+    return int(cand[0]) if len(cand) else -1
+
+
+def _contract(h: Hypergraph, mapping: np.ndarray, n_coarse: int) -> Hypergraph:
+    """The coarse hypergraph of a fine-to-coarse vertex `mapping`, built
+    from the pin arrays: each net's pins mapped, its drains sorted and
+    deduplicated without its source, a net left without a drain dropped,
+    and parallel nets (same source and drains) merged in first-appearance
+    order, their weights summed."""
+    src = mapping[h.source]
+    net = np.repeat(np.arange(h.num_edges), np.diff(h.pin_ptr))
+    pin = mapping[h.pins]
+    keep = pin != src[net]  # the source's own pin among them
+    net, drains = np.divmod(_dedupe(net[keep] * n_coarse + pin[keep]), n_coarse)
+    # the nets left with a drain, each keyed by its source and its drains'
+    # bytes: the first net of each key is kept, with the weights of the rest
+    es = _dedupe(net)
+    cut = np.append(net.searchsorted(es), len(net))
+    raw, at = drains.tobytes(), (cut * drains.itemsize).tolist()
+    first: dict[tuple[int, bytes], int] = {}
+    group = [
+        first.setdefault((s, raw[a:b]), j)
+        for j, (s, a, b) in enumerate(zip(src[es].tolist(), at, at[1:]))
+    ]
+    weight = np.zeros(len(es), np.int64)
+    np.add.at(weight, group, h.weight[es])
+    lead = np.fromiter(first.values(), np.intp, len(first))
+    pin_ptr = np.zeros(len(lead) + 1, np.intp)
+    np.cumsum(np.diff(cut)[lead] + 1, out=pin_ptr[1:])
+    # each kept net's drains, with its source inserted before them
+    body = drains[_ranges(cut[lead], cut[lead + 1])[0]]
+    pins = np.insert(body, pin_ptr[:-1] - np.arange(len(lead)), src[es[lead]])
+    weights = np.zeros((n_coarse, h.num_resource_types), np.int64)
+    np.add.at(weights, mapping, h.weight_matrix())
+    return Hypergraph.from_arrays(weights, pin_ptr, pins.astype(np.int32), weight[lead])
 
 
 def coarsen_level(
@@ -141,9 +209,12 @@ def coarsen_level(
     """One pairwise-matching pass.
 
     Vertices are visited in seeded random order; each unmatched vertex
-    merges with its `best_partner`.  Coarse ids are dense, in fine-id
-    order.  Single-pin coarse edges are dropped and parallel coarse edges
-    merged with summed weights.
+    merges with its `best_partner`.  The visit order is ranked in chunks
+    of at most CHUNK pair rows (`_ranked`), each over the vertices and
+    candidates still free when it starts, and the greedy pass takes each
+    free vertex's first free candidate: a pair's rank does not depend on
+    what else is matched.  Coarse ids are dense, in fine-id order; the
+    coarse graph is `_contract`'s.
     """
     n = h.num_vertices
     alpha = alpha_at_level(
@@ -154,41 +225,33 @@ def coarsen_level(
 
     order = list(range(n))
     random.Random(sub_seed(cfg.seed, TAG_COARSEN, level)).shuffle(order)
-    match = [-1] * n
-    for u in order:
-        if match[u] == -1:
-            v = best_partner(h, u, match, alpha, mean_caps, max_caps)
-            if v >= 0:
-                match[u], match[v] = v, u
+    visit = np.array(order, np.intp)
+    match = np.arange(n)  # each vertex's partner, itself while free
+    free = np.ones(n, bool)
+    # the rows of `_ranked` before each vertex of the visit order: a
+    # vertex's are the pins of its nets
+    sizes = np.diff(h.pin_ptr)
+    ends = np.zeros(n + 1)
+    np.cumsum(np.bincount(h.pins, np.repeat(sizes, sizes), n)[visit], out=ends[1:])
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(ends.searchsorted(ends[lo] + CHUNK, "right")) - 1)
+        us = visit[lo:hi][free[visit[lo:hi]]]
+        ptr, cand = (x.tolist() for x in _ranked(h, us, free, alpha, mean_caps, max_caps))
+        for u, a, b in zip(us.tolist(), ptr, ptr[1:]):
+            if free[u]:
+                for v in cand[a:b]:
+                    if free[v]:
+                        match[u], match[v] = v, u
+                        free[u] = free[v] = False
+                        break
+        lo = hi
 
-    mapping = [-1] * n
-    n_coarse = 0
-    for v in range(n):
-        if mapping[v] == -1:
-            mapping[v] = n_coarse
-            if match[v] != -1:
-                mapping[match[v]] = n_coarse
-            n_coarse += 1
-    coarse_w = [[0] * h.num_resource_types for _ in range(n_coarse)]
-    for v, c in enumerate(mapping):
-        cw = coarse_w[c]
-        for i, x in enumerate(h.vertices[v].weight.values):
-            cw[i] += x
-
-    merged: dict[tuple[int, tuple[int, ...]], int] = {}
-    for e in h.edges:
-        src = mapping[e.source]
-        drains = tuple(sorted({mapping[d] for d in e.drains} - {src}))
-        if drains:
-            merged[src, drains] = merged.get((src, drains), 0) + e.weight
-    return Level(
-        Hypergraph(
-            [Vertex(i, ResourceVector(w)) for i, w in enumerate(coarse_w)],
-            [Hyperedge(j, w, src, drains) for j, ((src, drains), w) in enumerate(merged.items())],
-        ),
-        mapping,
-        level,
-    )
+    # a coarse id per pair, numbered by the pair's lower id
+    low = np.minimum(match, np.arange(n))
+    lead = low == np.arange(n)
+    mapping = (lead.cumsum() - 1)[low]
+    return Level(_contract(h, mapping, int(lead.sum())), mapping.tolist(), level)
 
 
 def build_hierarchy(h: Hypergraph, t: MfsTopology, cfg: CoarseningConfig) -> list[Level]:

@@ -12,8 +12,8 @@ drain: the net's units, its worst hop and its I/O ports.  The metrics here
 and refinement's application-time checks all go through it.
 
 A placement is evaluated in one pass, `tally`, over its host mask
-(`Placement.host_mask`) and the drain-count matrix the graph's pin index
-makes of it (`PinIndex.drain_counts`): the kernel on each net's covered
+(`Placement.host_mask`) and the drain-count matrix the graph's pin arrays
+make of it (`Hypergraph.drain_counts`): the kernel on each net's covered
 FPGAs, the cut rule and the usage.  Every multi-net metric here reads
 that pass, and so does the refinement state when it is built.
 """
@@ -26,7 +26,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import Hypergraph, PinIndex, Placement, ResourceVector, drain_fpgas
+from .model import Hypergraph, Placement, ResourceVector, drain_fpgas
 from .topology import HopMatrix, MfsTopology, compute_hop_matrix
 
 
@@ -109,33 +109,32 @@ class Tally:
 
 def tally(h: Hypergraph, hosted: np.ndarray, hm: HopMatrix) -> Tally:
     """Every net's terms and every FPGA's load under the n x K host mask
-    `hosted`, from the graph's pin index (`Hypergraph.pin_index`).
+    `hosted`, from the graph's pin arrays.
 
-    The count matrix comes from `PinIndex.drain_counts`.  Each net's units,
+    The count matrix comes from `Hypergraph.drain_counts`.  Each net's units,
     worst hop and ports are `net_terms` of its source's hosts at the FPGAs
     its counts cover; a net is cut unless some host f of its source has
     cnt[e, f] equal to its drain count; and the usage is the host mask
     times the vertex weights."""
-    ix = h.pin_index()
-    cnt = ix.drain_counts(hosted)
+    cnt = h.drain_counts(hosted)
     thd = 0
     worst = []
     fpgas = range(hm.k_fpgas)
     io = [0] * hm.k_fpgas
-    for w, hosts, row in zip(ix.weight.tolist(), hosted[ix.source].tolist(), cnt.tolist()):
+    for w, hosts, row in zip(h.weight.tolist(), hosted[h.source].tolist(), cnt.tolist()):
         units, x, ports = net_terms(hm, compress(fpgas, hosts), compress(fpgas, row))
         thd += w * units
         worst.append(x)
         for f in ports:
             io[f] += w
-    return Tally(cnt, thd, worst, io, _cut(ix, hosted, cnt), _usage(h, hosted))
+    return Tally(cnt, thd, worst, io, _cut(h, hosted, cnt), _usage(h, hosted))
 
 
-def _cut(ix: PinIndex, hosted: np.ndarray, cnt: np.ndarray) -> int:
+def _cut(h: Hypergraph, hosted: np.ndarray, cnt: np.ndarray) -> int:
     """How many nets no host f of their source serves wholly: cnt[e, f]
     is below the net's drain count at each of them."""
-    whole = cnt == np.diff(ix.pin_ptr)[:, None] - 1
-    return len(cnt) - int((hosted[ix.source] & whole).any(1).sum())
+    whole = cnt == np.diff(h.pin_ptr)[:, None] - 1
+    return len(cnt) - int((hosted[h.source] & whole).any(1).sum())
 
 
 def _usage(h: Hypergraph, hosted: np.ndarray) -> np.ndarray:
@@ -160,9 +159,8 @@ def cut_size(h: Hypergraph, p: Placement) -> int:
     A net is uncut iff some one FPGA hosts a copy of the source and a copy
     of every drain.
     """
-    ix = h.pin_index()
     hosted = p.host_mask(1 + max((f for r in (p.original, *p.replicas) for f in r), default=0))
-    return _cut(ix, hosted, ix.drain_counts(hosted))
+    return _cut(h, hosted, h.drain_counts(hosted))
 
 
 def io_usage_all(h: Hypergraph, p: Placement, hm: HopMatrix) -> list[int]:

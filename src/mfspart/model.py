@@ -6,16 +6,17 @@ consumers).  A placement maps each vertex to one original FPGA plus an
 optional set of replica FPGAs; a replica is a full copy of the vertex, so
 its outputs are available locally and all of its inputs must reach it.
 
-Each hypergraph also holds its pins as arrays, built once on first use
-(`Hypergraph.pin_index`, a `PinIndex`), which the metrics, the refinement
-state and its exchange table all read; with a placement's host mask
-(`Placement.host_mask`) it gives the matrix of each net's drain copies
-per FPGA (`PinIndex.drain_counts`).
+A hypergraph is held one way, as arrays: its vertex weight matrix and its
+pins, which every phase reads; the `Vertex` and `Hyperedge` objects are a
+view for parsing, formatting and the reference code.  With a placement's
+host mask (`Placement.host_mask`) the pins give the matrix of each net's
+drain copies per FPGA (`Hypergraph.drain_counts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -87,11 +88,23 @@ class Hyperedge:
 
 
 class Hypergraph:
-    """Immutable hypergraph with per-vertex incidence lists.
+    """An immutable hypergraph, held as arrays: the n x k vertex weight
+    matrix (`weight_matrix`) and the pins, which the coarsening, the
+    assignment, the metrics, the refinement state and its exchange table
+    all read:
 
-    Vertex and edge ids are dense (0..n-1 / 0..m-1); the incidence list of
-    a vertex holds the ids of every edge it appears in, source or drain,
-    in ascending edge-id order.
+    - every net's members in CSR (`pin_ptr`, `pins`), source first, then
+      the drains in ascending order;
+    - each net's `source` and `weight`;
+    - every vertex's nets, drained or sourced, in CSR by vertex
+      (`inc_ptr`, `inc`), in ascending net order.
+
+    Vertex and net ids are dense (0..n-1 / 0..m-1).  `Hypergraph(vertices,
+    edges)` checks the objects and builds the arrays from them;
+    `from_arrays` takes arrays that are already well-formed, as a
+    contraction makes them.  `vertices`, `edges` and `incidence` (each
+    vertex's net ids, ascending) are read-only object views: the given
+    lists, or lists built from the arrays on first read.
     """
 
     def __init__(self, vertices: list[Vertex], edges: list[Hyperedge]):
@@ -106,18 +119,44 @@ class Hypergraph:
         for j, e in enumerate(edges):
             if e.id != j:
                 raise ValueError(f"edge ids must be dense, got {e.id} at position {j}")
-            for m in e.members:
-                if not (0 <= m < n):
-                    raise ValueError(f"edge {e.id}: dangling vertex id {m}")
-        self.vertices = vertices
-        self.edges = edges
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        for e in edges:
-            for m in e.members:
-                incidence[m].append(e.id)
-        self.incidence = incidence
-        self._weight_matrix: np.ndarray | None = None
-        self._pin_index: PinIndex | None = None
+        members = [e.members for e in edges]
+        pin_ptr = np.zeros(len(edges) + 1, np.intp)
+        np.cumsum(np.fromiter(map(len, members), np.intp, len(edges)), out=pin_ptr[1:])
+        pins = np.fromiter(chain.from_iterable(members), np.int64, int(pin_ptr[-1]))
+        bad = np.flatnonzero((pins < 0) | (pins >= n))
+        if len(bad):
+            j = int(pin_ptr.searchsorted(bad[0], "right")) - 1
+            raise ValueError(f"edge {j}: dangling vertex id {pins[bad[0]]}")
+        self._hold(
+            np.array([v.weight.values for v in vertices], np.int64).reshape(n, k),
+            pin_ptr,
+            pins.astype(np.int32),
+            np.fromiter((e.weight for e in edges), np.int64, len(edges)),
+        )
+        self._vertices, self._edges = vertices, edges
+
+    @classmethod
+    def from_arrays(
+        cls, weights: np.ndarray, pin_ptr: np.ndarray, pins: np.ndarray, weight: np.ndarray
+    ) -> "Hypergraph":
+        """A hypergraph of the n x k int64 vertex weights and the nets'
+        pins (`pin_ptr`, intp; `pins`, int32; see the class docstring) and
+        int64 weights, unchecked."""
+        h = cls.__new__(cls)
+        h._hold(weights, pin_ptr, pins, weight)
+        return h
+
+    def _hold(self, weights, pin_ptr, pins, weight) -> None:
+        """Hold the arrays, and derive each net's source and each vertex's
+        nets from them."""
+        n, m = len(weights), len(weight)
+        self._weights, self.pin_ptr, self.pins, self.weight = weights, pin_ptr, pins, weight
+        self.source = pins[pin_ptr[:-1]].astype(np.intp)
+        self.inc_ptr = np.zeros(n + 1, np.intp)
+        np.cumsum(np.bincount(pins, minlength=n), out=self.inc_ptr[1:])
+        pin_net = np.repeat(np.arange(m, dtype=np.int32), np.diff(pin_ptr))
+        self.inc = pin_net[np.argsort(pins, kind="stable")]
+        self._vertices = self._edges = self._incidence = None
 
     @classmethod
     def build(
@@ -131,57 +170,48 @@ class Hypergraph:
         return cls(vertices, edges)
 
     @property
+    def vertices(self) -> list[Vertex]:
+        if self._vertices is None:
+            self._vertices = [
+                Vertex(i, ResourceVector(w)) for i, w in enumerate(self._weights.tolist())
+            ]
+        return self._vertices
+
+    @property
+    def edges(self) -> list[Hyperedge]:
+        if self._edges is None:
+            pins, ptr = self.pins.tolist(), self.pin_ptr.tolist()
+            self._edges = [
+                Hyperedge(j, w, pins[a], pins[a + 1:b])
+                for j, (w, a, b) in enumerate(zip(self.weight.tolist(), ptr, ptr[1:]))
+            ]
+        return self._edges
+
+    @property
+    def incidence(self) -> list[list[int]]:
+        if self._incidence is None:
+            inc, ptr = self.inc.tolist(), self.inc_ptr.tolist()
+            self._incidence = [inc[a:b] for a, b in zip(ptr, ptr[1:])]
+        return self._incidence
+
+    @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self._weights)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.weight)
 
     @property
     def num_resource_types(self) -> int:
-        return len(self.vertices[0].weight) if self.vertices else 0
+        return self._weights.shape[1]
 
     def weight_matrix(self) -> np.ndarray:
-        """Vertex weights as an (n, k) int64 array; cached."""
-        if self._weight_matrix is None:
-            self._weight_matrix = np.array(
-                [v.weight.values for v in self.vertices], dtype=np.int64
-            ).reshape(self.num_vertices, self.num_resource_types)
-        return self._weight_matrix
-
-    def pin_index(self) -> "PinIndex":
-        """The pins as arrays (see `PinIndex`); cached."""
-        if self._pin_index is None:
-            self._pin_index = PinIndex(self)
-        return self._pin_index
+        """Vertex weights as an (n, k) int64 array."""
+        return self._weights
 
     def total_weight(self) -> ResourceVector:
-        if not self.vertices:
-            return ResourceVector(())
-        return ResourceVector(self.weight_matrix().sum(axis=0))
-
-
-class PinIndex:
-    """A hypergraph's pins as arrays, built once per graph and read by the
-    metrics, the refinement state and its exchange table: every net's
-    members in CSR (`pin_ptr`, `pins`), source first; each net's `source`
-    and `weight`; and every vertex's nets, drained or sourced, in CSR by
-    vertex (`inc_ptr`, `inc`), in ascending net order."""
-
-    def __init__(self, h: Hypergraph):
-        n, m = h.num_vertices, h.num_edges
-        sizes = np.fromiter((1 + len(e.drains) for e in h.edges), np.intp, m)
-        self.pin_ptr = np.zeros(m + 1, np.intp)
-        np.cumsum(sizes, out=self.pin_ptr[1:])
-        n_pins = int(self.pin_ptr[-1])
-        self.pins = np.fromiter((x for e in h.edges for x in e.members), np.int32, n_pins)
-        self.source = self.pins[self.pin_ptr[:-1]].astype(np.intp)
-        self.weight = np.fromiter((e.weight for e in h.edges), np.int64, m)
-        self.inc_ptr = np.zeros(n + 1, np.intp)
-        np.cumsum(np.bincount(self.pins, minlength=n), out=self.inc_ptr[1:])
-        pin_net = np.repeat(np.arange(m, dtype=np.int32), sizes)
-        self.inc = pin_net[np.argsort(self.pins, kind="stable")]
+        return ResourceVector(self._weights.sum(axis=0))
 
     def drain_counts(self, hosted: np.ndarray) -> np.ndarray:
         """Per net and FPGA, the number of the net's drains with a copy

@@ -13,15 +13,18 @@ have changed.
 The state holds the placement one way: `orig`, every vertex's original
 FPGA, and the n x K host mask `hosted`, which FPGAs hold a copy of each
 vertex; `RefineState.p` builds a `Placement` from them when asked.  A
-prospective operation is a map {vertex: frozenset of its new hosts},
-built by `_change` from those arrays, which holds each kind's
-precondition; a commit writes the new originals into `orig` and the sets
-into the mask rows (`_install`).  The state also keeps one m x K count
+prospective operation is a map {vertex: (frozenset of its hosts, frozenset
+of its new hosts)}, built by `_change` from those arrays, which holds each
+kind's precondition and reads each changed vertex's mask row once; a
+commit writes the new originals into `orig` and the new sets into the
+mask rows (`_install`).  The state also keeps one m x K count
 matrix, `cnt`: per net and FPGA, the number of the net's drains with a
 copy there.  It takes that matrix, the THD, the I/O and the usage from
 the metrics' one pass over the host mask, `metrics.tally`.  An operation
-is evaluated by `_evaluate`, which applies its host changes to list
-copies of the affected nets' rows and calls `metrics.net_terms` on each
+is evaluated by `_evaluate`, which reads each vertex's nets and each
+net's source and weight from lists built once per level off the pin
+arrays, applies its host changes to list copies of the affected nets'
+rows and calls `metrics.net_terms` on each
 changed net's covered FPGAs before and after, which gives its units (so
 the gain), worst hop and I/O ports.  On commit those rows are written
 back in one assignment.  The from-scratch gains (`gain_move` and the
@@ -36,8 +39,8 @@ sourced cost after a copy is added on f is a sum of src_w times hops
 capped at f's, by the vertex's nearest-replica row for a move and by its
 nearest-host row for a replicate; a delete's fall comes from the
 nearest-host row without that replica.  `_rows` computes all of it for
-any vertex set in a few array passes over the level's pin index
-(`Hypergraph.pin_index`), the count matrix and the host arrays, and keeps nothing
+any vertex set in a few array passes over the level's pin arrays (the
+hypergraph's own), the count matrix and the host arrays, and keeps nothing
 between calls: the entry build calls it in runs of `RUN` vertices, and
 every commit on the vertices the commit made dirty.
 
@@ -57,13 +60,13 @@ delete of a copy that is not a replica, at every slot of a vertex
 without entries, at every slot of a disabled replicate or delete, and
 at every move slot when neither move nor exchange is enabled.  A vertex
 has entries exactly when it has a net or a replica, which `_rows` reads
-from the pin index and the host mask.
+from the pin arrays and the host mask.
 
 An exchange gain is the two endpoints' move gains plus a correction over
 the nets they share.  One table per level, an `ExchangeTable` the state
 owns, keeps each vertex's best exchange (gain and partner), scored on
-demand from the pin index, and nothing per pair.  Every fact it reads is
-the state's own, read in place: the pin index, the arrays `orig`, `hop`
+demand from the pin arrays, and nothing per pair.  Every fact it reads is
+the state's own, read in place: the hypergraph, the arrays `orig`, `hop`
 and `rep_hop` (each vertex's original and nearest-host and
 nearest-replica rows), which a commit writes with the host mask, the
 move rows `gains[0]` and the count matrix.  It holds no reference back
@@ -142,49 +145,54 @@ def _hosts(hosted: np.ndarray, v: int) -> frozenset:
 
 def _change(
     orig, hosted: np.ndarray, kind: str, v: int, dest: int, partner: int | None = None
-) -> dict[int, frozenset] | None:
-    """The host sets an op leaves its vertices with, {vertex: frozenset},
-    or None when it does not apply: a move to v's own FPGA, an exchange
-    whose partner is missing, not on `dest` or on v's FPGA, a replicate
-    onto a host of v, or a delete of a copy v does not have.  Each kind's
-    precondition lives here and nowhere else.  A move or exchange absorbs
-    a replica already on the destination.  `orig` holds every vertex's
-    original and `hosted` is the host mask."""
+) -> dict[int, tuple[frozenset, frozenset]] | None:
+    """The host sets of the vertices an op changes, before and after it,
+    {vertex: (hosts, new hosts)}, or None when it does not apply: a move
+    to v's own FPGA, an exchange whose partner is missing, not on `dest`
+    or on v's FPGA, a replicate onto a host of v, or a delete of a copy v
+    does not have.  Each kind's precondition lives here and nowhere else.
+    A move or exchange absorbs a replica already on the destination.
+    `orig` holds every vertex's original and `hosted` is the host mask."""
     o = int(orig[v])
     hosts = _hosts(hosted, v)
     if kind == "move":
-        return None if dest == o else {v: hosts - {o} | {dest}}
+        return None if dest == o else {v: (hosts, hosts - {o} | {dest})}
     if kind == "exchange":
         if partner is None or orig[partner] != dest or dest == o:
             return None
-        return {v: hosts - {o} | {dest}, partner: _hosts(hosted, partner) - {dest} | {o}}
+        theirs = _hosts(hosted, partner)
+        return {v: (hosts, hosts - {o} | {dest}), partner: (theirs, theirs - {dest} | {o})}
     if kind == "replicate":
-        return None if dest in hosts else {v: hosts | {dest}}
+        return None if dest in hosts else {v: (hosts, hosts | {dest})}
     if kind == "delete":
-        return {v: hosts - {dest}} if dest in hosts and dest != o else None
+        return {v: (hosts, hosts - {dest})} if dest in hosts and dest != o else None
     raise ValueError(f"unknown op kind '{kind}'")
 
 
-def _evaluate(
-    h: Hypergraph, hm: HopMatrix, hosted: np.ndarray, cnt: np.ndarray, change: dict[int, frozenset]
-):
-    """A prospective change {vertex: new host set} evaluated net by net,
-    from the current host mask and count matrix: `(rows, gain, worst,
-    io_delta)`.  `rows` holds, per net with a changed member, its source
-    and its count rows before and after the change, as lists; then come
-    the THD decrease, the worst hop of those nets after it, and the I/O
-    delta at every FPGA that is a port of one of them before or after.  A
-    net's terms are `net_terms` of its source's hosts at the FPGAs its
-    count row covers."""
+def _net_lists(h: Hypergraph) -> tuple[list[list[int]], list[int], list[int]]:
+    """Every vertex's nets, and each net's source and weight, as lists."""
+    return h.incidence, h.source.tolist(), h.weight.tolist()
+
+
+def _evaluate(nets, hm: HopMatrix, hosted: np.ndarray, cnt: np.ndarray, change):
+    """A prospective change (see `_change`) evaluated net by net, from
+    `_net_lists`, the current host mask and the count matrix: `(rows,
+    gain, worst, io_delta)`.  `rows` holds, per net with a changed member,
+    its source and its count rows before and after the change, as lists;
+    then come the THD decrease, the worst hop of those nets after it, and
+    the I/O delta at every FPGA that is a port of one of them before or
+    after.  A net's terms are `net_terms` of its source's hosts at the
+    FPGAs its count row covers."""
+    incidence, sources, weights = nets
     fpgas = range(hm.k_fpgas)
-    # every changed vertex's hosts, and each other source's, before the
-    # change, read off its mask row once
-    before = {v: _hosts(hosted, v) for v in change}
+    # every changed vertex's hosts before and after the change; each
+    # other source's are read off its mask row once
+    before = {v: old for v, (old, _) in change.items()}
+    after = {v: new for v, (_, new) in change.items()}
     rows: dict[int, tuple[int, list[int], list[int]]] = {}
-    for v, new in change.items():
-        old = before[v]
-        for e in h.incidence[v]:
-            src = h.edges[e].source
+    for v, (old, new) in change.items():
+        for e in incidence[v]:
+            src = sources[e]
             if e not in rows:
                 was = cnt[e].tolist()
                 rows[e] = (src, was, was.copy())
@@ -199,8 +207,8 @@ def _evaluate(
     for e, (src, was, now) in rows.items():
         if src not in before:
             before[src] = _hosts(hosted, src)
-        w = h.edges[e].weight
-        units, x, ports = net_terms(hm, change.get(src, before[src]), compress(fpgas, now))
+        w = weights[e]
+        units, x, ports = net_terms(hm, after.get(src, before[src]), compress(fpgas, now))
         old_units, _, old_ports = net_terms(hm, before[src], compress(fpgas, was))
         gain += w * (old_units - units)
         if x > worst:
@@ -235,7 +243,7 @@ def _gain_of(
     change = _change(p.original, hosted, kind, v, dest, partner)
     if change is None:
         raise ValueError(_INAPPLICABLE[kind])
-    return _evaluate(h, hm, hosted, h.pin_index().drain_counts(hosted), change)[1]
+    return _evaluate(_net_lists(h), hm, hosted, h.drain_counts(hosted), change)[1]
 
 
 def gain_move(h: Hypergraph, p: Placement, hm: HopMatrix, v: int, f: int) -> int:
@@ -302,7 +310,8 @@ class RefineState:
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
         self.weights = h.weight_matrix().T  # per resource type, every vertex's weight
-        self.index = h.pin_index()
+        self.index = h  # the level's pin arrays, read by `_sums`, `_dirty` and the table
+        self.nets = _net_lists(h)
         self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
 
         # the placement, one way: every vertex's original and the host
@@ -340,7 +349,7 @@ class RefineState:
         self.replicates_applied = 0
         # every vertex's move, replicate and delete rows (see the module
         # docstring); and the exchange bests of this level, whose table
-        # reads the pin index, the vertex facts, the move rows and the
+        # reads the pin arrays, the vertex facts, the move rows and the
         # count matrix in place and holds no reference back here
         self.gains = np.full((len(FPGA_KINDS), n, kf), OUT, np.int64)
         self.exchange = (
@@ -660,16 +669,15 @@ class RefineState:
                 ops.append(Op("exchange", v, orig[u], u, orig[v], gain=g))
         return iter(ops)
 
-    def _op_change(self, kind: str, v: int, dest: int) -> dict[int, frozenset] | None:
+    def _op_change(self, kind: str, v: int, dest: int):
         """`_change` of an entry; an exchange takes its best partner."""
         partner = self._partner(v) if kind == "exchange" else None
         return _change(self.orig, self.hosted, kind, v, dest, partner)
 
-    def _resource_deltas(self, change: dict[int, frozenset]) -> dict[int, np.ndarray]:
-        """Net per-FPGA resource deltas of a host-set change."""
+    def _resource_deltas(self, change) -> dict[int, np.ndarray]:
+        """Net per-FPGA resource deltas of a host-set change (see `_change`)."""
         deltas: dict[int, np.ndarray] = {}
-        for tv, new_hosts in change.items():
-            old_hosts = _hosts(self.hosted, tv)
+        for tv, (old_hosts, new_hosts) in change.items():
             wv = self.weights[:, tv]
             for f in new_hosts - old_hosts:
                 deltas[f] = deltas.get(f, 0) + wv
@@ -701,7 +709,7 @@ class RefineState:
 
         # every changed net's terms before and after the op: the gain, the
         # worst hop and the I/O delta
-        rows, gain, worst, io_delta = _evaluate(self.h, self.hm, self.hosted, self.cnt, change)
+        rows, gain, worst, io_delta = _evaluate(self.nets, self.hm, self.hosted, self.cnt, change)
         if self.hop_max is not None and worst > self.hop_max:
             return None
         if self.io_limited:
@@ -723,7 +731,7 @@ class RefineState:
         if partner is not None:
             self.orig[partner] = source
         self.cnt[es] = new
-        for x, hosts in change.items():
+        for x, (_, hosts) in change.items():
             self._install(x, hosts)
         for f, dv in deltas.items():
             row = self.usage[f]

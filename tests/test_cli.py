@@ -20,7 +20,7 @@ from mfspart.io import (
     write_topology,
 )
 from mfspart.metrics import report, validate
-from mfspart.model import Hyperedge, Hypergraph
+from mfspart.model import Hyperedge, Hypergraph, ResourceVector, Vertex
 from mfspart.oracle import exhaustive_partition
 from mfspart.seeds import TAG_GEN, sub_seed
 
@@ -614,6 +614,27 @@ def test_each_level_state_is_freed_before_the_next_is_built(monkeypatch):
             gc.enable()
     assert res.status == "ok"
     assert alive == [0, 0, 0, 0]
+
+
+def test_a_partition_run_builds_no_vertex_or_hyperedge(monkeypatch):
+    # coarsening, assignment and refinement read only a hypergraph's
+    # arrays, so a run over three coarse levels constructs no object view
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    made, graphs = [], []
+    for cls in (Vertex, Hyperedge):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    Vertex(0, ResourceVector([1]))
+    assert made == ["Vertex"]
+    made.clear()
+    res = run_pipeline(b.hypergraph, b.topology, n_seeds=1, assign_max_nodes=2000,
+                       refine_observer=lambda g: graphs.append(g))
+    assert res.status == "ok"
+    assert len(graphs) == 4
+    assert made == []
 
 
 # sha256 of the solution and report files that `partition` wrote for these

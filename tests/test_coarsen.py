@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mfspart.coarsen import (
@@ -203,6 +204,7 @@ def test_single_pin_edges_removed_and_parallel_merged():
     assert len(keys) == len(set(keys))
     for e in ch.edges:
         assert e.drains
+    _assert_contracted(h, lv)
 
 
 def test_weight_conservation_and_composition():
@@ -337,3 +339,92 @@ def test_hierarchy_matches_brute_force_rule(seed, deep):
     for lv in levels:
         assert lv.mapping == _brute_force_mapping(cur, b.topology, cfg, lv.index, h.num_vertices)
         cur = lv.hypergraph
+
+
+def _dict_contraction(h, mapping):
+    """The coarse graph of `mapping`, contracted with objects and a dict:
+    coarse vertex weights summed per type, and per net its mapped source
+    and its sorted distinct mapped drains without the source, a net with
+    no drain left dropped and parallel nets merged in first-appearance
+    order with summed weights.  Returns (vertex weight rows, [(weight,
+    source, drains)])."""
+    coarse_w = [[0] * h.num_resource_types for _ in range(max(mapping) + 1)]
+    for v, c in enumerate(mapping):
+        for i, x in enumerate(h.vertices[v].weight.values):
+            coarse_w[c][i] += x
+    merged = {}
+    for e in h.edges:
+        src = mapping[e.source]
+        drains = tuple(sorted({mapping[d] for d in e.drains} - {src}))
+        if drains:
+            merged[src, drains] = merged.get((src, drains), 0) + e.weight
+    return coarse_w, [(w, src, drains) for (src, drains), w in merged.items()]
+
+
+def _assert_contracted(fine, lv):
+    """The level's coarse graph is the dict contraction of its mapping,
+    in its arrays and in its object views."""
+    weights, edges = _dict_contraction(fine, lv.mapping)
+    g = lv.hypergraph
+    assert g.weight_matrix().tolist() == weights
+    assert [(e.weight, e.source, e.drains) for e in g.edges] == edges
+    assert g.weight.tolist() == [w for w, _, _ in edges]
+    assert g.pins.tolist() == [x for _, s, ds in edges for x in (s, *ds)]
+    assert np.diff(g.pin_ptr).tolist() == [1 + len(ds) for _, _, ds in edges]
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+@pytest.mark.parametrize("seed", range(6))
+def test_contraction_matches_the_dict_reference(seed, deep):
+    # the instances of test_hierarchy_matches_brute_force_rule
+    b = gen_instance(seed, 300, 360, 4, 2, spare=0.4)
+    h = b.hypergraph
+    if deep:
+        h = Hypergraph.build(
+            [[0, 0] if v % 5 == 0 else x.weight.values for v, x in enumerate(h.vertices)],
+            [(e.weight, e.source, e.drains) for e in h.edges],
+        )
+    cfg = CoarseningConfig(n_final=2 if deep else 32, seed=seed)
+    levels = build_hierarchy(h, b.topology, cfg)
+    assert len(levels) >= 3
+    cur = h
+    for lv in levels:
+        _assert_contracted(cur, lv)
+        cur = lv.hypergraph
+
+
+def test_contraction_merges_parallel_nets_in_first_appearance_order():
+    # three weight-10 nets pair 0-3, 1-4 and 2-5 whatever the visit order,
+    # and collapse to one pin each; nets 5 and 7 merge into nets 3 and 4,
+    # which come before net 6 whose source and drains sort first; net 6's
+    # drains map in descending order, and net 8 loses a drain to its source
+    h = Hypergraph.build(
+        [[1]] * 6,
+        [(10, 0, [3]), (10, 1, [4]), (10, 2, [5]), (1, 2, [4]), (1, 1, [0, 5]),
+         (2, 5, [1]), (1, 3, [5, 4]), (1, 4, [2, 3]), (1, 0, [3, 4])],
+    )
+    lv = coarsen_level(h, path_topology(2, cap=100), CoarseningConfig(n_final=2, seed=1), 0)
+    assert lv.mapping == [0, 1, 2, 0, 1, 2]
+    _assert_contracted(h, lv)
+    assert [(e.weight, e.source, e.drains) for e in lv.hypergraph.edges] == [
+        (3, 2, (1,)), (2, 1, (0, 2)), (1, 0, (1, 2)), (1, 0, (1,)),
+    ]
+    assert lv.hypergraph.weight_matrix().tolist() == [[2], [2], [2]]
+
+
+def test_coarse_graph_object_views_rebuild_the_same_graph():
+    # the views of a coarse graph, built from its arrays, give back the
+    # same arrays through the checked constructor (the lean 600-vertex
+    # instance of tests/test_cli.py, coarsened as run_pipeline does)
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    levels = build_hierarchy(b.hypergraph, b.topology, CoarseningConfig(seed=sub_seed(1, TAG_COARSEN)))
+    assert len(levels) == 3
+    for lv in levels:
+        g = lv.hypergraph
+        rebuilt = Hypergraph(g.vertices, g.edges)
+        for name in ("pin_ptr", "pins", "source", "weight", "inc_ptr", "inc"):
+            a, r = getattr(g, name), getattr(rebuilt, name)
+            assert a.dtype == r.dtype and a.tolist() == r.tolist(), name
+        assert rebuilt.weight_matrix().tolist() == g.weight_matrix().tolist()
+        assert rebuilt.incidence == g.incidence
+        assert [v.weight for v in rebuilt.vertices] == [v.weight for v in g.vertices]
