@@ -1,5 +1,5 @@
 """Exchange partners: each vertex's best exchange, scored on demand from
-the pin arrays and kept until a commit can change it.
+the hypergraph's pins and kept until a commit can change it.
 
 An exchange of v and u gains the two move gains g_v(pu) + g_u(pv) plus a
 correction over the nets they share, corr(v, u), a sum of one term per
@@ -9,10 +9,10 @@ partner id, in `best_g` and `best_u` (NONE and -1 without an entry: its
 move row is all OUT, or it has no partner off its FPGA), and whether that
 key is `stale`, that is unknown; a stale vertex's `best_g` is NONE.
 
-- Settle: `settle(vs)` scores every pair of the vertices vs from the pin
-  arrays, one row per (v, net, member u) with that net's term, summed per
-  (v, u), plus the two move gains, and stores each vertex's best.  It
-  works in runs of at most CHUNK rows.
+- Settle: `settle(vs)` scores every pair of the vertices vs from the
+  pins of their nets, one row per (v, net, member u) with that net's
+  term, summed per (v, u), plus the two move gains, and stores each
+  vertex's best.  It works in runs of at most CHUNK rows.
 - Marks: a commit marks stale every vertex whose best it can change
   (`commit`).  A term of net e reads only e's counts, its source's hosts
   and its two members' originals and hosts, so every term a commit
@@ -35,18 +35,21 @@ key is `stale`, that is unknown; a stale vertex's `best_g` is NONE.
   so that it stays an upper bound.
 
 What a term or a pair gain reads is the refinement state's own objects,
-read in place: the level's hypergraph, whose arrays hold each net's
-members, source first, its source and its weight, and each vertex's nets
-(`model.Hypergraph`), each vertex's original, its nearest-host
-and nearest-replica hop rows (FAR without a replica), the move rows, an
-n x K array of move gains (OUT where there is no move), and the m x K
-matrix of each net's drain counts per FPGA.  The table holds no reference
-to the refinement state.
+read in place: the level's hypergraph, read through its gathers (each
+vertex's nets, each net's pins, `model.Hypergraph.nets_of` and `pins_of`)
+and its arrays (each net's source and weight, each vertex's reach, the
+pins over its nets), each vertex's original, its nearest-host and
+nearest-replica hop rows (FAR without a replica), the move rows, an n x K
+array of move gains (OUT where there is no move), and the m x K matrix of
+each net's drain counts per FPGA.  The table holds no reference to the
+refinement state and copies none of the hypergraph.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .model import _dedupe
 
 NONE = np.iinfo(np.int64).min  # the best gain of a vertex without an entry
 # the "no entry" gain of the refinement state's rows: a move's at the
@@ -56,22 +59,6 @@ OUT = -(1 << 60)
 FAR = np.iinfo(np.int32).max  # the hop row of an empty replica set
 UNKNOWN = np.iinfo(np.int64).max  # the cap of a vertex not scored since marked
 CHUNK = 1 << 14  # pair rows per settle pass: bounds its temporaries
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ranges [starts[i], stops[i]) and, per element, the
-    index i of its range."""
-    lens = stops - starts
-    ends = lens.cumsum()
-    row = np.arange(len(lens)).repeat(lens)
-    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lens)[row], row
-
-
-def _dedupe(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, sorted."""
-    x = x.copy()
-    x.sort()
-    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
 
 
 def _firsts(x: np.ndarray) -> np.ndarray:
@@ -87,14 +74,7 @@ class ExchangeTable:
 
     def __init__(self, h, dist, orig, host_hop, rep_hop, move, cnt):
         n, kf = move.shape
-        self.pin_ptr, self.pins = h.pin_ptr, h.pins
-        self.inc_ptr, self.inc = h.inc_ptr, h.inc
-        self.source = h.source
-        self.weight = h.weight
-        # per vertex, the rows its settle scores: the pins of its nets
-        pins = np.zeros(len(self.inc) + 1, np.intp)
-        np.cumsum(np.diff(self.pin_ptr)[self.inc], out=pins[1:])
-        self.reach = np.diff(pins[self.inc_ptr])
+        self.h = h
         self.dist = dist
         # the state's facts, read in place (see the module docstring)
         self.orig = orig
@@ -108,7 +88,7 @@ class ExchangeTable:
         self.cap = np.full(n, UNKNOWN, np.int64)  # per stale vertex, a bound on its best
         self._top: np.ndarray | None = None  # top[g, f] (see the module docstring)
         self._spent = 0  # rows scored since the top was taken
-        self._near = np.zeros((len(self.weight), kf), bool)  # scratch net marks
+        self._near = np.zeros((h.num_edges, kf), bool)  # scratch net marks
 
     # -- terms and scores ---------------------------------------------------
 
@@ -128,11 +108,11 @@ class ExchangeTable:
         FPGA.  The term is minus the net's weight times those hops, and
         symmetric in the two members."""
         kf = self.move.shape[1]
-        s = self.source[e]
+        s = self.h.source[e]
         # the m x K and n x K facts are read flat: a fancy 2-d gather is
         # several times slower
         cnt, hop = self.cnt.reshape(-1), self.host_hop.reshape(-1)
-        w = self.weight[e]
+        w = self.h.weight[e]
         e, s_at = e * kf, s * kf
         terms = (cnt[e + px] == 1) * hop[s_at + px]
         terms += (cnt[e + py] == 1) * hop[s_at + py]
@@ -153,10 +133,8 @@ class ExchangeTable:
         of v and member u, whose terms (`_terms`) are summed per pair.  A
         pair on one FPGA reads a move gain of OUT: it has no exchange."""
         n, kf = self.move.shape
-        pos, row = _ranges(self.inc_ptr[vs], self.inc_ptr[vs + 1])
-        es = self.inc[pos]
-        pos, at = _ranges(self.pin_ptr[es], self.pin_ptr[es + 1])
-        u = self.pins[pos]
+        es, row = self.h.nets_of(vs)
+        u, at = self.h.pins_of(es)
         lv = row[at]
         v = vs[lv]
         pu, pv = self.orig[u], self.orig[v]
@@ -164,7 +142,7 @@ class ExchangeTable:
         g = move[v * kf + pu]
         g += move[u * kf + pv]
         # each vertex's rows are contiguous, the pins of its nets
-        lens = self.reach[vs]
+        lens = self.h.reach[vs]
         cap = np.full(len(vs), NONE, np.int64)
         has = lens.nonzero()[0]
         cap[has] = np.maximum.reduceat(g, (lens.cumsum() - lens)[has])
@@ -230,15 +208,12 @@ class ExchangeTable:
         # per net, the FPGAs whose members are marked: every FPGA for es,
         # and each FPGA where a member's row changed
         x, f = (old != self.move[rebuilt]).nonzero()
-        x = rebuilt[x]
-        pos, row = _ranges(self.inc_ptr[x], self.inc_ptr[x + 1])
-        nets = self.inc[pos]
+        nets, row = self.h.nets_of(rebuilt[x])
         near = self._near.reshape(-1)
         self._near[es] = True
         near[nets * kf + f[row]] = True
         nets = _dedupe(np.concatenate((es, nets)))
-        pos, row = _ranges(self.pin_ptr[nets], self.pin_ptr[nets + 1])
-        u = self.pins[pos]
+        u, row = self.h.pins_of(nets)
         self.mark(u[near[nets[row] * kf + self.orig[u]]])
         self._near[nets] = False
         if self._top is not None:
@@ -247,10 +222,11 @@ class ExchangeTable:
     def settle(self, vs: np.ndarray, bar: int | None = None) -> None:
         """Settle the distinct vertices vs (see `_best`), in runs of at most
         CHUNK rows (the pins of their nets), or of one vertex with more."""
-        ends = self.reach[vs].cumsum()
+        reach = self.h.reach
+        ends = reach[vs].cumsum()
         lo = 0
         while lo < len(vs):
-            hi = max(lo + 1, int(ends.searchsorted(ends[lo] - self.reach[vs[lo]] + CHUNK, "right")))
+            hi = max(lo + 1, int(ends.searchsorted(ends[lo] - reach[vs[lo]] + CHUNK, "right")))
             self._best(vs[lo:hi], bar)
             lo = hi
         self._spent += int(ends[-1]) if len(vs) else 0

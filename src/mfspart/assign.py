@@ -97,7 +97,7 @@ def node_heats(h: Hypergraph) -> list[float]:
     the weight of its nets times the sum of its squared weights, each
     exact in a float (a bincount sums the weights)."""
     w = h.weight_matrix()
-    volume = np.bincount(h.pins, np.repeat(h.weight, np.diff(h.pin_ptr)), h.num_vertices)
+    volume = np.bincount(h.pins, h.weight[h.pin_net], h.num_vertices)
     return (volume * (w * w).sum(1)).tolist()
 
 
@@ -205,12 +205,11 @@ def dfs_assign(
     for i, v in enumerate(order):
         pos[v] = i
     completing: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
-    pins, ptr = h.pins.tolist(), h.pin_ptr.tolist()
-    for src, w, a, b in zip(h.source.tolist(), h.weight.tolist(), ptr, ptr[1:]):
-        d = max(pos[m] for m in pins[a:b])
+    for w, ms in zip(h.weight.tolist(), h.members):
+        d = max(pos[m] for m in ms)
         v = order[d]
-        others = tuple(x for x in pins[a + 1:b] if x != v)
-        completing[d].append((src, others, w))
+        others = tuple(x for x in ms[1:] if x != v)
+        completing[d].append((ms[0], others, w))
     slots_read = []
     for d, v in enumerate(order):
         deps = sorted({x for src, others, _ in completing[d] for x in (src, *others)} - {v})

@@ -11,13 +11,13 @@ follow by score over penalty; ties go to the lower id.  The penalty
 exponent grows with the level index so early levels chase connectivity
 and late levels enforce balance.
 
-A level reads only the hypergraph's arrays and builds the next level's
-(`model.Hypergraph`); no `Vertex` or `Hyperedge` is made.  Within a level
-a pair's score, penalty and capacity test never change, only which
-vertices are matched, so `coarsen_level` ranks the candidates of many
-vertices in one array pass (`_ranked`) and the greedy pass takes each
-free vertex's first free candidate.  `_contract` maps the pins through
-the matching into the coarse graph's arrays.
+A level reads the hypergraph through its gathers and derived arrays
+(`model.Hypergraph`), and `Hypergraph.contract` maps its pins through the
+matching into the next level's arrays; no `Vertex` or `Hyperedge` is
+made.  Within a level a pair's score, penalty and capacity test never
+change, only which vertices are matched, so `coarsen_level` ranks the
+candidates of many vertices in one array pass (`_ranked`) and the greedy
+pass takes each free vertex's first free candidate.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exchange import _dedupe, _ranges
 from .model import Hypergraph, ResourceVector
 from .seeds import TAG_COARSEN, sub_seed
 from .topology import MfsTopology, mean_capacity
@@ -124,13 +123,12 @@ def _ranked(
     sum is defined.  The penalty is `heavy_node_penalty`'s, its power
     Python's, taken once per distinct value."""
     n = h.num_vertices
-    pos, row = _ranges(h.inc_ptr[us], h.inc_ptr[us + 1])
-    es = h.inc[pos]
-    pos, at = _ranges(h.pin_ptr[es], h.pin_ptr[es + 1])
-    lu, v = row[at], h.pins[pos]
+    es, row = h.nets_of(us)
+    v, at = h.pins_of(es)
+    lu = row[at]
     keep = free[v] & (v != us[lu])
     es, lu, v = es[at[keep]], lu[keep], v[keep]
-    share = h.weight[es] / (h.pin_ptr[es + 1] - h.pin_ptr[es] - 1)
+    share = h.weight[es] / (h.size[es] - 1)
     pair, inv = np.unique(lu * n + v, return_inverse=True)
     score = np.bincount(inv, share, len(pair))
     lu, v = np.divmod(pair, n)
@@ -165,40 +163,6 @@ def best_partner(
     return int(cand[0]) if len(cand) else -1
 
 
-def _contract(h: Hypergraph, mapping: np.ndarray, n_coarse: int) -> Hypergraph:
-    """The coarse hypergraph of a fine-to-coarse vertex `mapping`, built
-    from the pin arrays: each net's pins mapped, its drains sorted and
-    deduplicated without its source, a net left without a drain dropped,
-    and parallel nets (same source and drains) merged in first-appearance
-    order, their weights summed."""
-    src = mapping[h.source]
-    net = np.repeat(np.arange(h.num_edges), np.diff(h.pin_ptr))
-    pin = mapping[h.pins]
-    keep = pin != src[net]  # the source's own pin among them
-    net, drains = np.divmod(_dedupe(net[keep] * n_coarse + pin[keep]), n_coarse)
-    # the nets left with a drain, each keyed by its source and its drains'
-    # bytes: the first net of each key is kept, with the weights of the rest
-    es = _dedupe(net)
-    cut = np.append(net.searchsorted(es), len(net))
-    raw, at = drains.tobytes(), (cut * drains.itemsize).tolist()
-    first: dict[tuple[int, bytes], int] = {}
-    group = [
-        first.setdefault((s, raw[a:b]), j)
-        for j, (s, a, b) in enumerate(zip(src[es].tolist(), at, at[1:]))
-    ]
-    weight = np.zeros(len(es), np.int64)
-    np.add.at(weight, group, h.weight[es])
-    lead = np.fromiter(first.values(), np.intp, len(first))
-    pin_ptr = np.zeros(len(lead) + 1, np.intp)
-    np.cumsum(np.diff(cut)[lead] + 1, out=pin_ptr[1:])
-    # each kept net's drains, with its source inserted before them
-    body = drains[_ranges(cut[lead], cut[lead + 1])[0]]
-    pins = np.insert(body, pin_ptr[:-1] - np.arange(len(lead)), src[es[lead]])
-    weights = np.zeros((n_coarse, h.num_resource_types), np.int64)
-    np.add.at(weights, mapping, h.weight_matrix())
-    return Hypergraph.from_arrays(weights, pin_ptr, pins.astype(np.int32), weight[lead])
-
-
 def coarsen_level(
     h: Hypergraph,
     t: MfsTopology,
@@ -213,8 +177,9 @@ def coarsen_level(
     of at most CHUNK pair rows (`_ranked`), each over the vertices and
     candidates still free when it starts, and the greedy pass takes each
     free vertex's first free candidate: a pair's rank does not depend on
-    what else is matched.  Coarse ids are dense, in fine-id order; the
-    coarse graph is `_contract`'s.
+    what else is matched.  A chunk whose vertices are all matched already
+    is skipped.  Coarse ids are dense, in fine-id order; the coarse graph
+    is `Hypergraph.contract`'s.
     """
     n = h.num_vertices
     alpha = alpha_at_level(
@@ -230,13 +195,15 @@ def coarsen_level(
     free = np.ones(n, bool)
     # the rows of `_ranked` before each vertex of the visit order: a
     # vertex's are the pins of its nets
-    sizes = np.diff(h.pin_ptr)
-    ends = np.zeros(n + 1)
-    np.cumsum(np.bincount(h.pins, np.repeat(sizes, sizes), n)[visit], out=ends[1:])
+    ends = np.zeros(n + 1, np.intp)
+    np.cumsum(h.reach[visit], out=ends[1:])
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(ends.searchsorted(ends[lo] + CHUNK, "right")) - 1)
         us = visit[lo:hi][free[visit[lo:hi]]]
+        lo = hi
+        if not len(us):
+            continue
         ptr, cand = (x.tolist() for x in _ranked(h, us, free, alpha, mean_caps, max_caps))
         for u, a, b in zip(us.tolist(), ptr, ptr[1:]):
             if free[u]:
@@ -245,13 +212,12 @@ def coarsen_level(
                         match[u], match[v] = v, u
                         free[u] = free[v] = False
                         break
-        lo = hi
 
     # a coarse id per pair, numbered by the pair's lower id
     low = np.minimum(match, np.arange(n))
     lead = low == np.arange(n)
     mapping = (lead.cumsum() - 1)[low]
-    return Level(_contract(h, mapping, int(lead.sum())), mapping.tolist(), level)
+    return Level(h.contract(mapping, int(lead.sum())), mapping.tolist(), level)
 
 
 def build_hierarchy(h: Hypergraph, t: MfsTopology, cfg: CoarseningConfig) -> list[Level]:

@@ -38,10 +38,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _tokenized_lines(text: str) -> list[tuple[int, list[str]]]:
+def _tokenized_lines(text: str, comment: str = "#") -> list[tuple[int, list[str]]]:
+    """The (1-based line number, tokens) of every line of text with a
+    token, once whatever follows `comment` is dropped."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
+        body = raw.split(comment, 1)[0]
         tokens = body.split()
         if tokens:
             out.append((i, tokens))
@@ -227,12 +229,7 @@ def write_solution(p: Placement) -> str:
 def parse_hmetis(text: str) -> Hypergraph:
     """Read an hMETIS .hgr netlist; the first pin of each net becomes the
     source.  Nets with fewer than two distinct pins are dropped (lossy)."""
-    lines = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("%", 1)[0]
-        tokens = body.split()
-        if tokens:
-            lines.append((i, tokens))
+    lines = _tokenized_lines(text, "%")
     if not lines:
         raise ParseError(1, "malformed header: empty input")
     line_no, header = lines[0]

@@ -133,7 +133,7 @@ def tally(h: Hypergraph, hosted: np.ndarray, hm: HopMatrix) -> Tally:
 def _cut(h: Hypergraph, hosted: np.ndarray, cnt: np.ndarray) -> int:
     """How many nets no host f of their source serves wholly: cnt[e, f]
     is below the net's drain count at each of them."""
-    whole = cnt == np.diff(h.pin_ptr)[:, None] - 1
+    whole = cnt == h.size[:, None] - 1
     return len(cnt) - int((hosted[h.source] & whole).any(1).sum())
 
 
@@ -145,7 +145,8 @@ def _usage(h: Hypergraph, hosted: np.ndarray) -> np.ndarray:
 def net_hop_distance(h: Hypergraph, e: int, p: Placement, hm: HopMatrix) -> int:
     """Unweighted cost of net e: per drain FPGA, the hop distance from the
     nearest copy of the source."""
-    return net_terms(hm, p.hosts(h.edges[e].source), drain_fpgas(h, e, p))[0]
+    drains = drain_fpgas(h, e, p)
+    return net_terms(hm, p.hosts(int(h.source[e])), drains)[0]
 
 
 def total_hop_distance(h: Hypergraph, p: Placement, hm: HopMatrix) -> int:

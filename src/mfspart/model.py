@@ -7,10 +7,14 @@ optional set of replica FPGAs; a replica is a full copy of the vertex, so
 its outputs are available locally and all of its inputs must reach it.
 
 A hypergraph is held one way, as arrays: its vertex weight matrix and its
-pins, which every phase reads; the `Vertex` and `Hyperedge` objects are a
-view for parsing, formatting and the reference code.  With a placement's
-host mask (`Placement.host_mask`) the pins give the matrix of each net's
-drain copies per FPGA (`Hypergraph.drain_counts`).
+pins.  This module is the only one that knows their layout: every phase
+reads a graph through its gathers (`Hypergraph.nets_of`, `pins_of`), the
+arrays derived once per graph (each net's size, each pin's net, each
+vertex's degree and reach) and its list views, and a coarse level is made
+by `Hypergraph.contract`.  The `Vertex` and `Hyperedge` objects are a view
+for parsing, formatting and the reference code.  With a placement's host
+mask (`Placement.host_mask`) the pins give the matrix of each net's drain
+copies per FPGA (`Hypergraph.drain_counts`).
 """
 
 from __future__ import annotations
@@ -20,6 +24,22 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges [starts[i], stops[i]) and, per element, the
+    index i of its range."""
+    lens = stops - starts
+    ends = lens.cumsum()
+    row = np.arange(len(lens)).repeat(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lens)[row], row
+
+
+def _dedupe(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, sorted."""
+    x = x.copy()
+    x.sort()
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,9 +109,7 @@ class Hyperedge:
 
 class Hypergraph:
     """An immutable hypergraph, held as arrays: the n x k vertex weight
-    matrix (`weight_matrix`) and the pins, which the coarsening, the
-    assignment, the metrics, the refinement state and its exchange table
-    all read:
+    matrix (`weight_matrix`) and the pins:
 
     - every net's members in CSR (`pin_ptr`, `pins`), source first, then
       the drains in ascending order;
@@ -99,12 +117,19 @@ class Hypergraph:
     - every vertex's nets, drained or sourced, in CSR by vertex
       (`inc_ptr`, `inc`), in ascending net order.
 
+    No other module reads the CSR offsets.  The phases read a graph
+    through the gathers `nets_of` and `pins_of` and through arrays derived
+    once per graph: each net's pin count (`size`), each pin's net
+    (`pin_net`), and per vertex its net count (`degree`) and the pins over
+    its nets (`reach`).  `contract` makes a coarse level.
+
     Vertex and net ids are dense (0..n-1 / 0..m-1).  `Hypergraph(vertices,
     edges)` checks the objects and builds the arrays from them;
     `from_arrays` takes arrays that are already well-formed, as a
-    contraction makes them.  `vertices`, `edges` and `incidence` (each
-    vertex's net ids, ascending) are read-only object views: the given
-    lists, or lists built from the arrays on first read.
+    contraction makes them.  `vertices`, `edges`, `incidence` (each
+    vertex's net ids, ascending) and `members` (each net's pins, as
+    `pins` orders them) are read-only list views: the given lists, or
+    lists built from the arrays on first read.
     """
 
     def __init__(self, vertices: list[Vertex], edges: list[Hyperedge]):
@@ -147,16 +172,19 @@ class Hypergraph:
         return h
 
     def _hold(self, weights, pin_ptr, pins, weight) -> None:
-        """Hold the arrays, and derive each net's source and each vertex's
-        nets from them."""
-        n, m = len(weights), len(weight)
+        """Hold the arrays, and derive the rest of the class docstring's
+        arrays from them."""
+        n = len(weights)
         self._weights, self.pin_ptr, self.pins, self.weight = weights, pin_ptr, pins, weight
         self.source = pins[pin_ptr[:-1]].astype(np.intp)
+        self.size = np.diff(pin_ptr)
+        self.pin_net = np.arange(len(weight)).repeat(self.size)
+        self.degree = np.bincount(pins, minlength=n)
         self.inc_ptr = np.zeros(n + 1, np.intp)
-        np.cumsum(np.bincount(pins, minlength=n), out=self.inc_ptr[1:])
-        pin_net = np.repeat(np.arange(m, dtype=np.int32), np.diff(pin_ptr))
-        self.inc = pin_net[np.argsort(pins, kind="stable")]
-        self._vertices = self._edges = self._incidence = None
+        np.cumsum(self.degree, out=self.inc_ptr[1:])
+        self.inc = self.pin_net[np.argsort(pins, kind="stable")]
+        self.reach = np.bincount(pins, self.size[self.pin_net], n).astype(np.intp)
+        self._vertices = self._edges = self._incidence = self._members = None
 
     @classmethod
     def build(
@@ -180,19 +208,23 @@ class Hypergraph:
     @property
     def edges(self) -> list[Hyperedge]:
         if self._edges is None:
-            pins, ptr = self.pins.tolist(), self.pin_ptr.tolist()
             self._edges = [
-                Hyperedge(j, w, pins[a], pins[a + 1:b])
-                for j, (w, a, b) in enumerate(zip(self.weight.tolist(), ptr, ptr[1:]))
+                Hyperedge(j, w, ms[0], ms[1:])
+                for j, (w, ms) in enumerate(zip(self.weight.tolist(), self.members))
             ]
         return self._edges
 
     @property
     def incidence(self) -> list[list[int]]:
         if self._incidence is None:
-            inc, ptr = self.inc.tolist(), self.inc_ptr.tolist()
-            self._incidence = [inc[a:b] for a, b in zip(ptr, ptr[1:])]
+            self._incidence = _split(self.inc, self.inc_ptr)
         return self._incidence
+
+    @property
+    def members(self) -> list[list[int]]:
+        if self._members is None:
+            self._members = _split(self.pins, self.pin_ptr)
+        return self._members
 
     @property
     def num_vertices(self) -> int:
@@ -213,14 +245,65 @@ class Hypergraph:
     def total_weight(self) -> ResourceVector:
         return ResourceVector(self._weights.sum(axis=0))
 
+    def nets_of(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nets of the vertices vs, each vertex's in ascending order,
+        and for each the position in vs of its vertex."""
+        pos, owner = _ranges(self.inc_ptr[vs], self.inc_ptr[vs + 1])
+        return self.inc[pos], owner
+
+    def pins_of(self, es: np.ndarray, drains: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The pins of the nets es, each net's source first and then its
+        drains in ascending order, or with `drains` its drains only; and
+        for each the position in es of its net."""
+        pos, owner = _ranges(self.pin_ptr[es] + drains, self.pin_ptr[es + 1])
+        return self.pins[pos], owner
+
     def drain_counts(self, hosted: np.ndarray) -> np.ndarray:
         """Per net and FPGA, the number of the net's drains with a copy
         there, as an m x K int64 matrix, given the n x K host mask `hosted`
         (`Placement.host_mask`): one scatter over the drain pins' copies."""
         m, kf = len(self.weight), hosted.shape[1]
-        net = np.repeat(np.arange(m), np.diff(self.pin_ptr) - 1)
+        net = np.delete(self.pin_net, self.pin_ptr[:-1])
         pin, f = np.nonzero(hosted[np.delete(self.pins, self.pin_ptr[:-1])])
         return np.bincount(net[pin] * kf + f, minlength=m * kf).reshape(m, kf)
+
+    def contract(self, mapping: np.ndarray, n_coarse: int) -> "Hypergraph":
+        """The coarse hypergraph of a fine-to-coarse vertex `mapping`, built
+        from the pin arrays: each net's pins mapped, its drains sorted and
+        deduplicated without its source, a net left without a drain dropped,
+        and parallel nets (same source and drains) merged in first-appearance
+        order, their weights summed."""
+        src = mapping[self.source]
+        pin = mapping[self.pins]
+        keep = pin != src[self.pin_net]  # the source's own pin among them
+        net, drains = np.divmod(_dedupe(self.pin_net[keep] * n_coarse + pin[keep]), n_coarse)
+        # the nets left with a drain, each keyed by its source and its drains'
+        # bytes: the first net of each key is kept, with the weights of the rest
+        es = _dedupe(net)
+        cut = np.append(net.searchsorted(es), len(net))
+        raw, at = drains.tobytes(), (cut * drains.itemsize).tolist()
+        first: dict[tuple[int, bytes], int] = {}
+        group = [
+            first.setdefault((s, raw[a:b]), j)
+            for j, (s, a, b) in enumerate(zip(src[es].tolist(), at, at[1:]))
+        ]
+        weight = np.zeros(len(es), np.int64)
+        np.add.at(weight, group, self.weight[es])
+        lead = np.fromiter(first.values(), np.intp, len(first))
+        pin_ptr = np.zeros(len(lead) + 1, np.intp)
+        np.cumsum(np.diff(cut)[lead] + 1, out=pin_ptr[1:])
+        # each kept net's drains, with its source inserted before them
+        body = drains[_ranges(cut[lead], cut[lead + 1])[0]]
+        pins = np.insert(body, pin_ptr[:-1] - np.arange(len(lead)), src[es[lead]])
+        weights = np.zeros((n_coarse, self.num_resource_types), np.int64)
+        np.add.at(weights, mapping, self._weights)
+        return Hypergraph.from_arrays(weights, pin_ptr, pins.astype(np.int32), weight[lead])
+
+
+def _split(flat: np.ndarray, ptr: np.ndarray) -> list[list[int]]:
+    """The CSR rows flat[ptr[i]:ptr[i + 1]], as lists."""
+    flat, ptr = flat.tolist(), ptr.tolist()
+    return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 class Placement:
@@ -298,7 +381,7 @@ def drain_fpgas(h: Hypergraph, e: int, p: Placement) -> set[int]:
     if not (0 <= e < h.num_edges):
         raise IndexError(f"edge id {e} out of range 0..{h.num_edges - 1}")
     out: set[int] = set()
-    for d in h.edges[e].drains:
+    for d in h.pins_of(np.array([e]), drains=True)[0].tolist():
         out.add(p.original[d])
         out |= p.replicas[d]
     return out

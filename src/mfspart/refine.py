@@ -39,8 +39,9 @@ sourced cost after a copy is added on f is a sum of src_w times hops
 capped at f's, by the vertex's nearest-replica row for a move and by its
 nearest-host row for a replicate; a delete's fall comes from the
 nearest-host row without that replica.  `_rows` computes all of it for
-any vertex set in a few array passes over the level's pin arrays (the
-hypergraph's own), the count matrix and the host arrays, and keeps nothing
+any vertex set in a few array passes over the level's hypergraph, read
+through its gathers and arrays (`model.Hypergraph.nets_of`, `pins_of`,
+`degree`), the count matrix and the host arrays, and keeps nothing
 between calls: the entry build calls it in runs of `RUN` vertices, and
 every commit on the vertices the commit made dirty.
 
@@ -60,14 +61,14 @@ delete of a copy that is not a replica, at every slot of a vertex
 without entries, at every slot of a disabled replicate or delete, and
 at every move slot when neither move nor exchange is enabled.  A vertex
 has entries exactly when it has a net or a replica, which `_rows` reads
-from the pin arrays and the host mask.
+from the hypergraph's `degree` and the host mask.
 
 An exchange gain is the two endpoints' move gains plus a correction over
 the nets they share.  One table per level, an `ExchangeTable` the state
 owns, keeps each vertex's best exchange (gain and partner), scored on
-demand from the pin arrays, and nothing per pair.  Every fact it reads is
-the state's own, read in place: the hypergraph, the arrays `orig`, `hop`
-and `rep_hop` (each vertex's original and nearest-host and
+demand from the hypergraph's pins, and nothing per pair.  Every fact it
+reads is the state's own, read in place: the hypergraph, the arrays
+`orig`, `hop` and `rep_hop` (each vertex's original and nearest-host and
 nearest-replica rows), which a commit writes with the host mask, the
 move rows `gains[0]` and the count matrix.  It holds no reference back
 to the state: after a commit the state makes one call,
@@ -101,9 +102,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._exchange import FAR, NONE, OUT, ExchangeTable, _dedupe, _ranges
+from ._exchange import FAR, NONE, OUT, ExchangeTable
 from .metrics import net_terms, tally
-from .model import Hypergraph, Placement
+from .model import Hypergraph, Placement, _dedupe
 from .topology import HopMatrix, MfsTopology
 
 KIND_RANK = {"delete": 0, "move": 1, "exchange": 2, "replicate": 3}
@@ -310,7 +311,6 @@ class RefineState:
         self.io_limited = any(l is not None for l in self.io_limits)
         self.hop_max = t.hop_max
         self.weights = h.weight_matrix().T  # per resource type, every vertex's weight
-        self.index = h  # the level's pin arrays, read by `_sums`, `_dirty` and the table
         self.nets = _net_lists(h)
         self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
 
@@ -349,13 +349,11 @@ class RefineState:
         self.replicates_applied = 0
         # every vertex's move, replicate and delete rows (see the module
         # docstring); and the exchange bests of this level, whose table
-        # reads the pin arrays, the vertex facts, the move rows and the
+        # reads the hypergraph, the vertex facts, the move rows and the
         # count matrix in place and holds no reference back here
         self.gains = np.full((len(FPGA_KINDS), n, kf), OUT, np.int64)
         self.exchange = (
-            ExchangeTable(
-                self.index, self.dist, self.orig, self.hop, self.rep_hop, self.gains[0], self.cnt,
-            )
+            ExchangeTable(h, self.dist, self.orig, self.hop, self.rep_hop, self.gains[0], self.cnt)
             if "exchange" in self.enabled else None
         )
 
@@ -425,18 +423,16 @@ class RefineState:
           to v's replicas R (a move) or to H (a replicate): src_w times the
           hops from f capped by the row of R (FAR without a replica) or of
           H."""
-        ix = self.index
+        h = self.h
         caps = np.take(self._hops, vs, 1)
         hop = caps[0]
         # every net of every vertex v of vs: as a drain v adds its copy
         # cost, as the source its sourced weight
-        starts, stops = ix.inc_ptr[vs], ix.inc_ptr[vs + 1]
-        pos, row = _ranges(starts, stops)
-        es = ix.inc[pos]
-        src = ix.source[es]
+        es, row = h.nets_of(vs)
+        src = h.source[es]
         v = vs[row]
         cnt = np.take(self.cnt, es, 0)  # np.take: a faster row gather
-        w = ix.weight[es]
+        w = h.weight[es]
         sourced = np.flatnonzero(src == v)
         src_w = _run_sums(
             (cnt[sourced] > 0) * w[sourced, None], np.bincount(row[sourced], minlength=len(vs))
@@ -445,7 +441,7 @@ class RefineState:
         cost = np.take(self.hop, src, 0)
         cost *= w[:, None]
         cost *= cnt <= np.take(self.hosted, v, 0)
-        copy_cost = _run_sums(cost, stops - starts)
+        copy_cost = _run_sums(cost, h.degree[vs])
         src_now = (src_w * hop).sum(1)
         # the capped hops of a replicate, then of a move, times src_w
         rep_col, move_col = (np.minimum(self.dist, caps[:, :, None]) @ src_w[:, :, None])[..., 0]
@@ -491,8 +487,7 @@ class RefineState:
             hop = np.where(without[:, :, None], self.dist, FAR).min(1)
             fall = src_now[at] - (src_w[at] * hop).sum(1)
             rows[2, at, r] = copy_cost[at, r] + fall
-        ptr = self.index.inc_ptr
-        rows[:, (ptr[vs + 1] == ptr[vs]) & ~reps.any(1)] = OUT
+        rows[:, (self.h.degree[vs] == 0) & ~reps.any(1)] = OUT
         return rows
 
     # -- selection and application ----------------------------------------
@@ -783,13 +778,10 @@ class RefineState:
         is dirty when the covered set changed, and an untouched drain when
         cnt == [f in hosts(d)] flips at some FPGA f, which only a 0|1 or
         1|2 crossing can do.  A touched vertex is dirty anyway."""
-        ix = self.index
-        src = ix.source[es]
+        src = self.h.source[es]
         whole = (src[:, None] == touched).any(1)
         look = whole | crossed.any(1)
-        seen = es[look]
-        pos, row = _ranges(ix.pin_ptr[seen] + 1, ix.pin_ptr[seen + 1])
-        drains = ix.pins[pos]
+        drains, row = self.h.pins_of(es[look], drains=True)
         held = np.take(self.hosted, drains, 0)
         flips = (old[look][row] == held) != (new[look][row] == held)
         return _dedupe(np.concatenate((

@@ -13,7 +13,7 @@ from mfspart.coarsen import (
     heavy_node_penalty,
 )
 from mfspart.io import gen_instance
-from mfspart.model import Hypergraph, ResourceVector
+from mfspart.model import Hyperedge, Hypergraph, ResourceVector
 from mfspart.seeds import TAG_COARSEN, sub_seed
 from mfspart.topology import MfsTopology, mean_capacity
 
@@ -428,3 +428,26 @@ def test_coarse_graph_object_views_rebuild_the_same_graph():
         assert rebuilt.weight_matrix().tolist() == g.weight_matrix().tolist()
         assert rebuilt.incidence == g.incidence
         assert [v.weight for v in rebuilt.vertices] == [v.weight for v in g.vertices]
+
+
+def test_no_ranking_pass_on_an_empty_vertex_set(monkeypatch):
+    # one net spans every vertex, so each vertex's ranking rows are over
+    # 600 and a chunk holds a few vertices; late in the visit order every
+    # vertex of a chunk is often matched already, and such a chunk is
+    # skipped, not ranked over no vertex
+    import mfspart.coarsen as coarsen
+
+    b = gen_instance(5, 600, 720, 8, 2, spare=0.4)
+    h = b.hypergraph
+    h = Hypergraph(h.vertices, [*h.edges, Hyperedge(h.num_edges, 1, 0, range(1, 600))])
+    sizes = []
+    ranked = coarsen._ranked
+
+    def recording(g, us, *args):
+        sizes.append(len(us))
+        return ranked(g, us, *args)
+
+    monkeypatch.setattr(coarsen, "_ranked", recording)
+    levels = build_hierarchy(h, b.topology, CoarseningConfig(seed=1))
+    assert len(levels) == 3 and len(sizes) > 100
+    assert min(sizes) > 0

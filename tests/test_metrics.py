@@ -11,7 +11,10 @@ from mfspart.metrics import (
     total_hop_distance,
     validate,
 )
-from mfspart.model import Hypergraph, Placement, ResourceVector
+from mfspart.coarsen import CoarseningConfig, build_hierarchy
+from mfspart.metrics import net_terms
+from mfspart.model import Hyperedge, Hypergraph, Placement, ResourceVector, drain_fpgas
+from mfspart.seeds import TAG_COARSEN, sub_seed
 from mfspart.topology import MfsTopology, compute_hop_matrix
 
 from conftest import fanout_story, path_topology, ring_topology
@@ -371,3 +374,36 @@ def test_report_fields():
     assert rep.fpga_io == [0, 3, 3]
     text = rep.to_text()
     assert text.startswith("{") and text.endswith("}\n")
+
+
+def test_net_reads_on_a_coarse_level_build_no_hyperedge(monkeypatch):
+    # drain_fpgas and net_hop_distance read a net off the pin arrays, so
+    # on a coarse level (the lean 600-vertex instance's first) they build
+    # none of its object view, and agree with it
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    g = build_hierarchy(b.hypergraph, b.topology, CoarseningConfig(seed=sub_seed(1, TAG_COARSEN)))[0].hypergraph
+    hm = compute_hop_matrix(b.topology)
+    rng = random.Random(4)
+    p = Placement([rng.randrange(8) for _ in range(g.num_vertices)])
+    for v in rng.sample(range(g.num_vertices), 40):
+        p.add_replica(v, (p.original[v] + rng.randrange(1, 8)) % 8)
+    made = []
+    init = Hyperedge.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hyperedge, "__init__", counted)
+    got = [(drain_fpgas(g, e, p), net_hop_distance(g, e, p, hm)) for e in range(g.num_edges)]
+    for e in (-1, g.num_edges):
+        with pytest.raises(IndexError):
+            drain_fpgas(g, e, p)
+        with pytest.raises(IndexError):
+            net_hop_distance(g, e, p, hm)
+    assert made == []
+    want = []
+    for e in g.edges:
+        drains = {f for d in e.drains for f in p.hosts(d)}
+        want.append((drains, net_terms(hm, p.hosts(e.source), drains)[0]))
+    assert got == want

@@ -1,6 +1,12 @@
+import io
+import tokenize
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from mfspart.io import parse_hypergraph, write_hypergraph
+import mfspart
+from mfspart.io import gen_instance, parse_hypergraph, write_hypergraph
 from mfspart.model import (
     Hyperedge,
     Hypergraph,
@@ -101,3 +107,46 @@ def test_move_absorbs_replica_at_destination():
     p.set_original(0, 2)
     assert p.original == [2]
     assert p.replicas == [set()]
+
+
+def test_gathers_and_derived_arrays_match_the_object_views():
+    # each net's size and each pin's net, each vertex's degree and reach,
+    # and the gathers over any vertex or net set, as the objects list them
+    h = gen_instance(4, 60, 80, 4, 2).hypergraph
+    edges, inc = h.edges, h.incidence
+    assert h.members == [list(e.members) for e in edges]
+    assert h.size.tolist() == [len(e) for e in edges]
+    assert h.pin_net.tolist() == [e.id for e in edges for _ in e.members]
+    assert h.degree.tolist() == [len(es) for es in inc]
+    assert h.reach.tolist() == [sum(len(edges[e]) for e in es) for es in inc]
+    vs = np.array([7, 0, 59, 7, 31])
+    nets, owner = h.nets_of(vs)
+    assert list(zip(owner.tolist(), nets.tolist())) == [
+        (i, e) for i, v in enumerate(vs.tolist()) for e in inc[v]
+    ]
+    es = np.array([3, 79, 0, 3])
+    for drains in (False, True):
+        pins, owner = h.pins_of(es, drains=drains)
+        assert list(zip(owner.tolist(), pins.tolist())) == [
+            (i, x) for i, e in enumerate(es.tolist())
+            for x in (edges[e].drains if drains else edges[e].members)
+        ]
+    for gather in (h.nets_of, h.pins_of):
+        items, owner = gather(np.array([], np.intp))
+        assert items.tolist() == owner.tolist() == []
+
+
+def test_only_the_model_knows_the_pin_layout():
+    # the CSR offsets and the range helper are the model's own: every
+    # other module reads a hypergraph through its gathers, derived arrays
+    # and views, and coarsening takes nothing from the exchange table
+    def names(path):
+        text = io.StringIO(path.read_text()).readline
+        return {t.string for t in tokenize.generate_tokens(text) if t.type == tokenize.NAME}
+
+    root = Path(mfspart.__file__).parent
+    read = {path.name: names(path) for path in sorted(root.glob("*.py"))}
+    layout = ("pin_ptr", "inc_ptr", "_ranges")
+    assert [(m, x) for m, got in read.items() if m != "model.py" for x in layout if x in got] == []
+    assert set(layout) <= read["model.py"]
+    assert "_exchange" not in read["coarsen.py"]

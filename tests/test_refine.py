@@ -1405,7 +1405,7 @@ def test_exchange_settles_in_runs_of_a_few_rows(monkeypatch):
     best = ExchangeTable._best
 
     def recording(self, vs, bar):  # the rows of a run of several vertices
-        runs.append(int(self.reach[vs].sum()) if len(vs) > 1 else 0)
+        runs.append(int(self.h.reach[vs].sum()) if len(vs) > 1 else 0)
         return best(self, vs, bar)
 
     monkeypatch.setattr(ExchangeTable, "_best", recording)
@@ -1419,21 +1419,17 @@ def test_exchange_settles_in_runs_of_a_few_rows(monkeypatch):
 def test_exchange_table_reads_the_state_facts_in_place():
     # the state owns every fact a term or a pair gain reads and writes it
     # at each commit; the table was built with views of those arrays, the
-    # state's count matrix and its pin index among them, so it keeps no
-    # copy that a commit would have to hand over
+    # state's count matrix among them, and reads the state's own
+    # hypergraph, so it keeps no copy that a commit would have to hand over
     state = RefineState(*tight_state(4, n=20, m=36))
     table = state.exchange
+    assert table.h is state.h
     for mine, theirs in (
         (table.orig, state.orig),
         (table.host_hop, state.hop),
         (table.rep_hop, state.rep_hop),
         (table.move, state.gains),
         (table.cnt, state.cnt),
-        (table.pins, state.index.pins),
-        (table.pin_ptr, state.index.pin_ptr),
-        (table.source, state.index.source),
-        (table.inc, state.index.inc),
-        (table.inc_ptr, state.index.inc_ptr),
     ):
         assert np.shares_memory(mine, theirs)
     run_refine_loop(state)
