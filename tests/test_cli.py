@@ -679,6 +679,13 @@ PINNED_PARTITIONS = [
      ["--seeds", "1", "--assign-max-nodes", "2000"],
      "c9a468fc235ba4ab88116272953a46df030ce15ca63eee9b923f392b1269417f",
      "af8f8c0e292e1f3b72001a6cdb20d0eff3d63c0280124aa5fd875b6b4b4e5f31"),
+    # the lean 600-vertex instance with no op kind: every level's placement
+    # is only projected onto the next, never refined, so these bytes are
+    # the assignment's placement carried down the hierarchy
+    ("none-600", (3000, 600, 720, 8, 2), {"spare": 0.4},
+     ["--seeds", "1", "--assign-max-nodes", "2000", "--ops", "none"],
+     "55b80ef65961732ade54f3b0220050e4b5c6e224dd530b384fa9f387cc03cdc9",
+     "e8f591c235e89e22da864c8ab710fd3b2cdc0fc13f4cdb0a5bde4e85e8f07f45"),
 ]
 
 
