@@ -26,11 +26,16 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import io as mio
 from .assign import SearchBudget, parallel_assign
 from .coarsen import CoarseningConfig, build_hierarchy
+from .metrics import MetricsReport, validate
 from .metrics import report as metrics_report
-from .metrics import total_hop_distance, validate
+# unused here, but bound so that a tracer wrapping it from outside (as
+# partbench/layertrace.py does) still finds it
+from .metrics import total_hop_distance  # noqa: F401
 from .model import Hypergraph, Placement
 from .oracle import exhaustive_partition
 from .refine import ALL_OPS, op_kinds, project_to_finer, refine_level
@@ -57,7 +62,11 @@ def parse_ops(text: str) -> tuple[str, ...]:
 class PipelineResult:
     placement: Placement | None
     status: str  # "ok" | "infeasible" | "budget"
-    thd: int | None = None
+    report: MetricsReport | None = None  # the placement's, when there is one
+
+    @property
+    def thd(self) -> int | None:
+        return None if self.report is None else self.report.total_hop_distance
 
 
 def run_pipeline(
@@ -106,7 +115,11 @@ def run_pipeline(
     coarsest graph's THD a little; refinement evens most of that out.
 
     The numeric arguments and the op kinds are checked before the hop
-    matrix is built.
+    matrix is built.  Each call builds one hop matrix, for every phase
+    and for the report.  From assignment to the end the placement is held
+    as originals and host mask, projected and refined in that form; then
+    one `Placement` is built and one report (`metrics.report`), which the
+    result carries and its `thd` reads.
     """
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
         raise ValueError("time_limit must be finite and non-negative")
@@ -142,20 +155,22 @@ def run_pipeline(
         return PipelineResult(None, "infeasible" if proven else "budget")
 
     # refine the coarsest graph, then project onto each finer one and refine;
-    # each coarse level is dropped once its placement is projected
-    p = res.placement
+    # the placement is held as originals and host mask throughout, and each
+    # coarse level is dropped once its placement is projected
+    placed = np.array(res.placement.original, np.intp), res.placement.host_mask(t.k_fpgas)
     del coarsest, res
     for i in range(len(levels), -1, -1):
         if i < len(levels):
-            p = project_to_finer(levels.pop(), p)
+            placed = project_to_finer(levels.pop(), *placed)
         level_h = levels[i - 1].hypergraph if i > 0 else h
-        p = refine_level(
-            level_h, p, t, hm, ops=ops, max_replicas=max_replicas,
+        placed = refine_level(
+            level_h, placed, t, hm, ops=ops, max_replicas=max_replicas,
             allow_zero_gain=allow_zero_gain,
             observer=refine_observer(level_h) if refine_observer else None,
             deadline=deadline,
         )
-    return PipelineResult(p, "ok", total_hop_distance(h, p, hm))
+    p = Placement.from_mask(*placed)
+    return PipelineResult(p, "ok", metrics_report(h, t, p, hm))
 
 
 def _read(path: str) -> str:
@@ -265,8 +280,7 @@ def cmd_partition(args) -> int:
         print("no solution within budget", file=sys.stderr)
         return EXIT_BUDGET
     _write(args.output, mio.write_solution(result.placement))
-    rep = metrics_report(h, t, result.placement)
-    _write(args.report, rep.to_text())
+    _write(args.report, result.report.to_text())
     return EXIT_OK
 
 
@@ -335,7 +349,7 @@ def cmd_bench(args) -> int:
             if res.placement is None:
                 rows.append((*row, "", "", "", f"{dt:.3f}"))
                 continue
-            rep = metrics_report(bundle.hypergraph, bundle.topology, res.placement)
+            rep = res.report
             rows.append((*row, rep.total_hop_distance, rep.cut_size, rep.replica_count,
                          f"{dt:.3f}"))
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", newline="")

@@ -313,9 +313,10 @@ class Placement:
     out-of-range ids or a replica on its original, are detected by the
     metrics validator, not rejected here); the mutators below do enforce
     well-formedness, and `oracle.apply_op` applies a refinement op with
-    them.  Refinement itself holds a placement as an array of originals
-    and a host mask (`refine.RefineState`) and builds one of these from
-    them when asked.
+    them.  The pipeline, from assignment to its output, and refinement
+    (`refine.RefineState`) hold a placement as an array of originals and
+    a host mask instead; `host_mask` and `from_mask` convert between the
+    two forms.
     """
 
     __slots__ = ("original", "replicas")
@@ -347,6 +348,17 @@ class Placement:
         rows = [v for v, r in enumerate(self.replicas) for _ in r]
         mask[rows, [f for r in self.replicas for f in r]] = True
         return mask
+
+    @classmethod
+    def from_mask(cls, orig: np.ndarray, hosted: np.ndarray) -> "Placement":
+        """The placement whose originals are `orig` and whose replicas are
+        the other FPGAs of each row of the n x K host mask `hosted`."""
+        q = cls(orig.tolist())
+        reps = hosted.copy()
+        reps[np.arange(len(reps)), orig] = False
+        for x, f in zip(*(a.tolist() for a in np.nonzero(reps))):
+            q.replicas[x].add(f)
+        return q
 
     def copy(self) -> "Placement":
         return Placement(self.original, self.replicas)

@@ -12,24 +12,27 @@ have changed.
 
 The state holds the placement one way: `orig`, every vertex's original
 FPGA, and the n x K host mask `hosted`, which FPGAs hold a copy of each
-vertex; `RefineState.p` builds a `Placement` from them when asked.  A
-prospective operation is a map {vertex: (frozenset of its hosts, frozenset
-of its new hosts)}, built by `_change` from those arrays, which holds each
-kind's precondition and reads each changed vertex's mask row once; a
-commit writes the new originals into `orig` and the new sets into the
-mask rows (`_install`).  The state also keeps one m x K count
-matrix, `cnt`: per net and FPGA, the number of the net's drains with a
-copy there.  It takes that matrix, the THD, the I/O and the usage from
-the metrics' one pass over the host mask, `metrics.tally`.  An operation
-is evaluated by `_evaluate`, which reads each vertex's nets and each
-net's source and weight from lists built once per level off the pin
-arrays, applies its host changes to list copies of the affected nets'
-rows and calls `metrics.net_terms` on each
-changed net's covered FPGAs before and after, which gives its units (so
-the gain), worst hop and I/O ports.  On commit those rows are written
-back in one assignment.  The from-scratch gains (`gain_move` and the
-rest) run the same evaluation on a placement's own host mask and count
-matrix.
+vertex.  It takes copies of such a pair, the form in which the pipeline
+hands a placement from level to level, or converts a `Placement` on
+entry; `refine_level` returns the placement in the form it was given,
+and `RefineState.p` builds a `Placement` from the arrays when asked
+(`Placement.from_mask`).  A prospective operation is a map {vertex:
+(frozenset of its hosts, frozenset of its new hosts)}, built by
+`_change` from those arrays, which holds each kind's precondition and
+reads each changed vertex's mask row once; a commit writes the new
+originals into `orig` and the new sets into the mask rows (`_install`).
+The state also keeps one m x K count matrix, `cnt`: per net and FPGA,
+the number of the net's drains with a copy there.  It takes that matrix,
+the THD, the I/O and the usage from the metrics' one pass over the host
+mask, `metrics.tally`.  An operation is evaluated by `_evaluate`, which
+reads each vertex's nets and each net's source and weight from lists
+built once per level off the pin arrays, applies its host changes to
+list copies of the affected nets' rows and calls `metrics.net_terms` on
+each changed net's covered FPGAs before and after, which gives its units
+(so the gain), worst hop and I/O ports.  On commit those rows are
+written back in one assignment.  The from-scratch gains (`gain_move` and
+the rest) run the same evaluation on a placement's own host mask and
+count matrix.
 
 A vertex's move, replicate and delete entries are a closed form in two
 per-FPGA sums over its nets and in its own hop rows (see `_rows`):
@@ -91,6 +94,12 @@ it is taken or not: a stale best is settled before it is read, by
 selection, by `entries()` and by an exchange's partner lookup.  Once
 `max_replicas` binds, replicate is no longer an enabled kind: its rows
 stay OUT.
+
+Between two levels the placement is projected onto the finer graph with
+two gathers over the level's mapping, `orig[mapping]` and
+`hosted[mapping]` (`project_to_finer`): every vertex takes its
+hypernode's original and hosts, so a replica fans out to every
+constituent vertex, and THD is unchanged.
 """
 
 from __future__ import annotations
@@ -279,7 +288,7 @@ class RefineState:
         h: Hypergraph,
         t: MfsTopology,
         hm: HopMatrix,
-        p: Placement,
+        p: Placement | tuple[np.ndarray, np.ndarray],
         ops: tuple[str, ...] = ALL_OPS,
         max_replicas: int | None = None,
         allow_zero_gain: bool = False,
@@ -314,20 +323,21 @@ class RefineState:
         self.nets = _net_lists(h)
         self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
 
-        # the placement, one way: every vertex's original and the host
-        # mask, with the facts read from them (see `_install`): set for
-        # every vertex at once as if it had no replica, then installed one
-        # by one for those that have one
-        self.orig = np.array(p.original, np.intp).reshape(n)
+        # the placement, one way: copies of every vertex's original and the
+        # host mask, with the facts read from them (see `_install`): set
+        # for every vertex at once as if it had no replica, then installed
+        # one by one for those that have one
+        if isinstance(p, Placement):
+            p = p.original, p.host_mask(kf)
+        self.orig = np.array(p[0], np.intp).reshape(n)
+        self.hosted = np.array(p[1], bool).reshape(n, kf)
         # the nearest-host and nearest-replica rows, in one array so that
         # `_sums` reads both of a vertex set in one pass
         self._hops = np.full((2, n, kf), FAR, np.int64)
         self.hop, self.rep_hop = self._hops
         self.hop[:] = self.dist[self.orig]
-        self.hosted = p.host_mask(kf)
-        for x, reps in enumerate(p.replicas):
-            if reps:
-                self._install(x, frozenset(reps | {p.original[x]}))
+        for x in np.flatnonzero(self.hosted.sum(1) > 1).tolist():
+            self._install(x, _hosts(self.hosted, x))
         # the count matrix (per net and FPGA, the number of the net's
         # drains with a copy there), THD, I/O and usage, from the host mask
         facts = tally(h, self.hosted, hm)
@@ -383,14 +393,9 @@ class RefineState:
 
     @property
     def p(self) -> Placement:
-        """The current placement, built from `orig` and the replica part of
-        `hosted`; a new object on every read."""
-        q = Placement(self.orig.tolist())
-        reps = self.hosted.copy()
-        reps[np.arange(len(reps)), self.orig] = False
-        for x, f in zip(*(a.tolist() for a in np.nonzero(reps))):
-            q.replicas[x].add(f)
-        return q
+        """The current placement, built from `orig` and `hosted`
+        (`Placement.from_mask`); a new object on every read."""
+        return Placement.from_mask(self.orig, self.hosted)
 
     def _install(self, x: int, hosts: frozenset) -> None:
         """Store x's host set, whose original `orig[x]` already holds, in
@@ -833,38 +838,27 @@ def _past(deadline: float | None) -> bool:
 
 def refine_level(
     h: Hypergraph,
-    p: Placement,
+    p: Placement | tuple[np.ndarray, np.ndarray],
     t: MfsTopology,
     hm: HopMatrix,
     *,
-    ops: tuple[str, ...] = ALL_OPS,
-    max_replicas: int | None = None,
-    allow_zero_gain: bool = False,
-    zero_gain_limit: int | None = None,
-    incremental: bool = True,
     max_ops: int | None = None,
     observer: Callable[[Op, Placement, int], None] | None = None,
     deadline: float | None = None,
-) -> Placement:
+    **keywords,
+) -> Placement | tuple[np.ndarray, np.ndarray]:
     """Apply highest-gain operations until none is both acceptable and
     feasible, or until `deadline` (a `time.monotonic()` value) passes;
-    THD never increases and every intermediate state is valid."""
-    if not ops or _past(deadline):
-        return p.copy()
-    state = RefineState(
-        h,
-        t,
-        hm,
-        p,
-        ops=ops,
-        max_replicas=max_replicas,
-        allow_zero_gain=allow_zero_gain,
-        zero_gain_limit=zero_gain_limit,
-        incremental=incremental,
-        deadline=deadline,
-    )
+    THD never increases and every intermediate state is valid.
+
+    `p` is a `Placement` or a pair (orig, hosted) of originals and host
+    mask, and the result takes the same form; `p` itself is left as it
+    was.  `keywords` are those of `RefineState`."""
+    if not keywords.get("ops", ALL_OPS) or _past(deadline):
+        return p.copy() if isinstance(p, Placement) else (p[0].copy(), p[1].copy())
+    state = RefineState(h, t, hm, p, deadline=deadline, **keywords)
     run_refine_loop(state, max_ops=max_ops, observer=observer, deadline=deadline)
-    return state.p
+    return state.p if isinstance(p, Placement) else (state.orig, state.hosted)
 
 
 def run_refine_loop(
@@ -900,11 +894,11 @@ def run_refine_loop(
     return applied
 
 
-def project_to_finer(level, coarse_p: Placement) -> Placement:
-    """Expand a placement of hypernodes to the finer graph they condense;
-    replicas fan out to every constituent vertex."""
-    mapping = level.mapping
-    original = [coarse_p.original[mapping[v]] for v in range(len(mapping))]
-    replicas = [set(coarse_p.replicas[mapping[v]]) for v in range(len(mapping))]
-    return Placement(original, replicas)
-
+def project_to_finer(
+    level, orig: np.ndarray, hosted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a placement of hypernodes, as originals and host mask, to
+    the finer graph they condense: every vertex takes its hypernode's rows,
+    so replicas fan out to every constituent vertex."""
+    mapping = np.asarray(level.mapping, np.intp)
+    return orig[mapping], hosted[mapping]

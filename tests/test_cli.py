@@ -1,14 +1,19 @@
 import csv
 import gc
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import mfspart.cli as cli
+import mfspart.metrics as metrics
+import mfspart.refine as refine
 from mfspart.cli import main, run_pipeline
 from mfspart.io import (
     gen_instance,
@@ -20,7 +25,7 @@ from mfspart.io import (
     write_topology,
 )
 from mfspart.metrics import report, validate
-from mfspart.model import Hyperedge, Hypergraph, ResourceVector, Vertex
+from mfspart.model import Hyperedge, Hypergraph, Placement, ResourceVector, Vertex
 from mfspart.oracle import exhaustive_partition
 from mfspart.seeds import TAG_GEN, sub_seed
 
@@ -725,3 +730,101 @@ def test_pinned_wide_net_partition_bytes(tmp_path):
             == "dce58cad4ac60f14ea504371029f744ec878aab9de27693dfeccb0267ac12b81")
     assert (hashlib.sha256(rep.read_bytes()).hexdigest()
             == "59c3a5b815fcb62029adcae8c2d2b04d038014c681a7fab5dbf5990fb782bc1a")
+
+
+def _write_instance(tmp_path, *gen_args, **gen_kwargs):
+    b = gen_instance(*gen_args, **gen_kwargs)
+    hg, topo = tmp_path / "inst.hg", tmp_path / "inst.topo"
+    hg.write_text(write_hypergraph(b.hypergraph))
+    topo.write_text(write_topology(b.topology))
+    return hg, topo
+
+
+def test_partition_builds_one_hop_matrix_and_one_tally_past_refinement(tmp_path, monkeypatch):
+    # the pipeline's one report is the partition's report: the hop matrix
+    # the pipeline and the report use is built once (parsing the topology
+    # checks its connectivity apart from these), and the graph is tallied
+    # once per refinement pass (its entry build) and once for the report
+    hg, topo = _write_instance(tmp_path, 7, 150, 180, 8, 2, spare=0.4)
+    calls = Counter()
+
+    def count(module, name, as_name=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[as_name or name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, metrics):
+        count(module, "compute_hop_matrix")
+    for module in (metrics, refine):
+        count(module, "tally")
+    count(refine, "run_refine_loop", "passes")
+    assert run(["partition", hg, topo, "-o", tmp_path / "out.sol",
+                "--report", tmp_path / "out.report"]) == 0
+    assert calls["compute_hop_matrix"] == 1
+    assert calls["passes"] >= 1
+    assert calls["tally"] == calls["passes"] + 1
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_pipeline_builds_one_placement_past_assignment(monkeypatch, observed):
+    # from assignment to the end the placement is held as originals and
+    # host mask: one Placement is built, for the result, and one per op
+    # applied only when an observer asks for it
+    b = gen_instance(3000, 600, 720, 8, 2, spare=0.4)
+    made, ops = [], []
+
+    def counted(self, *args, _init=Placement.__init__, **kwargs):
+        made.append(1)
+        _init(self, *args, **kwargs)
+
+    def assigned(*args, _assign=cli.parallel_assign, **kwargs):
+        res = _assign(*args, **kwargs)
+        made.clear()
+        return res
+
+    monkeypatch.setattr(Placement, "__init__", counted)
+    monkeypatch.setattr(cli, "parallel_assign", assigned)
+    observer = (lambda g: lambda op, p, thd: ops.append(op)) if observed else None
+    res = run_pipeline(b.hypergraph, b.topology, n_seeds=1, assign_max_nodes=2000,
+                       refine_observer=observer)
+    assert res.status == "ok"
+    assert len(made) == 1 + len(ops)
+    assert bool(ops) == observed
+
+
+def _layer_trace():
+    """`LayerTrace` of partbench/layertrace.py, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "partbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LayerTrace
+
+
+def test_layer_trace_sees_every_layer_and_changes_no_byte(tmp_path):
+    # the tracer wraps names of `cli` and `refine` from outside, so the
+    # pipeline must reach refinement and projection through them: a level
+    # refined or projected some other way would go unrecorded
+    hg, topo = _write_instance(tmp_path, 3000, 600, 720, 8, 2, spare=0.4)
+    tracer = _layer_trace()()
+    outs = []
+    for traced in (False, True):
+        sol, rep = tmp_path / f"{traced}.sol", tmp_path / f"{traced}.report"
+        argv = ["partition", hg, topo, "-o", sol, "--report", rep,
+                "--seeds", "1", "--assign-max-nodes", "2000"]
+        if traced:
+            with tracer.installed():
+                assert run(argv) == 0
+        else:
+            assert run(argv) == 0
+        outs.append((sol.read_bytes(), rep.read_bytes()))
+    assert outs[0] == outs[1]
+    v = tracer.values
+    assert v["coarsen.levels"] > 0
+    assert v["refine.levels"] == v["coarsen.levels"] + 1
+    assert v["refine.ops"] > 0
+    assert v["refine.project_s"] > 0

@@ -150,3 +150,14 @@ def test_only_the_model_knows_the_pin_layout():
     assert [(m, x) for m, got in read.items() if m != "model.py" for x in layout if x in got] == []
     assert set(layout) <= read["model.py"]
     assert "_exchange" not in read["coarsen.py"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_mask_inverts_host_mask(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 40)), int(rng.integers(2, 7))
+    orig = rng.integers(0, k, n).tolist()
+    reps = [{f for f in range(k) if f != o and rng.random() < 0.3} for o in orig]
+    reps[0].add((orig[0] + 1) % k)
+    p = Placement(orig, reps)
+    assert Placement.from_mask(np.array(p.original), p.host_mask(k)) == p

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import random
 import time
 import weakref
@@ -635,7 +636,7 @@ def test_project_identity_mapping():
     h = Hypergraph.build([[1]] * 3, [(1, 0, [1, 2])])
     lv = Level(h, [0, 1, 2], 0)
     p = Placement([0, 1, 1], [set(), {2}, set()])
-    assert project_to_finer(lv, p) == p
+    assert Placement.from_mask(*project_to_finer(lv, np.array(p.original), p.host_mask(3))) == p
 
 
 def test_project_preserves_thd_and_counts():
@@ -657,7 +658,10 @@ def test_project_preserves_thd_and_counts():
     graphs = [b.hypergraph] + [lv.hypergraph for lv in levels]
     for i in range(len(levels) - 1, -1, -1):
         coarse_thd = total_hop_distance(graphs[i + 1], cur, hm)
-        fine = project_to_finer(levels[i], cur)
+        k = b.topology.k_fpgas
+        fine = Placement.from_mask(
+            *project_to_finer(levels[i], np.array(cur.original), cur.host_mask(k))
+        )
         fine_thd = total_hop_distance(graphs[i], fine, hm)
         assert fine_thd == coarse_thd
         # replica copies fan out to every constituent
@@ -667,6 +671,33 @@ def test_project_preserves_thd_and_counts():
         expect_reps = sum(len(cur.replicas[c]) * n_members[c] for c in range(len(n_members)))
         assert fine.replica_count() == expect_reps
         cur = fine
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"ops": ops} for ops in
+     ([kinds for r in range(1, 5) for kinds in itertools.combinations(ALL_OPS, r)] + [()])]
+    + [{"max_ops": 2}, {"deadline": 0.0}],
+    ids=lambda kw: ",".join(
+        f"{k}={'+'.join(v) or 'none' if k == 'ops' else v}" for k, v in kw.items()
+    ),
+)
+def test_refine_level_in_array_form_matches_placement_form(kw):
+    # given originals and host mask, refine_level returns them refined,
+    # the same placement as given the Placement, and leaves its input as it was
+    applied = 0
+    for seed in range(6):
+        h, t, hm, p = _random_replicated_state(seed, n=24, m=40)
+        orig, hosted = np.array(p.original, np.intp), p.host_mask(t.k_fpgas)
+        given = orig.copy(), hosted.copy()
+        out = refine_level(h, (orig, hosted), t, hm, **kw)
+        assert isinstance(out, tuple) and all(isinstance(a, np.ndarray) for a in out)
+        assert out[0] is not orig and out[1] is not hosted
+        assert (orig == given[0]).all() and (hosted == given[1]).all()
+        q = refine_level(h, p, t, hm, **kw)
+        assert Placement.from_mask(*out) == q
+        applied += q != p
+    assert applied == 0 if kw in ({"ops": ()}, {"deadline": 0.0}) else applied > 0
 
 
 def test_best_single_replication_matches_heap_max():
