@@ -172,8 +172,7 @@ def dfs_assign(
     fpga_order = sorted(range(kf), key=lambda f: (-heats.fpga_heat[f], f))
     # FPGAs are renumbered by heat rank: slot i is fpga_order[i], so every
     # depth tries slots 0..kf-1 in order.  Only the result is mapped back.
-    full = hm.rows()
-    dist = [[full[a][b] for b in fpga_order] for a in fpga_order]
+    dist = hm.dist[np.ix_(fpga_order, fpga_order)].tolist()
     dist_t = [list(col) for col in zip(*dist)]  # dist_t[d][f] == dist[f][d]
     io_limits = [t.io_limits[f] for f in fpga_order]
     io_limited = any(l is not None for l in io_limits)

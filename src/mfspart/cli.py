@@ -115,8 +115,8 @@ def run_pipeline(
     coarsest graph's THD a little; refinement evens most of that out.
 
     The numeric arguments and the op kinds are checked before the hop
-    matrix is built.  Each call builds one hop matrix, for every phase
-    and for the report.  From assignment to the end the placement is held
+    matrix is built.  Each call builds one hop matrix, one read-only
+    array that every phase and the report read in place.  From assignment to the end the placement is held
     as originals and host mask, projected and refined in that form; then
     one `Placement` is built and one report (`metrics.report`), which the
     result carries and its `thd` reads.

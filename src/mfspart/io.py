@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .model import Hyperedge, Hypergraph, Placement, ResourceVector, Vertex
-from .topology import MfsTopology, compute_hop_matrix
+from .topology import MfsTopology, hop_row
 
 
 class ParseError(ValueError):
@@ -129,6 +129,9 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_topology(text: str) -> MfsTopology:
+    """The topology of a `.topo` text.  Its links must connect every FPGA,
+    which one BFS from FPGA 0 checks (`topology.hop_row`): loading builds
+    no hop matrix, so that a command builds one, as one array."""
     lines = _tokenized_lines(text)
     if not lines:
         raise ParseError(1, "malformed header: empty input")
@@ -179,7 +182,7 @@ def parse_topology(text: str) -> MfsTopology:
         links.append((a, b))
     try:
         topo = MfsTopology(capacities, links, io_limits, hop_max)
-        compute_hop_matrix(topo)  # connectivity is a load-time requirement
+        hop_row(topo, 0)  # connectivity is a load-time requirement
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from None
     return topo

@@ -321,7 +321,7 @@ class RefineState:
         self.hop_max = t.hop_max
         self.weights = h.weight_matrix().T  # per resource type, every vertex's weight
         self.nets = _net_lists(h)
-        self.dist = np.array(hm.dist, np.int64).reshape(kf, kf)
+        self.dist = hm.dist  # read in place, never written
 
         # the placement, one way: copies of every vertex's original and the
         # host mask, with the facts read from them (see `_install`): set

@@ -15,12 +15,21 @@ from .model import ResourceVector
 HOP_PENALTY_BETA = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopMatrix:
-    """All-pairs shortest-path link counts between FPGAs."""
+    """All-pairs shortest-path link counts between FPGAs.
 
-    dist: tuple[tuple[int, ...], ...]
-    _nearest: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    One hop matrix per command, one array: `dist` is a read-only (K, K)
+    int64 array that every phase reads in place, converted once from the
+    rows it is given.  It is compared and hashed by identity only."""
+
+    dist: np.ndarray
+    _nearest: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        dist = np.array(self.dist, np.int64)
+        dist.flags.writeable = False
+        object.__setattr__(self, "dist", dist)
 
     def nearest(self, hosts) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Nearest-copy rows of a non-empty FPGA set: for every FPGA f, the
@@ -37,26 +46,20 @@ class HopMatrix:
             if not key:
                 raise ValueError("nearest copy of an empty host set")
             order = sorted(key)
-            hop = list(self.dist[order[0]])
-            server = [order[0]] * len(hop)
-            for s in order[1:]:
-                for f, d in enumerate(self.dist[s]):
-                    if d < hop[f]:
-                        hop[f] = d
-                        server[f] = s
-            rows = self._nearest[key] = (tuple(hop), tuple(server))
+            sub = self.dist[order]
+            pick = sub.argmin(0)  # the first minimum: the lowest id
+            rows = self._nearest[key] = (
+                tuple(sub.min(0).tolist()), tuple(order[i] for i in pick.tolist())
+            )
         return rows
 
     @property
     def k_fpgas(self) -> int:
         return len(self.dist)
 
-    def rows(self) -> list[list[int]]:
-        """Mutable row copies, convenient for hot loops."""
-        return [list(r) for r in self.dist]
-
     def as_array(self) -> np.ndarray:
-        return np.array(self.dist, dtype=np.int64)
+        """`dist` itself, not a copy."""
+        return self.dist
 
 
 class MfsTopology:
@@ -123,25 +126,30 @@ class MfsTopology:
         return np.array([c.values for c in self.capacities], dtype=np.int64)
 
 
+def hop_row(t: MfsTopology, src: int) -> list[int]:
+    """Link counts from `src` to every FPGA, by one BFS; raises on the
+    first FPGA it cannot reach."""
+    row = [-1] * t.k_fpgas
+    row[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        du = row[u]
+        for w in t.adjacency[u]:
+            if row[w] < 0:
+                row[w] = du + 1
+                queue.append(w)
+    for v, d in enumerate(row):
+        if d < 0:
+            raise ValueError(f"unreachable pair ({src}, {v})")
+    return row
+
+
 def compute_hop_matrix(t: MfsTopology) -> HopMatrix:
-    """BFS from every FPGA; raises if any pair is unreachable."""
-    k = t.k_fpgas
-    dist = [[-1] * k for _ in range(k)]
-    for src in range(k):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in t.adjacency[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    queue.append(w)
-        for v in range(k):
-            if row[v] < 0:
-                raise ValueError(f"unreachable pair ({src}, {v})")
-    return HopMatrix(tuple(tuple(r) for r in dist))
+    """The hop matrix, one BFS per FPGA; raises if any pair is
+    unreachable.  One hop matrix per command: the pipeline, `evaluate` and
+    `validate` each build one and hand it to every phase."""
+    return HopMatrix([hop_row(t, src) for src in range(t.k_fpgas)])
 
 
 def mean_capacity(t: MfsTopology) -> tuple[Fraction, ...]:
@@ -160,17 +168,10 @@ def hop_sum(t: MfsTopology, hm: HopMatrix, f: int) -> int:
     Hops beyond hop_max are charged the fixed penalty
     HOP_PENALTY_BETA * hop_max instead of their true distance.
     """
-    row = hm.dist[f]
-    total = 0
-    for u in range(t.k_fpgas):
-        if u == f:
-            continue
-        d = row[u]
-        if t.hop_max is not None and d > t.hop_max:
-            total += HOP_PENALTY_BETA * t.hop_max
-        else:
-            total += d
-    return total
+    row = hm.dist[f]  # row[f] is 0, below any penalty
+    if t.hop_max is not None:
+        row = np.where(row > t.hop_max, HOP_PENALTY_BETA * t.hop_max, row)
+    return int(row.sum())
 
 
 def capacities_from_imbalance(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mfspart.cli as cli
+import mfspart.io as mio
 import mfspart.metrics as metrics
 import mfspart.refine as refine
 from mfspart.cli import main, run_pipeline
@@ -740,12 +741,10 @@ def _write_instance(tmp_path, *gen_args, **gen_kwargs):
     return hg, topo
 
 
-def test_partition_builds_one_hop_matrix_and_one_tally_past_refinement(tmp_path, monkeypatch):
-    # the pipeline's one report is the partition's report: the hop matrix
-    # the pipeline and the report use is built once (parsing the topology
-    # checks its connectivity apart from these), and the graph is tallied
-    # once per refinement pass (its entry build) and once for the report
-    hg, topo = _write_instance(tmp_path, 7, 150, 180, 8, 2, spare=0.4)
+def _counter(monkeypatch):
+    """A Counter and `count(module, name, as_name=None)`, which wraps
+    module.name so that each call adds 1 to the Counter's as_name (or
+    name)."""
     calls = Counter()
 
     def count(module, name, as_name=None):
@@ -757,8 +756,24 @@ def test_partition_builds_one_hop_matrix_and_one_tally_past_refinement(tmp_path,
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (cli, metrics):
-        count(module, "compute_hop_matrix")
+    return calls, count
+
+
+def _count_hop_matrices(count):
+    # every module that binds `compute_hop_matrix`, loading included
+    for module in (cli, metrics, mio):
+        if hasattr(module, "compute_hop_matrix"):
+            count(module, "compute_hop_matrix")
+
+
+def test_partition_builds_one_hop_matrix_and_one_tally_past_refinement(tmp_path, monkeypatch):
+    # the pipeline's one report is the partition's report: the hop matrix
+    # the pipeline and the report use is built once, and the graph is
+    # tallied once per refinement pass (its entry build) and once for the
+    # report
+    hg, topo = _write_instance(tmp_path, 7, 150, 180, 8, 2, spare=0.4)
+    calls, count = _counter(monkeypatch)
+    _count_hop_matrices(count)
     for module in (metrics, refine):
         count(module, "tally")
     count(refine, "run_refine_loop", "passes")
@@ -767,6 +782,20 @@ def test_partition_builds_one_hop_matrix_and_one_tally_past_refinement(tmp_path,
     assert calls["compute_hop_matrix"] == 1
     assert calls["passes"] >= 1
     assert calls["tally"] == calls["passes"] + 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+def test_checking_a_solution_builds_one_hop_matrix(tmp_path, monkeypatch, command):
+    # loading the topology checks its connectivity without a hop matrix,
+    # so evaluate and validate build one each
+    hg, topo = _write_instance(tmp_path, 7, 150, 180, 8, 2, spare=0.4)
+    sol = tmp_path / "out.sol"
+    assert run(["partition", hg, topo, "-o", sol]) == 0
+    calls, count = _counter(monkeypatch)
+    _count_hop_matrices(count)
+    extra = ["--report", tmp_path / "eval.report"] if command == "evaluate" else []
+    assert run([command, hg, topo, sol, *extra]) == 0
+    assert calls["compute_hop_matrix"] == 1
 
 
 @pytest.mark.parametrize("observed", [False, True])

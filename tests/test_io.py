@@ -138,6 +138,14 @@ def test_topology_disconnected_rejected():
         parse_topology("2 0 1\n1\n1\n")
 
 
+def test_topology_two_components_name_the_first_pair_from_fpga_0():
+    # links 0-1 and 2-3: FPGA 2 is the first that FPGA 0 cannot reach, and
+    # the error is on the last link's line (1 header + 4 FPGA lines + 2)
+    with pytest.raises(ParseError, match=r"unreachable pair \(0, 2\)") as err:
+        parse_topology("4 2 1\n1\n1\n1\n1\n0 1\n2 3\n")
+    assert err.value.line == 7
+
+
 def test_topology_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse_topology(TOPO_PATH4 + "9 9\n")

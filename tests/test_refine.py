@@ -1184,6 +1184,14 @@ def _bound_edge_state():
     return RefineState(h, t, compute_hop_matrix(t), p)
 
 
+def test_state_and_exchange_table_read_the_one_hop_matrix():
+    # the state and its exchange table hold the hop matrix's own array,
+    # no copy of it
+    state = _bound_edge_state()
+    assert state.dist is state.hm.dist
+    assert state.exchange.dist is state.hm.dist
+
+
 def test_stale_exchange_at_its_bound_ties_a_replicate_and_wins():
     state = _bound_edge_state()
     assert state.exchange.stale.all()

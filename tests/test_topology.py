@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import floyd_warshall
 
 from mfspart.model import ResourceVector
 from mfspart.topology import (
+    HopMatrix,
     MfsTopology,
     capacities_from_imbalance,
     compute_hop_matrix,
@@ -28,6 +29,25 @@ def test_ring_of_four():
     hm = compute_hop_matrix(ring_topology(4))
     assert hm.dist[0][2] == 2
     assert hm.dist[0][3] == 1
+
+
+def test_hop_matrix_is_one_read_only_array():
+    # one (K, K) int64 array, read in place: as_array() hands out the
+    # same object, no row copies exist, and no phase can write to it
+    hm = compute_hop_matrix(ring_topology(5))
+    assert hm.dist.shape == (5, 5) and hm.dist.dtype == np.int64
+    assert hm.as_array() is hm.dist
+    assert not hasattr(hm, "rows")
+    with pytest.raises(ValueError):
+        hm.dist[0, 1] = 7
+    # nested rows are converted once, to an equal read-only array
+    again = HopMatrix(tuple(map(tuple, hm.dist.tolist())))
+    assert (again.dist == hm.dist).all() and not again.dist.flags.writeable
+    # what leaves it is Python ints
+    hop, server = hm.nearest({0, 2})
+    assert all(type(x) is int for x in hop + server)
+    assert server == (0, 0, 2, 2, 0)  # FPGA 1 is 1 hop from both: ties to 0
+    assert type(hop_sum(ring_topology(5), hm, 3)) is int
 
 
 def test_disconnected_reports_pair():
